@@ -12,6 +12,7 @@ Gate convention: R_y(phi) = exp(-i phi Y / 2), R_z(phi) = exp(-i phi Z / 2).
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,23 +160,13 @@ def layer_angles(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[n
     return slices @ cy.T, slices @ cz.T
 
 
-def _evolve(phi_y: np.ndarray, phi_z: np.ndarray,
-            shift: tuple[int, int, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Run the layered circuit on |0> for a batch; returns final (alpha, beta).
-
-    `shift`, if given, is (layer, gate, delta) with gate 0 = R_y, 1 = R_z;
-    delta is added to that single gate angle (parameter-shift evaluations).
-    """
+def _evolve(phi_y: np.ndarray, phi_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the layered circuit on |0> for a batch; returns final (alpha, beta)."""
     n = phi_y.shape[1]
     alpha = np.ones(n, dtype=complex)
     beta = np.zeros(n, dtype=complex)
     for l in range(phi_y.shape[0]):
         ay, az = phi_y[l], phi_z[l]
-        if shift is not None and shift[0] == l:
-            if shift[1] == 0:
-                ay = ay + shift[2]
-            else:
-                az = az + shift[2]
         c, s = np.cos(ay / 2.0), np.sin(ay / 2.0)
         alpha, beta = c * alpha - s * beta, s * alpha + c * beta
         phase = np.exp(-0.5j * az)
@@ -184,12 +175,56 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray,
     return alpha, beta
 
 
+def _probe_amplitudes(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
+                      shifts: Sequence[tuple[int, int, float] | None] | None = None,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Final (alpha, beta) of P probes in one kernel pass, each of shape (P, n).
+
+    `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
+    one point set per probe.  Each probe's angles are its own
+    `slices @ cy.T` product, so a probe comes out bit-identical to a
+    single-theta evaluation.  `shifts`, if given, holds one entry per probe:
+    None or (layer, gate, delta) with gate 0 = R_y, 1 = R_z; delta is added
+    to that single gate angle (parameter-shift evaluations).
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
+        raise ValueError(f"parameter vectors have shape {thetas.shape}, expected "
+                         f"(P, {spec.n_params}) for {spec.layers} layers")
+    n_probes = thetas.shape[0]
+    x = np.asarray(x, dtype=float)
+    per_probe = x.ndim == 3
+    if per_probe and x.shape[0] != n_probes:
+        raise ValueError(f"got {x.shape[0]} point sets for {n_probes} probes")
+    if shifts is not None and len(shifts) != n_probes:
+        raise ValueError(f"got {len(shifts)} shifts for {n_probes} probes")
+    cy, cz = ansatz_design(spec.ansatz, x.reshape(-1, 2))
+    n = x.shape[1] if per_probe else cy.shape[0]
+    phi_y = np.empty((spec.layers, n_probes * n))
+    phi_z = np.empty((spec.layers, n_probes * n))
+    for p in range(n_probes):
+        cols = slice(p * n, (p + 1) * n)
+        rows = cols if per_probe else slice(None)
+        slices = thetas[p].reshape(spec.layers, 4)
+        phi_y[:, cols] = slices @ cy[rows].T
+        phi_z[:, cols] = slices @ cz[rows].T
+        shift = None if shifts is None else shifts[p]
+        if shift is not None:
+            layer, gate, delta = shift
+            if not 0 <= layer < spec.layers or gate not in (0, 1):
+                raise ValueError(f"shift {shift} names no gate of a "
+                                 f"{spec.layers}-layer circuit")
+            (phi_z if gate else phi_y)[layer, cols] += delta
+    alpha, beta = _evolve(phi_y, phi_z)
+    return alpha.reshape(n_probes, n), beta.reshape(n_probes, n)
+
+
 def evaluate_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
                    shift: tuple[int, int, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact outcome probabilities (p0, p1) for each point in the batch."""
-    phi_y, phi_z = layer_angles(spec, theta, x)
-    alpha, beta = _evolve(phi_y, phi_z, shift=shift)
-    return np.abs(alpha) ** 2, np.abs(beta) ** 2
+    theta = check_theta(spec, theta)
+    alpha, beta = _probe_amplitudes(spec, theta[None], x, [shift])
+    return np.abs(alpha[0]) ** 2, np.abs(beta[0]) ** 2
 
 
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -198,14 +233,27 @@ def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tup
     return float(p0[0]), float(p1[0])
 
 
-def measure_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                  y: np.ndarray, shift: tuple[int, int, float] | None = None) -> np.ndarray:
-    """Projection probability onto each point's label state |y_i>."""
+def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 shifts: Sequence[tuple[int, int, float] | None] | None = None,
+                 ) -> np.ndarray:
+    """Projection probabilities onto |y_i> for P probes at once, shape (P, n).
+
+    Row p is what measure_batch returns for thetas[p] and shifts[p], bit for
+    bit.  `x` and `y` are either shared by every probe, shapes (n, 2) and
+    (n,), or given per probe, shapes (P, n, 2) and (P, n).
+    """
     y = np.asarray(y)
     if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    p0, p1 = evaluate_batch(spec, theta, x, shift=shift)
-    return np.where(y == 1, p1, p0)
+    alpha, beta = _probe_amplitudes(spec, thetas, x, shifts)
+    return np.abs(np.where(y == 1, beta, alpha)) ** 2
+
+
+def measure_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
+                  y: np.ndarray, shift: tuple[int, int, float] | None = None) -> np.ndarray:
+    """Projection probability onto each point's label state |y_i>."""
+    theta = check_theta(spec, theta)
+    return measure_many(spec, theta[None], x, y, [shift])[0]
 
 
 def measure_label(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:

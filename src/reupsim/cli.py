@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="YAML config path")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--workers", type=int, default=None,
-                   help="threads for splitting cost evaluations")
+                   help="accepted for archived configs; does not affect results or speed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key (dotted path, YAML value); repeatable")
     _add_seed(p)

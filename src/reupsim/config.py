@@ -147,8 +147,11 @@ class ExperimentConfig:
     def _resolve_dataset(block: dict, master_seed: int) -> dict:
         _reject_unknown(block, {"source", "n", "seed", "path", "center", "radius",
                                 "domain"}, "dataset")
-        source = _get_str(block, "source", "dataset", default="generate",
+        source = _get_str(block, "source", "dataset",
+                          default="load" if "path" in block else "generate",
                           choices=("generate", "load"))
+        if source == "generate" and "path" in block:
+            raise _fail("dataset.path", "only valid when source is load")
         if source == "load":
             path = _get_str(block, "path", "dataset")
             if not path:

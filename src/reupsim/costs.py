@@ -11,7 +11,7 @@ gated CE is minimized by misclassifying everything.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,32 +43,39 @@ def is_loss(kind: CostKind) -> bool:
     return kind is not CostKind.ACCURACY
 
 
+def check_workers(workers: int) -> None:
+    """Validate a worker count.  Workers have no effect on results or speed:
+    every evaluation runs as one batch on the calling thread."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
                     backend: Backend, workers: int = 1,
                     shift: tuple[int, int, float] | None = None) -> np.ndarray:
     """Per-point estimates of M(theta, x_i, y_i) through the backend.
 
-    The exact-probability stage may be sharded over threads; shards are
-    contiguous point ranges reassembled in point order, and the backend's
-    noise stage runs once over the assembled batch, so the result is
-    bit-identical for any worker count.
+    `workers` is validated but has no effect (see check_workers).
     """
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    n = len(ds)
-    if workers == 1 or n < 2 * workers:
-        p = circuits.measure_batch(spec, theta, ds.x, ds.y, shift=shift)
-    else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda se: circuits.measure_batch(spec, theta, ds.x[se[0]:se[1]],
-                                                  ds.y[se[0]:se[1]], shift=shift),
-                zip(bounds[:-1], bounds[1:]))
-            p = np.concatenate(list(parts))
-    return backend.sample(p, ds.y)
+    check_workers(workers)
+    return backend.sample(circuits.measure_batch(spec, theta, ds.x, ds.y, shift=shift), ds.y)
+
+
+def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: Backend,
+                  shifts: Sequence[tuple[int, int, float] | None] | None = None,
+                  ) -> np.ndarray:
+    """Per-point estimates for P probes over the dataset, shape (P, n).
+
+    One kernel call and one backend sample over the flattened batch in probe
+    order, so row p is bit-identical to measured_values on probe p when the
+    probes are measured one after another.
+    """
+    if len(ds) == 0:
+        raise ValueError("dataset is empty")
+    p = circuits.measure_many(spec, thetas, ds.x, ds.y, shifts=shifts)
+    return backend.sample(p.ravel(), np.tile(ds.y, p.shape[0])).reshape(p.shape)
 
 
 def accuracy_from(measured: np.ndarray) -> float:
@@ -107,6 +114,14 @@ def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
     """(objective, accuracy) computed from one shared estimate batch."""
     m = measured_values(spec, theta, ds, backend, workers=workers)
     return value_from(kind, m), accuracy_from(m)
+
+
+def evaluate_many_with_accuracy(kind: CostKind, spec: CircuitSpec, thetas: np.ndarray,
+                                ds: Dataset, backend: Backend) -> tuple[np.ndarray, np.ndarray]:
+    """Per-probe (objectives, accuracies), each of shape (P,), from one batch."""
+    m = measured_many(spec, thetas, ds, backend)
+    return (np.array([value_from(kind, row) for row in m]),
+            np.array([accuracy_from(row) for row in m]))
 
 
 def accuracy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend,

@@ -237,6 +237,7 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    costs.check_workers(workers)
     budget = budget if budget is not None else TimeBudget()
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))
     low, high = config.init_range
@@ -250,12 +251,9 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
     best_value = np.nan
 
     for gen in range(config.max_generations + 1):
-        values = np.empty(config.population_size)
-        accs = np.empty(config.population_size)
         try:
-            for i in range(config.population_size):
-                values[i], accs[i] = costs.evaluate_with_accuracy(
-                    config.fitness, spec, pop[i], dataset, backend, workers=workers)
+            values, accs = costs.evaluate_many_with_accuracy(
+                config.fitness, spec, pop, dataset, backend)
         except Exception as exc:
             raise TrainingError(f"backend failure at generation {gen}: {exc}") from exc
         fitnesses = values if maximize else -values

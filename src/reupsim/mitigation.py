@@ -184,18 +184,12 @@ def observation_pairs(spec: CircuitSpec, dataset: Dataset, backend: Backend,
     else:
         rng = np.random.default_rng(derive_seed(seed, "residual-thetas"))
         thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(n, spec.n_params))
-    one = np.array([1])
-    cols = 2 if cal is None else 3
-    out = np.empty((n, cols))
-    for i in range(n):
-        x = dataset.x[i:i + 1]
-        p = float(circuits.measure_batch(spec, thetas[i], x, one)[0])
-        est = float(backend.measure(spec, thetas[i], x, one)[0])
-        out[i, 0] = p
-        out[i, 1] = est
-        if cal is not None:
-            out[i, 2] = mitigate_estimate(est, 1, cal)
-    return out
+    ones = np.ones((n, 1), dtype=int)
+    p = circuits.measure_many(spec, thetas, dataset.x[:, None, :], ones)[:, 0]
+    est = backend.sample(p, ones[:, 0])
+    if cal is None:
+        return np.column_stack([p, est])
+    return np.column_stack([p, est, [mitigate_estimate(e, 1, cal) for e in est]])
 
 
 @dataclass(frozen=True)

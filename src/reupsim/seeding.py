@@ -13,6 +13,9 @@ import hashlib
 import numpy as np
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def _digest(seed: int, context: str) -> bytes:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -44,4 +47,17 @@ def counter_uniforms(seed: int, context: str, start: int, count: int) -> np.ndar
     key = derive_key(seed, context)
     gen = np.random.Generator(np.random.Philox(key=key, counter=[start, 0, 0, 0]))
     bits = gen.integers(0, 2**64, size=(count, 4), dtype=np.uint64, endpoint=False)
-    return (bits >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    return unit_interval(bits)
+
+
+def unit_interval(bits: np.ndarray) -> np.ndarray:
+    """Map uint64 words into the open interval (0, 1); consumes `bits`.
+
+    The top 53 bits k give (k + 1/2) * 2**-53.  In double precision that sum
+    rounds to 1.0 for k = 2**53 - 1 alone, so that value is clamped to the
+    largest double below 1, which no other k produces.
+    """
+    bits >>= np.uint64(11)
+    u = bits * 2.0**-53
+    u += 2.0**-54
+    return np.minimum(u, _BELOW_ONE, out=u)

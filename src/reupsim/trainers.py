@@ -131,19 +131,19 @@ class GradConfig:
 
 def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
                 backend: Backend, step: float, workers: int = 1) -> np.ndarray:
-    """Central-difference cost gradient: 2 x dim cost evaluations."""
+    """Central-difference cost gradient: 2 x dim cost evaluations, measured as
+    one probe batch in the order +e_0, -e_0, +e_1, -e_1, ..."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
+    costs.check_workers(workers)
     theta = circuits.check_theta(spec, theta)
-    grad = np.empty(theta.size)
+    probes = np.repeat(theta[None], 2 * theta.size, axis=0)
     for j in range(theta.size):
-        probe = theta.copy()
-        probe[j] = theta[j] + step
-        f_plus = costs.evaluate(kind, spec, probe, ds, backend, workers=workers)
-        probe[j] = theta[j] - step
-        f_minus = costs.evaluate(kind, spec, probe, ds, backend, workers=workers)
-        grad[j] = (f_plus - f_minus) / (2.0 * step)
-    return grad
+        probes[2 * j, j] = theta[j] + step
+        probes[2 * j + 1, j] = theta[j] - step
+    m = costs.measured_many(spec, probes, ds, backend)
+    f = np.array([costs.value_from(kind, row) for row in m])
+    return (f[0::2] - f[1::2]) / (2.0 * step)
 
 
 def _cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:
@@ -166,18 +166,15 @@ def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarra
     """
     if kind is CostKind.ACCURACY:
         raise ValueError("parameter-shift gradient is undefined for the accuracy cost")
+    costs.check_workers(workers)
     theta = circuits.check_theta(spec, theta)
-    m = costs.measured_values(spec, theta, ds, backend, workers=workers)
-    w = _cost_weights(kind, m)
-    n = len(ds)
-    dm = np.empty((spec.layers, 2, n))
-    for l in range(spec.layers):
-        for gate in range(2):
-            plus = costs.measured_values(spec, theta, ds, backend, workers=workers,
-                                         shift=(l, gate, np.pi / 2.0))
-            minus = costs.measured_values(spec, theta, ds, backend, workers=workers,
-                                          shift=(l, gate, -np.pi / 2.0))
-            dm[l, gate] = 0.5 * (plus - minus)
+    # base probe first, then the +-pi/2 pair of every gate angle in (layer, gate) order
+    shifts = [None] + [(l, gate, sign * np.pi / 2.0) for l in range(spec.layers)
+                       for gate in range(2) for sign in (1.0, -1.0)]
+    m = costs.measured_many(spec, np.repeat(theta[None], len(shifts), axis=0), ds,
+                            backend, shifts=shifts)
+    w = _cost_weights(kind, m[0])
+    dm = 0.5 * (m[1::2] - m[2::2]).reshape(spec.layers, 2, len(ds))
     cy, cz = circuits.ansatz_design(spec.ansatz, ds.x)
     grad = np.zeros(spec.n_params)
     for l in range(spec.layers):
@@ -484,8 +481,9 @@ def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
 
     Each cell fixes the first two parameters at the grid values and reports
     the best accuracy over the unperturbed point plus `budget` random
-    perturbations of the remaining parameters.  Cell RNG streams are keyed
-    by cell index, so the scan order cannot change the surface.
+    perturbations of the remaining parameters, measured as one probe batch
+    per cell.  Cell RNG streams are keyed by cell index, so the scan order
+    cannot change the surface.
     """
     neighborhood = neighborhood if neighborhood is not None else LocalSearchSpec()
     backend = backend if backend is not None else IdealBackend()
@@ -497,17 +495,15 @@ def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
     surface = np.empty((grid0.size, grid1.size))
     for i, a in enumerate(grid0):
         for j, b in enumerate(grid1):
-            theta = theta0.copy()
-            theta[0], theta[1] = a, b
-            best = costs.accuracy(spec, theta, dataset, backend)
+            probes = np.tile(theta0, (neighborhood.budget + 1, 1))
+            probes[:, 0], probes[:, 1] = a, b
             if neighborhood.budget > 0:
                 cell_rng = np.random.default_rng(
                     derive_seed(neighborhood.seed, f"landscape/{i}/{j}"))
-                for _ in range(neighborhood.budget):
-                    probe = theta.copy()
+                for probe in probes[1:]:
                     probe[2:] += cell_rng.uniform(-neighborhood.radius,
                                                   neighborhood.radius,
-                                                  theta.size - 2)
-                    best = max(best, costs.accuracy(spec, probe, dataset, backend))
-            surface[i, j] = best
+                                                  theta0.size - 2)
+            m = costs.measured_many(spec, probes, dataset, backend)
+            surface[i, j] = max(costs.accuracy_from(row) for row in m)
     return surface

@@ -10,8 +10,8 @@ from reupsim.circuits import (Ansatz, CircuitSpec, QubitState, ZERO_STATE,
                               analytic_gradient, check_theta, classify,
                               classify_batch, evaluate_batch, evaluate_circuit,
                               layer_angles, layer_args, measure_batch,
-                              measure_label, random_parameters, rotation_y,
-                              rotation_z)
+                              measure_label, measure_many, random_parameters,
+                              rotation_y, rotation_z)
 
 ANGLES = st.floats(min_value=-4 * np.pi, max_value=4 * np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -217,3 +217,80 @@ def test_random_parameters_range_and_determinism():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (16,)
     assert (np.abs(a) <= 2 * np.pi).all()
+
+
+def _single_theta_kernel(spec, theta, x, y, shift=None):
+    """Reference: the one-theta-at-a-time evolution that archived traces were
+    produced with, written out with the same floating-point operations."""
+    phi_y, phi_z = layer_angles(spec, theta, x)
+    alpha = np.ones(phi_y.shape[1], dtype=complex)
+    beta = np.zeros(phi_y.shape[1], dtype=complex)
+    for l in range(spec.layers):
+        ay, az = phi_y[l], phi_z[l]
+        if shift is not None and shift[0] == l:
+            if shift[1] == 0:
+                ay = ay + shift[2]
+            else:
+                az = az + shift[2]
+        c, s = np.cos(ay / 2.0), np.sin(ay / 2.0)
+        alpha, beta = c * alpha - s * beta, s * alpha + c * beta
+        phase = np.exp(-0.5j * az)
+        alpha = alpha * phase
+        beta = beta * np.conj(phase)
+    return np.where(y == 1, np.abs(beta) ** 2, np.abs(alpha) ** 2)
+
+
+def _random_probes(ansatz, layers, probes, seed):
+    spec = CircuitSpec(ansatz, layers)
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (probes, spec.n_params))
+    shifts = [(int(rng.integers(layers)), int(rng.integers(2)), float(rng.uniform(-np.pi, np.pi)))
+              if rng.random() < 0.5 else None for _ in range(probes)]
+    return spec, rng, thetas, shifts
+
+
+@given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 64),
+       st.integers(1, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_measure_many_rows_equal_measure_batch_bit_for_bit(ansatz, layers, probes, n, seed):
+    spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    y = rng.integers(0, 2, n)
+    many = measure_many(spec, thetas, x, y, shifts)
+    assert many.shape == (probes, n)
+    for p in range(probes):
+        single = measure_batch(spec, thetas[p], x, y, shift=shifts[p])
+        np.testing.assert_array_equal(many[p], single)
+        np.testing.assert_array_equal(single, _single_theta_kernel(spec, thetas[p], x, y,
+                                                                   shifts[p]))
+
+
+@given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 64),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_measure_many_with_a_point_set_per_probe(ansatz, layers, probes, n, seed):
+    spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
+    x = rng.uniform(-1.0, 1.0, (probes, n, 2))
+    y = rng.integers(0, 2, (probes, n))
+    many = measure_many(spec, thetas, x, y, shifts)
+    for p in range(probes):
+        np.testing.assert_array_equal(many[p], measure_batch(spec, thetas[p], x[p], y[p],
+                                                             shift=shifts[p]))
+
+
+def test_measure_many_validation():
+    spec = CircuitSpec(Ansatz.A2A, 2)
+    x, y = np.zeros((3, 2)), np.array([0, 1, 0])
+    thetas = np.zeros((2, spec.n_params))
+    with pytest.raises(ValueError, match="expected"):
+        measure_many(spec, np.zeros((2, 5)), x, y)
+    with pytest.raises(ValueError, match="2 probes"):
+        measure_many(spec, thetas, x, y, shifts=[None])
+    with pytest.raises(ValueError, match="2 probes"):
+        measure_many(spec, thetas, np.zeros((3, 3, 2)), y)
+    with pytest.raises(ValueError, match="names no gate"):
+        measure_many(spec, thetas, x, y, shifts=[None, (2, 0, 0.1)])
+    with pytest.raises(ValueError, match="names no gate"):
+        measure_many(spec, thetas, x, y, shifts=[(0, 2, 0.1), None])
+    with pytest.raises(ValueError, match="labels"):
+        measure_many(spec, thetas, x, np.array([0, 2, 1]))

@@ -189,3 +189,21 @@ def test_apply_overrides_error_paths():
         apply_overrides({"seed": 3}, ["seed.nested=1"])
     with pytest.raises(ConfigError, match="not valid YAML"):
         apply_overrides({}, ["seed=[unclosed"])
+
+
+def test_a_dataset_path_without_a_source_loads_that_file(tmp_path):
+    from reupsim.data import save
+    ds = generate(9, seed=3)
+    path = tmp_path / "train.csv"
+    save(ds, path)
+    cfg = ExperimentConfig.from_mapping({"dataset": {"path": str(path)}})
+    assert cfg.dataset == {"source": "load", "path": str(path)}
+    back = cfg.build_dataset()
+    np.testing.assert_array_equal(back.x, ds.x)
+    np.testing.assert_array_equal(back.y, ds.y)
+
+
+def test_a_dataset_path_with_the_generate_source_is_rejected():
+    with pytest.raises(ConfigError, match=r"dataset\.path: only valid when source is load"):
+        ExperimentConfig.from_mapping({"dataset": {"source": "generate",
+                                                   "path": "train.csv"}})

@@ -10,8 +10,8 @@ from reupsim import costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import CircuitSpec, random_parameters
 from reupsim.costs import (CostKind, accuracy_from, evaluate,
-                           evaluate_with_accuracy, is_loss, measured_values,
-                           value_from)
+                           evaluate_many_with_accuracy, evaluate_with_accuracy,
+                           is_loss, measured_many, measured_values, value_from)
 from reupsim.data import Dataset, generate
 from reupsim.trainers import gradient_fd
 
@@ -71,6 +71,27 @@ def test_measured_values_worker_count_does_not_change_results():
     np.testing.assert_array_equal(serial, sharded)
 
 
+def test_measured_many_rows_equal_successive_measured_values():
+    spec = CircuitSpec()
+    ds = generate(21, seed=4)
+    thetas = np.random.default_rng(4).uniform(-np.pi, np.pi, (6, spec.n_params))
+    shifts = [None, (0, 1, 0.3), None, (3, 0, -1.1), (2, 1, 2.0), None]
+    batched_be, loop_be = NoisyBackend(NoiseModel(seed=1)), NoisyBackend(NoiseModel(seed=1))
+    batched = measured_many(spec, thetas, ds, batched_be, shifts=shifts)
+    loop = np.array([measured_values(spec, t, ds, loop_be, shift=s)
+                     for t, s in zip(thetas, shifts)])
+    np.testing.assert_array_equal(batched, loop)
+    assert batched_be.ledger.snapshot() == loop_be.ledger.snapshot()
+
+    values, accs = evaluate_many_with_accuracy(CostKind.CHI_SQUARED, spec, thetas, ds,
+                                               NoisyBackend(NoiseModel(seed=1)))
+    loop_be = NoisyBackend(NoiseModel(seed=1))
+    pairs = [evaluate_with_accuracy(CostKind.CHI_SQUARED, spec, t, ds, loop_be)
+             for t in thetas]
+    np.testing.assert_array_equal(values, [v for v, _ in pairs])
+    np.testing.assert_array_equal(accs, [a for _, a in pairs])
+
+
 def test_measured_values_rejects_bad_inputs():
     spec = CircuitSpec()
     empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=int))
@@ -79,6 +100,8 @@ def test_measured_values_rejects_bad_inputs():
     ds = generate(4, seed=0)
     with pytest.raises(ValueError, match="workers"):
         measured_values(spec, np.zeros(16), ds, IdealBackend(), workers=0)
+    with pytest.raises(ValueError, match="empty"):
+        measured_many(spec, np.zeros((2, 16)), empty, IdealBackend())
 
 
 def test_evaluate_with_accuracy_uses_one_estimate_batch():

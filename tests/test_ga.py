@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reupsim.backend import IdealBackend
+from reupsim import costs
+from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import CircuitSpec
 from reupsim.costs import CostKind
 from reupsim.data import generate
@@ -176,6 +177,30 @@ def test_ga_train_is_deterministic_and_traces_every_generation():
     assert trace_a.final.cum_estimates == 7 * 8 * 30
 
 
+def _per_chromosome(kind, spec, thetas, ds, backend):
+    """Reference: one evaluate_with_accuracy call per chromosome, in order."""
+    pairs = [costs.evaluate_with_accuracy(kind, spec, theta, ds, backend)
+             for theta in thetas]
+    return np.array([v for v, _ in pairs]), np.array([a for _, a in pairs])
+
+
+@pytest.mark.parametrize("fitness", [CostKind.CROSS_ENTROPY, CostKind.ACCURACY])
+def test_batched_generations_equal_a_per_chromosome_loop(monkeypatch, fitness):
+    cfg = GAConfig(population_size=9, max_generations=4, seed=6, fitness=fitness)
+    spec = CircuitSpec()
+    ds = generate(25, seed=6)
+    runs = []
+    for evaluate in (costs.evaluate_many_with_accuracy, _per_chromosome):
+        monkeypatch.setattr(costs, "evaluate_many_with_accuracy", evaluate)
+        backend = NoisyBackend(NoiseModel(seed=2))
+        theta, trace = ga_train(cfg, spec, ds, backend)
+        runs.append((theta, trace.rows, backend.ledger.snapshot()))
+    (theta_a, rows_a, ledger_a), (theta_b, rows_b, ledger_b) = runs
+    np.testing.assert_array_equal(theta_a, theta_b)
+    assert rows_a == rows_b
+    assert ledger_a == ledger_b == (5 * 9 * 25, 5 * 9 * 25 * 150)
+
+
 def test_ga_train_best_loss_never_worsens():
     cfg = GAConfig(population_size=10, max_generations=8, seed=1)
     _, trace = ga_train(cfg, CircuitSpec(), generate(40, seed=1), IdealBackend())
@@ -216,6 +241,12 @@ def test_ga_train_wraps_backend_failures():
     cfg = GAConfig(population_size=4, max_generations=2, seed=0)
     with pytest.raises(TrainingError, match="generation 0"):
         ga_train(cfg, CircuitSpec(), generate(10, seed=0), ExplodingBackend())
+
+
+def test_ga_train_validates_the_worker_count():
+    with pytest.raises(ValueError, match="workers"):
+        ga_train(GAConfig(population_size=4, max_generations=1), CircuitSpec(),
+                 generate(10, seed=0), IdealBackend(), workers=0)
 
 
 def test_ga_config_validation():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, NoiseModel,
                              NoisyBackend)
-from reupsim.circuits import Ansatz, CircuitSpec, measure_label
+from reupsim.circuits import (Ansatz, CircuitSpec, check_theta, measure_batch,
+                              measure_label)
 from reupsim.costs import CostKind
 from reupsim.data import Dataset, generate
+from reupsim.seeding import derive_seed
 from reupsim.mitigation import (CalibrationMatrix, calibrate, decision_threshold,
                                 gradient_noise_report, mitigate,
                                 mitigate_estimate, noise_scaling,
@@ -125,6 +127,43 @@ def test_observation_pairs_with_a_fixed_theta():
     assert pairs.shape == (6, 2)
     # all-zero parameters leave the state at the |0> pole
     np.testing.assert_allclose(pairs[:, 0], 0.0, atol=1e-12)
+
+
+def _observation_pairs_per_point(spec, dataset, backend, theta=None, seed=0, cal=None):
+    """Reference: two kernel calls and one backend measurement per point."""
+    n = len(dataset)
+    if theta is not None:
+        thetas = np.tile(check_theta(spec, theta), (n, 1))
+    else:
+        rng = np.random.default_rng(derive_seed(seed, "residual-thetas"))
+        thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(n, spec.n_params))
+    one = np.array([1])
+    out = np.empty((n, 2 if cal is None else 3))
+    for i in range(n):
+        x = dataset.x[i:i + 1]
+        out[i, 0] = float(measure_batch(spec, thetas[i], x, one)[0])
+        out[i, 1] = float(backend.measure(spec, thetas[i], x, one)[0])
+        if cal is not None:
+            out[i, 2] = mitigate_estimate(out[i, 1], 1, cal)
+    return out
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("fixed_theta", [False, True])
+@pytest.mark.parametrize("with_cal", [False, True])
+def test_observation_pairs_equal_the_per_point_loop(noisy, fixed_theta, with_cal):
+    spec = CircuitSpec(Ansatz.A2B, 3)
+    ds = generate(17, seed=23)
+    theta = np.linspace(-2.0, 2.0, spec.n_params) if fixed_theta else None
+    cal = CalibrationMatrix(DEFAULT_CONFUSION) if with_cal else None
+    results = []
+    for pairs in (observation_pairs, _observation_pairs_per_point):
+        backend = NoisyBackend(NoiseModel(seed=5)) if noisy else IdealBackend()
+        results.append((pairs(spec, ds, backend, theta=theta, seed=8, cal=cal),
+                        backend.ledger.snapshot()))
+    (batched, ledger_batched), (reference, ledger_reference) = results
+    np.testing.assert_array_equal(batched, reference)
+    assert ledger_batched == ledger_reference == (17, 17 * 150)
 
 
 def test_noise_scaling_sees_the_square_root_law():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reupsim.seeding import counter_uniforms, derive_key, derive_seed
+from reupsim.seeding import (counter_uniforms, derive_key, derive_seed,
+                              unit_interval)
 
 
 def test_derive_seed_is_stable_and_context_sensitive():
@@ -51,3 +52,27 @@ def test_counter_uniforms_validation():
     with pytest.raises(ValueError):
         counter_uniforms(0, "t", 0, -5)
     assert counter_uniforms(0, "t", 0, 0).shape == (0, 4)
+
+
+def test_unit_interval_on_the_extreme_words():
+    """(k + 1/2) * 2**-53 rounds to 1.0 for the top word alone; it is clamped
+    to the largest double below 1, and every other word keeps its value."""
+    words = np.array([0, 1 << 11, 2**64 - 2**12, 2**64 - 2**11 - 1, 2**64 - 1],
+                     dtype=np.uint64)
+    u = unit_interval(words.copy())
+    assert u[0] == 2.0**-54
+    assert u[-1] == np.nextafter(1.0, 0.0)
+    assert ((u > 0.0) & (u < 1.0)).all()
+    top = (2**53 - 1) * 2.0**-53 + 2.0**-54
+    assert top == 1.0       # the rounding the clamp guards against
+    unclamped = (words[:-1] >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    np.testing.assert_array_equal(u[:-1], unclamped)
+    assert u[-1] not in unclamped
+
+
+@given(st.lists(st.integers(0, 2**64 - 2**11 - 1), min_size=1, max_size=50))
+@settings(max_examples=40, deadline=None)
+def test_unit_interval_changes_no_word_below_the_top(values):
+    words = np.array(values, dtype=np.uint64)
+    expected = (words >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    np.testing.assert_array_equal(unit_interval(words.copy()), expected)

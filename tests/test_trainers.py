@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import Ansatz, CircuitSpec, random_parameters
 from reupsim.costs import CostKind
@@ -12,7 +13,7 @@ from reupsim.trace import TrainingError
 from reupsim.trainers import (GradConfig, GradMethod, LineSearchSpec,
                               LocalSearchSpec, OptimizerKind, bfgs_train,
                               bfgs_update, estimate_gradient, gradient_fd,
-                              landscape_scan, sgd_train)
+                              gradient_parameter_shift, landscape_scan, sgd_train)
 
 
 def _small_problem(n=20, seed=0):
@@ -51,6 +52,84 @@ def test_gradient_estimators_charge_hardware_equivalent_estimates():
     estimate_gradient(GradMethod.ANALYTIC, CostKind.CROSS_ENTROPY, spec,
                       theta, ds, be)
     assert be.ledger.total_estimates == (4 * spec.layers + 1) * 10
+
+
+def _fd_per_probe(kind, spec, theta, ds, backend, step):
+    """Reference: one cost evaluation per finite-difference probe."""
+    grad = np.empty(theta.size)
+    for j in range(theta.size):
+        probe = theta.copy()
+        probe[j] = theta[j] + step
+        f_plus = costs.evaluate(kind, spec, probe, ds, backend)
+        probe[j] = theta[j] - step
+        f_minus = costs.evaluate(kind, spec, probe, ds, backend)
+        grad[j] = (f_plus - f_minus) / (2.0 * step)
+    return grad
+
+
+def _shift_per_probe(kind, spec, theta, ds, backend):
+    """Reference: the base batch, then one evaluation per shifted gate angle."""
+    m = costs.measured_values(spec, theta, ds, backend)
+    dm = np.empty((spec.layers, 2, len(ds)))
+    for l in range(spec.layers):
+        for gate in range(2):
+            plus = costs.measured_values(spec, theta, ds, backend, shift=(l, gate, np.pi / 2.0))
+            minus = costs.measured_values(spec, theta, ds, backend,
+                                          shift=(l, gate, -np.pi / 2.0))
+            dm[l, gate] = 0.5 * (plus - minus)
+    if kind is CostKind.CROSS_ENTROPY:
+        w = -1.0 / np.clip(m, costs.LOG_EPS, None)
+    elif kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
+        w = np.where(m > 0.5, -1.0 / np.clip(m, costs.LOG_EPS, None), 0.0)
+    else:
+        w = -2.0 * (1.0 - m)
+    cy, cz = circuits.ansatz_design(spec.ansatz, ds.x)
+    grad = np.zeros(spec.n_params)
+    for l in range(spec.layers):
+        per_point = dm[l, 0][:, None] * cy + dm[l, 1][:, None] * cz
+        grad[4 * l:4 * l + 4] = (w[:, None] * per_point).mean(axis=0)
+    return grad
+
+
+BATCHED_CASES = [(Ansatz.A2A, 1, CostKind.CROSS_ENTROPY, 1),
+                 (Ansatz.A2B, 3, CostKind.CHI_SQUARED, 7),
+                 (Ansatz.A2C, 4, CostKind.CROSS_ENTROPY_AS_WRITTEN, 12),
+                 (Ansatz.A2D, 6, CostKind.CROSS_ENTROPY, 5)]
+
+
+@pytest.mark.parametrize("ansatz, layers, kind, n", BATCHED_CASES)
+@pytest.mark.parametrize("noisy", [False, True])
+def test_batched_gradients_equal_a_per_probe_loop(ansatz, layers, kind, n, noisy):
+    """One probe batch gives the per-probe gradients bit for bit and charges
+    the ledger the same estimates, so the noise stream continues unchanged."""
+    spec = CircuitSpec(ansatz, layers)
+    ds = generate(n, seed=n)
+    theta = random_parameters(spec, np.random.default_rng(n), -np.pi, np.pi)
+
+    def backend():
+        return NoisyBackend(NoiseModel(seed=9)) if noisy else IdealBackend()
+
+    for batched, reference, kwargs in ((gradient_fd, _fd_per_probe, {"step": 0.05}),
+                                       (gradient_parameter_shift, _shift_per_probe, {})):
+        be_batched, be_reference = backend(), backend()
+        np.testing.assert_array_equal(batched(kind, spec, theta, ds, be_batched, **kwargs),
+                                      reference(kind, spec, theta, ds, be_reference, **kwargs))
+        assert be_batched.ledger.snapshot() == be_reference.ledger.snapshot()
+        np.testing.assert_array_equal(be_batched.sample(np.full(3, 0.5), np.ones(3, int)),
+                                      be_reference.sample(np.full(3, 0.5), np.ones(3, int)))
+
+
+def test_worker_counts_are_validated_and_change_nothing():
+    spec, ds, theta = _small_problem(n=6)
+    for method in (GradMethod.FINITE_DIFFERENCE, GradMethod.PARAMETER_SHIFT):
+        def gradient(workers):
+            return estimate_gradient(method, CostKind.CROSS_ENTROPY, spec, theta, ds,
+                                     NoisyBackend(NoiseModel(seed=2)), step=0.1,
+                                     workers=workers)
+
+        np.testing.assert_array_equal(gradient(1), gradient(8))
+        with pytest.raises(ValueError, match="workers"):
+            gradient(0)
 
 
 def test_analytic_on_a_noisy_backend_samples_like_the_shift_rule():
@@ -230,3 +309,37 @@ def test_landscape_has_structure_and_stays_in_range():
     assert surface.min() >= 0.0 and surface.max() <= 1.0
     # the accuracy surface over two parameters is far from flat
     assert np.ptp(surface) > 0.2
+
+
+def _landscape_per_probe(spec, dataset, theta0, grid0, grid1, neighborhood, backend):
+    """Reference: one accuracy evaluation per cell probe."""
+    surface = np.empty((grid0.size, grid1.size))
+    for i, a in enumerate(grid0):
+        for j, b in enumerate(grid1):
+            theta = theta0.copy()
+            theta[0], theta[1] = a, b
+            best = costs.accuracy(spec, theta, dataset, backend)
+            cell_rng = np.random.default_rng(
+                derive_seed(neighborhood.seed, f"landscape/{i}/{j}"))
+            for _ in range(neighborhood.budget):
+                probe = theta.copy()
+                probe[2:] += cell_rng.uniform(-neighborhood.radius, neighborhood.radius,
+                                              theta.size - 2)
+                best = max(best, costs.accuracy(spec, probe, dataset, backend))
+            surface[i, j] = best
+    return surface
+
+
+@pytest.mark.parametrize("budget", [0, 4])
+def test_landscape_scan_equals_a_per_probe_loop(budget):
+    spec, ds, theta0 = _small_problem(n=11, seed=17)
+    grid0, grid1 = np.array([-2.0, 0.1, 1.3]), np.array([-0.4, 2.5])
+    search = LocalSearchSpec(budget=budget, radius=0.6, seed=17)
+    results = []
+    for scan in (landscape_scan, _landscape_per_probe):
+        backend = NoisyBackend(NoiseModel(seed=3))
+        results.append((scan(spec, ds, theta0, grid0, grid1, search, backend),
+                        backend.ledger.snapshot()))
+    (batched, ledger_batched), (reference, ledger_reference) = results
+    np.testing.assert_array_equal(batched, reference)
+    assert ledger_batched == ledger_reference
