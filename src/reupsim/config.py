@@ -156,6 +156,9 @@ class ExperimentConfig:
             path = _get_str(block, "path", "dataset")
             if not path:
                 raise _fail("dataset.path", "required when source is load")
+            for key in ("n", "seed", "center", "radius", "domain"):
+                if block.get(key) is not None:
+                    raise _fail(f"dataset.{key}", "only valid when source is generate")
             return {"source": "load", "path": path}
         n = _get_int(block, "n", "dataset", default=250, minimum=1)
         seed = _get_int(block, "seed", "dataset", minimum=0)
@@ -182,6 +185,8 @@ class ExperimentConfig:
                         choices=("ideal", "noisy"))
         shots = _get_int(block, "shots", "backend", default=DEFAULT_SHOTS, minimum=1)
         if kind == "ideal":
+            if block.get("noise") is not None:
+                raise _fail("backend.noise", "only valid when kind is noisy")
             return {"kind": "ideal", "shots": shots}
         noise = _as_mapping(block.get("noise"), "backend.noise")
         _reject_unknown(noise, {"confusion", "shots", "residual_sigma", "seed"},

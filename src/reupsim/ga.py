@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import costs
 from .backend import Backend, TimeBudget, estimate_time
@@ -219,11 +218,23 @@ def mutate(genes: np.ndarray, t: int, spec: MutationSpec, rng: np.random.Generat
 
 
 def diversity(population: np.ndarray) -> float:
-    """Mean pairwise Euclidean distance across the population."""
+    """Mean pairwise Euclidean distance across the population.
+
+    Pairs come in scipy pdist order and the squared differences are summed
+    one gene at a time, as pdist does, so the value matches
+    pdist(population).mean() bit for bit.
+    """
     population = np.asarray(population, dtype=float)
     if population.ndim != 2 or population.shape[0] < 2:
         raise ValueError("diversity needs at least two chromosomes")
-    return float(pdist(population).mean())
+    i, j = np.triu_indices(population.shape[0], 1)
+    genes = np.ascontiguousarray(population.T)
+    squares = genes[:, i] - genes[:, j]
+    squares *= squares
+    acc = np.zeros(i.size)
+    for row in squares:
+        acc += row
+    return float(np.sqrt(acc).mean())
 
 
 def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,

@@ -4,13 +4,41 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special._ufuncs import _binom_cdf
 
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, MeasurementLedger,
                              NoiseModel, NoisyBackend, PoissonDetectionSpec,
-                             TimeBudget, detection_histogram, estimate_time)
+                             TimeBudget, binom_quantile, detection_histogram,
+                             estimate_time)
 from reupsim.circuits import CircuitSpec
 from reupsim.data import generate
+from reupsim.seeding import counter_uniforms
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([2.0**-54, BELOW_ONE, 0.5]),
+    st.floats(0.0, 1e-15, exclude_min=True),
+    st.floats(2.0**-53, 1e-15).map(lambda d: 1.0 - d),
+)
+SUCCESS = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1e-6),
+    st.floats(0.0, 1e-6).map(lambda d: 1.0 - d),
+    st.floats(0.0, 1.0),
+)
+
+# boost warns when its root search for the quantile does not converge
+BOOST_QUANTILE_WARNING = pytest.mark.filterwarnings("ignore:Error in function boost")
+
+
+def assert_same_quantiles(u, n, p):
+    u = np.asarray(u, dtype=float)
+    p = np.broadcast_to(np.asarray(p, dtype=float), u.shape)
+    np.testing.assert_array_equal(binom_quantile(u, n, p), stats.binom.ppf(u, n, p))
 
 
 def test_ledger_counts_estimates_and_shots():
@@ -109,10 +137,44 @@ def test_ideal_backend_passes_values_through_but_charges():
 def test_poisson_misassignment_matches_tail_probabilities():
     spec = PoissonDetectionSpec(dark_mean=2.0, bright_mean=25.0, threshold=11)
     eps_dark, eps_bright = spec.misassignment()
-    assert eps_dark == pytest.approx(stats.poisson.sf(11, 2.0))
-    assert eps_bright == pytest.approx(stats.poisson.cdf(11, 25.0))
+    assert eps_dark == stats.poisson.sf(11, 2.0)
+    assert eps_bright == stats.poisson.cdf(11, 25.0)
     assert eps_dark < 1e-5
     assert eps_bright < 2e-3
+
+
+@BOOST_QUANTILE_WARNING
+@given(st.integers(1, 10_000), SUCCESS, st.lists(UNIFORMS, min_size=1, max_size=40),
+       st.integers(0, 10_000), st.integers(-64, 64), st.integers(4, 52))
+@settings(max_examples=300, deadline=None)
+def test_binom_quantile_equals_binom_ppf_exactly(n, p, uniforms, k, ulps, rel_exp):
+    """Random uniforms, plus uniforms a few ulps or a small relative step away
+    from a CDF value, where a guess-and-verify search is most likely to part
+    from boost's root finder."""
+    c = float(_binom_cdf(float(min(k, n)), n, p))
+    edges = [c + ulps * np.spacing(c), c * (1.0 + 2.0**-rel_exp), c * (1.0 - 2.0**-rel_exp),
+             c + 2.0**-rel_exp * (1.0 - c), c - 2.0**-rel_exp * (1.0 - c)]
+    uniforms += [e for e in edges if 0.0 < e < 1.0]
+    assert_same_quantiles(uniforms, n, p)
+
+
+@BOOST_QUANTILE_WARNING
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 151, 1000, 10_000])
+def test_binom_quantile_equals_binom_ppf_on_philox_draws(n):
+    u = counter_uniforms(n, "quantile-test", 0, 20_000)[:, 0]
+    rng = np.random.default_rng(n)
+    p = np.concatenate([rng.uniform(0.16, 0.84, 14_000), rng.random(2000),
+                        rng.random(1000) * 1e-6, 1.0 - rng.random(1000) * 1e-6,
+                        np.zeros(1000), np.ones(1000)])
+    assert_same_quantiles(u, n, p)
+    # the flat top of the CDF, where boost's own quantile decides
+    assert_same_quantiles(np.full(p.size, BELOW_ONE), n, p)
+
+
+def test_binom_quantile_gives_nan_where_binom_ppf_does():
+    p = np.array([-0.1, 1.1, np.nan, 1.0 + 2.0**-52, -2.0**-1074])
+    assert np.isnan(binom_quantile(np.full(p.size, 0.3), 150, p)).all()
+    assert_same_quantiles(np.full(p.size, 0.3), 150, p)
 
 
 def test_detection_histogram_thresholds_counts():

@@ -207,3 +207,24 @@ def test_a_dataset_path_with_the_generate_source_is_rejected():
     with pytest.raises(ConfigError, match=r"dataset\.path: only valid when source is load"):
         ExperimentConfig.from_mapping({"dataset": {"source": "generate",
                                                    "path": "train.csv"}})
+
+
+@pytest.mark.parametrize("key,value", [("n", 40), ("seed", 3), ("center", [0.1, 0.0]),
+                                       ("radius", 0.2), ("domain", [-1, 1, -1, 1])])
+@pytest.mark.parametrize("source", [{}, {"source": "load"}])
+def test_generate_only_dataset_keys_are_rejected_when_loading(key, value, source):
+    block = {"path": "train.csv", key: value, **source}
+    with pytest.raises(ConfigError,
+                       match=rf"dataset\.{key}: only valid when source is generate"):
+        ExperimentConfig.from_mapping({"dataset": block})
+    # a null value still means "not given"
+    cfg = ExperimentConfig.from_mapping({"dataset": {"path": "train.csv", key: None}})
+    assert cfg.dataset == {"source": "load", "path": "train.csv"}
+
+
+def test_a_noise_block_on_the_ideal_backend_is_rejected():
+    for backend in ({"kind": "ideal", "noise": {"shots": 5}}, {"noise": {}}):
+        with pytest.raises(ConfigError, match=r"backend\.noise: only valid when kind is noisy"):
+            ExperimentConfig.from_mapping({"backend": backend})
+    cfg = ExperimentConfig.from_mapping({"backend": {"kind": "ideal", "noise": None}})
+    assert cfg.backend == {"kind": "ideal", "shots": 150}

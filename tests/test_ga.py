@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from reupsim import costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
@@ -161,6 +162,15 @@ def test_diversity_is_mean_pairwise_distance():
     assert diversity(pop) == pytest.approx(5.0)
     with pytest.raises(ValueError, match="two chromosomes"):
         diversity(pop[:1])
+
+
+@given(st.integers(2, 80), st.integers(1, 40), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_diversity_equals_pdist_bit_for_bit(size, genes, scale, seed):
+    """The trace writes diversity with repr, so it must match pdist exactly."""
+    pop = np.random.default_rng(seed).normal(size=(size, genes)) * scale
+    assert diversity(pop) == float(pdist(pop).mean())
 
 
 def test_ga_train_is_deterministic_and_traces_every_generation():
