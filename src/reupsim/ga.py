@@ -13,6 +13,7 @@ loss-type objectives before handing them over.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,14 +228,23 @@ def diversity(population: np.ndarray) -> float:
     population = np.asarray(population, dtype=float)
     if population.ndim != 2 or population.shape[0] < 2:
         raise ValueError("diversity needs at least two chromosomes")
-    i, j = np.triu_indices(population.shape[0], 1)
+    i, j = _pair_indices(population.shape[0])
     genes = np.ascontiguousarray(population.T)
-    squares = genes[:, i] - genes[:, j]
+    squares = genes.take(i, axis=1)
+    squares -= genes.take(j, axis=1)
     squares *= squares
     acc = np.zeros(i.size)
     for row in squares:
         acc += row
     return float(np.sqrt(acc).mean())
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (i < j) in pdist order; a GA asks for the same size each generation."""
+    i, j = np.triu_indices(size, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,

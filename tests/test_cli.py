@@ -184,6 +184,30 @@ def test_sweep_writes_per_cell_and_summary_rows(tmp_path, capsys):
     assert all(r["repeats"] == "2" for r in summary)
 
 
+def test_an_ideal_cell_over_a_noise_block_is_a_config_error(tmp_path, capsys):
+    """A noise block is noisy-only, so an ideal-vs-noisy sweep needs a base without one."""
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_TRAIN_CONFIG)
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(config), "--param", "backend.kind",
+                   "--values", "ideal,noisy", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "backend.noise: only valid when kind is noisy" in capsys.readouterr().err
+    assert not out.exists()
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
+                   "--set", "backend.kind=ideal"])
+    assert rc == cli.EXIT_CONFIG
+    assert "backend.noise" in capsys.readouterr().err
+
+    config.write_text("dataset: {n: 20}\nbackend: {shots: 30}\n"
+                      "optimizer: {kind: ga, population_size: 4, max_generations: 1}\n")
+    rc = cli.main(["sweep", "--config", str(config), "--param", "backend.kind",
+                   "--values", "ideal,noisy", "--repeats", "1", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    with open(out / "sweep.csv") as fh:
+        assert [r["value"] for r in csv.DictReader(fh)] == ["ideal", "noisy"]
+
+
 def test_analyze_residuals_writes_fits_and_histogram(tmp_path, capsys):
     out = tmp_path / "res"
     rc = cli.main(["analyze", "residuals", "--points", "40", "--shots", "200",
