@@ -202,9 +202,6 @@ class IdealBackend:
         self.ledger.reserve(p_y.size, self.shots)
         return p_y
 
-    def estimate(self, spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:
-        return float(self.measure(spec, theta, np.atleast_2d(x), np.array([y]))[0])
-
     def charge(self, n_estimates: int) -> None:
         """Account for estimates obtained without a measure() call."""
         self.ledger.reserve(n_estimates, self.shots)
@@ -239,9 +236,6 @@ class NoisyBackend:
         if self.noise.residual_sigma > 0:
             est = est + ndtri(u[:, 1]) * self.noise.residual_sigma
         return np.clip(est, 0.0, 1.0)
-
-    def estimate(self, spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:
-        return float(self.measure(spec, theta, np.atleast_2d(x), np.array([y]))[0])
 
     def charge(self, n_estimates: int) -> None:
         self.ledger.reserve(n_estimates, self.noise.shots)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOL_NORM = 1e-12
-
 
 class Ansatz(enum.Enum):
     """The four linear kernels mapping (theta slice, x) to gate angles."""
@@ -46,23 +44,8 @@ class QubitState:
     def probabilities(self) -> tuple[float, float]:
         return abs(self.alpha) ** 2, abs(self.beta) ** 2
 
-    def norm_error(self) -> float:
-        return abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0)
-
 
 ZERO_STATE = QubitState(1.0 + 0.0j, 0.0 + 0.0j)
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    """A 2D coordinate with its binary class label."""
-
-    x: tuple[float, float]
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +62,6 @@ class CircuitSpec:
     @property
     def n_params(self) -> int:
         return 4 * self.layers
-
-
-# Annotation alias: a flat real vector of length spec.n_params.
-ParameterVector = np.ndarray
 
 
 def check_theta(spec: CircuitSpec, theta: np.ndarray) -> np.ndarray:
@@ -181,11 +160,15 @@ def _probe_amplitudes(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
     """Final (alpha, beta) of P probes in one kernel pass, each of shape (P, n).
 
     `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
-    one point set per probe.  Each probe's angles are its own
-    `slices @ cy.T` product, so a probe comes out bit-identical to a
-    single-theta evaluation.  `shifts`, if given, holds one entry per probe:
+    one point set per probe.  The angles come from one stacked
+    `(P, L, 4) @ (4, n)` product written straight into the kernel's
+    `(L, P*n)` layout; numpy runs it as one gemm per probe, so a probe comes
+    out bit-identical to a single-theta evaluation (one `(P*L, 4)` gemm or
+    an einsum would not).  `shifts`, if given, holds one entry per probe:
     None or (layer, gate, delta) with gate 0 = R_y, 1 = R_z; delta is added
-    to that single gate angle (parameter-shift evaluations).
+    to that single gate angle (parameter-shift evaluations).  On a shared
+    point set, probes with equal parameter bytes and equal shifts are
+    evolved once and copied.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
@@ -198,24 +181,33 @@ def _probe_amplitudes(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
         raise ValueError(f"got {x.shape[0]} point sets for {n_probes} probes")
     if shifts is not None and len(shifts) != n_probes:
         raise ValueError(f"got {len(shifts)} shifts for {n_probes} probes")
+    if not per_probe and n_probes > 1:
+        # keyed on bytes: -0.0 and 0.0 stay apart, equal NaN rows still merge
+        keys = [row.tobytes() + repr(s).encode()
+                for row, s in zip(thetas, shifts or [None] * n_probes)]
+        _, first, inverse = np.unique(np.array(keys, dtype=object), return_index=True,
+                                      return_inverse=True)
+        if first.size < n_probes:
+            alpha, beta = _probe_amplitudes(spec, thetas[first], x, None if shifts is None
+                                            else [shifts[p] for p in first])
+            return alpha[inverse], beta[inverse]
     cy, cz = ansatz_design(spec.ansatz, x.reshape(-1, 2))
-    n = x.shape[1] if per_probe else cy.shape[0]
-    phi_y = np.empty((spec.layers, n_probes * n))
-    phi_z = np.empty((spec.layers, n_probes * n))
-    for p in range(n_probes):
-        cols = slice(p * n, (p + 1) * n)
-        rows = cols if per_probe else slice(None)
-        slices = thetas[p].reshape(spec.layers, 4)
-        phi_y[:, cols] = slices @ cy[rows].T
-        phi_z[:, cols] = slices @ cz[rows].T
-        shift = None if shifts is None else shifts[p]
+    if per_probe:
+        cy, cz = cy.reshape(n_probes, -1, 4), cz.reshape(n_probes, -1, 4)
+    slices = thetas.reshape(n_probes, spec.layers, 4)
+    n = cy.shape[-2]
+    phi_y = np.empty((spec.layers, n_probes, n))
+    phi_z = np.empty((spec.layers, n_probes, n))
+    np.matmul(slices, np.swapaxes(cy, -1, -2), out=phi_y.transpose(1, 0, 2))
+    np.matmul(slices, np.swapaxes(cz, -1, -2), out=phi_z.transpose(1, 0, 2))
+    for p, shift in enumerate(shifts or ()):
         if shift is not None:
             layer, gate, delta = shift
             if not 0 <= layer < spec.layers or gate not in (0, 1):
                 raise ValueError(f"shift {shift} names no gate of a "
                                  f"{spec.layers}-layer circuit")
-            (phi_z if gate else phi_y)[layer, cols] += delta
-    alpha, beta = _evolve(phi_y, phi_z)
+            (phi_z if gate else phi_y)[layer, p] += delta
+    alpha, beta = _evolve(phi_y.reshape(spec.layers, -1), phi_z.reshape(spec.layers, -1))
     return alpha.reshape(n_probes, n), beta.reshape(n_probes, n)
 
 

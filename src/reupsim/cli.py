@@ -27,7 +27,7 @@ from .circuits import Ansatz, CircuitSpec
 from .config import (ConfigError, ExperimentConfig, apply_overrides, load_config,
                      save_config)
 from .data import CircleSpec
-from .ga import GAConfig, ga_train
+from .ga import GAConfig, check_budget, ga_train
 from .seeding import derive_seed
 from .trace import TrainingError, TrainingTrace
 from .trainers import (GradMethod, LocalSearchSpec, OptimizerKind, bfgs_train,
@@ -105,6 +105,10 @@ def run_training(cfg: ExperimentConfig, dataset=None, backend=None):
     backend = cfg.build_backend() if backend is None else backend
     trainer_cfg = cfg.build_trainer_config()
     if isinstance(trainer_cfg, GAConfig):
+        try:
+            check_budget(trainer_cfg, len(dataset))
+        except ValueError as exc:
+            raise ConfigError(f"optimizer.{exc}") from None
         theta, trace = ga_train(trainer_cfg, cfg.circuit, dataset, backend,
                                 workers=cfg.workers)
     elif trainer_cfg.method in (OptimizerKind.SGD, OptimizerKind.GRADIENT_DESCENT):
@@ -168,11 +172,10 @@ def _load_experiment(args) -> ExperimentConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_experiment(args)
+    dataset, backend, theta, trace = run_training(cfg)
     out_dir = Path(cfg.output_dir if cfg.output_dir is not None else "runs/train")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.yaml")
-
-    dataset, backend, theta, trace = run_training(cfg)
     trace.write_csv(out_dir / "trace.csv")
     write_theta(out_dir / "best_theta.txt", theta)
 

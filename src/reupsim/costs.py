@@ -2,10 +2,11 @@
 
 Three objectives: classification accuracy, cross-entropy, and chi-squared,
 all built on the per-point projection probability M(theta, x_i, y_i).  The
-literal published forms of accuracy (with a leading minus) and cross-entropy
-(gated by the correct-classification indicator) are kept as clearly named
-"as written" variants; the defaults are the standard definitions, since the
-gated CE is minimized by misclassifying everything.
+literal published cross-entropy (gated by the correct-classification
+indicator) is kept as the clearly named "as written" variant; the default is
+the standard definition, since the gated CE is minimized by misclassifying
+everything.  (The published accuracy differs from ours only by a leading
+minus; accuracy is the one objective that is maximized.)
 """
 
 from __future__ import annotations
@@ -78,29 +79,42 @@ def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: B
     return backend.sample(p.ravel(), np.tile(ds.y, p.shape[0])).reshape(p.shape)
 
 
-def accuracy_from(measured: np.ndarray) -> float:
-    """Fraction of points with estimated M above 0.5."""
+def row_accuracies(measured: np.ndarray) -> np.ndarray:
+    """Fraction of points with estimated M above 0.5, per row (last axis)."""
     measured = np.asarray(measured)
     if measured.size == 0:
         raise ValueError("no measured values")
-    return float(np.mean(measured > 0.5))
+    return np.mean(measured > 0.5, axis=-1)
 
 
-def value_from(kind: CostKind, measured: np.ndarray) -> float:
-    """Objective value from a batch of per-point M estimates."""
+def row_values(kind: CostKind, measured: np.ndarray) -> np.ndarray:
+    """Objective value per row (last axis) of a batch of per-point M estimates.
+
+    A row's value is bit-identical to the value of that row alone.
+    """
     m = np.asarray(measured, dtype=float)
     if m.size == 0:
         raise ValueError("no measured values")
     if kind is CostKind.ACCURACY:
-        return accuracy_from(m)
+        return row_accuracies(m)
     if kind is CostKind.CROSS_ENTROPY:
-        return float(-np.mean(np.log(np.clip(m, LOG_EPS, 1.0))))
+        return -np.mean(np.log(np.clip(m, LOG_EPS, 1.0)), axis=-1)
     if kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
         gated = np.where(m > 0.5, np.log(np.clip(m, LOG_EPS, 1.0)), 0.0)
-        return float(-np.mean(gated))
+        return -np.mean(gated, axis=-1)
     if kind is CostKind.CHI_SQUARED:
-        return float(np.mean((1.0 - m) ** 2))
+        return np.mean((1.0 - m) ** 2, axis=-1)
     raise ValueError(f"unhandled cost kind {kind}")  # pragma: no cover
+
+
+def accuracy_from(measured: np.ndarray) -> float:
+    """Fraction of points with estimated M above 0.5."""
+    return float(row_accuracies(np.ravel(measured)))
+
+
+def value_from(kind: CostKind, measured: np.ndarray) -> float:
+    """Objective value from a batch of per-point M estimates."""
+    return float(row_values(kind, np.ravel(measured)))
 
 
 def evaluate(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
@@ -120,19 +134,12 @@ def evaluate_many_with_accuracy(kind: CostKind, spec: CircuitSpec, thetas: np.nd
                                 ds: Dataset, backend: Backend) -> tuple[np.ndarray, np.ndarray]:
     """Per-probe (objectives, accuracies), each of shape (P,), from one batch."""
     m = measured_many(spec, thetas, ds, backend)
-    return (np.array([value_from(kind, row) for row in m]),
-            np.array([accuracy_from(row) for row in m]))
+    return row_values(kind, m), row_accuracies(m)
 
 
 def accuracy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend,
              workers: int = 1) -> float:
     return evaluate(CostKind.ACCURACY, spec, theta, ds, backend, workers)
-
-
-def accuracy_as_written(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                        backend: Backend, workers: int = 1) -> float:
-    """The published accuracy expression, which carries a leading minus."""
-    return -accuracy(spec, theta, ds, backend, workers)
 
 
 def cross_entropy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend,
@@ -143,6 +150,17 @@ def cross_entropy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Ba
 def chi_squared(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend,
                 workers: int = 1) -> float:
     return evaluate(CostKind.CHI_SQUARED, spec, theta, ds, backend, workers)
+
+
+def cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:
+    """dCost/dM per point, for chaining per-point measurement gradients."""
+    if kind is CostKind.CROSS_ENTROPY:
+        return -1.0 / np.clip(m, LOG_EPS, None)
+    if kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
+        return np.where(m > 0.5, -1.0 / np.clip(m, LOG_EPS, None), 0.0)
+    if kind is CostKind.CHI_SQUARED:
+        return -2.0 * (1.0 - m)
+    raise ValueError(f"cost {kind.value} has no usable measurement derivative")
 
 
 def analytic_gradient(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
@@ -158,12 +176,4 @@ def analytic_gradient(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
         return np.zeros(spec.n_params)
     m = circuits.measure_batch(spec, theta, ds.x, ds.y)
     dm = circuits.analytic_gradient_batch(spec, theta, ds.x, ds.y)
-    if kind is CostKind.CROSS_ENTROPY:
-        w = -1.0 / np.clip(m, LOG_EPS, None)
-    elif kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
-        w = np.where(m > 0.5, -1.0 / np.clip(m, LOG_EPS, None), 0.0)
-    elif kind is CostKind.CHI_SQUARED:
-        w = -2.0 * (1.0 - m)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled cost kind {kind}")
-    return (w[:, None] * dm).mean(axis=0)
+    return (cost_weights(kind, m)[:, None] * dm).mean(axis=0)

@@ -247,18 +247,31 @@ def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def check_budget(config: GAConfig, n_points: int) -> None:
+    """Raise ValueError when max_estimates cannot pay for generation 0."""
+    need = config.population_size * n_points
+    if config.max_estimates is not None and config.max_estimates < need:
+        raise ValueError(f"max_estimates={config.max_estimates} is below one generation: "
+                         f"{config.population_size} chromosomes x {n_points} points = "
+                         f"{need} estimates")
+
+
 def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
              workers: int = 1, budget: TimeBudget | None = None,
              ) -> tuple[np.ndarray, TrainingTrace]:
     """Evolve a population against the dataset; returns (best theta, trace).
 
     The trace has one row per generation, generation 0 being the random
-    initial population.  Elites are re-evaluated every generation along with
-    everyone else, so each generation costs population x dataset estimates.
+    initial population.  The ledger charges population x dataset estimates
+    every generation, elites and repeated chromosomes included, but the
+    kernel runs once per distinct chromosome.  `max_estimates` is a hard
+    limit: a budget below one generation raises ValueError before anything
+    is charged, and no generation starts that would overrun it.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     costs.check_workers(workers)
+    check_budget(config, len(dataset))
     budget = budget if budget is not None else TimeBudget()
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))
     low, high = config.init_range

@@ -57,9 +57,6 @@ class CalibrationMatrix:
         return cls(tuple(tuple(float(v) for v in row) for row in np.asarray(m)))
 
 
-IDENTITY_CALIBRATION = CalibrationMatrix(IDENTITY_CONFUSION)
-
-
 def pole_preparations(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Parameter vectors that prepare |0> and |1> through the full circuit."""
     theta0 = np.zeros(spec.n_params)

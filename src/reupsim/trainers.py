@@ -142,19 +142,8 @@ def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Datase
         probes[2 * j, j] = theta[j] + step
         probes[2 * j + 1, j] = theta[j] - step
     m = costs.measured_many(spec, probes, ds, backend)
-    f = np.array([costs.value_from(kind, row) for row in m])
+    f = costs.row_values(kind, m)
     return (f[0::2] - f[1::2]) / (2.0 * step)
-
-
-def _cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:
-    """dCost/dM per point, for chaining per-point measurement gradients."""
-    if kind is CostKind.CROSS_ENTROPY:
-        return -1.0 / np.clip(m, costs.LOG_EPS, None)
-    if kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
-        return np.where(m > 0.5, -1.0 / np.clip(m, costs.LOG_EPS, None), 0.0)
-    if kind is CostKind.CHI_SQUARED:
-        return -2.0 * (1.0 - m)
-    raise ValueError(f"cost {kind.value} has no usable measurement derivative")
 
 
 def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
@@ -173,7 +162,7 @@ def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarra
                        for gate in range(2) for sign in (1.0, -1.0)]
     m = costs.measured_many(spec, np.repeat(theta[None], len(shifts), axis=0), ds,
                             backend, shifts=shifts)
-    w = _cost_weights(kind, m[0])
+    w = costs.cost_weights(kind, m[0])
     dm = 0.5 * (m[1::2] - m[2::2]).reshape(spec.layers, 2, len(ds))
     cy, cz = circuits.ansatz_design(spec.ansatz, ds.x)
     grad = np.zeros(spec.n_params)
@@ -505,5 +494,5 @@ def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
                                                   neighborhood.radius,
                                                   theta0.size - 2)
             m = costs.measured_many(spec, probes, dataset, backend)
-            surface[i, j] = max(costs.accuracy_from(row) for row in m)
+            surface[i, j] = costs.row_accuracies(m).max()
     return surface

@@ -99,6 +99,23 @@ def test_train_rejects_an_unknown_config_key(tmp_path, capsys):
     assert "config.shots" in capsys.readouterr().err
 
 
+def test_a_ga_budget_below_one_generation_writes_nothing(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_TRAIN_CONFIG)
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(config), "--out", str(out),
+                   "--set", "optimizer.max_estimates=143"])
+    assert rc == cli.EXIT_CONFIG
+    assert ("optimizer.max_estimates=143 is below one generation: 6 chromosomes x "
+            "24 points = 144 estimates") in capsys.readouterr().err
+    assert not out.exists()
+    rc = cli.main(["train", "--config", str(config), "--out", str(out),
+                   "--set", "optimizer.max_estimates=144"])
+    assert rc == cli.EXIT_OK
+    with open(out / "trace.csv") as fh:
+        assert [r["cum_estimates"] for r in csv.DictReader(fh)] == ["144"]
+
+
 def test_evaluate_scores_a_parameter_file(tmp_path, capsys):
     data_path = tmp_path / "pts.csv"
     cli.main(["gen-data", "--out", str(data_path), "--n", "40", "--seed", "3"])

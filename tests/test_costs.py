@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reupsim import costs
+from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import CircuitSpec, random_parameters
 from reupsim.costs import (CostKind, accuracy_from, evaluate,
                            evaluate_many_with_accuracy, evaluate_with_accuracy,
-                           is_loss, measured_many, measured_values, value_from)
+                           is_loss, measured_many, measured_values, row_accuracies,
+                           row_values, value_from)
 from reupsim.data import Dataset, generate
 from reupsim.trainers import gradient_fd
 
@@ -46,6 +47,44 @@ def test_gated_cross_entropy_ignores_misclassified_points():
 @given(MEASURES)
 def test_chi_squared_stays_in_the_unit_interval(m):
     assert 0.0 <= value_from(CostKind.CHI_SQUARED, m) <= 1.0
+
+
+def _value_of_one_row(kind, m):
+    """Reference: the one-batch objective formulas, applied to a single row."""
+    if kind is CostKind.ACCURACY:
+        return float(np.mean(m > 0.5))
+    if kind is CostKind.CROSS_ENTROPY:
+        return float(-np.mean(np.log(np.clip(m, costs.LOG_EPS, 1.0))))
+    if kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
+        return float(-np.mean(np.where(m > 0.5, np.log(np.clip(m, costs.LOG_EPS, 1.0)),
+                                       0.0)))
+    return float(np.mean((1.0 - m) ** 2))
+
+
+@st.composite
+def _measured_rows(draw):
+    """(P, n) batches with exact zeros, exact halves and values near the threshold."""
+    rows, n = draw(st.integers(1, 80)), draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(0.0, 1.0, (rows, n))
+    pick = rng.random((rows, n))
+    m[pick < 0.1] = 0.0
+    m[(pick >= 0.1) & (pick < 0.2)] = 0.5
+    m[(pick >= 0.2) & (pick < 0.25)] = np.nextafter(0.5, 1.0)
+    m[pick > 0.95] = 1.0
+    return m
+
+
+@given(_measured_rows())
+@settings(max_examples=60, deadline=None)
+def test_row_objectives_equal_a_per_row_loop_bit_for_bit(m):
+    for kind in CostKind:
+        loop = [_value_of_one_row(kind, row) for row in m]
+        np.testing.assert_array_equal(row_values(kind, m), loop)
+        assert [value_from(kind, row) for row in m] == loop
+    loop = [_value_of_one_row(CostKind.ACCURACY, row) for row in m]
+    np.testing.assert_array_equal(row_accuracies(m), loop)
+    assert [accuracy_from(row) for row in m] == loop
 
 
 def test_is_loss_flags_only_accuracy_as_maximized():
@@ -90,6 +129,75 @@ def test_measured_many_rows_equal_successive_measured_values():
              for t in thetas]
     np.testing.assert_array_equal(values, [v for v, _ in pairs])
     np.testing.assert_array_equal(accs, [a for _, a in pairs])
+
+
+def _population_with_repeats(spec):
+    """Rows 0, 3 and 5 are equal, row 4 equals row 1 but for a -0.0 gene
+    (the value 0.0 in row 1), and rows 6 and 7 repeat one NaN row."""
+    rng = np.random.default_rng(12)
+    pop = rng.uniform(-np.pi, np.pi, (8, spec.n_params))
+    pop[1, 2] = 0.0
+    pop[3] = pop[5] = pop[0]
+    pop[4] = pop[1]
+    pop[4, 2] = -0.0
+    pop[6, 5] = np.nan
+    pop[7] = pop[6]
+    return pop
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_repeated_chromosomes_equal_a_per_chromosome_loop(noisy):
+    """Repeats are evolved once but sampled and charged in probe order, so the
+    rows, the ledger and the next noise draw match one call per chromosome."""
+    spec = CircuitSpec()
+    ds = generate(17, seed=12)
+    pop = _population_with_repeats(spec)
+
+    def backend():
+        return NoisyBackend(NoiseModel(seed=4)) if noisy else IdealBackend()
+
+    batched_be, loop_be = backend(), backend()
+    batched = measured_many(spec, pop, ds, batched_be)
+    loop = np.array([measured_values(spec, theta, ds, loop_be) for theta in pop])
+    np.testing.assert_array_equal(batched, loop)
+    assert batched_be.ledger.snapshot() == loop_be.ledger.snapshot() == (8 * 17, 8 * 17 * 150)
+    probe = np.full(3, 0.5), np.ones(3, int)
+    np.testing.assert_array_equal(batched_be.sample(*probe), loop_be.sample(*probe))
+    assert np.isnan(batched[6:]).all() and not np.isnan(batched[:6]).any()
+
+
+def test_the_kernel_runs_once_per_distinct_probe(monkeypatch):
+    spec = CircuitSpec()
+    ds = generate(13, seed=3)
+    pop = _population_with_repeats(spec)
+    columns = []
+
+    def spy(phi_y, phi_z):
+        columns.append(phi_y.shape[1])
+        return evolve(phi_y, phi_z)
+
+    evolve = circuits._evolve
+    monkeypatch.setattr(circuits, "_evolve", spy)
+    backend = IdealBackend()
+    measured_many(spec, pop, ds, backend)
+    measured_many(spec, pop[[1, 4]], ds, backend)
+    measured_many(spec, pop[[6, 7]], ds, backend)
+    # rows 0, 1, 2, 4 and 6 are distinct; -0.0 is not 0.0; a NaN row repeats
+    assert columns == [5 * 13, 2 * 13, 1 * 13]
+    # a shift is part of the probe: equal parameters with another shift are distinct
+    theta = pop[[0, 0, 0, 0, 0]]
+    shifts = [None, (1, 0, 0.5), (1, 0, 0.5), (1, 1, 0.5), None]
+    columns.clear()
+    m = measured_many(spec, theta, ds, IdealBackend(), shifts=shifts)
+    assert columns == [3 * 13]
+    for row, shift in zip(m, shifts):
+        np.testing.assert_array_equal(row, circuits.measure_batch(spec, theta[0], ds.x, ds.y,
+                                                                  shift=shift))
+    # one point set per probe is never merged
+    columns.clear()
+    circuits.measure_many(spec, theta, np.repeat(ds.x[None], 5, axis=0),
+                          np.repeat(ds.y[None], 5, axis=0))
+    assert columns == [5 * 13]
 
 
 def test_measured_values_rejects_bad_inputs():

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from reupsim import costs
+from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import CircuitSpec
 from reupsim.costs import CostKind
 from reupsim.data import generate
 from reupsim.ga import (CrossoverKind, GAConfig, MutationSpec, SelectionKind,
-                        crossover, diversity, ga_train, mutate, select_parents)
+                        check_budget, crossover, diversity, ga_train, mutate,
+                        select_parents)
 from reupsim.trace import TrainingError
 
 # two-point crossover needs at least two interior cut positions
@@ -211,6 +212,38 @@ def test_batched_generations_equal_a_per_chromosome_loop(monkeypatch, fitness):
     assert ledger_a == ledger_b == (5 * 9 * 25, 5 * 9 * 25 * 150)
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+def test_repeated_chromosomes_in_a_run_equal_a_per_chromosome_loop(monkeypatch, noisy):
+    """With mask_base 0.05 many children go unmutated, and steady-state
+    selection breeds from the top two, so populations repeat chromosomes
+    (elites, and children of a parent crossed with itself); the kernel skips
+    the repeats and nothing else changes."""
+    cfg = GAConfig(population_size=9, max_generations=4, seed=6,
+                   mutation=MutationSpec(mask_base=0.05))
+    spec = CircuitSpec()
+    ds = generate(25, seed=6)
+    columns = []
+
+    def spy(phi_y, phi_z):
+        columns.append(phi_y.shape[1])
+        return evolve(phi_y, phi_z)
+
+    evolve = circuits._evolve
+    monkeypatch.setattr(circuits, "_evolve", spy)
+    runs = []
+    for evaluate in (costs.evaluate_many_with_accuracy, _per_chromosome):
+        monkeypatch.setattr(costs, "evaluate_many_with_accuracy", evaluate)
+        backend = NoisyBackend(NoiseModel(seed=2)) if noisy else IdealBackend()
+        theta, trace = ga_train(cfg, spec, ds, backend)
+        runs.append((theta, trace.rows, backend.ledger.snapshot()))
+    (theta_a, rows_a, ledger_a), (theta_b, rows_b, ledger_b) = runs
+    np.testing.assert_array_equal(theta_a, theta_b)
+    assert rows_a == rows_b
+    assert ledger_a == ledger_b == (5 * 9 * 25, 5 * 9 * 25 * 150)
+    assert len(columns) == 5 + 5 * 9 and columns[5:] == [25] * (5 * 9)
+    assert columns[0] == 9 * 25 and sum(columns[:5]) < 5 * 9 * 25
+
+
 def test_ga_train_best_loss_never_worsens():
     cfg = GAConfig(population_size=10, max_generations=8, seed=1)
     _, trace = ga_train(cfg, CircuitSpec(), generate(40, seed=1), IdealBackend())
@@ -234,6 +267,35 @@ def test_ga_train_respects_the_estimate_budget():
                    max_estimates=budget)
     _, trace = ga_train(cfg, CircuitSpec(), generate(40, seed=2), IdealBackend())
     assert trace.final.cum_estimates <= budget
+
+
+@given(st.integers(2, 12), st.integers(1, 30), st.integers(1, 3000), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_ga_train_never_charges_more_than_the_budget(population, points, budget,
+                                                     generations):
+    cfg = GAConfig(population_size=population, elitism_count=1, max_generations=generations,
+                   seed=budget, max_estimates=budget)
+    backend = IdealBackend()
+    ds = generate(points, seed=points)
+    if budget < population * points:
+        with pytest.raises(ValueError, match="max_estimates"):
+            ga_train(cfg, CircuitSpec(layers=1), ds, backend)
+        assert backend.ledger.snapshot() == (0, 0)
+        return
+    _, trace = ga_train(cfg, CircuitSpec(layers=1), ds, backend)
+    assert backend.ledger.total_estimates == trace.final.cum_estimates <= budget
+    # the run stops only at the last generation or when the next one would overrun
+    assert (trace.final.iteration == generations
+            or trace.final.cum_estimates + population * points > budget)
+
+
+def test_a_budget_below_one_generation_is_rejected():
+    cfg = GAConfig(population_size=50, max_estimates=1000)
+    with pytest.raises(ValueError, match="max_estimates=1000 is below one generation: "
+                                         "50 chromosomes x 250 points = 12500 estimates"):
+        check_budget(cfg, 250)
+    check_budget(GAConfig(population_size=50, max_estimates=12500), 250)
+    check_budget(GAConfig(population_size=50), 250)
 
 
 def test_ga_train_maximizes_accuracy_fitness():

@@ -330,11 +330,10 @@ def _landscape_per_probe(spec, dataset, theta0, grid0, grid1, neighborhood, back
     return surface
 
 
-@pytest.mark.parametrize("budget", [0, 4])
-def test_landscape_scan_equals_a_per_probe_loop(budget):
+def _scan_against_the_loop(budget, radius):
     spec, ds, theta0 = _small_problem(n=11, seed=17)
     grid0, grid1 = np.array([-2.0, 0.1, 1.3]), np.array([-0.4, 2.5])
-    search = LocalSearchSpec(budget=budget, radius=0.6, seed=17)
+    search = LocalSearchSpec(budget=budget, radius=radius, seed=17)
     results = []
     for scan in (landscape_scan, _landscape_per_probe):
         backend = NoisyBackend(NoiseModel(seed=3))
@@ -343,3 +342,13 @@ def test_landscape_scan_equals_a_per_probe_loop(budget):
     (batched, ledger_batched), (reference, ledger_reference) = results
     np.testing.assert_array_equal(batched, reference)
     assert ledger_batched == ledger_reference
+
+
+@pytest.mark.parametrize("budget", [0, 4])
+def test_landscape_scan_equals_a_per_probe_loop(budget):
+    _scan_against_the_loop(budget, radius=0.6)
+
+
+def test_landscape_scan_with_repeated_probes_equals_a_per_probe_loop():
+    """A zero radius makes every probe of a cell a copy of its first."""
+    _scan_against_the_loop(budget=3, radius=0.0)
