@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri, pdtr, pdtrc
@@ -180,21 +180,55 @@ class NoiseModel:
         return cls(**kwargs)
 
 
-class IdealBackend:
+class BudgetError(ValueError):
+    """max_estimates cannot pay for an optimizer's first charge."""
+
+
+class EstimateBudget:
+    """max_estimates as a hard limit on a ledger's total, checked before each charge."""
+
+    def __init__(self, limit: int | None, ledger: MeasurementLedger):
+        self.limit = limit
+        self.ledger = ledger
+
+    def allows(self, upcoming: int) -> bool:
+        return self.limit is None or self.ledger.total_estimates + upcoming <= self.limit
+
+    def require(self, upcoming: int, what: str) -> None:
+        """Raise BudgetError unless the first charge, `what`, fits in the limit."""
+        if not self.allows(upcoming):
+            held = self.ledger.total_estimates
+            raise BudgetError(f"max_estimates={self.limit} is below {what} = {upcoming} "
+                              f"estimates" + (f" on top of {held} already charged" if held else ""))
+
+
+class Backend:
+    """A ledger and a shot count per estimate; subclasses turn true
+    probabilities into estimates with sample(p_y, y)."""
+
+    is_noisy = False
+
+    def __init__(self, shots: int):
+        self.shots = shots
+        self.ledger = MeasurementLedger()
+
+    def measure(self, spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
+                y: np.ndarray, shift: tuple[int, int, float] | None = None) -> np.ndarray:
+        p = circuits.measure_batch(spec, theta, x, y, shift=shift)
+        return self.sample(p, np.asarray(y))
+
+    def charge(self, n_estimates: int) -> None:
+        """Account for estimates obtained without a sample() call."""
+        self.ledger.reserve(n_estimates, self.shots)
+
+
+class IdealBackend(Backend):
     """Exact projection probabilities; shots are tracked only for accounting."""
 
     def __init__(self, shots: int = DEFAULT_SHOTS):
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
-        self.shots = shots
-        self.ledger = MeasurementLedger()
-        self.is_noisy = False
-
-    def measure(self, spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                y: np.ndarray, shift: tuple[int, int, float] | None = None) -> np.ndarray:
-        p = circuits.measure_batch(spec, theta, x, y, shift=shift)
-        self.ledger.reserve(p.size, self.shots)
-        return p
+        super().__init__(shots)
 
     def sample(self, p_y: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Accounting-only twin of NoisyBackend.sample: the values pass through."""
@@ -202,28 +236,19 @@ class IdealBackend:
         self.ledger.reserve(p_y.size, self.shots)
         return p_y
 
-    def charge(self, n_estimates: int) -> None:
-        """Account for estimates obtained without a measure() call."""
-        self.ledger.reserve(n_estimates, self.shots)
 
-
-class NoisyBackend:
+class NoisyBackend(Backend):
     """Confusion-matrix readout with binomial shot noise and a residual floor.
 
     Estimates target the observed frequency o_y, not the true p_y; inverting
     the confusion afterwards is the mitigation module's job.
     """
 
+    is_noisy = True
+
     def __init__(self, noise: NoiseModel | None = None):
         self.noise = noise if noise is not None else NoiseModel()
-        self.shots = self.noise.shots
-        self.ledger = MeasurementLedger()
-        self.is_noisy = True
-
-    def measure(self, spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                y: np.ndarray, shift: tuple[int, int, float] | None = None) -> np.ndarray:
-        p = circuits.measure_batch(spec, theta, x, y, shift=shift)
-        return self.sample(p, np.asarray(y))
+        super().__init__(self.noise.shots)
 
     def sample(self, p_y: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Noisy estimates for known true probabilities (one per entry)."""
@@ -236,12 +261,6 @@ class NoisyBackend:
         if self.noise.residual_sigma > 0:
             est = est + ndtri(u[:, 1]) * self.noise.residual_sigma
         return np.clip(est, 0.0, 1.0)
-
-    def charge(self, n_estimates: int) -> None:
-        self.ledger.reserve(n_estimates, self.noise.shots)
-
-
-Backend = IdealBackend | NoisyBackend
 
 
 @dataclass(frozen=True)
@@ -338,6 +357,9 @@ class TimeBudget:
         return self.cooling + self.preparation + self.gate + self.detection
 
 
+DEFAULT_TIME_BUDGET = TimeBudget()
+
+
 def estimate_time(ledger: MeasurementLedger, budget: TimeBudget | None = None,
                   shots_per_estimate: int | None = None) -> float:
     """Modeled wall-clock seconds for everything the ledger has recorded.
@@ -345,7 +367,7 @@ def estimate_time(ledger: MeasurementLedger, budget: TimeBudget | None = None,
     If shots_per_estimate is given, the shot total is recomputed as
     estimates x shots instead of using the ledger's own shot counter.
     """
-    budget = budget if budget is not None else TimeBudget()
+    budget = budget if budget is not None else DEFAULT_TIME_BUDGET
     estimates, shots = ledger.snapshot()
     if shots_per_estimate is not None:
         if shots_per_estimate < 0:

@@ -18,20 +18,33 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Ansatz(enum.Enum):
+class Choice(enum.Enum):
+    """An enum of named choices that parse() matches case-insensitively.
+
+    A subclass names what it chooses, for the error message:
+    `class Ansatz(Choice, noun="ansatz")`.
+    """
+
+    def __init_subclass__(cls, noun: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._noun = noun
+
+    @classmethod
+    def parse(cls, name: str):
+        for member in cls:
+            if member.value.lower() == str(name).lower():
+                return member
+        options = ", ".join(k.value for k in cls)
+        raise ValueError(f"unknown {cls._noun} {name!r}; expected one of {options}")
+
+
+class Ansatz(Choice, noun="ansatz"):
     """The four linear kernels mapping (theta slice, x) to gate angles."""
 
     A2A = "2A"
     A2B = "2B"
     A2C = "2C"
     A2D = "2D"
-
-    @classmethod
-    def parse(cls, name: str) -> "Ansatz":
-        try:
-            return cls(str(name).upper())
-        except ValueError:
-            raise ValueError(f"unknown ansatz {name!r}; expected one of 2A, 2B, 2C, 2D") from None
 
 
 @dataclass(frozen=True)
@@ -319,20 +332,25 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
     return grads
 
 
-def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                            y: np.ndarray) -> np.ndarray:
-    """Exact dM/dtheta_j per point, shape (n, 4L).
+def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-point derivatives by theta_j, shape (n, 4L), from derivatives by
+    the 2L gate angles, shape (L, 2, n).
 
     Each theta_j enters the two gate angles of its layer linearly, so the
-    chain rule contracts gate-angle gradients with the ansatz design rows.
+    chain rule contracts gate-angle derivatives with the ansatz design rows.
     """
-    grads = gate_angle_gradients(spec, theta, x, y)  # (L, 2, n)
     cy, cz = ansatz_design(spec.ansatz, x)           # (n, 4) each
-    n = cy.shape[0]
-    out = np.empty((n, spec.n_params))
+    out = np.empty((cy.shape[0], spec.n_params))
     for l in range(spec.layers):
-        out[:, 4 * l:4 * l + 4] = grads[l, 0][:, None] * cy + grads[l, 1][:, None] * cz
+        out[:, 4 * l:4 * l + 4] = (angle_grads[l, 0][:, None] * cy
+                                   + angle_grads[l, 1][:, None] * cz)
     return out
+
+
+def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
+                            y: np.ndarray) -> np.ndarray:
+    """Exact dM/dtheta_j per point, shape (n, 4L)."""
+    return chain_rule(spec, gate_angle_gradients(spec, theta, x, y), x)
 
 
 def analytic_gradient(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:

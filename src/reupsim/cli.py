@@ -21,17 +21,15 @@ import numpy as np
 import yaml
 
 from . import circuits, costs, data, mitigation
-from .backend import (DEFAULT_SHOTS, IdealBackend, MeasurementLedger, NoiseModel,
-                      NoisyBackend, TimeBudget, estimate_time)
+from .backend import (DEFAULT_SHOTS, BudgetError, IdealBackend, MeasurementLedger,
+                      NoiseModel, NoisyBackend, TimeBudget, estimate_time)
 from .circuits import Ansatz, CircuitSpec
-from .config import (ConfigError, ExperimentConfig, apply_overrides, load_config,
-                     save_config)
-from .data import CircleSpec
-from .ga import GAConfig, check_budget, ga_train
+from .config import (ConfigError, ExperimentConfig, circle_spec, read_config, save_config,
+                     set_dotted)
+from .ga import GAConfig, ga_train
 from .seeding import derive_seed
-from .trace import TrainingError, TrainingTrace
-from .trainers import (GradMethod, LocalSearchSpec, OptimizerKind, bfgs_train,
-                       landscape_scan, sgd_train)
+from .trace import TrainingError
+from .trainers import LocalSearchSpec, OptimizerKind, bfgs_train, landscape_scan, sgd_train
 
 SEED_ENV_VAR = "REUP_SEED"
 
@@ -105,18 +103,15 @@ def run_training(cfg: ExperimentConfig, dataset=None, backend=None):
     backend = cfg.build_backend() if backend is None else backend
     trainer_cfg = cfg.build_trainer_config()
     if isinstance(trainer_cfg, GAConfig):
-        try:
-            check_budget(trainer_cfg, len(dataset))
-        except ValueError as exc:
-            raise ConfigError(f"optimizer.{exc}") from None
-        theta, trace = ga_train(trainer_cfg, cfg.circuit, dataset, backend,
-                                workers=cfg.workers)
+        train = ga_train
     elif trainer_cfg.method in (OptimizerKind.SGD, OptimizerKind.GRADIENT_DESCENT):
-        theta, trace = sgd_train(trainer_cfg, cfg.circuit, dataset, backend,
-                                 workers=cfg.workers)
+        train = sgd_train
     else:
-        theta, trace = bfgs_train(trainer_cfg, cfg.circuit, dataset, backend,
-                                  workers=cfg.workers)
+        train = bfgs_train
+    try:
+        theta, trace = train(trainer_cfg, cfg.circuit, dataset, backend)
+    except BudgetError as exc:
+        raise ConfigError(f"optimizer.{exc}") from None
     return dataset, backend, theta, trace
 
 
@@ -128,18 +123,7 @@ def cmd_gen_data(args) -> int:
     seed = _master_seed(args)
     if seed is None:
         seed = 0
-    kwargs = {}
-    if args.center is not None:
-        kwargs["center"] = tuple(args.center)
-    if args.radius is not None:
-        kwargs["radius"] = args.radius
-    if args.domain is not None:
-        kwargs["domain"] = ((args.domain[0], args.domain[1]),
-                            (args.domain[2], args.domain[3]))
-    try:
-        circle = CircleSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"dataset: {exc}") from None
+    circle = circle_spec(args.center, args.radius, args.domain)
     if args.split is not None:
         context = f"data/{args.split}"
         n = args.n if args.n is not None else (data.TRAIN_SIZE if args.split == "train"
@@ -155,23 +139,10 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_experiment(args) -> ExperimentConfig:
-    raw = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            try:
-                raw = yaml.safe_load(fh) or {}
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{args.config}: not valid YAML ({exc})") from None
-    if getattr(args, "set", None):
-        raw = apply_overrides(raw, args.set)
-    return ExperimentConfig.from_mapping(
-        raw, master_seed=_master_seed(args), workers=getattr(args, "workers", None),
-        output_dir=getattr(args, "out", None))
-
-
 def cmd_train(args) -> int:
-    cfg = _load_experiment(args)
+    cfg = ExperimentConfig.from_mapping(read_config(args.config, args.set),
+                                        master_seed=_master_seed(args),
+                                        workers=args.workers, output_dir=args.out)
     dataset, backend, theta, trace = run_training(cfg)
     out_dir = Path(cfg.output_dir if cfg.output_dir is not None else "runs/train")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,31 +226,22 @@ def _sweep_value(param: str, text: str):
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        try:
-            base_raw = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{args.config}: not valid YAML ({exc})") from None
-    if getattr(args, "set", None):
-        base_raw = apply_overrides(base_raw, args.set)
+    base_raw = read_config(args.config, args.set)
     master = _master_seed(args)
     if master is None:
         master = base_raw.get("seed", 0) if isinstance(base_raw.get("seed", 0), int) else 0
 
-    values = [v for v in (t.strip() for t in args.values.split(",")) if v]
-    if not values:
-        raise ConfigError("sweep: --values is empty")
-
+    values = _parse_list(args.values, "--values")
     cells = []
     for text in values:
         value = _sweep_value(args.param, text)
         for rep in range(args.repeats):
             raw = copy.deepcopy(base_raw)
-            _set_dotted(raw, args.param, value)
-            _set_dotted(raw, "optimizer.seed",
-                        derive_seed(master, f"sweep/{args.param}={text}/rep{rep}"))
+            set_dotted(raw, args.param, value)
+            set_dotted(raw, "optimizer.seed",
+                       derive_seed(master, f"sweep/{args.param}={text}/rep{rep}"))
             cfg = ExperimentConfig.from_mapping(raw, master_seed=master,
-                                                workers=getattr(args, "workers", None))
+                                                workers=args.workers)
             cells.append((text, rep, cfg))
 
     def run_cell(cell):
@@ -318,18 +280,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _set_dotted(raw: dict, key: str, value) -> None:
-    node = raw
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
-
-
 # ---------------------------------------------------------------------------
 # analysis subcommands
 
@@ -341,32 +291,18 @@ def _circuit_from_flags(args) -> CircuitSpec:
         raise ConfigError(f"circuit: {exc}") from None
 
 
-def _analysis_spec(args) -> CircuitSpec:
-    return _circuit_from_flags(args)
-
-
 def _analysis_seed(args) -> int:
     seed = _master_seed(args)
     return seed if seed is not None else 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind=str) -> list:
+    """A comma-separated flag value of `kind` items; blank items are skipped."""
     try:
-        values = [int(t) for t in text.split(",") if t.strip()]
+        values = [kind(t.strip()) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated integers, "
-                          f"got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{flag}: empty list")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated numbers, "
-                          f"got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag}: expected comma-separated {noun}, got {text!r}") from None
     if not values:
         raise ConfigError(f"{flag}: empty list")
     return values
@@ -374,7 +310,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 def cmd_analyze_residuals(args) -> int:
     seed = _analysis_seed(args)
-    spec = _analysis_spec(args)
+    spec = _circuit_from_flags(args)
     ds = data.generate(args.points, seed=derive_seed(seed, "analyze/residuals/data"))
     noise = NoiseModel(shots=args.shots, residual_sigma=args.residual_sigma,
                        seed=derive_seed(seed, "analyze/residuals/backend"))
@@ -417,8 +353,8 @@ def cmd_analyze_residuals(args) -> int:
 
 def cmd_analyze_noise_scaling(args) -> int:
     seed = _analysis_seed(args)
-    spec = _analysis_spec(args)
-    shot_counts = _parse_int_list(args.shots, "--shots")
+    spec = _circuit_from_flags(args)
+    shot_counts = _parse_list(args.shots, "--shots", int)
     ds = data.generate(args.points, seed=derive_seed(seed, "analyze/scaling/data"))
     rng = np.random.default_rng(derive_seed(seed, "analyze/scaling/theta"))
     theta = circuits.random_parameters(spec, rng)
@@ -439,8 +375,8 @@ def cmd_analyze_noise_scaling(args) -> int:
 
 def cmd_analyze_gradient_noise(args) -> int:
     seed = _analysis_seed(args)
-    spec = _analysis_spec(args)
-    steps = _parse_float_list(args.steps, "--steps")
+    spec = _circuit_from_flags(args)
+    steps = _parse_list(args.steps, "--steps", float)
     ds = data.generate(args.points, seed=derive_seed(seed, "analyze/grad/data"))
     rng = np.random.default_rng(derive_seed(seed, "analyze/grad/theta"))
     theta = circuits.random_parameters(spec, rng)
@@ -472,7 +408,7 @@ def cmd_analyze_gradient_noise(args) -> int:
 
 def cmd_analyze_landscape(args) -> int:
     seed = _analysis_seed(args)
-    spec = _analysis_spec(args)
+    spec = _circuit_from_flags(args)
     ds = data.generate(args.points, seed=derive_seed(seed, "analyze/landscape/data"))
     rng = np.random.default_rng(derive_seed(seed, "analyze/landscape/theta"))
     theta0 = circuits.random_parameters(spec, rng)

@@ -11,32 +11,23 @@ minus; accuracy is the one objective that is maximized.)
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 
 import numpy as np
 
 from . import circuits
 from .backend import Backend
-from .circuits import CircuitSpec
+from .circuits import Choice, CircuitSpec
 from .data import Dataset
 
 LOG_EPS = 1e-12
 
 
-class CostKind(enum.Enum):
+class CostKind(Choice, noun="cost"):
     ACCURACY = "accuracy"
     CROSS_ENTROPY = "cross_entropy"
     CROSS_ENTROPY_AS_WRITTEN = "cross_entropy_as_written"
     CHI_SQUARED = "chi_squared"
-
-    @classmethod
-    def parse(cls, name: str) -> "CostKind":
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            options = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown cost {name!r}; expected one of {options}") from None
 
 
 def is_loss(kind: CostKind) -> bool:
@@ -44,23 +35,12 @@ def is_loss(kind: CostKind) -> bool:
     return kind is not CostKind.ACCURACY
 
 
-def check_workers(workers: int) -> None:
-    """Validate a worker count.  Workers have no effect on results or speed:
-    every evaluation runs as one batch on the calling thread."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                    backend: Backend, workers: int = 1,
+                    backend: Backend,
                     shift: tuple[int, int, float] | None = None) -> np.ndarray:
-    """Per-point estimates of M(theta, x_i, y_i) through the backend.
-
-    `workers` is validated but has no effect (see check_workers).
-    """
+    """Per-point estimates of M(theta, x_i, y_i) through the backend."""
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    check_workers(workers)
     return backend.sample(circuits.measure_batch(spec, theta, ds.x, ds.y, shift=shift), ds.y)
 
 
@@ -118,15 +98,14 @@ def value_from(kind: CostKind, measured: np.ndarray) -> float:
 
 
 def evaluate(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-             backend: Backend, workers: int = 1) -> float:
-    return value_from(kind, measured_values(spec, theta, ds, backend, workers=workers))
+             backend: Backend) -> float:
+    return value_from(kind, measured_values(spec, theta, ds, backend))
 
 
 def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                           ds: Dataset, backend: Backend,
-                           workers: int = 1) -> tuple[float, float]:
+                           ds: Dataset, backend: Backend) -> tuple[float, float]:
     """(objective, accuracy) computed from one shared estimate batch."""
-    m = measured_values(spec, theta, ds, backend, workers=workers)
+    m = measured_values(spec, theta, ds, backend)
     return value_from(kind, m), accuracy_from(m)
 
 
@@ -137,19 +116,17 @@ def evaluate_many_with_accuracy(kind: CostKind, spec: CircuitSpec, thetas: np.nd
     return row_values(kind, m), row_accuracies(m)
 
 
-def accuracy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend,
-             workers: int = 1) -> float:
-    return evaluate(CostKind.ACCURACY, spec, theta, ds, backend, workers)
+def accuracy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend) -> float:
+    return evaluate(CostKind.ACCURACY, spec, theta, ds, backend)
 
 
-def cross_entropy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend,
-                  workers: int = 1) -> float:
-    return evaluate(CostKind.CROSS_ENTROPY, spec, theta, ds, backend, workers)
+def cross_entropy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
+                  backend: Backend) -> float:
+    return evaluate(CostKind.CROSS_ENTROPY, spec, theta, ds, backend)
 
 
-def chi_squared(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend,
-                workers: int = 1) -> float:
-    return evaluate(CostKind.CHI_SQUARED, spec, theta, ds, backend, workers)
+def chi_squared(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend) -> float:
+    return evaluate(CostKind.CHI_SQUARED, spec, theta, ds, backend)
 
 
 def cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:

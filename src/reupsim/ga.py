@@ -12,21 +12,21 @@ loss-type objectives before handing them over.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import costs
-from .backend import Backend, TimeBudget, estimate_time
-from .circuits import CircuitSpec
+from .backend import Backend, EstimateBudget, MeasurementLedger, TimeBudget
+from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
-from .trace import TrainingError, TrainingTrace
+from .trace import TrainingTrace, backend_failures
 
-class SelectionKind(enum.Enum):
+
+class SelectionKind(Choice, noun="selection"):
     SSS = "sss"
     RWS = "rws"
     SUS = "sus"
@@ -34,27 +34,11 @@ class SelectionKind(enum.Enum):
     RANDOM = "random"
     TOURNAMENT = "tournament"
 
-    @classmethod
-    def parse(cls, name: str) -> "SelectionKind":
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            options = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown selection {name!r}; expected one of {options}") from None
 
-
-class CrossoverKind(enum.Enum):
+class CrossoverKind(Choice, noun="crossover"):
     SINGLE_POINT = "single_point"
     TWO_POINT = "two_point"
     SCATTERED = "scattered"
-
-    @classmethod
-    def parse(cls, name: str) -> "CrossoverKind":
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            options = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown crossover {name!r}; expected one of {options}") from None
 
 
 @dataclass(frozen=True)
@@ -247,32 +231,31 @@ def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def check_budget(config: GAConfig, n_points: int) -> None:
-    """Raise ValueError when max_estimates cannot pay for generation 0."""
-    need = config.population_size * n_points
-    if config.max_estimates is not None and config.max_estimates < need:
-        raise ValueError(f"max_estimates={config.max_estimates} is below one generation: "
-                         f"{config.population_size} chromosomes x {n_points} points = "
-                         f"{need} estimates")
+def check_budget(config: GAConfig, n_points: int,
+                 ledger: MeasurementLedger | None = None) -> EstimateBudget:
+    """The estimate guard of a GA run; raises BudgetError when max_estimates
+    cannot pay for generation 0 on top of what `ledger` already holds."""
+    guard = EstimateBudget(config.max_estimates,
+                           MeasurementLedger() if ledger is None else ledger)
+    guard.require(config.population_size * n_points,
+                  f"one generation: {config.population_size} chromosomes x {n_points} points")
+    return guard
 
 
 def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-             workers: int = 1, budget: TimeBudget | None = None,
-             ) -> tuple[np.ndarray, TrainingTrace]:
+             budget: TimeBudget | None = None) -> tuple[np.ndarray, TrainingTrace]:
     """Evolve a population against the dataset; returns (best theta, trace).
 
     The trace has one row per generation, generation 0 being the random
     initial population.  The ledger charges population x dataset estimates
     every generation, elites and repeated chromosomes included, but the
     kernel runs once per distinct chromosome.  `max_estimates` is a hard
-    limit: a budget below one generation raises ValueError before anything
+    limit: a budget below one generation raises BudgetError before anything
     is charged, and no generation starts that would overrun it.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    costs.check_workers(workers)
-    check_budget(config, len(dataset))
-    budget = budget if budget is not None else TimeBudget()
+    guard = check_budget(config, len(dataset), backend.ledger)
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))
     low, high = config.init_range
     pop = rng.uniform(low, high, size=(config.population_size, spec.n_params))
@@ -285,11 +268,9 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
     best_value = np.nan
 
     for gen in range(config.max_generations + 1):
-        try:
+        with backend_failures(f"generation {gen}"):
             values, accs = costs.evaluate_many_with_accuracy(
                 config.fitness, spec, pop, dataset, backend)
-        except Exception as exc:
-            raise TrainingError(f"backend failure at generation {gen}: {exc}") from exc
         fitnesses = values if maximize else -values
 
         gen_best = int(np.argmax(fitnesses))
@@ -299,18 +280,14 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
             best_theta = pop[gen_best].copy()
         best_accuracy = max(best_accuracy, float(accs.max()))
 
-        est, shots = backend.ledger.snapshot()
-        trace.append(gen, best_accuracy, best_value, diversity(pop),
-                     est, shots, estimate_time(backend.ledger, budget) * 1000.0)
+        trace.record(gen, best_accuracy, best_value, backend.ledger, budget, diversity(pop))
 
         if config.target_accuracy is not None and best_accuracy >= config.target_accuracy:
             break
         if gen == config.max_generations:
             break
-        if config.max_estimates is not None:
-            # stop before starting a generation that would overrun the budget
-            if est + config.population_size * len(dataset) > config.max_estimates:
-                break
+        if not guard.allows(config.population_size * len(dataset)):
+            break
 
         elite_idx = np.argsort(-fitnesses, kind="stable")[:config.elitism_count]
         n_children = config.population_size - config.elitism_count

@@ -13,12 +13,30 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .backend import MeasurementLedger, TimeBudget, estimate_time
+
 TRACE_HEADER = ("iter", "best_accuracy", "best_loss", "diversity",
                 "cum_estimates", "cum_shots", "wall_ms")
 
 
 class TrainingError(RuntimeError):
     """Raised when a backend failure interrupts an optimizer loop."""
+
+
+class backend_failures:
+    """Context manager that re-raises a failure inside the block as
+    TrainingError naming `where` (an iteration or generation); ValueError,
+    bad input, passes through."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, Exception) and not isinstance(exc, (ValueError, TrainingError)):
+            raise TrainingError(f"backend failure at {self.where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -56,6 +74,14 @@ class TrainingTrace:
                 raise ValueError("cumulative counters must not decrease")
         self.rows.append(TraceRow(iteration, best_accuracy, best_loss, diversity,
                                   cum_estimates, cum_shots, wall_ms))
+
+    def record(self, iteration: int, best_accuracy: float, best_loss: float,
+               ledger: MeasurementLedger, budget: TimeBudget | None = None,
+               diversity: float | None = None) -> None:
+        """Append a row with the ledger's totals and their modeled time."""
+        est, shots = ledger.snapshot()
+        self.append(iteration, best_accuracy, best_loss, diversity, est, shots,
+                    estimate_time(ledger, budget) * 1000.0)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -23,50 +23,33 @@ theta <- theta - alpha * H * grad with a backtracking line search.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import circuits, costs
-from .backend import Backend, IdealBackend, TimeBudget, estimate_time
-from .circuits import CircuitSpec
+from .backend import Backend, EstimateBudget, IdealBackend, TimeBudget
+from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
-from .trace import TrainingError, TrainingTrace
+from .trace import TrainingTrace, backend_failures
 
 GRAD_NORM_TOL = 1e-8
 CURVATURE_TOL = 1e-12
 
 
-class GradMethod(enum.Enum):
+class GradMethod(Choice, noun="gradient method"):
     FINITE_DIFFERENCE = "finite_difference"
     PARAMETER_SHIFT = "parameter_shift"
     ANALYTIC = "analytic"
 
-    @classmethod
-    def parse(cls, name: str) -> "GradMethod":
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            options = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown gradient method {name!r}; expected one of {options}") from None
 
-
-class OptimizerKind(enum.Enum):
+class OptimizerKind(Choice, noun="optimizer"):
     BFGS_STANDARD = "bfgs_standard"
     BFGS_AS_WRITTEN = "bfgs_as_written"
     GRADIENT_DESCENT = "gradient_descent"
     SGD = "sgd"
-
-    @classmethod
-    def parse(cls, name: str) -> "OptimizerKind":
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            options = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown optimizer {name!r}; expected one of {options}") from None
 
 
 @dataclass(frozen=True)
@@ -130,12 +113,11 @@ class GradConfig:
 
 
 def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                backend: Backend, step: float, workers: int = 1) -> np.ndarray:
+                backend: Backend, step: float) -> np.ndarray:
     """Central-difference cost gradient: 2 x dim cost evaluations, measured as
     one probe batch in the order +e_0, -e_0, +e_1, -e_1, ..."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    costs.check_workers(workers)
     theta = circuits.check_theta(spec, theta)
     probes = np.repeat(theta[None], 2 * theta.size, axis=0)
     for j in range(theta.size):
@@ -147,15 +129,13 @@ def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Datase
 
 
 def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                             ds: Dataset, backend: Backend,
-                             workers: int = 1) -> np.ndarray:
+                             ds: Dataset, backend: Backend) -> np.ndarray:
     """Shift-rule cost gradient: +-pi/2 evaluations per gate angle.
 
     Refuses the accuracy cost: an indicator has no meaningful shift gradient.
     """
     if kind is CostKind.ACCURACY:
         raise ValueError("parameter-shift gradient is undefined for the accuracy cost")
-    costs.check_workers(workers)
     theta = circuits.check_theta(spec, theta)
     # base probe first, then the +-pi/2 pair of every gate angle in (layer, gate) order
     shifts = [None] + [(l, gate, sign * np.pi / 2.0) for l in range(spec.layers)
@@ -164,16 +144,11 @@ def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarra
                             backend, shifts=shifts)
     w = costs.cost_weights(kind, m[0])
     dm = 0.5 * (m[1::2] - m[2::2]).reshape(spec.layers, 2, len(ds))
-    cy, cz = circuits.ansatz_design(spec.ansatz, ds.x)
-    grad = np.zeros(spec.n_params)
-    for l in range(spec.layers):
-        per_point = dm[l, 0][:, None] * cy + dm[l, 1][:, None] * cz
-        grad[4 * l:4 * l + 4] = (w[:, None] * per_point).mean(axis=0)
-    return grad
+    return (w[:, None] * circuits.chain_rule(spec, dm, ds.x)).mean(axis=0)
 
 
 def gradient_analytic(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                      ds: Dataset, backend: Backend, workers: int = 1) -> np.ndarray:
+                      ds: Dataset, backend: Backend) -> np.ndarray:
     """Closed-form cost gradient with hardware-equivalent accounting.
 
     Noisy backends route through the shift-rule sampler (measuring a
@@ -184,7 +159,7 @@ def gradient_analytic(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
         raise ValueError("the accuracy cost has an identically-zero gradient; "
                          "pick a differentiable cost")
     if backend.is_noisy:
-        return gradient_parameter_shift(kind, spec, theta, ds, backend, workers=workers)
+        return gradient_parameter_shift(kind, spec, theta, ds, backend)
     grad = costs.analytic_gradient(kind, spec, theta, ds)
     backend.charge((4 * spec.layers + 1) * len(ds))
     return grad
@@ -192,13 +167,13 @@ def gradient_analytic(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
 
 def estimate_gradient(method: GradMethod, kind: CostKind, spec: CircuitSpec,
                       theta: np.ndarray, ds: Dataset, backend: Backend,
-                      step: float = 1e-2, workers: int = 1) -> np.ndarray:
+                      step: float = 1e-2) -> np.ndarray:
     if method is GradMethod.FINITE_DIFFERENCE:
-        return gradient_fd(kind, spec, theta, ds, backend, step, workers=workers)
+        return gradient_fd(kind, spec, theta, ds, backend, step)
     if method is GradMethod.PARAMETER_SHIFT:
-        return gradient_parameter_shift(kind, spec, theta, ds, backend, workers=workers)
+        return gradient_parameter_shift(kind, spec, theta, ds, backend)
     if method is GradMethod.ANALYTIC:
-        return gradient_analytic(kind, spec, theta, ds, backend, workers=workers)
+        return gradient_analytic(kind, spec, theta, ds, backend)
     raise ValueError(f"unhandled gradient method {method}")  # pragma: no cover
 
 
@@ -223,24 +198,6 @@ def bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray,
     return left @ H @ left.T + rho * np.outer(s, s)
 
 
-@dataclass
-class _Budget:
-    """Stop-condition bookkeeping shared by the gradient trainers."""
-
-    backend: Backend
-    max_estimates: int | None
-
-    def exhausted(self, upcoming: int = 0) -> bool:
-        if self.max_estimates is None:
-            return False
-        return self.backend.ledger.total_estimates + upcoming > self.max_estimates
-
-
-def _evaluate_point(cfg: GradConfig, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                    backend: Backend, workers: int) -> tuple[float, float]:
-    return costs.evaluate_with_accuracy(cfg.cost, spec, theta, ds, backend, workers=workers)
-
-
 def _initial_theta(cfg: GradConfig, spec: CircuitSpec, theta0: np.ndarray | None) -> np.ndarray:
     if theta0 is not None:
         return circuits.check_theta(spec, np.asarray(theta0, dtype=float)).copy()
@@ -256,43 +213,39 @@ def _gradient_cost(method: GradMethod, spec: CircuitSpec, n_points: int) -> int:
 
 
 def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-               theta0: np.ndarray | None = None, workers: int = 1,
+               theta0: np.ndarray | None = None,
                budget: TimeBudget | None = None) -> tuple[np.ndarray, TrainingTrace]:
     """Quasi-Newton minimization of the configured cost; returns the iterate
     with the best measured cost and the per-iteration trace.
 
     Stops on max_iterations, a gradient norm below 1e-8, an exhausted
-    estimate budget, or a failed line search.
+    estimate budget, or a failed line search.  `max_estimates` is a hard
+    limit: a budget below iteration 0 raises BudgetError before anything is
+    charged, and no evaluation or gradient is started that would overrun it.
     """
     if cfg.method not in (OptimizerKind.BFGS_STANDARD, OptimizerKind.BFGS_AS_WRITTEN):
         raise ValueError(f"bfgs_train got optimizer {cfg.method.value}")
-    budget_model = budget if budget is not None else TimeBudget()
-    tracker = _Budget(backend, cfg.max_estimates)
+    n = len(dataset)
+    grad_cost = _gradient_cost(cfg.gradient, spec, n)
+    guard = EstimateBudget(cfg.max_estimates, backend.ledger)
+    guard.require(n + grad_cost, "iteration 0: a cost evaluation and a gradient")
     theta = _initial_theta(cfg, spec, theta0)
     dim = theta.size
     H = np.eye(dim)
     h_seeded = False
     trace = TrainingTrace()
 
-    def record(iteration: int, best_acc: float, best_val: float) -> None:
-        est, shots = backend.ledger.snapshot()
-        trace.append(iteration, best_acc, best_val, None, est, shots,
-                     estimate_time(backend.ledger, budget_model) * 1000.0)
+    def gradient(at: np.ndarray) -> np.ndarray:
+        return estimate_gradient(cfg.gradient, cfg.cost, spec, at, dataset, backend,
+                                 step=cfg.step)
 
-    try:
-        f, acc = _evaluate_point(cfg, spec, theta, dataset, backend, workers)
-        g = estimate_gradient(cfg.gradient, cfg.cost, spec, theta, dataset, backend,
-                              step=cfg.step, workers=workers)
-    except (ValueError, TrainingError):
-        raise
-    except Exception as exc:
-        raise TrainingError(f"backend failure at iteration 0: {exc}") from exc
-
+    with backend_failures("iteration 0"):
+        f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
+        g = gradient(theta)
     best_theta, best_val, best_acc = theta.copy(), f, acc
-    record(0, best_acc, best_val)
+    trace.record(0, best_acc, best_val, backend.ledger, budget)
 
     ls = cfg.line_search
-    grad_cost = _gradient_cost(cfg.gradient, spec, len(dataset))
     for k in range(1, cfg.max_iterations + 1):
         if np.linalg.norm(g) < GRAD_NORM_TOL:
             break
@@ -305,52 +258,35 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
             slope = float(g @ d)
 
         # cost of one more iteration: at least one line-search trial + one gradient
-        if tracker.exhausted(upcoming=len(dataset) + grad_cost):
+        if not guard.allows(n + grad_cost):
             break
 
         alpha = ls.alpha0
         accepted = None
-        try:
+        with backend_failures(f"iteration {k}"):
             for _ in range(ls.max_halvings):
                 trial = theta + alpha * d
-                f_trial, acc_trial = _evaluate_point(cfg, spec, trial, dataset,
-                                                     backend, workers)
+                f_trial, acc_trial = costs.evaluate_with_accuracy(cfg.cost, spec, trial,
+                                                                  dataset, backend)
                 if f_trial <= f + ls.c1 * alpha * slope:
-                    if ls.kind == "wolfe":
-                        g_trial = estimate_gradient(cfg.gradient, cfg.cost, spec, trial,
-                                                    dataset, backend, step=cfg.step,
-                                                    workers=workers)
-                        if abs(float(g_trial @ d)) > ls.c2 * abs(slope):
-                            alpha *= 0.5
-                            continue
-                        accepted = (trial, f_trial, acc_trial, g_trial)
-                    else:
+                    # with no budget left for Wolfe's curvature gradient the
+                    # Armijo step is taken, as armijo takes it
+                    if ls.kind != "wolfe" or not guard.allows(grad_cost):
                         accepted = (trial, f_trial, acc_trial, None)
-                    break
+                        break
+                    g_trial = gradient(trial)
+                    if abs(float(g_trial @ d)) <= ls.c2 * abs(slope):
+                        accepted = (trial, f_trial, acc_trial, g_trial)
+                        break
                 alpha *= 0.5
-                if tracker.exhausted(upcoming=len(dataset)):
+                if not guard.allows(n):
                     break
-        except (ValueError, TrainingError):
-            raise
-        except Exception as exc:
-            raise TrainingError(f"backend failure at iteration {k}: {exc}") from exc
-
-        if accepted is None:
-            break
-        trial, f_trial, acc_trial, g_trial = accepted
-
-        if g_trial is None:
-            if tracker.exhausted(upcoming=grad_cost):
-                pass  # trace the accepted step, then stop: no budget for a gradient
-            else:
-                try:
-                    g_trial = estimate_gradient(cfg.gradient, cfg.cost, spec, trial,
-                                                dataset, backend, step=cfg.step,
-                                                workers=workers)
-                except (ValueError, TrainingError):
-                    raise
-                except Exception as exc:
-                    raise TrainingError(f"backend failure at iteration {k}: {exc}") from exc
+            if accepted is None:
+                break
+            trial, f_trial, acc_trial, g_trial = accepted
+            # without budget for a gradient, trace the accepted step, then stop
+            if g_trial is None and guard.allows(grad_cost):
+                g_trial = gradient(trial)
 
         s = trial - theta
         if g_trial is not None:
@@ -367,79 +303,64 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
         if f_trial < best_val:
             best_theta, best_val = trial.copy(), f_trial
         best_acc = max(best_acc, acc_trial)
-        record(k, best_acc, best_val)
+        trace.record(k, best_acc, best_val, backend.ledger, budget)
 
         if g_trial is None:
             break
         g = g_trial
         if cfg.target_accuracy is not None and best_acc >= cfg.target_accuracy:
             break
-        if tracker.exhausted():
-            break
 
     return best_theta, trace
 
 
 def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-              theta0: np.ndarray | None = None, workers: int = 1,
+              theta0: np.ndarray | None = None,
               budget: TimeBudget | None = None) -> tuple[np.ndarray, TrainingTrace]:
     """Mini-batch gradient descent; full-batch when batch_size is unset or
     equals the dataset size (plain gradient descent).
 
     One iteration is one parameter update; the full-set cost and accuracy
-    are measured once per iteration for the trace.
+    are measured once per iteration for the trace.  `max_estimates` is a
+    hard limit, as in bfgs_train.
     """
     if cfg.method not in (OptimizerKind.SGD, OptimizerKind.GRADIENT_DESCENT):
         raise ValueError(f"sgd_train got optimizer {cfg.method.value}")
-    budget_model = budget if budget is not None else TimeBudget()
-    tracker = _Budget(backend, cfg.max_estimates)
-    theta = _initial_theta(cfg, spec, theta0)
     n = len(dataset)
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     if cfg.method is OptimizerKind.GRADIENT_DESCENT and batch != n:
         raise ValueError("gradient_descent is full-batch; use sgd for mini-batches")
+    guard = EstimateBudget(cfg.max_estimates, backend.ledger)
+    guard.require(n, "iteration 0: a cost evaluation")
+    theta = _initial_theta(cfg, spec, theta0)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "sgd-shuffle"))
     trace = TrainingTrace()
 
-    def record(iteration: int, best_acc: float, best_val: float) -> None:
-        est, shots = backend.ledger.snapshot()
-        trace.append(iteration, best_acc, best_val, None, est, shots,
-                     estimate_time(backend.ledger, budget_model) * 1000.0)
-
-    try:
-        f, acc = _evaluate_point(cfg, spec, theta, dataset, backend, workers)
-    except (ValueError, TrainingError):
-        raise
-    except Exception as exc:
-        raise TrainingError(f"backend failure at iteration 0: {exc}") from exc
+    with backend_failures("iteration 0"):
+        f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
     best_theta, best_val, best_acc = theta.copy(), f, acc
-    record(0, best_acc, best_val)
+    trace.record(0, best_acc, best_val, backend.ledger, budget)
 
     order = np.arange(n)
     cursor = n  # force a reshuffle on first use
     grad_cost = _gradient_cost(cfg.gradient, spec, batch)
     for k in range(1, cfg.max_iterations + 1):
-        if tracker.exhausted(upcoming=grad_cost + n):
+        if not guard.allows(grad_cost + n):
             break
         if cursor + batch > n:
             order = shuffle_rng.permutation(n) if batch < n else order
             cursor = 0
         idx = order[cursor:cursor + batch]
         cursor += batch
-        try:
+        with backend_failures(f"iteration {k}"):
             g = estimate_gradient(cfg.gradient, cfg.cost, spec, theta,
-                                  dataset.subset(idx), backend,
-                                  step=cfg.step, workers=workers)
+                                  dataset.subset(idx), backend, step=cfg.step)
             theta = theta - cfg.learning_rate * g
-            f, acc = _evaluate_point(cfg, spec, theta, dataset, backend, workers)
-        except (ValueError, TrainingError):
-            raise
-        except Exception as exc:
-            raise TrainingError(f"backend failure at iteration {k}: {exc}") from exc
+            f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
         if f < best_val:
             best_theta, best_val = theta.copy(), f
         best_acc = max(best_acc, acc)
-        record(k, best_acc, best_val)
+        trace.record(k, best_acc, best_val, backend.ledger, budget)
         if cfg.target_accuracy is not None and best_acc >= cfg.target_accuracy:
             break
 

@@ -116,6 +116,42 @@ def test_a_ga_budget_below_one_generation_writes_nothing(tmp_path, capsys):
         assert [r["cum_estimates"] for r in csv.DictReader(fh)] == ["144"]
 
 
+@pytest.mark.parametrize("kind,first", [
+    ("bfgs_standard", "iteration 0: a cost evaluation and a gradient = 432 estimates"),
+    ("sgd", "iteration 0: a cost evaluation = 24 estimates")])
+def test_a_gradient_budget_below_iteration_zero_writes_nothing(tmp_path, capsys, kind,
+                                                               first):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"dataset: {{n: 24}}\noptimizer: {{kind: {kind}, max_estimates: 23}}\n")
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"optimizer.max_estimates=23 is below {first}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_empty_key_trains_with_its_default(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("dataset: {n: 6}\noptimizer:\n  population_size:\n"
+                      "  max_generations: 0\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == cli.EXIT_OK
+    assert "population_size: 50\n" in (out / "config.yaml").read_text()
+
+
+@pytest.mark.parametrize("override,message", [
+    ("optimizer.target_accuracy=2", "optimizer: target_accuracy must lie in (0, 1]"),
+    ("optimizer.line_search={c1: 5}", "optimizer.line_search: c1 must lie in (0, 1)")])
+def test_an_out_of_range_value_is_a_config_error(tmp_path, capsys, override, message):
+    argv = ["train", "--out", str(tmp_path / "run"), "--set", override]
+    if "line_search" in override:
+        argv += ["--set", "optimizer.kind=bfgs_standard"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_scores_a_parameter_file(tmp_path, capsys):
     data_path = tmp_path / "pts.csv"
     cli.main(["gen-data", "--out", str(data_path), "--n", "40", "--seed", "3"])
@@ -223,6 +259,15 @@ def test_an_ideal_cell_over_a_noise_block_is_a_config_error(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     with open(out / "sweep.csv") as fh:
         assert [r["value"] for r in csv.DictReader(fh)] == ["ideal", "noisy"]
+
+
+def test_a_sweep_key_under_a_non_mapping_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("seed: 3\n")
+    rc = cli.main(["sweep", "--config", str(config), "--param", "seed.nested",
+                   "--values", "1", "--out", str(tmp_path / "sweep")])
+    assert rc == cli.EXIT_CONFIG
+    assert "seed.nested: seed is not a mapping" in capsys.readouterr().err
 
 
 def test_analyze_residuals_writes_fits_and_histogram(tmp_path, capsys):

@@ -228,3 +228,63 @@ def test_a_noise_block_on_the_ideal_backend_is_rejected():
             ExperimentConfig.from_mapping({"backend": backend})
     cfg = ExperimentConfig.from_mapping({"backend": {"kind": "ideal", "noise": None}})
     assert cfg.backend == {"kind": "ideal", "shots": 150}
+
+
+def _nulls(block: dict) -> dict:
+    """The same keys, each null, nested blocks included."""
+    return {k: _nulls(v) if isinstance(v, dict) else None for k, v in block.items()}
+
+
+@pytest.mark.parametrize("kind", ["ga", "bfgs_standard", "sgd"])
+def test_a_null_key_resolves_to_its_default(kind):
+    defaults = ExperimentConfig.from_mapping({"optimizer": {"kind": kind}})
+    nulls = {"seed": None, "workers": None, "output_dir": None, "cost": None,
+             "circuit": {"ansatz": None, "layers": None},
+             "dataset": {k: None for k in ("source", "n", "seed", "path", "center",
+                                           "radius", "domain")},
+             "backend": {"kind": None, "shots": None, "noise": None},
+             "optimizer": {**_nulls(defaults.optimizer), "kind": kind}}
+    assert ExperimentConfig.from_mapping(nulls) == defaults
+    noisy = ExperimentConfig.from_mapping({"backend": {"kind": "noisy"}})
+    assert ExperimentConfig.from_mapping(
+        {"backend": {"kind": "noisy", "shots": None,
+                     "noise": {k: None for k in noisy.backend["noise"]}}}) == noisy
+
+
+def test_out_of_range_optimizer_values_fail_at_resolve_time():
+    with pytest.raises(ConfigError, match=r"^optimizer: target_accuracy must lie in"):
+        ExperimentConfig.from_mapping({"optimizer": {"target_accuracy": 2}})
+    with pytest.raises(ConfigError, match=r"^optimizer\.line_search: c1 must lie in"):
+        ExperimentConfig.from_mapping({"optimizer": {"kind": "bfgs_standard",
+                                                     "line_search": {"c1": 5}}})
+    with pytest.raises(ConfigError, match=r"^optimizer: elitism_count must lie in"):
+        ExperimentConfig.from_mapping({"optimizer": {"population_size": 4,
+                                                     "elitism_count": 4}})
+    with pytest.raises(ConfigError, match=r"^optimizer\.step: expected a number"):
+        ExperimentConfig.from_mapping({"optimizer": {"kind": "sgd", "step": "big"}})
+    with pytest.raises(ConfigError, match=r"^optimizer\.line_search\.c3: unknown key"):
+        ExperimentConfig.from_mapping({"optimizer": {"kind": "sgd",
+                                                     "line_search": {"c3": 1}}})
+    with pytest.raises(ConfigError, match=r"^optimizer\.mutation: expected a mapping"):
+        ExperimentConfig.from_mapping({"optimizer": {"mutation": 0.2}})
+    with pytest.raises(ConfigError, match=r"^optimizer\.population_size: unknown key"):
+        ExperimentConfig.from_mapping({"optimizer": {"kind": "sgd",
+                                                     "population_size": 9}})
+
+
+def test_enum_valued_keys_resolve_case_insensitively():
+    cfg = ExperimentConfig.from_mapping(
+        {"cost": "Chi_Squared", "circuit": {"ansatz": "2a"},
+         "backend": {"kind": "NOISY"}, "dataset": {"source": "Generate"},
+         "optimizer": {"kind": "GA", "selection": "SSS", "crossover": "Two_Point"}})
+    assert cfg.cost is CostKind.CHI_SQUARED and cfg.circuit.ansatz is Ansatz.A2A
+    assert (cfg.backend["kind"], cfg.dataset["source"]) == ("noisy", "generate")
+    assert (cfg.optimizer["kind"], cfg.optimizer["selection"],
+            cfg.optimizer["crossover"]) == ("ga", "sss", "two_point")
+    grad = ExperimentConfig.from_mapping(
+        {"optimizer": {"kind": "BFGS_As_Written", "gradient": "Parameter_Shift"}})
+    assert (grad.optimizer["kind"], grad.optimizer["gradient"]) == (
+        "bfgs_as_written", "parameter_shift")
+    assert grad.build_trainer_config().method is OptimizerKind.BFGS_AS_WRITTEN
+    with pytest.raises(ConfigError, match=r"optimizer\.selection: unknown selection 'elite'"):
+        ExperimentConfig.from_mapping({"optimizer": {"selection": "elite"}})

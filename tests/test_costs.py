@@ -100,16 +100,6 @@ def test_cost_kind_parse():
         CostKind.parse("mse")
 
 
-def test_measured_values_worker_count_does_not_change_results():
-    spec = CircuitSpec()
-    ds = generate(64, seed=8)
-    theta = random_parameters(spec, np.random.default_rng(8))
-    serial = measured_values(spec, theta, ds, NoisyBackend(NoiseModel(seed=6)))
-    sharded = measured_values(spec, theta, ds, NoisyBackend(NoiseModel(seed=6)),
-                              workers=4)
-    np.testing.assert_array_equal(serial, sharded)
-
-
 def test_measured_many_rows_equal_successive_measured_values():
     spec = CircuitSpec()
     ds = generate(21, seed=4)
@@ -205,9 +195,6 @@ def test_measured_values_rejects_bad_inputs():
     empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=int))
     with pytest.raises(ValueError, match="empty"):
         measured_values(spec, np.zeros(16), empty, IdealBackend())
-    ds = generate(4, seed=0)
-    with pytest.raises(ValueError, match="workers"):
-        measured_values(spec, np.zeros(16), ds, IdealBackend(), workers=0)
     with pytest.raises(ValueError, match="empty"):
         measured_many(spec, np.zeros((2, 16)), empty, IdealBackend())
 

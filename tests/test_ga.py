@@ -315,12 +315,6 @@ def test_ga_train_wraps_backend_failures():
         ga_train(cfg, CircuitSpec(), generate(10, seed=0), ExplodingBackend())
 
 
-def test_ga_train_validates_the_worker_count():
-    with pytest.raises(ValueError, match="workers"):
-        ga_train(GAConfig(population_size=4, max_generations=1), CircuitSpec(),
-                 generate(10, seed=0), IdealBackend(), workers=0)
-
-
 def test_ga_config_validation():
     with pytest.raises(ValueError, match="population_size"):
         GAConfig(population_size=1)

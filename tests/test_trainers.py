@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reupsim import circuits, costs
-from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
+from reupsim.backend import BudgetError, IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import Ansatz, CircuitSpec, random_parameters
 from reupsim.costs import CostKind
 from reupsim.data import generate
+from reupsim.ga import GAConfig, ga_train
 from reupsim.seeding import derive_seed
 from reupsim.trace import TrainingError
 from reupsim.trainers import (GradConfig, GradMethod, LineSearchSpec,
@@ -119,19 +122,6 @@ def test_batched_gradients_equal_a_per_probe_loop(ansatz, layers, kind, n, noisy
                                       be_reference.sample(np.full(3, 0.5), np.ones(3, int)))
 
 
-def test_worker_counts_are_validated_and_change_nothing():
-    spec, ds, theta = _small_problem(n=6)
-    for method in (GradMethod.FINITE_DIFFERENCE, GradMethod.PARAMETER_SHIFT):
-        def gradient(workers):
-            return estimate_gradient(method, CostKind.CROSS_ENTROPY, spec, theta, ds,
-                                     NoisyBackend(NoiseModel(seed=2)), step=0.1,
-                                     workers=workers)
-
-        np.testing.assert_array_equal(gradient(1), gradient(8))
-        with pytest.raises(ValueError, match="workers"):
-            gradient(0)
-
-
 def test_analytic_on_a_noisy_backend_samples_like_the_shift_rule():
     spec, ds, theta = _small_problem(n=12)
     a = estimate_gradient(GradMethod.ANALYTIC, CostKind.CROSS_ENTROPY, spec, theta,
@@ -200,21 +190,53 @@ def test_bfgs_train_is_deterministic_given_the_seed():
     assert trace_a.losses() == trace_b.losses()
 
 
-def test_bfgs_train_worker_count_does_not_change_the_trace():
-    spec, ds, _ = _small_problem(n=32, seed=9)
-    cfg = GradConfig(max_iterations=4, seed=9)
-    _, serial = bfgs_train(cfg, spec, ds, NoisyBackend(NoiseModel(seed=9)))
-    _, sharded = bfgs_train(cfg, spec, ds, NoisyBackend(NoiseModel(seed=9)),
-                            workers=4)
-    assert serial.losses() == sharded.losses()
-    assert serial.estimates() == sharded.estimates()
-
-
 def test_bfgs_train_respects_the_estimate_budget():
     spec, ds, _ = _small_problem(n=30, seed=10)
     cfg = GradConfig(max_iterations=100, max_estimates=3000, seed=10)
     _, trace = bfgs_train(cfg, spec, ds, IdealBackend())
     assert trace.final.cum_estimates <= 3000
+
+
+BUDGETED = (["ga"]
+            + [(OptimizerKind.BFGS_STANDARD, search, gradient)
+               for search in ("armijo", "wolfe") for gradient in GradMethod]
+            + [(OptimizerKind.SGD, "armijo", gradient) for gradient in GradMethod]
+            + [(OptimizerKind.GRADIENT_DESCENT, "armijo", GradMethod.ANALYTIC)])
+
+
+@given(st.sampled_from(BUDGETED), st.integers(1, 3000), st.integers(0, 1500),
+       st.integers(2, 12))
+@settings(max_examples=200, deadline=None)
+def test_no_optimizer_charges_past_max_estimates(case, budget, held, points):
+    """The ledger never passes max_estimates, counting what it already held;
+    a budget below the first charge raises before anything is charged."""
+    spec, ds = CircuitSpec(layers=1), generate(points, seed=points)
+    backend = IdealBackend()
+    backend.charge(held)
+    if case == "ga":
+        cfg = GAConfig(population_size=4, elitism_count=1, max_generations=8,
+                       seed=budget, max_estimates=budget)
+        train, first = ga_train, 4 * points
+    else:
+        method, search, gradient = case
+        # a small c2 makes Wolfe's curvature test fail often, each failure a gradient
+        cfg = GradConfig(method=method, gradient=gradient, max_iterations=8,
+                         line_search=LineSearchSpec(kind=search, c2=0.1),
+                         batch_size=3 if method is OptimizerKind.SGD else None,
+                         seed=budget, max_estimates=budget)
+        if method is OptimizerKind.BFGS_STANDARD:
+            per_gradient = (8 if gradient is GradMethod.FINITE_DIFFERENCE else 5) * points
+            train, first = bfgs_train, points + per_gradient
+        else:
+            train, first = sgd_train, points
+    try:
+        train(cfg, spec, ds, backend)
+    except BudgetError:
+        assert held + first > budget
+        assert backend.ledger.total_estimates == held
+        return
+    assert held + first <= budget
+    assert backend.ledger.total_estimates <= budget
 
 
 def test_bfgs_train_rejects_wrong_optimizer_kind():
