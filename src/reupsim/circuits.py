@@ -7,6 +7,12 @@ combination fixed by the chosen ansatz kernel (2A-2D).  Everything here is a
 pure function: states in, states out, no global state.
 
 Gate convention: R_y(phi) = exp(-i phi Y / 2), R_z(phi) = exp(-i phi Z / 2).
+
+The kernel evolves real amplitudes (Re a, Im a, Re b, Im b) of a|0> + b|1>.
+R_y rotates the pair (a, b) by half its angle.  R_z is applied as the
+relative phase diag(1, e^{i phi}), which is R_z times the global phase
+e^{i phi / 2} that no population sees: it rotates (Re b, Im b) by phi.  The
+last layer's R_z is skipped, because a phase cannot change a population.
 """
 
 from __future__ import annotations
@@ -48,20 +54,6 @@ class Ansatz(Choice, noun="ansatz"):
 
 
 @dataclass(frozen=True)
-class QubitState:
-    """Normalized amplitude pair (alpha, beta) of a single qubit."""
-
-    alpha: complex
-    beta: complex
-
-    def probabilities(self) -> tuple[float, float]:
-        return abs(self.alpha) ** 2, abs(self.beta) ** 2
-
-
-ZERO_STATE = QubitState(1.0 + 0.0j, 0.0 + 0.0j)
-
-
-@dataclass(frozen=True)
 class CircuitSpec:
     """Ansatz kind plus layer count; parameter vectors have length 4*layers."""
 
@@ -94,19 +86,6 @@ def random_parameters(spec: CircuitSpec, rng: np.random.Generator,
     return rng.uniform(low, high, size=spec.n_params)
 
 
-def rotation_y(state: QubitState, angle: float) -> QubitState:
-    """Apply R_y(angle) = exp(-i angle Y / 2)."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return QubitState(c * state.alpha - s * state.beta,
-                      s * state.alpha + c * state.beta)
-
-
-def rotation_z(state: QubitState, angle: float) -> QubitState:
-    """Apply R_z(angle) = exp(-i angle Z / 2); outcome probabilities unchanged."""
-    phase = np.exp(-0.5j * angle)
-    return QubitState(phase * state.alpha, np.conj(phase) * state.beta)
-
-
 def ansatz_design(ansatz: Ansatz, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point design rows for the two gate angles of one layer.
 
@@ -135,15 +114,6 @@ def ansatz_design(ansatz: Ansatz, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cy, cz
 
 
-def layer_args(ansatz: Ansatz, theta_layer: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Gate angles (phi_y, phi_z) of a single layer; R_y is applied first."""
-    theta_layer = np.asarray(theta_layer, dtype=float)
-    if theta_layer.shape != (4,):
-        raise ValueError(f"layer slice must have 4 entries, got shape {theta_layer.shape}")
-    cy, cz = ansatz_design(ansatz, x)
-    return float(cy[0] @ theta_layer), float(cz[0] @ theta_layer)
-
-
 def layer_angles(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All layer angles for a batch of points: two (L, n) arrays."""
     theta = check_theta(spec, theta)
@@ -152,25 +122,73 @@ def layer_angles(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[n
     return slices @ cy.T, slices @ cz.T
 
 
-def _evolve(phi_y: np.ndarray, phi_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the layered circuit on |0> for a batch; returns final (alpha, beta)."""
-    n = phi_y.shape[1]
-    alpha = np.ones(n, dtype=complex)
-    beta = np.zeros(n, dtype=complex)
-    for l in range(phi_y.shape[0]):
-        ay, az = phi_y[l], phi_z[l]
-        c, s = np.cos(ay / 2.0), np.sin(ay / 2.0)
-        alpha, beta = c * alpha - s * beta, s * alpha + c * beta
-        phase = np.exp(-0.5j * az)
-        alpha = alpha * phase
-        beta = beta * np.conj(phase)
-    return alpha, beta
+def _rotate(v: np.ndarray, c: np.ndarray, s: np.ndarray, tmp: np.ndarray) -> None:
+    """Rotate the pair v = (v0, v1) in place to (c v0 - s v1, s v0 + c v1).
+
+    R_y rotates the amplitudes (a, b) by half its angle; the phase e^{i phi}
+    rotates (Re b, Im b) by phi.  On v[::-1] it turns the other way, which
+    moves a row vector through R_y: <w| R_y.  `tmp` has the shape of v.
+    """
+    np.multiply(v[::-1], s, out=tmp)
+    v *= c
+    v[0] -= tmp[0]
+    v[1] += tmp[1]
 
 
-def _probe_amplitudes(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
-                      shifts: Sequence[tuple[int, int, float] | None] | None = None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Final (alpha, beta) of P probes in one kernel pass, each of shape (P, n).
+def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
+    """Run the layered circuit on |0> for N columns; angles are (L, N) each.
+
+    Returns the populations (p0, p1) as one (2, N) array.  With `states` it
+    returns (psi, cos, sin) for the backward pass, indexed by gate g: 2l is
+    layer l's R_y and 2l + 1 its phase; psi[g] = ((Re a, Im a), (Re b, Im b))
+    after gate g.  The skipped last R_z has no index.
+
+    A rotation's cos and sin come from u = tan of its half angle, as
+    (1 - u^2) / (1 + u^2) and 2u / (1 + u^2): where numpy vectorises float64
+    tan but not cos or sin (x86 with AVX-512) that is several times cheaper.
+    Every intermediate lives in one workspace; without `states` it holds the
+    2L - 1 tangents, one layer's cosines, one state and a scratch state.
+    """
+    layers, n = phi_y.shape
+    gates = 2 * layers - 1
+    n_cos, n_psi = (gates, gates) if states else (2, 1)
+    ws = np.empty((gates + n_cos + 4 * n_psi + 4, n))
+    sin, cos = ws[:gates], ws[gates:gates + n_cos]
+    psi = ws[gates + n_cos:-4].reshape(n_psi, 2, 2, n)
+    tmp = ws[-4:].reshape(2, 2, n)
+    np.multiply(phi_y, 0.25, out=sin[0::2])         # R_y rotates by phi_y / 2
+    np.multiply(phi_z[:-1], 0.5, out=sin[1::2])     # the phase by phi_z
+    np.tan(sin, out=sin)
+    for l in range(layers):
+        u = sin[2 * l:2 * l + 2]                    # one gate in the last layer
+        c = cos[2 * l:2 * l + 2] if states else cos[:len(u)]
+        t = tmp.reshape(4, n)[:len(u)]
+        np.multiply(u, u, out=t)
+        np.subtract(1.0, t, out=c)
+        t += 1.0
+        c /= t
+        u /= t
+        u += u
+        for gate in range(len(u)):
+            g = 2 * l + gate
+            state = psi[g if states else 0]
+            if g == 0:                              # R_y|0> = (cos, 0, sin, 0)
+                state[0, 0], state[1, 0], state[:, 1] = c[0], u[0], 0.0
+                continue
+            if states:
+                state[...] = psi[g - 1]
+            v, scratch = (state[1], tmp[0]) if gate else (state, tmp)
+            _rotate(v, c[gate], u[gate], scratch)
+    if states:
+        return psi, cos, sin
+    np.square(psi[0], out=tmp)
+    return np.add(tmp[:, 0], tmp[:, 1])
+
+
+def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
+                       shifts: Sequence[tuple[int, int, float] | None] | None = None,
+                       ) -> np.ndarray:
+    """Populations (p0, p1) of P probes in one kernel pass, shape (2, P, n).
 
     `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
     one point set per probe.  The angles come from one stacked
@@ -201,9 +219,8 @@ def _probe_amplitudes(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
         _, first, inverse = np.unique(np.array(keys, dtype=object), return_index=True,
                                       return_inverse=True)
         if first.size < n_probes:
-            alpha, beta = _probe_amplitudes(spec, thetas[first], x, None if shifts is None
-                                            else [shifts[p] for p in first])
-            return alpha[inverse], beta[inverse]
+            return _probe_populations(spec, thetas[first], x, None if shifts is None
+                                      else [shifts[p] for p in first])[:, inverse]
     cy, cz = ansatz_design(spec.ansatz, x.reshape(-1, 2))
     if per_probe:
         cy, cz = cy.reshape(n_probes, -1, 4), cz.reshape(n_probes, -1, 4)
@@ -220,16 +237,15 @@ def _probe_amplitudes(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
                 raise ValueError(f"shift {shift} names no gate of a "
                                  f"{spec.layers}-layer circuit")
             (phi_z if gate else phi_y)[layer, p] += delta
-    alpha, beta = _evolve(phi_y.reshape(spec.layers, -1), phi_z.reshape(spec.layers, -1))
-    return alpha.reshape(n_probes, n), beta.reshape(n_probes, n)
+    return _evolve(phi_y.reshape(spec.layers, -1),
+                   phi_z.reshape(spec.layers, -1)).reshape(2, n_probes, n)
 
 
 def evaluate_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
                    shift: tuple[int, int, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact outcome probabilities (p0, p1) for each point in the batch."""
-    theta = check_theta(spec, theta)
-    alpha, beta = _probe_amplitudes(spec, theta[None], x, [shift])
-    return np.abs(alpha[0]) ** 2, np.abs(beta[0]) ** 2
+    p0, p1 = _probe_populations(spec, check_theta(spec, theta)[None], x, [shift])[:, 0]
+    return p0, p1
 
 
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -250,8 +266,8 @@ def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.nda
     y = np.asarray(y)
     if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
-    alpha, beta = _probe_amplitudes(spec, thetas, x, shifts)
-    return np.abs(np.where(y == 1, beta, alpha)) ** 2
+    p0, p1 = _probe_populations(spec, thetas, x, shifts)
+    return np.where(y == 1, p1, p0)
 
 
 def measure_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
@@ -282,53 +298,33 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
                          y: np.ndarray) -> np.ndarray:
     """dM/d(gate angle) for all 2L gate angles, shape (L, 2, n).
 
-    Forward pass stores the state after every gate; the backward pass
-    accumulates the row vector <y| G_2L ... G_{g+1}.  With P the Pauli axis
-    of gate g, d(amp)/d(phi_g) = row_g . (-i P / 2) psi_g and
-    dM/dphi_g = 2 Re(conj(amp) d(amp)).
+    The kernel's forward pass keeps the state psi_g after every gate g.  The
+    backward pass carries the row vector w = conj(<y|psi>) <y| G_last ... G_{g+1}
+    back through the same rotations, so that dM/dphi_g = 2 Re(w K_g psi_g)
+    with K_g the generator of gate g: -iY/2 for R_y, which gives
+    Re(w_b a - w_a b), and diag(0, i) for the phase, which gives
+    -2 Im(w_b b).  The skipped last R_z changes no population: its entry is 0.
     """
-    phi_y, phi_z = layer_angles(spec, theta, x)
-    L, n = phi_y.shape
-    y = np.asarray(y)
-
-    # Forward: states after each of the 2L gates (order: y gate then z gate).
-    alphas = np.empty((2 * L + 1, n), dtype=complex)
-    betas = np.empty((2 * L + 1, n), dtype=complex)
-    alphas[0], betas[0] = 1.0, 0.0
-    for l in range(L):
-        c, s = np.cos(phi_y[l] / 2.0), np.sin(phi_y[l] / 2.0)
-        a, b = alphas[2 * l], betas[2 * l]
-        alphas[2 * l + 1] = c * a - s * b
-        betas[2 * l + 1] = s * a + c * b
-        phase = np.exp(-0.5j * phi_z[l])
-        alphas[2 * l + 2] = alphas[2 * l + 1] * phase
-        betas[2 * l + 2] = betas[2 * l + 1] * np.conj(phase)
-
-    # amp = <y|psi_final> per point.
-    amp = np.where(y == 1, betas[2 * L], alphas[2 * L])
-
-    # Backward: row = <y| (product of gates after gate g), components (ra, rb).
-    ra = np.where(y == 1, 0.0 + 0.0j, 1.0 + 0.0j)
-    rb = np.where(y == 1, 1.0 + 0.0j, 0.0 + 0.0j)
-    grads = np.empty((L, 2, n))
-    for l in range(L - 1, -1, -1):
-        # Undo the z gate: row <- row @ R_z(phi_z[l]).
-        phase = np.exp(-0.5j * phi_z[l])
-        ra_z, rb_z = ra * phase, rb * np.conj(phase)
-        # (-i Z / 2) psi = (-i a / 2, +i b / 2) with psi the post-R_z state;
-        # the row here excludes the z gate, which commutes with its generator.
-        psi_a, psi_b = alphas[2 * l + 2], betas[2 * l + 2]
-        damp = ra * (-0.5j * psi_a) + rb * (0.5j * psi_b)
-        grads[l, 1] = 2.0 * np.real(np.conj(amp) * damp)
-        ra, rb = ra_z, rb_z
-
-        # (-i Y / 2) psi = (-b/2, a/2) with psi the post-R_y state.
-        psi_a, psi_b = alphas[2 * l + 1], betas[2 * l + 1]
-        damp = ra * (-0.5 * psi_b) + rb * (0.5 * psi_a)
-        grads[l, 0] = 2.0 * np.real(np.conj(amp) * damp)
-        # Undo the y gate: row <- row @ R_y(phi_y[l]).
-        c, s = np.cos(phi_y[l] / 2.0), np.sin(phi_y[l] / 2.0)
-        ra, rb = c * ra + s * rb, -s * ra + c * rb
+    psi, cos, sin = _evolve(*layer_angles(spec, theta, x), states=True)
+    label = np.asarray(y) == 1
+    w = np.where(np.stack([label, ~label])[:, None], 0.0, psi[-1] * [[1.0], [-1.0]])
+    tmp = np.empty_like(w)
+    grads = np.empty((spec.layers, 2, w.shape[-1]))
+    for g in range(len(psi) - 1, -1, -1):
+        (l, gate), (a, b) = divmod(g, 2), psi[g]
+        if gate:
+            np.multiply(w[1], b[::-1], out=tmp[0])
+            np.add(*tmp[0], out=grads[l, 1])
+            _rotate(w[1], cos[g], sin[g], tmp[0])
+            continue
+        np.multiply(w[1], a, out=tmp[0])
+        np.multiply(w[0], b, out=tmp[1])
+        tmp[0] -= tmp[1]
+        np.subtract(*tmp[0], out=grads[l, 0])
+        if g:
+            _rotate(w[::-1], cos[g], sin[g], tmp)
+    grads[:-1, 1] *= -2.0
+    grads[-1, 1] = 0.0
     return grads
 
 

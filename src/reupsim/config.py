@@ -262,15 +262,16 @@ class ExperimentConfig:
         confusion = noise.get("confusion")
         if confusion is None:
             confusion = DEFAULT_CONFUSION
-        if (not isinstance(confusion, (list, tuple)) or len(confusion) != 2
-                or any(not isinstance(r, (list, tuple)) or len(r) != 2 for r in confusion)):
+        if not isinstance(confusion, (list, tuple)) or len(confusion) != 2:
             raise _fail("backend.noise.confusion", f"expected a 2x2 matrix, got {confusion!r}")
+        confusion = [list(_coerce(tuple[float, float], row, "backend.noise.confusion"))
+                     for row in confusion]
         noise_shots = _get(noise, "shots", "backend.noise", int, shots, minimum=1)
         sigma = _get(noise, "residual_sigma", "backend.noise", float, DEFAULT_RESIDUAL_SIGMA)
         noise_seed = _get(noise, "seed", "backend.noise", int, minimum=0)
         if noise_seed is None:
             noise_seed = derive_seed(master_seed, "backend")
-        resolved_noise = {"confusion": [[float(v) for v in row] for row in confusion],
+        resolved_noise = {"confusion": confusion,
                           "shots": noise_shots, "residual_sigma": sigma, "seed": noise_seed}
         try:
             NoiseModel.from_config(resolved_noise)

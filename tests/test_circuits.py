@@ -1,17 +1,21 @@
 """State-evolution tests: gate conventions, ansatz kernels, gradients."""
 
+import resource
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (ZERO_STATE, QubitState, complex_evolve, layer_args,
+                     rotation_y, rotation_z)
 
 from reupsim import circuits
-from reupsim.circuits import (Ansatz, CircuitSpec, QubitState, ZERO_STATE,
-                              analytic_gradient, check_theta, classify,
-                              classify_batch, evaluate_batch, evaluate_circuit,
-                              layer_angles, layer_args, measure_batch,
-                              measure_label, measure_many, random_parameters,
-                              rotation_y, rotation_z)
+from reupsim.circuits import (Ansatz, CircuitSpec, analytic_gradient,
+                              check_theta, classify, classify_batch,
+                              evaluate_batch, evaluate_circuit, layer_angles,
+                              measure_batch, measure_label, measure_many,
+                              random_parameters)
 
 ANGLES = st.floats(min_value=-4 * np.pi, max_value=4 * np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -219,25 +223,20 @@ def test_random_parameters_range_and_determinism():
     assert (np.abs(a) <= 2 * np.pi).all()
 
 
-def _single_theta_kernel(spec, theta, x, y, shift=None):
-    """Reference: the one-theta-at-a-time evolution that archived traces were
-    produced with, written out with the same floating-point operations."""
+def _shifted_angles(spec, theta, x, shift=None):
+    """Single-theta layer angles with `shift` added to one gate angle."""
     phi_y, phi_z = layer_angles(spec, theta, x)
-    alpha = np.ones(phi_y.shape[1], dtype=complex)
-    beta = np.zeros(phi_y.shape[1], dtype=complex)
-    for l in range(spec.layers):
-        ay, az = phi_y[l], phi_z[l]
-        if shift is not None and shift[0] == l:
-            if shift[1] == 0:
-                ay = ay + shift[2]
-            else:
-                az = az + shift[2]
-        c, s = np.cos(ay / 2.0), np.sin(ay / 2.0)
-        alpha, beta = c * alpha - s * beta, s * alpha + c * beta
-        phase = np.exp(-0.5j * az)
-        alpha = alpha * phase
-        beta = beta * np.conj(phase)
-    return np.where(y == 1, np.abs(beta) ** 2, np.abs(alpha) ** 2)
+    if shift is not None:
+        layer, gate, delta = shift
+        (phi_z if gate else phi_y)[layer] += delta
+    return phi_y, phi_z
+
+
+def _single_theta_kernel(spec, theta, x, y, shift=None):
+    """Reference: one probe evolved on its own by the kernel, its angles from
+    the single-theta `layer_angles` product."""
+    p0, p1 = circuits._evolve(*_shifted_angles(spec, theta, x, shift))
+    return np.where(y == 1, p1, p0)
 
 
 def _random_probes(ansatz, layers, probes, seed):
@@ -276,6 +275,67 @@ def test_measure_many_with_a_point_set_per_probe(ansatz, layers, probes, n, seed
     for p in range(probes):
         np.testing.assert_array_equal(many[p], measure_batch(spec, thetas[p], x[p], y[p],
                                                              shift=shifts[p]))
+
+
+@given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 16),
+       st.integers(1, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_populations_match_the_complex_kernel(ansatz, layers, probes, n, seed):
+    """The real-amplitude kernel against the complex one it replaced, which
+    applies every R_z.  Absolute: near p = 0 neither keeps relative precision."""
+    spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    populations = circuits._probe_populations(spec, thetas, x, shifts)
+    for p in range(probes):
+        alpha, beta = complex_evolve(*_shifted_angles(spec, thetas[p], x, shifts[p]))
+        np.testing.assert_allclose(populations[:, p], np.abs([alpha, beta]) ** 2,
+                                   rtol=0, atol=4e-15)
+
+
+def test_the_last_phase_changes_no_population_bit():
+    rng = np.random.default_rng(43)
+    x = rng.uniform(-1.0, 1.0, (9, 2))
+    for layers in (1, 4):
+        spec = CircuitSpec(Ansatz.A2C, layers)
+        theta = random_parameters(spec, rng)
+        base = evaluate_batch(spec, theta, x)
+        for delta in (0.3, -2.0, np.pi):
+            np.testing.assert_array_equal(
+                evaluate_batch(spec, theta, x, shift=(layers - 1, 1, delta)), base)
+
+
+def test_the_kernel_allocates_one_workspace_and_its_outputs():
+    """The kernel writes every intermediate into one workspace; per-layer
+    temporaries would push the peak past this bound."""
+    layers, n = 4, 12500
+    phi_y, phi_z = np.random.default_rng(47).uniform(-2 * np.pi, 2 * np.pi, (2, layers, n))
+    circuits._evolve(phi_y, phi_z)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        p0, p1 = circuits._evolve(phi_y, phi_z)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert p0.shape == p1.shape == (n,)
+    assert peak <= 1.5 * (2 * layers + 7) * n * 8
+
+
+def test_warm_generations_take_no_page_faults():
+    """A GA generation's kernel pass reuses the heap its last pass freed.
+    Per-layer temporaries made the allocator return and re-fault the heap:
+    about 600 minor faults per generation of 50 x 250 columns."""
+    rng = np.random.default_rng(53)
+    spec = CircuitSpec()
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (50, spec.n_params))
+    x, y = rng.uniform(-1.0, 1.0, (250, 2)), rng.integers(0, 2, 250)
+    for _ in range(3):
+        measure_many(spec, thetas, x, y)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        measure_many(spec, thetas, x, y)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def test_measure_many_validation():

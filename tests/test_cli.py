@@ -99,6 +99,17 @@ def test_train_rejects_an_unknown_config_key(tmp_path, capsys):
     assert "config.shots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("confusion", ["[[a, 1], [0, 1]]", "[[true, 0], [0, 1]]"])
+def test_train_rejects_a_confusion_entry_that_is_no_number(tmp_path, capsys, confusion):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"backend: {{kind: noisy, noise: {{confusion: {confusion}}}}}\n")
+    out = tmp_path / "r"
+    rc = cli.main(["train", "--config", str(config), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "backend.noise.confusion: expected 2 numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_ga_budget_below_one_generation_writes_nothing(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text(SMALL_TRAIN_CONFIG)

@@ -78,6 +78,14 @@ def test_value_errors_report_their_dotted_path():
             {"backend": {"kind": "noisy", "noise": {"confusion": [[2, -1], [0, 1]]}}})
 
 
+@pytest.mark.parametrize("confusion", [[["a", 1], [0, 1]], [[True, 0], [0, 1]],
+                                       [[1, 0], [0, False]]])
+def test_confusion_entries_must_be_numbers(confusion):
+    with pytest.raises(ConfigError, match=r"backend\.noise\.confusion: expected 2 numbers"):
+        ExperimentConfig.from_mapping(
+            {"backend": {"kind": "noisy", "noise": {"confusion": confusion}}})
+
+
 def test_noisy_backend_resolution_and_build():
     cfg = ExperimentConfig.from_mapping(
         {"seed": 2, "backend": {"kind": "noisy", "shots": 500,
