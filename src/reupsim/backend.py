@@ -100,10 +100,6 @@ class MeasurementLedger:
     def total_estimates(self) -> int:
         return self._estimates
 
-    @property
-    def total_shots(self) -> int:
-        return self._shots
-
     def reserve(self, n_estimates: int, shots_each: int) -> int:
         """Account for n_estimates new estimates; returns the first index."""
         if n_estimates < 0 or shots_each < 0:
@@ -158,14 +154,6 @@ class NoiseModel:
         diag = m[y, y]          # stay correct
         flip = m[1 - y, y]      # misread from the other state
         return flip + (diag - flip) * p_y
-
-    def to_config(self) -> dict:
-        return {
-            "confusion": [list(row) for row in self.confusion],
-            "shots": self.shots,
-            "residual_sigma": self.residual_sigma,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_config(cls, cfg: dict) -> "NoiseModel":
@@ -360,17 +348,8 @@ class TimeBudget:
 DEFAULT_TIME_BUDGET = TimeBudget()
 
 
-def estimate_time(ledger: MeasurementLedger, budget: TimeBudget | None = None,
-                  shots_per_estimate: int | None = None) -> float:
-    """Modeled wall-clock seconds for everything the ledger has recorded.
-
-    If shots_per_estimate is given, the shot total is recomputed as
-    estimates x shots instead of using the ledger's own shot counter.
-    """
+def estimate_time(ledger: MeasurementLedger, budget: TimeBudget | None = None) -> float:
+    """Modeled wall-clock seconds for everything the ledger has recorded."""
     budget = budget if budget is not None else DEFAULT_TIME_BUDGET
     estimates, shots = ledger.snapshot()
-    if shots_per_estimate is not None:
-        if shots_per_estimate < 0:
-            raise ValueError("shots_per_estimate must be >= 0")
-        shots = estimates * shots_per_estimate
     return estimates * budget.per_estimate + shots * budget.per_shot

@@ -295,10 +295,12 @@ def classify(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> int:
 
 
 def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                         y: np.ndarray) -> np.ndarray:
-    """dM/d(gate angle) for all 2L gate angles, shape (L, 2, n).
+                         y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, dM/d(gate angle)): M per point, shape (n,), bit-identical to
+    measure_batch, and the derivatives by all 2L gate angles, shape (L, 2, n).
 
-    The kernel's forward pass keeps the state psi_g after every gate g.  The
+    The kernel's forward pass keeps the state psi_g after every gate g; M is
+    read from the last one.  The
     backward pass carries the row vector w = conj(<y|psi>) <y| G_last ... G_{g+1}
     back through the same rotations, so that dM/dphi_g = 2 Re(w K_g psi_g)
     with K_g the generator of gate g: -iY/2 for R_y, which gives
@@ -307,6 +309,8 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
     """
     psi, cos, sin = _evolve(*layer_angles(spec, theta, x), states=True)
     label = np.asarray(y) == 1
+    sq = np.square(psi[-1])
+    m = np.where(label, sq[1, 0] + sq[1, 1], sq[0, 0] + sq[0, 1])
     w = np.where(np.stack([label, ~label])[:, None], 0.0, psi[-1] * [[1.0], [-1.0]])
     tmp = np.empty_like(w)
     grads = np.empty((spec.layers, 2, w.shape[-1]))
@@ -325,7 +329,7 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
             _rotate(w[::-1], cos[g], sin[g], tmp)
     grads[:-1, 1] *= -2.0
     grads[-1, 1] = 0.0
-    return grads
+    return m, grads
 
 
 def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -344,13 +348,15 @@ def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x: np.ndarray) -> np.
 
 
 def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                            y: np.ndarray) -> np.ndarray:
-    """Exact dM/dtheta_j per point, shape (n, 4L)."""
-    return chain_rule(spec, gate_angle_gradients(spec, theta, x, y), x)
+                            y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, exact dM/dtheta_j) per point, shapes (n,) and (n, 4L), from one
+    forward pass."""
+    m, angle_grads = gate_angle_gradients(spec, theta, x, y)
+    return m, chain_rule(spec, angle_grads, x)
 
 
 def analytic_gradient(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
     """Exact gradient of measure_label with respect to every parameter."""
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y}")
-    return analytic_gradient_batch(spec, theta, x, np.array([y]))[0]
+    return analytic_gradient_batch(spec, theta, x, np.array([y]))[1][0]

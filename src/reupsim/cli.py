@@ -21,8 +21,8 @@ import numpy as np
 import yaml
 
 from . import circuits, costs, data, mitigation
-from .backend import (DEFAULT_SHOTS, BudgetError, IdealBackend, MeasurementLedger,
-                      NoiseModel, NoisyBackend, TimeBudget, estimate_time)
+from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, BudgetError, IdealBackend,
+                      MeasurementLedger, NoiseModel, NoisyBackend, TimeBudget, estimate_time)
 from .circuits import Ansatz, CircuitSpec
 from .config import (ConfigError, ExperimentConfig, circle_spec, read_config, save_config,
                      set_dotted)
@@ -97,10 +97,10 @@ def read_theta(path: str | Path) -> np.ndarray:
     return np.array(values)
 
 
-def run_training(cfg: ExperimentConfig, dataset=None, backend=None):
+def run_training(cfg: ExperimentConfig):
     """Train per the config; returns (dataset, backend, best theta, trace)."""
-    dataset = cfg.build_dataset() if dataset is None else dataset
-    backend = cfg.build_backend() if backend is None else backend
+    dataset = cfg.build_dataset()
+    backend = cfg.build_backend()
     trainer_cfg = cfg.build_trainer_config()
     if isinstance(trainer_cfg, GAConfig):
         train = ga_train
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--backend", choices=("ideal", "noisy"), default="ideal")
     p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    p.add_argument("--residual-sigma", type=float, default=0.006)
+    p.add_argument("--residual-sigma", type=float, default=DEFAULT_RESIDUAL_SIGMA)
     p.add_argument("--noise-seed", type=int, default=None)
     p.add_argument("--out", default=None, help="per-point results CSV")
     _add_circuit(p)
@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="theoretical vs observed populations, raw and mitigated")
     a.add_argument("--points", type=int, default=250)
     a.add_argument("--shots", type=int, default=500)
-    a.add_argument("--residual-sigma", type=float, default=0.006)
+    a.add_argument("--residual-sigma", type=float, default=DEFAULT_RESIDUAL_SIGMA)
     a.add_argument("--calibration-shots", type=int, default=20000)
     a.add_argument("--theta", default=None,
                    help="optional fixed parameter file; default draws per-point")

@@ -5,9 +5,10 @@ optimizer, and cost.  Resolution fills defaults and replaces every absent or
 null seed with one derived from the master seed, so the archived copy
 written next to the outputs is fully self-describing: re-running it
 reproduces the run bit for bit.  Validation errors name the offending key
-with its dotted path.  The optimizer block is read through the fields of
-the trainer dataclasses (GAConfig, GradConfig and their nested specs), which
-hold its defaults and range checks; a range error names the block.
+with its dotted path.  The optimizer and noise blocks are read through the
+fields of their dataclasses (GAConfig, GradConfig and their nested specs;
+NoiseModel), which hold their defaults and range checks; a range error names
+the block.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from pathlib import Path
 
 import yaml
 
-from .backend import (DEFAULT_CONFUSION, DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS,
-                      IdealBackend, NoiseModel, NoisyBackend)
+from .backend import DEFAULT_SHOTS, IdealBackend, NoiseModel, NoisyBackend
 from .circuits import Ansatz, Choice, CircuitSpec
 from .costs import CostKind
 from .data import TRAIN_SIZE, CircleSpec, Dataset, generate, load
@@ -64,13 +64,15 @@ def _is_number(value) -> bool:
 
 def _coerce(kind, value, path: str):
     """A non-null `value` as the type `kind`: an int, a float, a string, a
-    Choice member or a tuple of floats."""
+    Choice member, or a tuple of floats or of such tuples (a matrix)."""
     if typing.get_origin(kind) is tuple:
-        size = len(typing.get_args(kind))
-        if (isinstance(value, (list, tuple)) and len(value) == size
-                and all(map(_is_number, value))):
-            return tuple(float(v) for v in value)
-        raise _fail(path, f"expected {size} numbers, got {value!r}")
+        items = typing.get_args(kind)
+        rows = typing.get_args(items[0])     # a matrix: a tuple of tuples
+        if (isinstance(value, (list, tuple)) and len(value) == len(items)
+                and (rows or all(map(_is_number, value)))):
+            return tuple(_coerce(item, v, path) for item, v in zip(items, value))
+        expected = f"a {len(items)}x{len(rows)} matrix" if rows else f"{len(items)} numbers"
+        raise _fail(path, f"expected {expected}, got {value!r}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is float and _is_number(value):
@@ -141,7 +143,8 @@ def _build(cls, block, path: str, **given):
 
 
 def _archived(obj) -> dict:
-    """The config block of a dataclass made by _build: enums by value, tuples as lists."""
+    """The config block of a dataclass made by _build: enums by value, tuples
+    (nested ones included) as lists."""
     out = {}
     for f in fields(obj):
         if f.name in _NOT_IN_BLOCK:
@@ -152,7 +155,7 @@ def _archived(obj) -> dict:
         elif isinstance(value, enum.Enum):
             value = value.value
         elif isinstance(value, tuple):
-            value = list(value)
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
         out[f.name] = value
     return out
 
@@ -256,28 +259,15 @@ class ExperimentConfig:
             if block.get("noise") is not None:
                 raise _fail("backend.noise", "only valid when kind is noisy")
             return {"kind": "ideal", "shots": shots}
-        noise = _as_mapping(block.get("noise"), "backend.noise")
-        _reject_unknown(noise, {"confusion", "shots", "residual_sigma", "seed"},
-                        "backend.noise")
-        confusion = noise.get("confusion")
-        if confusion is None:
-            confusion = DEFAULT_CONFUSION
-        if not isinstance(confusion, (list, tuple)) or len(confusion) != 2:
-            raise _fail("backend.noise.confusion", f"expected a 2x2 matrix, got {confusion!r}")
-        confusion = [list(_coerce(tuple[float, float], row, "backend.noise.confusion"))
-                     for row in confusion]
-        noise_shots = _get(noise, "shots", "backend.noise", int, shots, minimum=1)
-        sigma = _get(noise, "residual_sigma", "backend.noise", float, DEFAULT_RESIDUAL_SIGMA)
-        noise_seed = _get(noise, "seed", "backend.noise", int, minimum=0)
-        if noise_seed is None:
-            noise_seed = derive_seed(master_seed, "backend")
-        resolved_noise = {"confusion": confusion,
-                          "shots": noise_shots, "residual_sigma": sigma, "seed": noise_seed}
-        try:
-            NoiseModel.from_config(resolved_noise)
-        except ValueError as exc:
-            raise _fail("backend.noise", str(exc)) from None
-        return {"kind": "noisy", "shots": noise_shots, "noise": resolved_noise}
+        # the two noise defaults that depend on context: backend.shots and a derived seed
+        given = _as_mapping(block.get("noise"), "backend.noise")
+        context = {"shots": shots, "seed": derive_seed(master_seed, "backend")}
+        model = _build(NoiseModel, {**given, **{k: v for k, v in context.items()
+                                                if given.get(k) is None}}, "backend.noise")
+        if block.get("shots") is not None and model.shots != shots:
+            raise _fail("backend.noise.shots", f"{model.shots} differs from "
+                        f"backend.shots = {shots}; set one of the two")
+        return {"kind": "noisy", "shots": model.shots, "noise": _archived(model)}
 
     @staticmethod
     def _resolve_optimizer(block: dict, master_seed: int, cost: CostKind) -> dict:

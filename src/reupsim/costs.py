@@ -151,6 +151,5 @@ def analytic_gradient(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
         raise ValueError("dataset is empty")
     if kind is CostKind.ACCURACY:
         return np.zeros(spec.n_params)
-    m = circuits.measure_batch(spec, theta, ds.x, ds.y)
-    dm = circuits.analytic_gradient_batch(spec, theta, ds.x, ds.y)
+    m, dm = circuits.analytic_gradient_batch(spec, theta, ds.x, ds.y)
     return (cost_weights(kind, m)[:, None] * dm).mean(axis=0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costs
-from .backend import Backend, EstimateBudget, MeasurementLedger, TimeBudget
+from .backend import Backend, EstimateBudget, MeasurementLedger
 from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
@@ -242,8 +242,8 @@ def check_budget(config: GAConfig, n_points: int,
     return guard
 
 
-def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-             budget: TimeBudget | None = None) -> tuple[np.ndarray, TrainingTrace]:
+def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
+             backend: Backend) -> tuple[np.ndarray, TrainingTrace]:
     """Evolve a population against the dataset; returns (best theta, trace).
 
     The trace has one row per generation, generation 0 being the random
@@ -280,7 +280,7 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
             best_theta = pop[gen_best].copy()
         best_accuracy = max(best_accuracy, float(accs.max()))
 
-        trace.record(gen, best_accuracy, best_value, backend.ledger, budget, diversity(pop))
+        trace.record(gen, best_accuracy, best_value, backend.ledger, diversity(pop))
 
         if config.target_accuracy is not None and best_accuracy >= config.target_accuracy:
             break

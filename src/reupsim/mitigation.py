@@ -199,13 +199,12 @@ class NoiseScalingReport:
 
 def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
                   shot_counts, residual_sigma: float = 0.0, repeats: int = 200,
-                  seed: int = 0,
-                  confusion=IDENTITY_CONFUSION) -> NoiseScalingReport:
+                  seed: int = 0) -> NoiseScalingReport:
     """Estimator spread versus shot count, with a power-law fit std = a*N^b.
 
     For each N, every dataset point is estimated `repeats` times through a
-    fresh backend; the reported std at N is the per-point repetition std
-    averaged over points.
+    fresh backend with perfect readout (IDENTITY_CONFUSION); the reported
+    std at N is the per-point repetition std averaged over points.
     """
     shot_counts = np.asarray(list(shot_counts), dtype=int)
     if shot_counts.size < 2 or np.unique(shot_counts).size < 2:
@@ -217,7 +216,7 @@ def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
     n = p.size
     stds = np.empty(shot_counts.size)
     for i, shots in enumerate(shot_counts):
-        noise = NoiseModel(confusion=confusion, shots=int(shots),
+        noise = NoiseModel(confusion=IDENTITY_CONFUSION, shots=int(shots),
                            residual_sigma=residual_sigma,
                            seed=derive_seed(seed, f"noise-scaling/{shots}"))
         nb = NoisyBackend(noise)
@@ -265,8 +264,8 @@ def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset
                           repeats: int = 20,
                           kinds: tuple[CostKind, ...] = (CostKind.ACCURACY,
                                                          CostKind.CROSS_ENTROPY,
-                                                         CostKind.CHI_SQUARED),
-                          ideal_backend_factory=None) -> GradientNoiseReport:
+                                                         CostKind.CHI_SQUARED)
+                          ) -> GradientNoiseReport:
     """Noiseless finite-difference gradients against their noisy estimates.
 
     For every step size and cost, the exact finite-difference gradient is

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backend import MeasurementLedger, TimeBudget, estimate_time
+from .backend import MeasurementLedger, estimate_time
 
 TRACE_HEADER = ("iter", "best_accuracy", "best_loss", "diversity",
                 "cum_estimates", "cum_shots", "wall_ms")
@@ -76,12 +76,11 @@ class TrainingTrace:
                                   cum_estimates, cum_shots, wall_ms))
 
     def record(self, iteration: int, best_accuracy: float, best_loss: float,
-               ledger: MeasurementLedger, budget: TimeBudget | None = None,
-               diversity: float | None = None) -> None:
+               ledger: MeasurementLedger, diversity: float | None = None) -> None:
         """Append a row with the ledger's totals and their modeled time."""
         est, shots = ledger.snapshot()
         self.append(iteration, best_accuracy, best_loss, diversity, est, shots,
-                    estimate_time(ledger, budget) * 1000.0)
+                    estimate_time(ledger) * 1000.0)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, costs
-from .backend import Backend, EstimateBudget, IdealBackend, TimeBudget
+from .backend import Backend, EstimateBudget, IdealBackend
 from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
@@ -213,8 +213,7 @@ def _gradient_cost(method: GradMethod, spec: CircuitSpec, n_points: int) -> int:
 
 
 def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-               theta0: np.ndarray | None = None,
-               budget: TimeBudget | None = None) -> tuple[np.ndarray, TrainingTrace]:
+               theta0: np.ndarray | None = None) -> tuple[np.ndarray, TrainingTrace]:
     """Quasi-Newton minimization of the configured cost; returns the iterate
     with the best measured cost and the per-iteration trace.
 
@@ -243,7 +242,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
         f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
         g = gradient(theta)
     best_theta, best_val, best_acc = theta.copy(), f, acc
-    trace.record(0, best_acc, best_val, backend.ledger, budget)
+    trace.record(0, best_acc, best_val, backend.ledger)
 
     ls = cfg.line_search
     for k in range(1, cfg.max_iterations + 1):
@@ -303,7 +302,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
         if f_trial < best_val:
             best_theta, best_val = trial.copy(), f_trial
         best_acc = max(best_acc, acc_trial)
-        trace.record(k, best_acc, best_val, backend.ledger, budget)
+        trace.record(k, best_acc, best_val, backend.ledger)
 
         if g_trial is None:
             break
@@ -315,8 +314,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
 
 
 def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-              theta0: np.ndarray | None = None,
-              budget: TimeBudget | None = None) -> tuple[np.ndarray, TrainingTrace]:
+              theta0: np.ndarray | None = None) -> tuple[np.ndarray, TrainingTrace]:
     """Mini-batch gradient descent; full-batch when batch_size is unset or
     equals the dataset size (plain gradient descent).
 
@@ -339,7 +337,7 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
     with backend_failures("iteration 0"):
         f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
     best_theta, best_val, best_acc = theta.copy(), f, acc
-    trace.record(0, best_acc, best_val, backend.ledger, budget)
+    trace.record(0, best_acc, best_val, backend.ledger)
 
     order = np.arange(n)
     cursor = n  # force a reshuffle on first use
@@ -360,7 +358,7 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
         if f < best_val:
             best_theta, best_val = theta.copy(), f
         best_acc = max(best_acc, acc)
-        trace.record(k, best_acc, best_val, backend.ledger, budget)
+        trace.record(k, best_acc, best_val, backend.ledger)
         if cfg.target_accuracy is not None and best_acc >= cfg.target_accuracy:
             break
 

@@ -174,13 +174,15 @@ def test_analytic_gradient_matches_finite_differences():
 
 def test_gate_angle_gradients_obey_the_shift_rule():
     """For these rotations dM/dphi equals half the difference of +-pi/2
-    shifted evaluations, exactly."""
+    shifted evaluations, exactly; the M of the same forward pass is
+    measure_batch's, bit for bit."""
     rng = np.random.default_rng(29)
     spec = CircuitSpec(Ansatz.A2C, 3)
     theta = random_parameters(spec, rng)
     x = rng.uniform(-1.0, 1.0, (5, 2))
     y = rng.integers(0, 2, 5)
-    grads = circuits.gate_angle_gradients(spec, theta, x, y)
+    m, grads = circuits.gate_angle_gradients(spec, theta, x, y)
+    np.testing.assert_array_equal(m, measure_batch(spec, theta, x, y))
     for l in range(spec.layers):
         for gate in range(2):
             plus = measure_batch(spec, theta, x, y, shift=(l, gate, np.pi / 2))

@@ -272,6 +272,38 @@ def test_an_ideal_cell_over_a_noise_block_is_a_config_error(tmp_path, capsys):
         assert [r["value"] for r in csv.DictReader(fh)] == ["ideal", "noisy"]
 
 
+def test_a_backend_shots_sweep_trains_each_cell_at_its_shot_count(tmp_path, capsys):
+    """backend.shots reaches the noise model; a base that also sets noise.shots
+    to another value is a config error, not a sweep at one shot count."""
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_TRAIN_CONFIG)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config), "--param", "backend.shots",
+            "--values", "20,40", "--repeats", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "backend.noise.shots: 30 differs from backend.shots = 20" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(argv + ["--set", "backend.noise.shots=null"]) == cli.EXIT_OK
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["cum_shots"]) // int(r["cum_estimates"]) for r in rows] == [20, 40]
+
+
+def test_sweep_jobs_do_not_change_the_outputs(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_TRAIN_CONFIG)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = cli.main(["sweep", "--config", str(config), "--param",
+                       "optimizer.population_size", "--values", "4,6", "--repeats", "2",
+                       "--jobs", jobs, "--out", str(out), "--seed", "3"])
+        assert rc == cli.EXIT_OK
+        outputs.append([(out / name).read_bytes()
+                        for name in ("sweep.csv", "sweep_summary.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_a_sweep_key_under_a_non_mapping_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text("seed: 3\n")

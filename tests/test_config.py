@@ -73,9 +73,19 @@ def test_value_errors_report_their_dotted_path():
         ExperimentConfig.from_mapping({"dataset": {"source": "load"}})
     with pytest.raises(ConfigError, match=r"optimizer\.init_range"):
         ExperimentConfig.from_mapping({"optimizer": {"init_range": [1, 2, 3]}})
-    with pytest.raises(ConfigError, match=r"backend\.noise"):
+    with pytest.raises(ConfigError, match=r"^backend\.noise: confusion entries must lie"):
         ExperimentConfig.from_mapping(
             {"backend": {"kind": "noisy", "noise": {"confusion": [[2, -1], [0, 1]]}}})
+    for noise, message in (({"shots": 0}, r"backend\.noise: shots must be >= 1, got 0"),
+                           ({"seed": -1}, r"backend\.noise: seed must be non-negative"),
+                           ({"residual_sigma": -0.1},
+                            r"backend\.noise: residual_sigma must be >= 0"),
+                           ({"confusion": [[1, 0]]},
+                            r"backend\.noise\.confusion: expected a 2x2 matrix"),
+                           ({"shots": 2.5}, r"backend\.noise\.shots: expected an integer"),
+                           ({"bogus": None}, r"backend\.noise\.bogus: unknown key")):
+        with pytest.raises(ConfigError, match="^" + message):
+            ExperimentConfig.from_mapping({"backend": {"kind": "noisy", "noise": noise}})
 
 
 @pytest.mark.parametrize("confusion", [[["a", 1], [0, 1]], [[True, 0], [0, 1]],
@@ -84,6 +94,19 @@ def test_confusion_entries_must_be_numbers(confusion):
     with pytest.raises(ConfigError, match=r"backend\.noise\.confusion: expected 2 numbers"):
         ExperimentConfig.from_mapping(
             {"backend": {"kind": "noisy", "noise": {"confusion": confusion}}})
+
+
+def test_backend_shots_and_noise_shots_must_agree():
+    with pytest.raises(ConfigError, match=r"^backend\.noise\.shots: 200 differs from "
+                                          r"backend\.shots = 100"):
+        ExperimentConfig.from_mapping(
+            {"backend": {"kind": "noisy", "shots": 100, "noise": {"shots": 200}}})
+    for block in ({"shots": 200, "noise": {"shots": 200}}, {"noise": {"shots": 200}},
+                  {"shots": 200}, {"shots": 200, "noise": {"shots": None}}):
+        cfg = ExperimentConfig.from_mapping({"backend": {"kind": "noisy", **block}})
+        assert (cfg.backend["shots"], cfg.backend["noise"]["shots"]) == (200, 200)
+        # an archived config carries both keys, equal, and loads again
+        assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
 
 
 def test_noisy_backend_resolution_and_build():

@@ -1,7 +1,9 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read somewhere in that module, and
+every parameter of every function is read in that function's body.
 
-No linter runs on this repository, so this scan keeps dead imports out of
-src/reupsim.  `__init__.py` is skipped: it imports names to re-export them.
+No linter runs on this repository, so these scans keep dead imports and
+unread parameters out of src/reupsim.  The import scan skips
+`__init__.py`: it imports names to re-export them.
 """
 
 import ast
@@ -10,6 +12,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reupsim"
+MODULES = sorted(PACKAGE.glob("*.py"))
+# IdealBackend.sample takes the labels only to match NoisyBackend.sample
+UNREAD_BY_DESIGN = ["IdealBackend.sample(y)"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,8 +29,34 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"), ids=lambda p: p.name)
+def unread_parameters(source: str) -> list[str]:
+    """`function(parameter)` for each parameter that its function's body, nested
+    functions included, never reads; methods are named `Class.method`.  Dunder
+    methods are skipped: their signatures are fixed by the protocol."""
+    found = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef) and not (
+                    child.name.startswith("__") and child.name.endswith("__")):
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
+                                          a.kwarg) if p is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{name}({p})" for p in params if p not in read)
+            visit(child, name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
 
@@ -34,3 +65,15 @@ def test_the_scan_reports_each_unread_name():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from x import a, b as c\nprint(c, np.pi)\n")
     assert unused_imports(source) == ["a", "os"]
+
+
+def test_every_parameter_is_read():
+    unread = [name for path in MODULES for name in unread_parameters(path.read_text())]
+    assert unread == UNREAD_BY_DESIGN
+
+
+def test_the_parameter_scan_reports_each_unread_parameter():
+    source = ("def f(a, b, *rest, c=1, **extra):\n    return a + c\n"
+              "class K:\n    def m(self, x):\n        def inner():\n            return x\n"
+              "        return inner\n    def __exit__(self, kind, exc, tb):\n        pass\n")
+    assert unread_parameters(source) == ["f(b)", "f(rest)", "f(extra)", "K.m(self)"]
