@@ -157,15 +157,9 @@ class NoiseModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "NoiseModel":
-        known = {"confusion", "shots", "residual_sigma", "seed"}
-        extra = set(cfg) - known
-        if extra:
-            raise ValueError(f"unknown noise keys: {sorted(extra)}")
-        kwargs = dict(cfg)
-        if "confusion" in kwargs:
-            kwargs["confusion"] = tuple(tuple(float(v) for v in row)
-                                        for row in kwargs["confusion"])
-        return cls(**kwargs)
+        """The model of a `backend.noise` config block, read by the config reader."""
+        from .config import _build   # config imports this module
+        return _build(cls, cfg, "backend.noise")
 
 
 class BudgetError(ValueError):
@@ -201,8 +195,8 @@ class Backend:
         self.ledger = MeasurementLedger()
 
     def measure(self, spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                y: np.ndarray, shift: tuple[int, int, float] | None = None) -> np.ndarray:
-        p = circuits.measure_batch(spec, theta, x, y, shift=shift)
+                y: np.ndarray) -> np.ndarray:
+        p = circuits.measure_batch(spec, theta, x, y)
         return self.sample(p, np.asarray(y))
 
     def charge(self, n_estimates: int) -> None:

@@ -241,10 +241,10 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
                    phi_z.reshape(spec.layers, -1)).reshape(2, n_probes, n)
 
 
-def evaluate_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                   shift: tuple[int, int, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_batch(spec: CircuitSpec, theta: np.ndarray,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact outcome probabilities (p0, p1) for each point in the batch."""
-    p0, p1 = _probe_populations(spec, check_theta(spec, theta)[None], x, [shift])[:, 0]
+    p0, p1 = _probe_populations(spec, check_theta(spec, theta)[None], x)[:, 0]
     return p0, p1
 
 

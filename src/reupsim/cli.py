@@ -24,8 +24,8 @@ from . import circuits, costs, data, mitigation
 from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, BudgetError, IdealBackend,
                       MeasurementLedger, NoiseModel, NoisyBackend, TimeBudget, estimate_time)
 from .circuits import Ansatz, CircuitSpec
-from .config import (ConfigError, ExperimentConfig, circle_spec, read_config, save_config,
-                     set_dotted)
+from .config import (ConfigError, ExperimentConfig, _build, _circle, read_config,
+                     save_config, set_dotted)
 from .ga import GAConfig, ga_train
 from .seeding import derive_seed
 from .trace import TrainingError
@@ -57,6 +57,12 @@ def _master_seed(args) -> int | None:
     if getattr(args, "seed", None) is not None:
         return args.seed
     return _env_seed()
+
+
+def _analysis_seed(args) -> int:
+    """The master seed of a command that reads no config file: 0 when unset."""
+    seed = _master_seed(args)
+    return seed if seed is not None else 0
 
 
 def _write_rows(path: Path, header: tuple[str, ...], rows) -> None:
@@ -120,10 +126,8 @@ def run_training(cfg: ExperimentConfig):
 
 
 def cmd_gen_data(args) -> int:
-    seed = _master_seed(args)
-    if seed is None:
-        seed = 0
-    circle = circle_spec(args.center, args.radius, args.domain)
+    seed = _analysis_seed(args)
+    circle = _circle(vars(args))
     if args.split is not None:
         context = f"data/{args.split}"
         n = args.n if args.n is not None else (data.TRAIN_SIZE if args.split == "train"
@@ -181,12 +185,11 @@ def cmd_evaluate(args) -> int:
     spec = _circuit_from_flags(args)
     if theta.size != spec.n_params:
         raise ConfigError(f"theta: expected {spec.n_params} parameters for "
-                          f"{args.ansatz} with {args.layers} layers, got {theta.size}")
+                          f"{spec.ansatz.value} with {spec.layers} layers, got {theta.size}")
     if args.backend == "noisy":
         noise_seed = args.noise_seed
         if noise_seed is None:
-            master = _master_seed(args)
-            noise_seed = derive_seed(master if master is not None else 0, "evaluate")
+            noise_seed = derive_seed(_analysis_seed(args), "evaluate")
         backend = NoisyBackend(NoiseModel(shots=args.shots,
                                           residual_sigma=args.residual_sigma,
                                           seed=noise_seed))
@@ -227,9 +230,8 @@ def _sweep_value(param: str, text: str):
 
 def cmd_sweep(args) -> int:
     base_raw = read_config(args.config, args.set)
-    master = _master_seed(args)
-    if master is None:
-        master = base_raw.get("seed", 0) if isinstance(base_raw.get("seed", 0), int) else 0
+    master = ExperimentConfig.from_mapping(base_raw, master_seed=_master_seed(args),
+                                           workers=args.workers).seed
 
     values = _parse_list(args.values, "--values")
     cells = []
@@ -285,15 +287,9 @@ def cmd_sweep(args) -> int:
 
 
 def _circuit_from_flags(args) -> CircuitSpec:
-    try:
-        return CircuitSpec(Ansatz.parse(args.ansatz), args.layers)
-    except ValueError as exc:
-        raise ConfigError(f"circuit: {exc}") from None
-
-
-def _analysis_seed(args) -> int:
-    seed = _master_seed(args)
-    return seed if seed is not None else 0
+    """The circuit of --ansatz and --layers, read like a config's circuit block."""
+    return _build(CircuitSpec, {"ansatz": getattr(args, "ansatz", None),
+                                "layers": args.layers}, "circuit")
 
 
 def _parse_list(text: str, flag: str, kind=str) -> list:
@@ -429,12 +425,13 @@ def cmd_analyze_landscape(args) -> int:
 
 def cmd_analyze_ansatz_spread(args) -> int:
     seed = _analysis_seed(args)
+    layers = _circuit_from_flags(args).layers
     ds = data.generate(args.points, seed=derive_seed(seed, "analyze/spread/data"))
     out_dir = Path(args.out)
     rows = []
     summary = []
     for ansatz in Ansatz:
-        spec = CircuitSpec(ansatz, args.layers)
+        spec = CircuitSpec(ansatz, layers)
         sums_y = np.empty((args.sets, len(ds)))
         sums_z = np.empty((args.sets, len(ds)))
         for s in range(args.sets):
@@ -489,14 +486,30 @@ def cmd_analyze_time_budget(args) -> int:
 # parser
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer >= minimum, else parsing exits 2 naming the flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
+_count = _at_least(1)
+_non_negative = _at_least(0)
+
+
 def _add_seed(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_non_negative, default=None,
                         help=f"master seed (default: ${SEED_ENV_VAR} or config file)")
 
 
-def _add_circuit(parser) -> None:
-    parser.add_argument("--ansatz", default="2C", help="ansatz kind (2A, 2B, 2C, 2D)")
-    parser.add_argument("--layers", type=int, default=4, help="number of layers")
+def _add_circuit(parser, ansatz: bool = True) -> None:
+    """--ansatz and --layers; a flag not given takes CircuitSpec's default."""
+    if ansatz:
+        parser.add_argument("--ansatz", default=None, help="ansatz kind (2A, 2B, 2C, 2D)")
+    parser.add_argument("--layers", type=int, default=None, help="number of layers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a circle-boundary dataset CSV")
-    p.add_argument("--n", type=int, default=None, help="number of points")
+    p.add_argument("--n", type=_count, default=None, help="number of points")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--split", choices=("train", "test"), default=None,
                    help="derive the seed for the canonical train or test split")
@@ -521,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one training experiment from a config")
     p.add_argument("--config", default=None, help="YAML config path")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_count, default=None,
                    help="accepted for archived configs; does not affect results or speed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key (dotted path, YAML value); repeatable")
@@ -532,9 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, help="parameter file (one value per line)")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--backend", choices=("ideal", "noisy"), default="ideal")
-    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    p.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
     p.add_argument("--residual-sigma", type=float, default=DEFAULT_RESIDUAL_SIGMA)
-    p.add_argument("--noise-seed", type=int, default=None)
+    p.add_argument("--noise-seed", type=_non_negative, default=None)
     p.add_argument("--out", default=None, help="per-point results CSV")
     _add_circuit(p)
     _add_seed(p)
@@ -545,10 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True,
                    help="dotted config key to vary, e.g. optimizer.population_size")
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--repeats", type=int, default=5, help="repeats per value")
-    p.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
+    p.add_argument("--repeats", type=_count, default=5, help="repeats per value")
+    p.add_argument("--jobs", type=_count, default=1, help="parallel training jobs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_count, default=None)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     _add_seed(p)
     p.set_defaults(func=cmd_sweep)
@@ -558,10 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = asub.add_parser("residuals",
                         help="theoretical vs observed populations, raw and mitigated")
-    a.add_argument("--points", type=int, default=250)
-    a.add_argument("--shots", type=int, default=500)
+    a.add_argument("--points", type=_count, default=250)
+    a.add_argument("--shots", type=_count, default=500)
     a.add_argument("--residual-sigma", type=float, default=DEFAULT_RESIDUAL_SIGMA)
-    a.add_argument("--calibration-shots", type=int, default=20000)
+    a.add_argument("--calibration-shots", type=_count, default=20000)
     a.add_argument("--theta", default=None,
                    help="optional fixed parameter file; default draws per-point")
     a.add_argument("--out", required=True)
@@ -572,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser("noise-scaling", help="estimator spread vs shot count")
     a.add_argument("--shots", default="10,30,100,300,1000",
                    help="comma-separated shot counts")
-    a.add_argument("--repeats", type=int, default=200)
-    a.add_argument("--points", type=int, default=20)
+    a.add_argument("--repeats", type=_count, default=200)
+    a.add_argument("--points", type=_count, default=20)
     a.add_argument("--residual-sigma", type=float, default=0.0)
     a.add_argument("--out", required=True)
     _add_circuit(a)
@@ -583,9 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser("gradient-noise",
                         help="exact finite-difference gradients vs noisy estimates")
     a.add_argument("--steps", default="0.1,0.5,1.0", help="comma-separated step sizes")
-    a.add_argument("--repeats", type=int, default=20)
-    a.add_argument("--points", type=int, default=25)
-    a.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    a.add_argument("--repeats", type=_count, default=20)
+    a.add_argument("--points", type=_count, default=25)
+    a.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
     a.add_argument("--ideal", action="store_true",
                    help="run the noisy leg on an ideal backend")
     a.add_argument("--out", required=True)
@@ -597,11 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="best-accuracy surface over the first two parameters")
     a.add_argument("--grid-min", type=float, default=-np.pi)
     a.add_argument("--grid-max", type=float, default=np.pi)
-    a.add_argument("--grid-steps", type=int, default=21)
-    a.add_argument("--budget", type=int, default=0,
+    a.add_argument("--grid-steps", type=_count, default=21)
+    a.add_argument("--budget", type=_non_negative, default=0,
                    help="random perturbations of the remaining parameters per cell")
     a.add_argument("--radius", type=float, default=0.5)
-    a.add_argument("--points", type=int, default=100)
+    a.add_argument("--points", type=_count, default=100)
     a.add_argument("--out", required=True)
     _add_circuit(a)
     _add_seed(a)
@@ -609,18 +622,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = asub.add_parser("ansatz-spread",
                         help="total applied rotation angles per ansatz kind")
-    a.add_argument("--sets", type=int, default=20, help="random parameter sets per kind")
-    a.add_argument("--points", type=int, default=200)
-    a.add_argument("--layers", type=int, default=4)
+    a.add_argument("--sets", type=_count, default=20, help="random parameter sets per kind")
+    a.add_argument("--points", type=_count, default=200)
+    _add_circuit(a, ansatz=False)
     a.add_argument("--out", required=True)
     _add_seed(a)
     a.set_defaults(func=cmd_analyze_ansatz_spread)
 
     a = asub.add_parser("time-budget", help="modeled hardware time for a training run")
-    a.add_argument("--population", type=int, default=50)
-    a.add_argument("--points", type=int, default=250)
-    a.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    a.add_argument("--generations", type=int, default=1)
+    a.add_argument("--population", type=_count, default=50)
+    a.add_argument("--points", type=_count, default=250)
+    a.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
+    a.add_argument("--generations", type=_non_negative, default=1)
     a.add_argument("--out", required=True)
     a.set_defaults(func=cmd_analyze_time_budget)
 

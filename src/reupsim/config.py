@@ -5,10 +5,11 @@ optimizer, and cost.  Resolution fills defaults and replaces every absent or
 null seed with one derived from the master seed, so the archived copy
 written next to the outputs is fully self-describing: re-running it
 reproduces the run bit for bit.  Validation errors name the offending key
-with its dotted path.  The optimizer and noise blocks are read through the
-fields of their dataclasses (GAConfig, GradConfig and their nested specs;
-NoiseModel), which hold their defaults and range checks; a range error names
-the block.
+with its dotted path.  Every block backed by a dataclass is read by `_build`
+through that dataclass's fields (CircuitSpec; the dataset's CircleSpec keys;
+NoiseModel; GAConfig, GradConfig and their nested specs), which hold its
+defaults and range checks; a range error names the block.  The CLI builds
+its circuit and circle flags the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import yaml
 
 from .backend import DEFAULT_SHOTS, IdealBackend, NoiseModel, NoisyBackend
-from .circuits import Ansatz, Choice, CircuitSpec
+from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import TRAIN_SIZE, CircleSpec, Dataset, generate, load
 from .ga import GAConfig
@@ -168,15 +169,10 @@ def _trainer_config(optimizer: dict, cost: CostKind) -> GAConfig | GradConfig:
     return _build(GradConfig, block, "optimizer", method=OptimizerKind(kind), cost=cost)
 
 
-def circle_spec(center=None, radius=None, domain=None) -> CircleSpec:
-    """The dataset boundary from a center pair, a radius and a flat
-    [x_lo, x_hi, y_lo, y_hi] domain; None keeps the default."""
-    given = {"center": None if center is None else tuple(center), "radius": radius,
-             "domain": None if domain is None else (tuple(domain[:2]), tuple(domain[2:]))}
-    try:
-        return CircleSpec(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        raise _fail("dataset", str(exc)) from None
+def _circle(block: dict) -> CircleSpec:
+    """The dataset boundary from the center, radius and domain keys of `block`."""
+    return _build(CircleSpec, {f.name: block.get(f.name) for f in fields(CircleSpec)},
+                  "dataset")
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ class ExperimentConfig:
         if output_dir is None:
             output_dir = _get(raw, "output_dir", "config", str)
 
-        circuit = cls._resolve_circuit(_as_mapping(raw.get("circuit"), "circuit"))
+        circuit = _build(CircuitSpec, raw.get("circuit"), "circuit")
         dataset = cls._resolve_dataset(_as_mapping(raw.get("dataset"), "dataset"), seed)
         backend = cls._resolve_backend(_as_mapping(raw.get("backend"), "backend"), seed)
         cost = _get(raw, "cost", "config", CostKind, CostKind.CROSS_ENTROPY)
@@ -214,12 +210,6 @@ class ExperimentConfig:
                                            seed, cost)
         return cls(seed=seed, workers=workers, output_dir=output_dir, circuit=circuit,
                    dataset=dataset, backend=backend, optimizer=optimizer, cost=cost)
-
-    @staticmethod
-    def _resolve_circuit(block: dict) -> CircuitSpec:
-        _reject_unknown(block, {"ansatz", "layers"}, "circuit")
-        return CircuitSpec(_get(block, "ansatz", "circuit", Ansatz, Ansatz.A2C),
-                           _get(block, "layers", "circuit", int, 4, minimum=1))
 
     @staticmethod
     def _resolve_dataset(block: dict, master_seed: int) -> dict:
@@ -239,16 +229,11 @@ class ExperimentConfig:
                     raise _fail(f"dataset.{key}", "only valid when source is generate")
             return {"source": "load", "path": path}
         seed = _get(block, "seed", "dataset", int, minimum=0)
-        resolved = {"source": "generate",
-                    "n": _get(block, "n", "dataset", int, TRAIN_SIZE, minimum=1),
-                    "seed": derive_seed(master_seed, "dataset") if seed is None else seed}
-        for key, kind in (("center", tuple[float, float]), ("radius", float),
-                          ("domain", tuple[float, float, float, float])):
-            value = _get(block, key, "dataset", kind)
-            if value is not None:
-                resolved[key] = list(value) if isinstance(value, tuple) else value
-        circle_spec(resolved.get("center"), resolved.get("radius"), resolved.get("domain"))
-        return resolved
+        n = _get(block, "n", "dataset", int, TRAIN_SIZE, minimum=1)
+        circle = _archived(_circle(block))   # only the keys given are archived
+        return {"source": "generate", "n": n,
+                "seed": derive_seed(master_seed, "dataset") if seed is None else seed,
+                **{k: v for k, v in circle.items() if block.get(k) is not None}}
 
     @staticmethod
     def _resolve_backend(block: dict, master_seed: int) -> dict:
@@ -283,7 +268,7 @@ class ExperimentConfig:
         out = {
             "seed": self.seed,
             "workers": self.workers,
-            "circuit": {"ansatz": self.circuit.ansatz.value, "layers": self.circuit.layers},
+            "circuit": _archived(self.circuit),
             "dataset": self.dataset,
             "backend": self.backend,
             "optimizer": self.optimizer,
@@ -297,13 +282,12 @@ class ExperimentConfig:
         block = self.dataset
         if block["source"] == "load":
             return load(block["path"])
-        circle = circle_spec(block.get("center"), block.get("radius"), block.get("domain"))
-        return generate(block["n"], circle, block["seed"])
+        return generate(block["n"], _circle(block), block["seed"])
 
     def build_backend(self):
         if self.backend["kind"] == "ideal":
             return IdealBackend(shots=self.backend["shots"])
-        return NoisyBackend(NoiseModel.from_config(self.backend["noise"]))
+        return NoisyBackend(_build(NoiseModel, self.backend["noise"], "backend.noise"))
 
     def build_trainer_config(self) -> GAConfig | GradConfig:
         """The optimizer block as a GAConfig or GradConfig instance."""

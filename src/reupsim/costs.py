@@ -36,12 +36,11 @@ def is_loss(kind: CostKind) -> bool:
 
 
 def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                    backend: Backend,
-                    shift: tuple[int, int, float] | None = None) -> np.ndarray:
+                    backend: Backend) -> np.ndarray:
     """Per-point estimates of M(theta, x_i, y_i) through the backend."""
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    return backend.sample(circuits.measure_batch(spec, theta, ds.x, ds.y, shift=shift), ds.y)
+    return backend.sample(circuits.measure_batch(spec, theta, ds.x, ds.y), ds.y)
 
 
 def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: Backend,

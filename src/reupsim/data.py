@@ -25,16 +25,17 @@ CSV_HEADER = ("x0", "x1", "label")
 
 @dataclass(frozen=True)
 class CircleSpec:
-    """Circular decision boundary inside a rectangular sampling domain."""
+    """Circular decision boundary inside a rectangular sampling domain
+    (x_lo, x_hi, y_lo, y_hi)."""
 
     center: tuple[float, float] = (0.0, 0.0)
     radius: float = float(np.sqrt(2.0 / np.pi))
-    domain: tuple[tuple[float, float], tuple[float, float]] = ((-1.0, 1.0), (-1.0, 1.0))
+    domain: tuple[float, float, float, float] = (-1.0, 1.0, -1.0, 1.0)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        (x_lo, x_hi), (y_lo, y_hi) = self.domain
+        x_lo, x_hi, y_lo, y_hi = self.domain
         if x_lo >= x_hi or y_lo >= y_hi:
             raise ValueError(f"domain box has no area: {self.domain}")
         cx, cy = self.center
@@ -93,7 +94,7 @@ def generate(n: int, spec: CircleSpec = DEFAULT_BOUNDARY, seed: int = 0) -> Data
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
     rng = np.random.default_rng(seed)
-    (x_lo, x_hi), (y_lo, y_hi) = spec.domain
+    x_lo, x_hi, y_lo, y_hi = spec.domain
     x = np.column_stack([rng.uniform(x_lo, x_hi, n), rng.uniform(y_lo, y_hi, n)])
     return Dataset(x, spec.classify(x), spec, seed)
 
@@ -110,7 +111,7 @@ def save(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as CSV; floats keep full round-trip precision."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    (x_lo, x_hi), (y_lo, y_hi) = ds.boundary.domain
+    x_lo, x_hi, y_lo, y_hi = ds.boundary.domain
     with open(path, "w", newline="") as fh:
         fh.write(f"# boundary center={ds.boundary.center[0]!r},{ds.boundary.center[1]!r}"
                  f" radius={ds.boundary.radius!r}"
@@ -130,7 +131,7 @@ def _parse_boundary_line(line: str, path: Path) -> tuple[CircleSpec, int]:
         seed = int(fields["seed"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}:1: malformed boundary line ({exc})") from None
-    return CircleSpec((cx, cy), radius, ((x_lo, x_hi), (y_lo, y_hi))), seed
+    return CircleSpec((cx, cy), radius, (x_lo, x_hi, y_lo, y_hi)), seed
 
 
 def load(path: str | Path) -> Dataset:

@@ -104,6 +104,11 @@ class GradConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.init_range[0] >= self.init_range[1]:
+            raise ValueError(f"init_range is empty: {self.init_range}")
+        if self.cost is CostKind.ACCURACY:
+            raise ValueError(f"the accuracy cost needs the ga optimizer: {self.method.value} "
+                             "minimizes its cost, so it would drive accuracy down")
         if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
             raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
         if self.max_estimates is not None and self.max_estimates < 1:

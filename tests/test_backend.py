@@ -96,7 +96,7 @@ def test_noise_model_config_round_trip():
     archived = _archived(nm)
     assert archived["confusion"] == [[0.9, 0.1], [0.3, 0.7]]
     assert NoiseModel.from_config(archived) == nm
-    with pytest.raises(ValueError, match="unknown noise keys"):
+    with pytest.raises(ValueError, match=r"^backend\.noise\.bogus: unknown key"):
         NoiseModel.from_config({"shots": 10, "bogus": 1})
 
 

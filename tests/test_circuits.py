@@ -147,11 +147,12 @@ def test_gate_shift_matches_direct_angle_change():
     theta = random_parameters(spec, rng)
     x = rng.uniform(-1.0, 1.0, (4, 2))
     delta = 0.37
-    shifted = evaluate_batch(spec, theta, x, shift=(1, 0, delta))
     theta2 = theta.copy()
     theta2[4 + 2] += delta    # layer-1 data-independent R_y entry of 2A
-    direct = evaluate_batch(spec, theta2, x)
-    np.testing.assert_allclose(shifted, direct, atol=1e-12)
+    for label in (0, 1):
+        y = np.full(len(x), label)
+        shifted = measure_many(spec, theta[None], x, y, shifts=[(1, 0, delta)])[0]
+        np.testing.assert_allclose(shifted, measure_batch(spec, theta2, x, y), atol=1e-12)
 
 
 def test_analytic_gradient_matches_finite_differences():
@@ -300,10 +301,12 @@ def test_the_last_phase_changes_no_population_bit():
     for layers in (1, 4):
         spec = CircuitSpec(Ansatz.A2C, layers)
         theta = random_parameters(spec, rng)
-        base = evaluate_batch(spec, theta, x)
-        for delta in (0.3, -2.0, np.pi):
-            np.testing.assert_array_equal(
-                evaluate_batch(spec, theta, x, shift=(layers - 1, 1, delta)), base)
+        for y in (np.zeros(len(x), dtype=int), np.ones(len(x), dtype=int)):
+            base = measure_batch(spec, theta, x, y)
+            for delta in (0.3, -2.0, np.pi):
+                np.testing.assert_array_equal(
+                    measure_many(spec, theta[None], x, y,
+                                 shifts=[(layers - 1, 1, delta)])[0], base)
 
 
 def test_the_kernel_allocates_one_workspace_and_its_outputs():

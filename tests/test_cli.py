@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reupsim import cli
+from reupsim.circuits import CircuitSpec
 from reupsim.data import CircleSpec, generate, generate_splits, load
 from reupsim.seeding import derive_seed
 
@@ -311,6 +312,69 @@ def test_a_sweep_key_under_a_non_mapping_is_a_config_error(tmp_path, capsys):
                    "--values", "1", "--out", str(tmp_path / "sweep")])
     assert rc == cli.EXIT_CONFIG
     assert "seed.nested: seed is not a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed,message", [("abc", "expected an integer, got 'abc'"),
+                                          (-5, "must be >= 0, got -5")])
+def test_a_sweep_reads_its_base_seed_as_train_does(tmp_path, capsys, seed, message):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"seed: {seed}\ndataset: {{n: 20}}\n"
+                      "optimizer: {kind: ga, population_size: 4, max_generations: 1}\n")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(config), "--param",
+                   "optimizer.population_size", "--values", "4", "--repeats", "1",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: config.seed: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: config.seed: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag,minimum", [
+    (["gen-data", "--out", "x.csv", "--n", "0"], "--n", 1),
+    (["gen-data", "--out", "x.csv", "--seed", "-1"], "--seed", 0),
+    (["train", "--workers", "0"], "--workers", 1),
+    (["evaluate", "--theta", "t.txt", "--data", "d.csv", "--shots", "0"], "--shots", 1),
+    (["sweep", "--config", "c.yaml", "--param", "seed", "--values", "1", "--out", "s",
+      "--repeats", "0"], "--repeats", 1),
+    (["analyze", "landscape", "--out", "l", "--grid-steps", "0"], "--grid-steps", 1),
+    (["analyze", "landscape", "--out", "l", "--budget", "-1"], "--budget", 0),
+    (["analyze", "time-budget", "--out", "t", "--population", "-1"], "--population", 1)])
+def test_a_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, monkeypatch,
+                                                                 capsys, argv, flag, minimum):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    value = argv[argv.index(flag) + 1]
+    assert f"argument {flag}: must be >= {minimum}, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_circuit_and_circle_flags_are_read_like_config_blocks(tmp_path, capsys):
+    parser = cli.build_parser()
+    args = parser.parse_args(["analyze", "landscape", "--out", "l"])
+    assert (args.ansatz, args.layers) == (None, None)
+    assert cli._circuit_from_flags(args) == CircuitSpec()
+    out = tmp_path / "d.csv"
+    assert cli.main(["gen-data", "--out", str(out), "--n", "5"]) == cli.EXIT_OK
+    assert load(out).boundary == CircleSpec()
+    assert cli.main(["gen-data", "--out", str(out), "--n", "5", "--center", "0.1", "0.2",
+                     "--radius", "0.5", "--domain", "-1", "1", "-1", "1.2"]) == cli.EXIT_OK
+    assert load(out).boundary == CircleSpec((0.1, 0.2), 0.5, (-1.0, 1.0, -1.0, 1.2))
+    capsys.readouterr()
+    for argv, message in (
+            (["gen-data", "--out", str(tmp_path / "r.csv"), "--radius", "0"],
+             "dataset: radius must be positive, got 0.0"),
+            (["analyze", "landscape", "--out", str(tmp_path / "l"), "--ansatz", "3A"],
+             "circuit.ansatz: unknown ansatz '3A'"),
+            (["analyze", "ansatz-spread", "--out", str(tmp_path / "s"), "--layers", "0"],
+             "circuit: layer count must be >= 1, got 0")):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_analyze_residuals_writes_fits_and_histogram(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_unknown_keys_report_their_dotted_path():
 
 
 def test_value_errors_report_their_dotted_path():
-    with pytest.raises(ConfigError, match=r"circuit\.layers: must be >= 1"):
+    with pytest.raises(ConfigError, match=r"^circuit: layer count must be >= 1, got 0"):
         ExperimentConfig.from_mapping({"circuit": {"layers": 0}})
     with pytest.raises(ConfigError, match=r"config\.cost"):
         ExperimentConfig.from_mapping({"cost": "hinge"})
@@ -282,12 +282,26 @@ def test_a_null_key_resolves_to_its_default(kind):
                      "noise": {k: None for k in noisy.backend["noise"]}}}) == noisy
 
 
+@pytest.mark.parametrize("kind", [k.value for k in OptimizerKind])
+def test_the_accuracy_cost_is_ga_only(kind):
+    """A gradient optimizer minimizes its cost; on accuracy it would descend
+    to the worst classifier and return it."""
+    with pytest.raises(ConfigError, match=rf"^optimizer: the accuracy cost needs the ga "
+                                          rf"optimizer: {kind} minimizes its cost"):
+        ExperimentConfig.from_mapping({"cost": "accuracy", "optimizer": {"kind": kind}})
+    cfg = ExperimentConfig.from_mapping({"cost": "accuracy", "optimizer": {"kind": "ga"}})
+    assert cfg.build_trainer_config().fitness is CostKind.ACCURACY
+
+
 def test_out_of_range_optimizer_values_fail_at_resolve_time():
     with pytest.raises(ConfigError, match=r"^optimizer: target_accuracy must lie in"):
         ExperimentConfig.from_mapping({"optimizer": {"target_accuracy": 2}})
     with pytest.raises(ConfigError, match=r"^optimizer\.line_search: c1 must lie in"):
         ExperimentConfig.from_mapping({"optimizer": {"kind": "bfgs_standard",
                                                      "line_search": {"c1": 5}}})
+    for kind in ("ga", "bfgs_standard", "sgd"):
+        with pytest.raises(ConfigError, match=r"^optimizer: init_range is empty: \(1\.0, -1"):
+            ExperimentConfig.from_mapping({"optimizer": {"kind": kind, "init_range": [1, -1]}})
     with pytest.raises(ConfigError, match=r"^optimizer: elitism_count must lie in"):
         ExperimentConfig.from_mapping({"optimizer": {"population_size": 4,
                                                      "elitism_count": 4}})

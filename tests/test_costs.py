@@ -107,7 +107,8 @@ def test_measured_many_rows_equal_successive_measured_values():
     shifts = [None, (0, 1, 0.3), None, (3, 0, -1.1), (2, 1, 2.0), None]
     batched_be, loop_be = NoisyBackend(NoiseModel(seed=1)), NoisyBackend(NoiseModel(seed=1))
     batched = measured_many(spec, thetas, ds, batched_be, shifts=shifts)
-    loop = np.array([measured_values(spec, t, ds, loop_be, shift=s)
+    loop = np.array([measured_values(spec, t, ds, loop_be) if s is None
+                     else measured_many(spec, t[None], ds, loop_be, shifts=[s])[0]
                      for t, s in zip(thetas, shifts)])
     np.testing.assert_array_equal(batched, loop)
     assert batched_be.ledger.snapshot() == loop_be.ledger.snapshot()

@@ -106,8 +106,8 @@ def test_circle_spec_validation():
         CircleSpec(radius=0.0)
     with pytest.raises(ValueError, match="does not fit"):
         CircleSpec(center=(0.9, 0.0))
-    with pytest.raises(ValueError, match="no area"):
-        CircleSpec(radius=0.1, domain=((1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(ValueError, match=r"no area: \(1\.0, 1\.0, -1\.0, 1\.0\)"):
+        CircleSpec(radius=0.1, domain=(1.0, 1.0, -1.0, 1.0))
 
 
 def test_dataset_shape_validation():

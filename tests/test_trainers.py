@@ -76,9 +76,9 @@ def _shift_per_probe(kind, spec, theta, ds, backend):
     dm = np.empty((spec.layers, 2, len(ds)))
     for l in range(spec.layers):
         for gate in range(2):
-            plus = costs.measured_values(spec, theta, ds, backend, shift=(l, gate, np.pi / 2.0))
-            minus = costs.measured_values(spec, theta, ds, backend,
-                                          shift=(l, gate, -np.pi / 2.0))
+            plus, minus = (costs.measured_many(spec, theta[None], ds, backend,
+                                               shifts=[(l, gate, sign * np.pi / 2.0)])[0]
+                           for sign in (1.0, -1.0))
             dm[l, gate] = 0.5 * (plus - minus)
     if kind is CostKind.CROSS_ENTROPY:
         w = -1.0 / np.clip(m, costs.LOG_EPS, None)
