@@ -259,9 +259,10 @@ def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.nda
                  ) -> np.ndarray:
     """Projection probabilities onto |y_i> for P probes at once, shape (P, n).
 
-    Row p is what measure_batch returns for thetas[p] and shifts[p], bit for
-    bit.  `x` and `y` are either shared by every probe, shapes (n, 2) and
-    (n,), or given per probe, shapes (P, n, 2) and (P, n).
+    Row p is what a one-probe call with thetas[p] and shifts[p] returns, bit
+    for bit; without a shift, what measure_batch returns for thetas[p].  `x`
+    and `y` are either shared by every probe, shapes (n, 2) and (n,), or
+    given per probe, shapes (P, n, 2) and (P, n).
     """
     y = np.asarray(y)
     if not ((y == 0) | (y == 1)).all():
@@ -271,10 +272,10 @@ def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.nda
 
 
 def measure_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                  y: np.ndarray, shift: tuple[int, int, float] | None = None) -> np.ndarray:
+                  y: np.ndarray) -> np.ndarray:
     """Projection probability onto each point's label state |y_i>."""
     theta = check_theta(spec, theta)
-    return measure_many(spec, theta[None], x, y, [shift])[0]
+    return measure_many(spec, theta[None], x, y)[0]
 
 
 def measure_label(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:

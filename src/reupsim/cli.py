@@ -233,7 +233,7 @@ def cmd_sweep(args) -> int:
     master = ExperimentConfig.from_mapping(base_raw, master_seed=_master_seed(args),
                                            workers=args.workers).seed
 
-    values = _parse_list(args.values, "--values")
+    values = args.values
     cells = []
     for text in values:
         value = _sweep_value(args.param, text)
@@ -292,18 +292,6 @@ def _circuit_from_flags(args) -> CircuitSpec:
                                 "layers": args.layers}, "circuit")
 
 
-def _parse_list(text: str, flag: str, kind=str) -> list:
-    """A comma-separated flag value of `kind` items; blank items are skipped."""
-    try:
-        values = [kind(t.strip()) for t in text.split(",") if t.strip()]
-    except ValueError:
-        noun = "integers" if kind is int else "numbers"
-        raise ConfigError(f"{flag}: expected comma-separated {noun}, got {text!r}") from None
-    if not values:
-        raise ConfigError(f"{flag}: empty list")
-    return values
-
-
 def cmd_analyze_residuals(args) -> int:
     seed = _analysis_seed(args)
     spec = _circuit_from_flags(args)
@@ -350,7 +338,7 @@ def cmd_analyze_residuals(args) -> int:
 def cmd_analyze_noise_scaling(args) -> int:
     seed = _analysis_seed(args)
     spec = _circuit_from_flags(args)
-    shot_counts = _parse_list(args.shots, "--shots", int)
+    shot_counts = args.shots
     ds = data.generate(args.points, seed=derive_seed(seed, "analyze/scaling/data"))
     rng = np.random.default_rng(derive_seed(seed, "analyze/scaling/theta"))
     theta = circuits.random_parameters(spec, rng)
@@ -372,7 +360,7 @@ def cmd_analyze_noise_scaling(args) -> int:
 def cmd_analyze_gradient_noise(args) -> int:
     seed = _analysis_seed(args)
     spec = _circuit_from_flags(args)
-    steps = _parse_list(args.steps, "--steps", float)
+    steps = args.steps
     ds = data.generate(args.points, seed=derive_seed(seed, "analyze/grad/data"))
     rng = np.random.default_rng(derive_seed(seed, "analyze/grad/theta"))
     theta = circuits.random_parameters(spec, rng)
@@ -486,18 +474,36 @@ def cmd_analyze_time_budget(args) -> int:
 # parser
 
 
-def _at_least(minimum: int):
-    """An argparse type: an integer >= minimum, else parsing exits 2 naming the flag."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+def _at_least(minimum: int, kind=int, exclusive: bool = False):
+    """An argparse type: a `kind` value >= minimum (> minimum if exclusive);
+    any other value, NaN included, makes parsing exit 2 naming the flag."""
+    relation = ">" if exclusive else ">="
+
+    def number(text: str):
+        value = kind(text)
+        if not (value > minimum if exclusive else value >= minimum):
+            raise argparse.ArgumentTypeError(f"must be {relation} {minimum}, got {value}")
         return value
-    return integer
+    number.__name__ = kind.__name__
+    return number
+
+
+def _list_of(item):
+    """An argparse type: comma-separated `item` values, blank ones skipped; a
+    bad item or an empty list makes parsing exit 2 naming the flag."""
+    def values(text: str) -> list:
+        out = [item(t.strip()) for t in text.split(",") if t.strip()]
+        if not out:
+            raise argparse.ArgumentTypeError("empty list")
+        return out
+    values.__name__ = f"{item.__name__} list"
+    return values
 
 
 _count = _at_least(1)
 _non_negative = _at_least(0)
+_non_negative_real = _at_least(0, float)
+_positive_real = _at_least(0, float, exclusive=True)
 
 
 def _add_seed(parser) -> None:
@@ -546,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--backend", choices=("ideal", "noisy"), default="ideal")
     p.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
-    p.add_argument("--residual-sigma", type=float, default=DEFAULT_RESIDUAL_SIGMA)
+    p.add_argument("--residual-sigma", type=_non_negative_real, default=DEFAULT_RESIDUAL_SIGMA)
     p.add_argument("--noise-seed", type=_non_negative, default=None)
     p.add_argument("--out", default=None, help="per-point results CSV")
     _add_circuit(p)
@@ -557,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="base YAML config")
     p.add_argument("--param", required=True,
                    help="dotted config key to vary, e.g. optimizer.population_size")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", type=_list_of(str), required=True,
+                   help="comma-separated values")
     p.add_argument("--repeats", type=_count, default=5, help="repeats per value")
     p.add_argument("--jobs", type=_count, default=1, help="parallel training jobs")
     p.add_argument("--out", required=True, help="output directory")
@@ -573,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="theoretical vs observed populations, raw and mitigated")
     a.add_argument("--points", type=_count, default=250)
     a.add_argument("--shots", type=_count, default=500)
-    a.add_argument("--residual-sigma", type=float, default=DEFAULT_RESIDUAL_SIGMA)
+    a.add_argument("--residual-sigma", type=_non_negative_real, default=DEFAULT_RESIDUAL_SIGMA)
     a.add_argument("--calibration-shots", type=_count, default=20000)
     a.add_argument("--theta", default=None,
                    help="optional fixed parameter file; default draws per-point")
@@ -583,11 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_analyze_residuals)
 
     a = asub.add_parser("noise-scaling", help="estimator spread vs shot count")
-    a.add_argument("--shots", default="10,30,100,300,1000",
+    a.add_argument("--shots", type=_list_of(_count), default="10,30,100,300,1000",
                    help="comma-separated shot counts")
     a.add_argument("--repeats", type=_count, default=200)
     a.add_argument("--points", type=_count, default=20)
-    a.add_argument("--residual-sigma", type=float, default=0.0)
+    a.add_argument("--residual-sigma", type=_non_negative_real, default=0.0)
     a.add_argument("--out", required=True)
     _add_circuit(a)
     _add_seed(a)
@@ -595,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = asub.add_parser("gradient-noise",
                         help="exact finite-difference gradients vs noisy estimates")
-    a.add_argument("--steps", default="0.1,0.5,1.0", help="comma-separated step sizes")
+    a.add_argument("--steps", type=_list_of(_positive_real), default="0.1,0.5,1.0",
+                   help="comma-separated step sizes")
     a.add_argument("--repeats", type=_count, default=20)
     a.add_argument("--points", type=_count, default=25)
     a.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
@@ -613,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--grid-steps", type=_count, default=21)
     a.add_argument("--budget", type=_non_negative, default=0,
                    help="random perturbations of the remaining parameters per cell")
-    a.add_argument("--radius", type=float, default=0.5)
+    a.add_argument("--radius", type=_non_negative_real, default=0.5)
     a.add_argument("--points", type=_count, default=100)
     a.add_argument("--out", required=True)
     _add_circuit(a)

@@ -182,24 +182,28 @@ def crossover(parent_a: np.ndarray, parent_b: np.ndarray, kind: CrossoverKind,
     return child_a, child_b
 
 
-def mutate(genes: np.ndarray, t: int, spec: MutationSpec, rng: np.random.Generator,
+def mutate(children: np.ndarray, t: int, spec: MutationSpec, rng: np.random.Generator,
            init_range: tuple[float, float] = (-np.pi, np.pi)) -> np.ndarray:
-    """Mutated copy of a chromosome at generation t.
+    """Mutated copies of a generation's children (one per row) at generation t.
 
-    Both branches draw the mask and the candidate values unconditionally so
-    the generator advances by the same amount whatever the mask comes out as.
+    Each child draws its mask and then its candidate values, whatever the
+    mask comes out as, so the generator always advances by the same amount.
+    One rng.random((C, 2, d)) call yields the stream that per-child
+    random(d) and uniform(low, high, d) calls would, and low + (high - low) * r
+    is what uniform computes from each draw r.
     """
     if t < 0:
         raise ValueError(f"generation index must be >= 0, got {t}")
-    genes = np.asarray(genes, dtype=float)
-    mask = rng.random(genes.size)
+    children = np.asarray(children, dtype=float)
+    draws = rng.random((children.shape[0], 2, children.shape[1]))
+    mask, r = draws[:, 0], draws[:, 1]
     if spec.kind == "fixed":
-        redraw = rng.uniform(init_range[0], init_range[1], genes.size)
-        return np.where(mask < spec.rate, redraw, genes)
+        low, high = init_range
+        return np.where(mask < spec.rate, low + (high - low) * r, children)
     prob = spec.mask_base ** t
-    delta = rng.uniform(-spec.delta_halfwidth, spec.delta_halfwidth, genes.size)
+    low, high = -spec.delta_halfwidth, spec.delta_halfwidth
     step = 1.0 if t == 0 else float(t) ** spec.scale
-    return genes + (mask < prob) * delta * step
+    return children + (mask < prob) * (low + (high - low) * r) * step
 
 
 def diversity(population: np.ndarray) -> float:
@@ -300,8 +304,7 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
             children.append(c1)
             if len(children) < n_children:
                 children.append(c2)
-        children = [mutate(c, gen + 1, config.mutation, rng, config.init_range)
-                    for c in children]
-        pop = np.vstack([pop[elite_idx], np.array(children)])
+        children = mutate(np.array(children), gen + 1, config.mutation, rng, config.init_range)
+        pop = np.vstack([pop[elite_idx], children])
 
     return best_theta, trace

@@ -1,6 +1,7 @@
 """Backend behavior: accounting, noise determinism, detection, timing."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special._ufuncs import _binom_cdf
 
+from reupsim import backend
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, MeasurementLedger,
                              NoiseModel, NoisyBackend, PoissonDetectionSpec,
                              TimeBudget, binom_quantile, detection_histogram,
@@ -175,10 +177,77 @@ def test_binom_quantile_equals_binom_ppf_on_philox_draws(n):
     assert_same_quantiles(np.full(p.size, BELOW_ONE), n, p)
 
 
+@BOOST_QUANTILE_WARNING
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 151, 1000, 10_000])
+def test_binom_quantile_equals_binom_ppf_next_to_cdf_steps(n):
+    """Uniforms a few ulps, _NEAR, and _NEAR + _SLACK away from CDF values
+    near the mean, in one call large enough to take the pmf-table bound on
+    cdf(k - 1), whose fallback these offsets straddle."""
+    rng = np.random.default_rng(n)
+    p = np.concatenate([rng.uniform(0.16, 0.84, 40), rng.random(10), [1e-6, 1.0 - 1e-6]])
+    sd = np.sqrt(n * p * (1.0 - p))
+    k = np.clip(np.round(n * p + sd * rng.standard_normal(p.size)), 0, n)
+    c = _binom_cdf(k, n, p)[:, None]
+    band = backend._NEAR + backend._SLACK
+    offsets = [band * s for s in (-2.0, -1.0, 1.0, 2.0)] + [
+        s * backend._NEAR for s in (-1.0, 1.0)]
+    u = np.hstack([c + j * np.spacing(c) for j in range(-3, 4)] + [c + d for d in offsets])
+    p = np.broadcast_to(p[:, None], u.shape)
+    inside = (u > 0.0) & (u < 1.0)
+    assert inside.sum() >= backend._TABLE_MIN_ENTRIES
+    assert_same_quantiles(u[inside], n, p[inside])
+
+
 def test_binom_quantile_gives_nan_where_binom_ppf_does():
     p = np.array([-0.1, 1.1, np.nan, 1.0 + 2.0**-52, -2.0**-1074])
     assert np.isnan(binom_quantile(np.full(p.size, 0.3), 150, p)).all()
     assert_same_quantiles(np.full(p.size, 0.3), 150, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 150, 151, 1000, 10_000])
+def test_the_table_pmf_bounds_the_lower_cdf_within_the_slack(n):
+    """cdf(k) - pmf(k) from the log-binomial table is within _SLACK of boost's
+    cdf(k - 1) for every k >= 1, or not finite, which sends the entry to
+    boost.  The bound is what keeps binom_quantile exact: a scipy whose CDF
+    moves by more than the slack fails here."""
+    assert n <= backend._TABLE_MAX_SHOTS
+    p = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 0.01, 0.16, 0.24, 0.5, 0.76, 0.84, 0.99,
+                         1.0 - 1e-6, 1.0 - 1e-12, 1.0],
+                        np.random.default_rng(n).random(6)])
+    k, p = (a.ravel() for a in np.meshgrid(np.arange(1.0, n + 1), p))
+    lo = _binom_cdf(k, n, p) - backend._table_pmf(k, n, p)
+    finite = np.isfinite(lo)
+    assert finite[(p > 0.0) & (p < 1.0)].all()
+    assert np.abs(lo - _binom_cdf(k - 1, n, p))[finite].max() <= backend._SLACK
+
+
+def test_binom_quantile_evaluates_about_one_cdf_per_entry(monkeypatch):
+    evaluations = []
+
+    def counting_cdf(k, n, p):
+        evaluations.append(np.size(k))
+        return _binom_cdf(k, n, p)
+
+    monkeypatch.setattr(backend, "_binom_cdf", counting_cdf)
+    u = counter_uniforms(150, "quantile-count", 0, 20_000)
+    p = NoiseModel().observed_probability(u[:, 1], (u[:, 2] < 0.5).astype(int))
+    assert_same_quantiles(u[:, 0], 150, p)
+    assert sum(evaluations) <= 1.01 * u.shape[0]
+
+
+@pytest.mark.parametrize("size", [5, 100])
+def test_sampling_edge_probabilities_raises_no_warning(size):
+    p = np.resize([0.0, 1.0, np.nan, -0.1, 1.1], size)
+    u = counter_uniforms(3, "edge-test", 0, size)
+    identity = NoisyBackend(NoiseModel(confusion=((1.0, 0.0), (0.0, 1.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = binom_quantile(u[:, 0], 150, p)
+        est = identity.sample(np.resize([0.0, 1.0, np.nan], size),
+                              (u[:, 1] < 0.5).astype(int))
+        NoisyBackend().sample(p, (u[:, 2] < 0.5).astype(int))
+    np.testing.assert_array_equal(k, stats.binom.ppf(u[:, 0], 150, p))
+    assert np.isnan(est[2::3]).all() and np.isfinite(np.delete(est, np.s_[2::3])).all()
 
 
 def test_detection_histogram_thresholds_counts():

@@ -186,8 +186,8 @@ def test_gate_angle_gradients_obey_the_shift_rule():
     np.testing.assert_array_equal(m, measure_batch(spec, theta, x, y))
     for l in range(spec.layers):
         for gate in range(2):
-            plus = measure_batch(spec, theta, x, y, shift=(l, gate, np.pi / 2))
-            minus = measure_batch(spec, theta, x, y, shift=(l, gate, -np.pi / 2))
+            plus, minus = measure_many(spec, np.stack([theta, theta]), x, y,
+                                       [(l, gate, np.pi / 2), (l, gate, -np.pi / 2)])
             np.testing.assert_allclose(grads[l, gate], 0.5 * (plus - minus),
                                        atol=1e-12)
 
@@ -261,10 +261,12 @@ def test_measure_many_rows_equal_measure_batch_bit_for_bit(ansatz, layers, probe
     many = measure_many(spec, thetas, x, y, shifts)
     assert many.shape == (probes, n)
     for p in range(probes):
-        single = measure_batch(spec, thetas[p], x, y, shift=shifts[p])
+        single = measure_many(spec, thetas[p:p + 1], x, y, shifts[p:p + 1])[0]
         np.testing.assert_array_equal(many[p], single)
         np.testing.assert_array_equal(single, _single_theta_kernel(spec, thetas[p], x, y,
                                                                    shifts[p]))
+        if shifts[p] is None:
+            np.testing.assert_array_equal(single, measure_batch(spec, thetas[p], x, y))
 
 
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 64),
@@ -276,8 +278,8 @@ def test_measure_many_with_a_point_set_per_probe(ansatz, layers, probes, n, seed
     y = rng.integers(0, 2, (probes, n))
     many = measure_many(spec, thetas, x, y, shifts)
     for p in range(probes):
-        np.testing.assert_array_equal(many[p], measure_batch(spec, thetas[p], x[p], y[p],
-                                                             shift=shifts[p]))
+        np.testing.assert_array_equal(many[p], measure_many(spec, thetas[p:p + 1], x[p], y[p],
+                                                            shifts[p:p + 1])[0])
 
 
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 16),

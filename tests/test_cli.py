@@ -353,6 +353,33 @@ def test_a_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,flag,message", [
+    (["analyze", "noise-scaling", "--out", "n", "--shots", "0,10"], "--shots",
+     "must be >= 1, got 0"),
+    (["analyze", "noise-scaling", "--out", "n", "--shots", "10,x"], "--shots",
+     "invalid int list value: '10,x'"),
+    (["analyze", "gradient-noise", "--out", "g", "--steps", "-1"], "--steps",
+     "must be > 0, got -1.0"),
+    (["analyze", "residuals", "--out", "r", "--residual-sigma", "-1"], "--residual-sigma",
+     "must be >= 0, got -1.0"),
+    (["analyze", "landscape", "--out", "l", "--radius", "-1"], "--radius",
+     "must be >= 0, got -1.0"),
+    (["evaluate", "--theta", "t.txt", "--data", "d.csv", "--residual-sigma", "nan"],
+     "--residual-sigma", "must be >= 0, got nan"),
+    (["sweep", "--config", "c.yaml", "--param", "seed", "--values", " , ", "--out", "s"],
+     "--values", "empty list")])
+def test_an_out_of_range_value_flag_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
+                                                           argv, flag, message):
+    """Out-of-range numbers and lists are parse errors (exit 2), not file
+    problems (exit 4), and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_circuit_and_circle_flags_are_read_like_config_blocks(tmp_path, capsys):
     parser = cli.build_parser()
     args = parser.parse_args(["analyze", "landscape", "--out", "l"])

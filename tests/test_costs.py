@@ -182,8 +182,8 @@ def test_the_kernel_runs_once_per_distinct_probe(monkeypatch):
     m = measured_many(spec, theta, ds, IdealBackend(), shifts=shifts)
     assert columns == [3 * 13]
     for row, shift in zip(m, shifts):
-        np.testing.assert_array_equal(row, circuits.measure_batch(spec, theta[0], ds.x, ds.y,
-                                                                  shift=shift))
+        np.testing.assert_array_equal(row, circuits.measure_many(spec, theta[:1], ds.x, ds.y,
+                                                                 [shift])[0])
     # one point set per probe is never merged
     columns.clear()
     circuits.measure_many(spec, theta, np.repeat(ds.x[None], 5, axis=0),

@@ -99,7 +99,7 @@ def test_crossover_rejects_mismatched_parents():
 
 
 def test_decaying_mutation_step_at_generation_zero():
-    genes = np.zeros(2000)
+    genes = np.zeros((100, 20))
     spec = MutationSpec(kind="decaying", mask_base=1.0, scale=0.25,
                         delta_halfwidth=0.5)
     out = mutate(genes, 0, spec, np.random.default_rng(7))
@@ -109,7 +109,7 @@ def test_decaying_mutation_step_at_generation_zero():
 
 
 def test_decaying_mutation_probability_fades():
-    genes = np.zeros(4000)
+    genes = np.zeros((200, 20))
     spec = MutationSpec(kind="decaying", mask_base=0.9)
     early = (mutate(genes, 1, spec, np.random.default_rng(8)) != 0).mean()
     late = (mutate(genes, 40, spec, np.random.default_rng(8)) != 0).mean()
@@ -118,7 +118,7 @@ def test_decaying_mutation_probability_fades():
 
 
 def test_decaying_mutation_rate_and_step_at_generation_four():
-    genes = np.zeros(20000)
+    genes = np.zeros((1000, 20))
     spec = MutationSpec(kind="decaying", mask_base=0.95, scale=-0.5,
                         delta_halfwidth=0.5)
     out = mutate(genes, 4, spec, np.random.default_rng(11))
@@ -128,7 +128,7 @@ def test_decaying_mutation_rate_and_step_at_generation_four():
 
 
 def test_fixed_mutation_redraws_inside_the_init_range():
-    genes = np.full(3000, 50.0)
+    genes = np.full((150, 20), 50.0)
     spec = MutationSpec(kind="fixed", rate=0.5)
     out = mutate(genes, 3, spec, np.random.default_rng(9), init_range=(-1.0, 1.0))
     changed = out != 50.0
@@ -139,12 +139,34 @@ def test_fixed_mutation_redraws_inside_the_init_range():
 def test_mutation_consumes_the_same_draws_regardless_of_the_mask():
     """Two specs with different hit probabilities leave the generator in the
     same state, so downstream randomness cannot depend on mutation outcomes."""
-    genes = np.zeros(16)
+    genes = np.zeros((8, 16))
     rng_a = np.random.default_rng(10)
     rng_b = np.random.default_rng(10)
     mutate(genes, 5, MutationSpec(kind="decaying", mask_base=1.0), rng_a)
     mutate(genes, 5, MutationSpec(kind="decaying", mask_base=0.01), rng_b)
     assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("kind", ["fixed", "decaying"])
+def test_mutating_a_generation_matches_child_by_child_draws(kind):
+    """One call over the (C, d) children gives, bit for bit, what mutating each
+    child in row order with its own random(d) and uniform(low, high, d) draws
+    gives, and leaves the generator in the same state."""
+    spec = MutationSpec(kind=kind, rate=0.3, mask_base=0.9)
+    children = np.random.default_rng(1).uniform(-3.0, 3.0, (48, 16))
+    rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+    expected = []
+    for c in children:
+        mask = rng_ref.random(c.size)
+        if kind == "fixed":
+            redraw = rng_ref.uniform(-1.0, 2.0, c.size)
+            expected.append(np.where(mask < spec.rate, redraw, c))
+        else:
+            delta = rng_ref.uniform(-spec.delta_halfwidth, spec.delta_halfwidth, c.size)
+            expected.append(c + (mask < spec.mask_base**7) * delta * 7.0**spec.scale)
+    out = mutate(children, 7, spec, rng, init_range=(-1.0, 2.0))
+    np.testing.assert_array_equal(out, np.array(expected))
+    assert rng.random() == rng_ref.random()
 
 
 def test_mutation_spec_validation():
@@ -155,7 +177,7 @@ def test_mutation_spec_validation():
     with pytest.raises(ValueError, match="rate"):
         MutationSpec(rate=1.5)
     with pytest.raises(ValueError, match="generation index"):
-        mutate(np.zeros(4), -1, MutationSpec(), np.random.default_rng(0))
+        mutate(np.zeros((1, 4)), -1, MutationSpec(), np.random.default_rng(0))
 
 
 def test_diversity_is_mean_pairwise_distance():
