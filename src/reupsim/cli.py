@@ -488,13 +488,14 @@ def _at_least(minimum: int, kind=int, exclusive: bool = False):
     return number
 
 
-def _list_of(item):
-    """An argparse type: comma-separated `item` values, blank ones skipped; a
-    bad item or an empty list makes parsing exit 2 naming the flag."""
+def _list_of(item, distinct: int = 1):
+    """An argparse type: comma-separated `item` values, blank ones skipped; a bad
+    item, an empty list or under `distinct` distinct values exits 2 naming the flag."""
     def values(text: str) -> list:
         out = [item(t.strip()) for t in text.split(",") if t.strip()]
-        if not out:
-            raise argparse.ArgumentTypeError("empty list")
+        if len(set(out)) < distinct:
+            raise argparse.ArgumentTypeError(
+                f"need at least {distinct} distinct values" if out else "empty list")
         return out
     values.__name__ = f"{item.__name__} list"
     return values
@@ -590,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_analyze_residuals)
 
     a = asub.add_parser("noise-scaling", help="estimator spread vs shot count")
-    a.add_argument("--shots", type=_list_of(_count), default="10,30,100,300,1000",
-                   help="comma-separated shot counts")
-    a.add_argument("--repeats", type=_count, default=200)
+    a.add_argument("--shots", type=_list_of(_count, distinct=2), default="10,30,100,300,1000",
+                   help="comma-separated shot counts, at least two distinct")
+    a.add_argument("--repeats", type=_at_least(2), default=200)
     a.add_argument("--points", type=_count, default=20)
     a.add_argument("--residual-sigma", type=_non_negative_real, default=0.0)
     a.add_argument("--out", required=True)

@@ -211,6 +211,8 @@ def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
         raise ValueError("need at least 2 distinct shot counts")
     if (shot_counts < 1).any():
         raise ValueError("shot counts must be >= 1")
+    if repeats < 2:
+        raise ValueError(f"repeats must be >= 2 for a spread, got {repeats}")
     theta = circuits.check_theta(spec, theta)
     p = circuits.measure_batch(spec, theta, dataset.x, dataset.y)
     n = p.size

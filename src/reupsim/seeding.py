@@ -44,10 +44,8 @@ def counter_uniforms(seed: int, context: str, start: int, count: int) -> np.ndar
     """
     if start < 0 or count < 0:
         raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
-    key = derive_key(seed, context)
-    gen = np.random.Generator(np.random.Philox(key=key, counter=[start, 0, 0, 0]))
-    bits = gen.integers(0, 2**64, size=(count, 4), dtype=np.uint64, endpoint=False)
-    return unit_interval(bits)
+    philox = np.random.Philox(key=derive_key(seed, context), counter=[start, 0, 0, 0])
+    return unit_interval(philox.random_raw(4 * count).reshape(count, 4))
 
 
 def unit_interval(bits: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Backend behavior: accounting, noise determinism, detection, timing."""
+"""Backend behavior: accounting, noise determinism, detection, timing, and the
+binomial sampler behind the noisy backend."""
 
 import threading
 import warnings
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special._ufuncs import _binom_cdf
 
-from reupsim import backend
+from reupsim import binomial
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, MeasurementLedger,
                              NoiseModel, NoisyBackend, PoissonDetectionSpec,
-                             TimeBudget, binom_quantile, detection_histogram,
-                             estimate_time)
+                             TimeBudget, detection_histogram, estimate_time)
+from reupsim.binomial import binom_quantile
 from reupsim.circuits import CircuitSpec
 from reupsim.config import _archived
 from reupsim.data import generate
@@ -188,13 +189,13 @@ def test_binom_quantile_equals_binom_ppf_next_to_cdf_steps(n):
     sd = np.sqrt(n * p * (1.0 - p))
     k = np.clip(np.round(n * p + sd * rng.standard_normal(p.size)), 0, n)
     c = _binom_cdf(k, n, p)[:, None]
-    band = backend._NEAR + backend._SLACK
+    band = binomial._NEAR + binomial._SLACK
     offsets = [band * s for s in (-2.0, -1.0, 1.0, 2.0)] + [
-        s * backend._NEAR for s in (-1.0, 1.0)]
+        s * binomial._NEAR for s in (-1.0, 1.0)]
     u = np.hstack([c + j * np.spacing(c) for j in range(-3, 4)] + [c + d for d in offsets])
     p = np.broadcast_to(p[:, None], u.shape)
     inside = (u > 0.0) & (u < 1.0)
-    assert inside.sum() >= backend._TABLE_MIN_ENTRIES
+    assert inside.sum() >= binomial._TABLE_MIN_ENTRIES
     assert_same_quantiles(u[inside], n, p[inside])
 
 
@@ -210,15 +211,15 @@ def test_the_table_pmf_bounds_the_lower_cdf_within_the_slack(n):
     cdf(k - 1) for every k >= 1, or not finite, which sends the entry to
     boost.  The bound is what keeps binom_quantile exact: a scipy whose CDF
     moves by more than the slack fails here."""
-    assert n <= backend._TABLE_MAX_SHOTS
+    assert n <= binomial._TABLE_MAX_SHOTS
     p = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 0.01, 0.16, 0.24, 0.5, 0.76, 0.84, 0.99,
                          1.0 - 1e-6, 1.0 - 1e-12, 1.0],
                         np.random.default_rng(n).random(6)])
     k, p = (a.ravel() for a in np.meshgrid(np.arange(1.0, n + 1), p))
-    lo = _binom_cdf(k, n, p) - backend._table_pmf(k, n, p)
+    lo = _binom_cdf(k, n, p) - binomial._table_pmf(k, n, p)
     finite = np.isfinite(lo)
     assert finite[(p > 0.0) & (p < 1.0)].all()
-    assert np.abs(lo - _binom_cdf(k - 1, n, p))[finite].max() <= backend._SLACK
+    assert np.abs(lo - _binom_cdf(k - 1, n, p))[finite].max() <= binomial._SLACK
 
 
 def test_binom_quantile_evaluates_about_one_cdf_per_entry(monkeypatch):
@@ -228,7 +229,7 @@ def test_binom_quantile_evaluates_about_one_cdf_per_entry(monkeypatch):
         evaluations.append(np.size(k))
         return _binom_cdf(k, n, p)
 
-    monkeypatch.setattr(backend, "_binom_cdf", counting_cdf)
+    monkeypatch.setattr(binomial, "_binom_cdf", counting_cdf)
     u = counter_uniforms(150, "quantile-count", 0, 20_000)
     p = NoiseModel().observed_probability(u[:, 1], (u[:, 2] < 0.5).astype(int))
     assert_same_quantiles(u[:, 0], 150, p)

@@ -341,7 +341,8 @@ def test_a_sweep_reads_its_base_seed_as_train_does(tmp_path, capsys, seed, messa
       "--repeats", "0"], "--repeats", 1),
     (["analyze", "landscape", "--out", "l", "--grid-steps", "0"], "--grid-steps", 1),
     (["analyze", "landscape", "--out", "l", "--budget", "-1"], "--budget", 0),
-    (["analyze", "time-budget", "--out", "t", "--population", "-1"], "--population", 1)])
+    (["analyze", "time-budget", "--out", "t", "--population", "-1"], "--population", 1),
+    (["analyze", "noise-scaling", "--out", "n", "--repeats", "1"], "--repeats", 2)])
 def test_a_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, monkeypatch,
                                                                  capsys, argv, flag, minimum):
     monkeypatch.chdir(tmp_path)
@@ -367,7 +368,11 @@ def test_a_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, monkey
     (["evaluate", "--theta", "t.txt", "--data", "d.csv", "--residual-sigma", "nan"],
      "--residual-sigma", "must be >= 0, got nan"),
     (["sweep", "--config", "c.yaml", "--param", "seed", "--values", " , ", "--out", "s"],
-     "--values", "empty list")])
+     "--values", "empty list"),
+    (["analyze", "noise-scaling", "--out", "n", "--shots", "10"], "--shots",
+     "need at least 2 distinct values"),
+    (["analyze", "noise-scaling", "--out", "n", "--shots", "10,10"], "--shots",
+     "need at least 2 distinct values")])
 def test_an_out_of_range_value_flag_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
                                                            argv, flag, message):
     """Out-of-range numbers and lists are parse errors (exit 2), not file

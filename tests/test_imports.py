@@ -3,7 +3,9 @@ every parameter of every function is read in that function's body.
 
 No linter runs on this repository, so these scans keep dead imports and
 unread parameters out of src/reupsim.  The import scan skips
-`__init__.py`: it imports names to re-export them.
+`__init__.py`: it imports names to re-export them.  A third scan keeps
+scipy out of start-up: only the noisy sampler's module imports it when
+loaded.
 """
 
 import ast
@@ -27,6 +29,25 @@ def unused_imports(source: str) -> list[str]:
             imported |= {a.asname or a.name for a in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - read)
+
+
+def load_time_imports(source: str) -> list[str]:
+    """Top-level package of each import that runs when the module loads: at
+    module level or in a class body, not inside a function."""
+    found = []
+
+    def visit(node) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(a.name.split(".")[0] for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append(child.module.split(".")[0])
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -65,6 +86,18 @@ def test_the_scan_reports_each_unread_name():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from x import a, b as c\nprint(c, np.pi)\n")
     assert unused_imports(source) == ["a", "os"]
+
+
+def test_only_the_binomial_module_imports_scipy_when_loaded():
+    importers = [p.name for p in MODULES if "scipy" in load_time_imports(p.read_text())]
+    assert importers == ["binomial.py"]
+
+
+def test_the_load_time_scan_skips_function_bodies():
+    source = ("import os.path\nfrom . import x\nif x:\n    from scipy import a\n"
+              "class K:\n    import numpy\n    def m(self):\n        import yaml\n"
+              "def f():\n    from scipy.special import b\n")
+    assert load_time_imports(source) == ["os", "scipy", "numpy"]
 
 
 def test_every_parameter_is_read():

@@ -184,6 +184,8 @@ def test_noise_scaling_validation():
         noise_scaling(spec, theta, ds, [100, 100])
     with pytest.raises(ValueError, match=">= 1"):
         noise_scaling(spec, theta, ds, [0, 100])
+    with pytest.raises(ValueError, match="repeats must be >= 2"):
+        noise_scaling(spec, theta, ds, [10, 30], repeats=1)
 
 
 def test_gradient_noise_report_ideal_leg_always_agrees():

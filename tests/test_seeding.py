@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reupsim import seeding
 from reupsim.seeding import (counter_uniforms, derive_key, derive_seed,
                               unit_interval)
 
@@ -52,6 +53,20 @@ def test_counter_uniforms_validation():
     with pytest.raises(ValueError):
         counter_uniforms(0, "t", 0, -5)
     assert counter_uniforms(0, "t", 0, 0).shape == (0, 4)
+
+
+@pytest.mark.parametrize("start", [0, 1, 37, 2**40 + 3])
+@pytest.mark.parametrize("count", [0, 1, 24, 12_500])
+def test_counter_uniforms_reads_the_words_generator_integers_gives(monkeypatch, start, count):
+    """The words behind the uniforms are Philox's raw output, which
+    Generator.integers over the full uint64 range returns unchanged."""
+    monkeypatch.setattr(seeding, "unit_interval", lambda bits: bits)
+    words = counter_uniforms(5, "words", start, count)
+    philox = np.random.Philox(key=derive_key(5, "words"), counter=[start, 0, 0, 0])
+    expected = np.random.Generator(philox).integers(0, 2**64, size=(count, 4),
+                                                    dtype=np.uint64, endpoint=False)
+    assert words.dtype == np.uint64
+    np.testing.assert_array_equal(words, expected)
 
 
 def test_unit_interval_on_the_extreme_words():

@@ -1,9 +1,11 @@
-"""Start-up weight: the package must not pull in scipy.stats or scipy.spatial.
+"""Start-up weight: only noisy readout loads scipy, and nothing loads
+scipy.stats or scipy.spatial.
 
 Each check runs in a fresh interpreter, because this test process has
-imported both modules already.
+imported scipy already.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,32 +14,64 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.stats", "scipy.spatial")
 
-REPORT_HEAVY = """
-import sys
-print(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.spatial"))))
+REPORT_SCIPY = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _heavy_modules_after(code: str, cwd: Path) -> str:
+def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code + REPORT_HEAVY], cwd=cwd, env=env,
+    out = subprocess.run([sys.executable, "-c", code + REPORT_SCIPY], cwd=cwd, env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    return out.stdout.splitlines()[-1]
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _main(argv: list[str], code: int = 0) -> str:
+    return f"from reupsim import cli\nassert cli.main({argv!r}) == {code}\n"
+
+
+def _train(tmp_path: Path, backend: str, optimizer: str) -> str:
+    config = tmp_path / "config.yaml"
+    config.write_text(f"seed: 2\ndataset: {{n: 12}}\nbackend: {backend}\n"
+                      f"optimizer: {optimizer}\n")
+    return _main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
 
 
 def test_importing_the_package_loads_neither(tmp_path):
-    assert _heavy_modules_after("import reupsim", tmp_path) == "[]"
+    assert _scipy_modules_after("import reupsim", tmp_path) == []
 
 
 @pytest.mark.parametrize("backend", ["{kind: ideal}", "{kind: noisy, noise: {shots: 30}}"])
 def test_a_ga_train_run_loads_neither(tmp_path, backend):
-    config = tmp_path / "config.yaml"
-    config.write_text("seed: 2\ndataset: {n: 12}\n"
-                      f"backend: {backend}\n"
-                      "optimizer: {kind: ga, population_size: 4, max_generations: 0}\n")
-    code = ("from reupsim import cli\n"
-            f"assert cli.main(['train', '--config', {str(config)!r}, "
-            f"'--out', {str(tmp_path / 'run')!r}]) == 0\n")
-    assert _heavy_modules_after(code, tmp_path) == "[]"
+    code = _train(tmp_path, backend, "{kind: ga, population_size: 4, max_generations: 0}")
+    loaded = _scipy_modules_after(code, tmp_path)
+    assert not [m for m in loaded if m.startswith(HEAVY)]
+    if "noisy" in backend:
+        assert "scipy.special" in loaded
+    else:
+        assert loaded == []
     assert (tmp_path / "run" / "trace.csv").exists()
+
+
+def test_an_analytic_bfgs_train_run_loads_no_scipy(tmp_path):
+    code = _train(tmp_path, "{kind: ideal}",
+                  "{kind: bfgs_standard, gradient: analytic, max_iterations: 2}")
+    assert _scipy_modules_after(code, tmp_path) == []
+    assert (tmp_path / "run" / "trace.csv").exists()
+
+
+def test_gen_data_and_an_ideal_evaluate_load_no_scipy(tmp_path):
+    data, theta = tmp_path / "d.csv", tmp_path / "theta.txt"
+    theta.write_text("0.1\n" * 16)
+    code = (_main(["gen-data", "--out", str(data), "--n", "12"])
+            + _main(["evaluate", "--theta", str(theta), "--data", str(data)]))
+    assert _scipy_modules_after(code, tmp_path) == []
+
+
+def test_help_loads_no_scipy(tmp_path):
+    code = ("from reupsim import cli\ntry:\n    cli.main(['--help'])\n"
+            "except SystemExit as exc:\n    assert exc.code == 0\n")
+    assert _scipy_modules_after(code, tmp_path) == []
