@@ -2,8 +2,7 @@
 data re-uploading classifiers trained with classical optimizers."""
 
 from .backend import (IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
-                      PoissonDetectionSpec, TimeBudget, detection_histogram,
-                      estimate_time)
+                      TimeBudget, estimate_time)
 from .circuits import (Ansatz, CircuitSpec, analytic_gradient, classify,
                        classify_batch, evaluate_circuit, measure_batch,
                        measure_label, random_parameters)
@@ -27,7 +26,7 @@ __all__ = [
     "evaluate_circuit", "measure_batch", "measure_label", "random_parameters",
     "CircleSpec", "Dataset", "generate", "generate_splits", "load", "save",
     "IdealBackend", "NoisyBackend", "NoiseModel", "MeasurementLedger",
-    "PoissonDetectionSpec", "TimeBudget", "detection_histogram", "estimate_time",
+    "TimeBudget", "estimate_time",
     "CostKind", "accuracy", "cross_entropy", "chi_squared", "evaluate",
     "GAConfig", "MutationSpec", "SelectionKind", "CrossoverKind", "ga_train",
     "GradConfig", "GradMethod", "OptimizerKind", "LineSearchSpec",

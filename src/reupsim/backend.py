@@ -13,14 +13,12 @@ sequence of cost evaluations is the same.  Each block becomes an estimate in
 the binomial module, imported with scipy on the first noisy sample.
 
 Also here: shot/estimate accounting and the wall-time model for a run
-(per-circuit upload costs plus per-shot cycle costs), plus a Poisson
-photon-count detection model for threshold readout.
+(per-circuit upload costs plus per-shot cycle costs).
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +111,11 @@ class NoiseModel:
         return _build(cls, cfg, "backend.noise")
 
 
-class BudgetError(ValueError):
+class SettingError(ValueError):
+    """An optimizer setting the run cannot meet; the message starts with its key."""
+
+
+class BudgetError(SettingError):
     """max_estimates cannot pay for an optimizer's first charge."""
 
 
@@ -191,68 +193,6 @@ class NoisyBackend(Backend):
         start = self.ledger.reserve(p_y.size, self.noise.shots)
         u = counter_uniforms(self.noise.seed, "readout", start, p_y.size)
         return binomial.estimates(u, self.noise.shots, o, self.noise.residual_sigma)
-
-
-@dataclass(frozen=True)
-class PoissonDetectionSpec:
-    """Photon-count statistics for threshold state discrimination.
-
-    Counts above `threshold` are assigned to `bright_state`.  The default
-    maps bright to |1> (counts <= 11 read as |0>, above as |1>).
-    """
-
-    dark_mean: float = 2.0
-    bright_mean: float = 25.0
-    threshold: int = 11
-    bright_state: int = 1
-
-    def __post_init__(self):
-        if self.dark_mean < 0 or self.bright_mean < 0:
-            raise ValueError("Poisson means must be nonnegative")
-        if self.bright_state not in (0, 1):
-            raise ValueError(f"bright_state must be 0 or 1, got {self.bright_state}")
-        if self.bright_mean <= self.threshold:
-            warnings.warn(
-                f"bright mean {self.bright_mean} does not exceed threshold "
-                f"{self.threshold}; bright shots will mostly be misread",
-                stacklevel=2,
-            )
-
-    def misassignment(self) -> tuple[float, float]:
-        """(P(dark read as bright), P(bright read as dark)) from Poisson tails."""
-        from scipy.special import pdtr, pdtrc
-        eps_dark = float(pdtrc(self.threshold, self.dark_mean))
-        eps_bright = float(pdtr(self.threshold, self.bright_mean))
-        return eps_dark, eps_bright
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Histogram of photon counts plus the thresholded state estimate."""
-
-    histogram: np.ndarray     # bin i = number of shots with i photons
-    p1_hat: float
-    shots: int
-
-
-def detection_histogram(p1: float, shots: int, model: PoissonDetectionSpec | None = None,
-                        seed: int = 0) -> DetectionResult:
-    """Simulate threshold readout of a state with excited-state probability p1."""
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1}")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    model = model if model is not None else PoissonDetectionSpec()
-    rng = np.random.default_rng(seed)
-    excited = rng.random(shots) < p1
-    bright = excited if model.bright_state == 1 else ~excited
-    counts = np.where(bright,
-                      rng.poisson(model.bright_mean, shots),
-                      rng.poisson(model.dark_mean, shots))
-    read_bright = counts > model.threshold
-    read_one = read_bright if model.bright_state == 1 else ~read_bright
-    hist = np.bincount(counts)
-    return DetectionResult(hist, float(read_one.mean()), shots)
 
 
 @dataclass(frozen=True)

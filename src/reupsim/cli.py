@@ -21,8 +21,8 @@ import numpy as np
 import yaml
 
 from . import circuits, costs, data, mitigation
-from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, BudgetError, IdealBackend,
-                      MeasurementLedger, NoiseModel, NoisyBackend, TimeBudget, estimate_time)
+from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, IdealBackend, MeasurementLedger,
+                      NoiseModel, NoisyBackend, SettingError, TimeBudget, estimate_time)
 from .circuits import Ansatz, CircuitSpec
 from .config import (ConfigError, ExperimentConfig, _build, _circle, read_config,
                      save_config, set_dotted)
@@ -116,7 +116,7 @@ def run_training(cfg: ExperimentConfig):
         train = bfgs_train
     try:
         theta, trace = train(trainer_cfg, cfg.circuit, dataset, backend)
-    except BudgetError as exc:
+    except SettingError as exc:
         raise ConfigError(f"optimizer.{exc}") from None
     return dataset, backend, theta, trace
 

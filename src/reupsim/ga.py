@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costs
-from .backend import Backend, EstimateBudget, MeasurementLedger
+from .backend import Backend, EstimateBudget
 from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
-from .trace import TrainingTrace, backend_failures
+from .trace import RunLimits, TrainingTrace, backend_failures
 
 
 class SelectionKind(Choice, noun="selection"):
@@ -66,38 +66,27 @@ class MutationSpec:
 
 
 @dataclass(frozen=True)
-class GAConfig:
+class GAConfig(RunLimits):
     population_size: int = 50
     selection: SelectionKind = SelectionKind.SSS
     crossover: CrossoverKind = CrossoverKind.SCATTERED
     mutation: MutationSpec = field(default_factory=MutationSpec)
     elitism_count: int = 2
-    init_range: tuple[float, float] = (-np.pi, np.pi)
     max_generations: int = 20
-    target_accuracy: float | None = None
     fitness: CostKind = CostKind.CROSS_ENTROPY
-    seed: int = 0
     tournament_size: int = 3
-    max_estimates: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.population_size < 2:
             raise ValueError(f"population_size must be >= 2, got {self.population_size}")
         if not 0 <= self.elitism_count < self.population_size:
             raise ValueError(f"elitism_count must lie in [0, population_size), "
                              f"got {self.elitism_count}")
-        if self.init_range[0] >= self.init_range[1]:
-            raise ValueError(f"init_range is empty: {self.init_range}")
         if self.max_generations < 0:
             raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
-        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
-            raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
         if self.tournament_size < 1:
             raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
-        if self.max_estimates is not None and self.max_estimates < 1:
-            raise ValueError(f"max_estimates must be >= 1, got {self.max_estimates}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _proportional_weights(fitnesses: np.ndarray) -> np.ndarray:
@@ -235,17 +224,6 @@ def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def check_budget(config: GAConfig, n_points: int,
-                 ledger: MeasurementLedger | None = None) -> EstimateBudget:
-    """The estimate guard of a GA run; raises BudgetError when max_estimates
-    cannot pay for generation 0 on top of what `ledger` already holds."""
-    guard = EstimateBudget(config.max_estimates,
-                           MeasurementLedger() if ledger is None else ledger)
-    guard.require(config.population_size * n_points,
-                  f"one generation: {config.population_size} chromosomes x {n_points} points")
-    return guard
-
-
 def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
              backend: Backend) -> tuple[np.ndarray, TrainingTrace]:
     """Evolve a population against the dataset; returns (best theta, trace).
@@ -257,40 +235,26 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
     limit: a budget below one generation raises BudgetError before anything
     is charged, and no generation starts that would overrun it.
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("dataset is empty")
-    guard = check_budget(config, len(dataset), backend.ledger)
+    guard = EstimateBudget(config.max_estimates, backend.ledger)
+    guard.require(config.population_size * n,
+                  f"one generation: {config.population_size} chromosomes x {n} points")
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))
     low, high = config.init_range
     pop = rng.uniform(low, high, size=(config.population_size, spec.n_params))
     maximize = not costs.is_loss(config.fitness)
 
-    trace = TrainingTrace()
-    best_theta = pop[0].copy()
-    best_fitness = -np.inf
-    best_accuracy = -np.inf
-    best_value = np.nan
-
+    trace = TrainingTrace(target_accuracy=config.target_accuracy)
     for gen in range(config.max_generations + 1):
         with backend_failures(f"generation {gen}"):
             values, accs = costs.evaluate_many_with_accuracy(
                 config.fitness, spec, pop, dataset, backend)
         fitnesses = values if maximize else -values
-
-        gen_best = int(np.argmax(fitnesses))
-        if fitnesses[gen_best] > best_fitness:
-            best_fitness = float(fitnesses[gen_best])
-            best_value = float(values[gen_best])
-            best_theta = pop[gen_best].copy()
-        best_accuracy = max(best_accuracy, float(accs.max()))
-
-        trace.record(gen, best_accuracy, best_value, backend.ledger, diversity(pop))
-
-        if config.target_accuracy is not None and best_accuracy >= config.target_accuracy:
-            break
-        if gen == config.max_generations:
-            break
-        if not guard.allows(config.population_size * len(dataset)):
+        if (trace.record(gen, pop, values, accs, backend.ledger, diversity(pop), maximize)
+                or gen == config.max_generations
+                or not guard.allows(config.population_size * n)):
             break
 
         elite_idx = np.argsort(-fitnesses, kind="stable")[:config.elitism_count]
@@ -307,4 +271,4 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
         children = mutate(np.array(children), gen + 1, config.mutation, rng, config.init_range)
         pop = np.vstack([pop[elite_idx], children])
 
-    return best_theta, trace
+    return trace.best_theta, trace

@@ -5,6 +5,9 @@ hardware time (from the time-budget constants and the measurement ledger),
 not host wall clock, so re-running an archived experiment reproduces the
 trace byte for byte.  The diversity column is populated by the population
 optimizer only and left empty otherwise.
+
+Every optimizer hands each step's candidates to TrainingTrace.record, which
+keeps the incumbent it returns and decides the target-accuracy stop.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .backend import MeasurementLedger, estimate_time
 
@@ -40,6 +45,27 @@ class backend_failures:
 
 
 @dataclass(frozen=True)
+class RunLimits:
+    """The settings every optimizer shares: where its initial parameters are
+    drawn, when it stops early, and its seed."""
+
+    init_range: tuple[float, float] = (-np.pi, np.pi)
+    target_accuracy: float | None = None
+    max_estimates: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.init_range[0] >= self.init_range[1]:
+            raise ValueError(f"init_range is empty: {self.init_range}")
+        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
+            raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
+        if self.max_estimates is not None and self.max_estimates < 1:
+            raise ValueError(f"max_estimates must be >= 1, got {self.max_estimates}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+
+@dataclass(frozen=True)
 class TraceRow:
     iteration: int
     best_accuracy: float
@@ -63,7 +89,12 @@ class TraceRow:
 
 @dataclass
 class TrainingTrace:
+    """The rows of a run plus its incumbent: `best_theta`, the candidate whose
+    measured cost is the last row's best_loss."""
+
     rows: list[TraceRow] = field(default_factory=list)
+    target_accuracy: float | None = None
+    best_theta: np.ndarray | None = field(default=None, init=False, compare=False)
 
     def append(self, iteration: int, best_accuracy: float, best_loss: float,
                diversity: float | None, cum_estimates: int, cum_shots: int,
@@ -75,12 +106,31 @@ class TrainingTrace:
         self.rows.append(TraceRow(iteration, best_accuracy, best_loss, diversity,
                                   cum_estimates, cum_shots, wall_ms))
 
-    def record(self, iteration: int, best_accuracy: float, best_loss: float,
-               ledger: MeasurementLedger, diversity: float | None = None) -> None:
-        """Append a row with the ledger's totals and their modeled time."""
+    def record(self, iteration: int, thetas: np.ndarray, values, accuracies,
+               ledger: MeasurementLedger, diversity: float | None = None,
+               maximize: bool = False) -> bool:
+        """Append the row of a step that measured `thetas` (one candidate per
+        row) at cost `values` and `accuracies`; True once the target is reached.
+
+        The first candidate with the best cost is the incumbent, replaced only
+        by a strictly better cost (higher when `maximize`).  best_accuracy is
+        the largest accuracy measured on any candidate so far, returned or
+        not, and the target stop compares it.
+        """
+        values = np.asarray(values, dtype=float)
+        scores = values if maximize else -values
+        i = int(np.argmax(scores))
+        last = self.rows[-1] if self.rows else None
+        best_loss = last.best_loss if last else None
+        if best_loss is None or scores[i] > (best_loss if maximize else -best_loss):
+            best_loss, self.best_theta = float(values[i]), np.array(thetas[i], dtype=float)
+        best_accuracy = float(max(accuracies))
+        if last:
+            best_accuracy = max(last.best_accuracy, best_accuracy)
         est, shots = ledger.snapshot()
         self.append(iteration, best_accuracy, best_loss, diversity, est, shots,
                     estimate_time(ledger) * 1000.0)
+        return self.target_accuracy is not None and best_accuracy >= self.target_accuracy
 
     def __len__(self) -> int:
         return len(self.rows)

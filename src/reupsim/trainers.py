@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, costs
-from .backend import Backend, EstimateBudget, IdealBackend
+from .backend import Backend, EstimateBudget, IdealBackend, SettingError
 from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
-from .trace import TrainingTrace, backend_failures
+from .trace import RunLimits, TrainingTrace, backend_failures
 
 GRAD_NORM_TOL = 1e-8
 CURVATURE_TOL = 1e-12
@@ -81,7 +81,7 @@ class LineSearchSpec:
 
 
 @dataclass(frozen=True)
-class GradConfig:
+class GradConfig(RunLimits):
     method: OptimizerKind = OptimizerKind.BFGS_STANDARD
     gradient: GradMethod = GradMethod.ANALYTIC
     step: float = 1e-2
@@ -90,12 +90,9 @@ class GradConfig:
     max_iterations: int = 50
     line_search: LineSearchSpec = field(default_factory=LineSearchSpec)
     cost: CostKind = CostKind.CROSS_ENTROPY
-    init_range: tuple[float, float] = (-np.pi, np.pi)
-    target_accuracy: float | None = None
-    max_estimates: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.step <= 0:
             raise ValueError(f"finite-difference step must be positive, got {self.step}")
         if self.learning_rate <= 0:
@@ -104,17 +101,9 @@ class GradConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.init_range[0] >= self.init_range[1]:
-            raise ValueError(f"init_range is empty: {self.init_range}")
         if self.cost is CostKind.ACCURACY:
             raise ValueError(f"the accuracy cost needs the ga optimizer: {self.method.value} "
                              "minimizes its cost, so it would drive accuracy down")
-        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
-            raise ValueError(f"target_accuracy must lie in (0, 1], got {self.target_accuracy}")
-        if self.max_estimates is not None and self.max_estimates < 1:
-            raise ValueError(f"max_estimates must be >= 1, got {self.max_estimates}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
@@ -237,7 +226,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
     dim = theta.size
     H = np.eye(dim)
     h_seeded = False
-    trace = TrainingTrace()
+    trace = TrainingTrace(target_accuracy=cfg.target_accuracy)
 
     def gradient(at: np.ndarray) -> np.ndarray:
         return estimate_gradient(cfg.gradient, cfg.cost, spec, at, dataset, backend,
@@ -246,8 +235,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
     with backend_failures("iteration 0"):
         f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
         g = gradient(theta)
-    best_theta, best_val, best_acc = theta.copy(), f, acc
-    trace.record(0, best_acc, best_val, backend.ledger)
+    trace.record(0, theta[None], [f], [acc], backend.ledger)  # the target stops from iteration 1
 
     ls = cfg.line_search
     for k in range(1, cfg.max_iterations + 1):
@@ -304,18 +292,12 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
                     h_seeded = True
                 H = bfgs_update(H, s, y, cfg.method)
         theta, f = trial, f_trial
-        if f_trial < best_val:
-            best_theta, best_val = trial.copy(), f_trial
-        best_acc = max(best_acc, acc_trial)
-        trace.record(k, best_acc, best_val, backend.ledger)
-
-        if g_trial is None:
+        if (trace.record(k, trial[None], [f_trial], [acc_trial], backend.ledger)
+                or g_trial is None):
             break
         g = g_trial
-        if cfg.target_accuracy is not None and best_acc >= cfg.target_accuracy:
-            break
 
-    return best_theta, trace
+    return trace.best_theta, trace
 
 
 def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
@@ -332,17 +314,17 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
     n = len(dataset)
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
     if cfg.method is OptimizerKind.GRADIENT_DESCENT and batch != n:
-        raise ValueError("gradient_descent is full-batch; use sgd for mini-batches")
+        raise SettingError(f"batch_size={cfg.batch_size} is below the {n} points: "
+                           "gradient_descent is full-batch; use sgd for mini-batches")
     guard = EstimateBudget(cfg.max_estimates, backend.ledger)
     guard.require(n, "iteration 0: a cost evaluation")
     theta = _initial_theta(cfg, spec, theta0)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "sgd-shuffle"))
-    trace = TrainingTrace()
+    trace = TrainingTrace(target_accuracy=cfg.target_accuracy)
 
     with backend_failures("iteration 0"):
         f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-    best_theta, best_val, best_acc = theta.copy(), f, acc
-    trace.record(0, best_acc, best_val, backend.ledger)
+    trace.record(0, theta[None], [f], [acc], backend.ledger)  # as in bfgs_train
 
     order = np.arange(n)
     cursor = n  # force a reshuffle on first use
@@ -360,14 +342,10 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
                                   dataset.subset(idx), backend, step=cfg.step)
             theta = theta - cfg.learning_rate * g
             f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-        if f < best_val:
-            best_theta, best_val = theta.copy(), f
-        best_acc = max(best_acc, acc)
-        trace.record(k, best_acc, best_val, backend.ledger)
-        if cfg.target_accuracy is not None and best_acc >= cfg.target_accuracy:
+        if trace.record(k, theta[None], [f], [acc], backend.ledger):
             break
 
-    return best_theta, trace
+    return trace.best_theta, trace
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Backend behavior: accounting, noise determinism, detection, timing, and the
-binomial sampler behind the noisy backend."""
+"""Backend behavior: accounting, noise determinism, timing, and the binomial
+sampler behind the noisy backend."""
 
 import threading
 import warnings
@@ -13,8 +13,7 @@ from scipy.special._ufuncs import _binom_cdf
 
 from reupsim import binomial
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, MeasurementLedger,
-                             NoiseModel, NoisyBackend, PoissonDetectionSpec,
-                             TimeBudget, detection_histogram, estimate_time)
+                             NoiseModel, NoisyBackend, TimeBudget, estimate_time)
 from reupsim.binomial import binom_quantile
 from reupsim.circuits import CircuitSpec
 from reupsim.config import _archived
@@ -141,15 +140,6 @@ def test_ideal_backend_passes_values_through_but_charges():
     np.testing.assert_array_equal(out, out2)
 
 
-def test_poisson_misassignment_matches_tail_probabilities():
-    spec = PoissonDetectionSpec(dark_mean=2.0, bright_mean=25.0, threshold=11)
-    eps_dark, eps_bright = spec.misassignment()
-    assert eps_dark == stats.poisson.sf(11, 2.0)
-    assert eps_bright == stats.poisson.cdf(11, 25.0)
-    assert eps_dark < 1e-5
-    assert eps_bright < 2e-3
-
-
 @BOOST_QUANTILE_WARNING
 @given(st.integers(1, 10_000), SUCCESS, st.lists(UNIFORMS, min_size=1, max_size=40),
        st.integers(0, 10_000), st.integers(-64, 64), st.integers(4, 52))
@@ -249,21 +239,6 @@ def test_sampling_edge_probabilities_raises_no_warning(size):
         NoisyBackend().sample(p, (u[:, 2] < 0.5).astype(int))
     np.testing.assert_array_equal(k, stats.binom.ppf(u[:, 0], 150, p))
     assert np.isnan(est[2::3]).all() and np.isfinite(np.delete(est, np.s_[2::3])).all()
-
-
-def test_detection_histogram_thresholds_counts():
-    res = detection_histogram(0.0, shots=5000, seed=2)
-    assert res.histogram.sum() == 5000
-    assert res.p1_hat < 0.01
-    res = detection_histogram(1.0, shots=5000, seed=2)
-    assert res.p1_hat > 0.99
-    mid = detection_histogram(0.4, shots=20_000, seed=2)
-    assert abs(mid.p1_hat - 0.4) < 0.02
-
-
-def test_detection_spec_warns_when_bright_is_below_threshold():
-    with pytest.warns(UserWarning, match="bright"):
-        PoissonDetectionSpec(bright_mean=5.0, threshold=11)
 
 
 def test_time_budget_arithmetic():

@@ -142,6 +142,16 @@ def test_a_gradient_budget_below_iteration_zero_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_gradient_descent_mini_batch_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("dataset: {n: 24}\noptimizer: {kind: gradient_descent, batch_size: 10}\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert ("config error: optimizer.batch_size=10 is below the 24 points: "
+            "gradient_descent is full-batch") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_an_empty_key_trains_with_its_default(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text("dataset: {n: 6}\noptimizer:\n  population_size:\n"

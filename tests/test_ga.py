@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from reupsim import circuits, costs
-from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
+from reupsim.backend import BudgetError, IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import CircuitSpec
 from reupsim.costs import CostKind
 from reupsim.data import generate
 from reupsim.ga import (CrossoverKind, GAConfig, MutationSpec, SelectionKind,
-                        check_budget, crossover, diversity, ga_train, mutate,
-                        select_parents)
+                        crossover, diversity, ga_train, mutate, select_parents)
 from reupsim.trace import TrainingError
 
 # two-point crossover needs at least two interior cut positions
@@ -312,12 +311,16 @@ def test_ga_train_never_charges_more_than_the_budget(population, points, budget,
 
 
 def test_a_budget_below_one_generation_is_rejected():
-    cfg = GAConfig(population_size=50, max_estimates=1000)
-    with pytest.raises(ValueError, match="max_estimates=1000 is below one generation: "
-                                         "50 chromosomes x 250 points = 12500 estimates"):
-        check_budget(cfg, 250)
-    check_budget(GAConfig(population_size=50, max_estimates=12500), 250)
-    check_budget(GAConfig(population_size=50), 250)
+    ds, backend = generate(250, seed=1), IdealBackend()
+    cfg = GAConfig(population_size=50, max_estimates=1000, max_generations=0)
+    with pytest.raises(BudgetError, match="max_estimates=1000 is below one generation: "
+                                          "50 chromosomes x 250 points = 12500 estimates"):
+        ga_train(cfg, CircuitSpec(layers=1), ds, backend)
+    assert backend.ledger.snapshot() == (0, 0)
+    for limit in (12500, None):
+        cfg = GAConfig(population_size=50, max_estimates=limit, max_generations=0)
+        _, trace = ga_train(cfg, CircuitSpec(layers=1), ds, IdealBackend())
+        assert trace.final.cum_estimates == 12500
 
 
 def test_ga_train_maximizes_accuracy_fitness():

@@ -4,8 +4,9 @@ every parameter of every function is read in that function's body.
 No linter runs on this repository, so these scans keep dead imports and
 unread parameters out of src/reupsim.  The import scan skips
 `__init__.py`: it imports names to re-export them.  A third scan keeps
-scipy out of start-up: only the noisy sampler's module imports it when
-loaded.
+scipy in one place: the noisy sampler's module is the only one that imports
+it anywhere, function bodies included (tests/test_startup.py checks that
+only noisy readout loads that module).
 """
 
 import ast
@@ -31,22 +32,15 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
-def load_time_imports(source: str) -> list[str]:
-    """Top-level package of each import that runs when the module loads: at
-    module level or in a class body, not inside a function."""
+def imported_packages(source: str) -> list[str]:
+    """Top-level package of each absolute import anywhere in the module:
+    at module level, in a class body or inside a function."""
     found = []
-
-    def visit(node) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                found.extend(a.name.split(".")[0] for a in child.names)
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                found.append(child.module.split(".")[0])
-            visit(child)
-
-    visit(ast.parse(source))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
     return found
 
 
@@ -88,16 +82,16 @@ def test_the_scan_reports_each_unread_name():
     assert unused_imports(source) == ["a", "os"]
 
 
-def test_only_the_binomial_module_imports_scipy_when_loaded():
-    importers = [p.name for p in MODULES if "scipy" in load_time_imports(p.read_text())]
+def test_only_the_binomial_module_imports_scipy():
+    importers = [p.name for p in MODULES if "scipy" in imported_packages(p.read_text())]
     assert importers == ["binomial.py"]
 
 
-def test_the_load_time_scan_skips_function_bodies():
+def test_the_import_scan_reads_function_bodies():
     source = ("import os.path\nfrom . import x\nif x:\n    from scipy import a\n"
               "class K:\n    import numpy\n    def m(self):\n        import yaml\n"
               "def f():\n    from scipy.special import b\n")
-    assert load_time_imports(source) == ["os", "scipy", "numpy"]
+    assert sorted(imported_packages(source)) == ["numpy", "os", "scipy", "scipy", "yaml"]
 
 
 def test_every_parameter_is_read():

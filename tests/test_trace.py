@@ -1,7 +1,12 @@
-"""Training trace records and their CSV round trip."""
+"""Training trace records, their CSV round trip, and the incumbent rule that
+TrainingTrace.record applies for every optimizer."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reupsim.backend import MeasurementLedger
 from reupsim.trace import TRACE_HEADER, TrainingTrace
 
 
@@ -64,3 +69,106 @@ def test_write_csv_creates_parent_directories(tmp_path):
     trace.write_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(TRACE_HEADER)
+
+
+# Reference bookkeeping, as ga_train, bfgs_train and sgd_train each kept it
+# before TrainingTrace.record took it over.  A step is (thetas, values,
+# accuracies) with one row of thetas per candidate.
+
+def ga_reference(steps, maximize, target):
+    best_theta = steps[0][0][0].copy()
+    best_fitness, best_accuracy, best_value = -np.inf, -np.inf, np.nan
+    rows = []
+    for thetas, values, accs in steps:
+        fitnesses = values if maximize else -values
+        gen_best = int(np.argmax(fitnesses))
+        if fitnesses[gen_best] > best_fitness:
+            best_fitness = float(fitnesses[gen_best])
+            best_value = float(values[gen_best])
+            best_theta = thetas[gen_best].copy()
+        best_accuracy = max(best_accuracy, float(accs.max()))
+        rows.append((best_accuracy, best_value))
+        if target is not None and best_accuracy >= target:
+            break
+    return best_theta, rows
+
+
+def descent_reference(steps, target):
+    """One candidate a step; the target is first checked at iteration 1."""
+    (theta,), (f,), (acc,) = steps[0]
+    best_theta, best_val, best_acc = theta.copy(), f, acc
+    rows = [(best_acc, best_val)]
+    for (theta,), (f,), (acc,) in steps[1:]:
+        if f < best_val:
+            best_theta, best_val = theta.copy(), f
+        best_acc = max(best_acc, acc)
+        rows.append((best_acc, best_val))
+        if target is not None and best_acc >= target:
+            break
+    return best_theta, rows
+
+
+def recorded(steps, maximize, target, stop_from=0):
+    trace, ledger = TrainingTrace(target_accuracy=target), MeasurementLedger()
+    for k, (thetas, values, accs) in enumerate(steps):
+        ledger.reserve(len(values), 10)
+        if trace.record(k, thetas, values, accs, ledger, maximize=maximize) and k >= stop_from:
+            break
+    assert trace.estimates() == [len(steps[0][1]) * (k + 1) for k in range(len(trace))]
+    return trace.best_theta, [(r.best_accuracy, r.best_loss) for r in trace.rows]
+
+
+def _steps(values, accuracies, width):
+    """Steps of `width` candidates; candidate j of step k has theta (k, j)."""
+    return [(np.array([[k, j] for j in range(width)], dtype=float),
+             np.array(values[k * width:(k + 1) * width]),
+             np.array(accuracies[k * width:(k + 1) * width]))
+            for k in range(len(values) // width)]
+
+
+# few distinct values, so ties and exact target hits are common
+COSTS = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+ACCURACIES = st.sampled_from([0.5, 0.625, 0.75, 0.875])
+TARGETS = st.sampled_from([None, 0.625, 0.75, 0.875, 1.0])
+
+
+@given(st.integers(1, 4), st.data(), st.booleans(), TARGETS)
+@settings(max_examples=200, deadline=None)
+def test_record_keeps_the_incumbent_of_the_ga_loop(width, data, maximize, target):
+    n = width * data.draw(st.integers(1, 6))
+    steps = _steps(data.draw(st.lists(COSTS, min_size=n, max_size=n)),
+                   data.draw(st.lists(ACCURACIES, min_size=n, max_size=n)), width)
+    want_theta, want_rows = ga_reference(steps, maximize, target)
+    got_theta, got_rows = recorded(steps, maximize, target)
+    np.testing.assert_array_equal(got_theta, want_theta)
+    assert got_rows == want_rows
+
+
+@given(st.lists(st.tuples(COSTS, ACCURACIES), min_size=1, max_size=8), TARGETS)
+@settings(max_examples=200, deadline=None)
+def test_record_keeps_the_incumbent_of_the_descent_loops(points, target):
+    steps = _steps([f for f, _ in points], [a for _, a in points], 1)
+    want_theta, want_rows = descent_reference(steps, target)
+    got_theta, got_rows = recorded(steps, False, target, stop_from=1)
+    np.testing.assert_array_equal(got_theta, want_theta)
+    assert got_rows == want_rows
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+def test_ties_and_worse_candidates_keep_the_earlier_incumbent(maximize):
+    better, worse = (0.75, 0.25) if maximize else (0.25, 0.75)
+    steps = _steps([worse, better, better, better, worse, worse],
+                   [0.5, 0.75, 0.5, 0.5, 0.625, 0.5], 2)
+    theta, rows = recorded(steps, maximize, None)
+    assert theta.tolist() == [0.0, 1.0]
+    # best_accuracy is the running maximum over every candidate, returned or not
+    assert rows == [(0.75, better), (0.75, better), (0.75, better)]
+
+
+def test_the_target_stops_a_run_at_equal_accuracy():
+    trace, ledger = TrainingTrace(target_accuracy=0.75), MeasurementLedger()
+    theta = np.zeros((1, 2))
+    assert not trace.record(0, theta, [0.5], [0.625], ledger)
+    assert trace.record(1, theta, [0.75], [0.75], ledger)
+    assert trace.record(2, theta, [0.75], [0.5], ledger)
+    assert not TrainingTrace().record(0, theta, [0.5], [1.0], ledger)
