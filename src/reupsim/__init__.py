@@ -3,16 +3,15 @@ data re-uploading classifiers trained with classical optimizers."""
 
 from .backend import (IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
                       TimeBudget, estimate_time)
-from .circuits import (Ansatz, CircuitSpec, analytic_gradient, classify,
-                       classify_batch, evaluate_circuit, measure_batch,
-                       measure_label, random_parameters)
-from .config import ConfigError, ExperimentConfig, load_config, save_config
+from .circuits import (Ansatz, CircuitSpec, evaluate_circuit, measure_batch,
+                       random_parameters)
+from .config import ConfigError, ExperimentConfig, save_config
 from .costs import CostKind, accuracy, chi_squared, cross_entropy, evaluate
 from .data import CircleSpec, Dataset, generate, generate_splits, load, save
 from .ga import CrossoverKind, GAConfig, MutationSpec, SelectionKind, ga_train
-from .mitigation import (CalibrationMatrix, calibrate, decision_threshold,
-                         gradient_noise_report, mitigate, mitigate_estimate,
-                         noise_scaling, observation_pairs, residual_analysis)
+from .mitigation import (CalibrationMatrix, calibrate, gradient_noise_report, mitigate,
+                         mitigate_estimate, noise_scaling, observation_pairs,
+                         residual_analysis)
 from .seeding import counter_uniforms, derive_key, derive_seed
 from .trace import TrainingError, TrainingTrace
 from .trainers import (GradConfig, GradMethod, LineSearchSpec, LocalSearchSpec,
@@ -22,8 +21,7 @@ from .trainers import (GradConfig, GradMethod, LineSearchSpec, LocalSearchSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ansatz", "CircuitSpec", "analytic_gradient", "classify", "classify_batch",
-    "evaluate_circuit", "measure_batch", "measure_label", "random_parameters",
+    "Ansatz", "CircuitSpec", "evaluate_circuit", "measure_batch", "random_parameters",
     "CircleSpec", "Dataset", "generate", "generate_splits", "load", "save",
     "IdealBackend", "NoisyBackend", "NoiseModel", "MeasurementLedger",
     "TimeBudget", "estimate_time",
@@ -33,9 +31,9 @@ __all__ = [
     "LocalSearchSpec", "bfgs_train", "bfgs_update", "estimate_gradient",
     "sgd_train", "landscape_scan",
     "CalibrationMatrix", "calibrate", "mitigate", "mitigate_estimate",
-    "decision_threshold", "residual_analysis", "observation_pairs",
+    "residual_analysis", "observation_pairs",
     "noise_scaling", "gradient_noise_report",
-    "ConfigError", "ExperimentConfig", "load_config", "save_config",
+    "ConfigError", "ExperimentConfig", "save_config",
     "TrainingError", "TrainingTrace",
     "counter_uniforms", "derive_key", "derive_seed",
     "__version__",

@@ -23,11 +23,9 @@ from scipy.special._ufuncs import _binom_cdf, _binom_ppf
 # within about 2.3e-13 of a step (3e-11 * c for a small CDF value c).
 _NEAR = 2.0**-32
 # binom_quantile's bound on cdf(k - 1) (see its docstring) holds within
-# _SLACK up to _TABLE_MAX_SHOTS shots; below _TABLE_MIN_ENTRIES entries one
-# boost CDF call costs less than the table's dozen numpy calls.
+# _SLACK up to _TABLE_MAX_SHOTS shots; above that every entry takes boost's.
 _SLACK = 2.0**-32
 _TABLE_MAX_SHOTS = 10_000
-_TABLE_MIN_ENTRIES = 32
 
 
 @functools.lru_cache(maxsize=8)
@@ -100,7 +98,7 @@ def _lower_cdf(u: np.ndarray, k: np.ndarray, n: int, p: np.ndarray,
                hi: np.ndarray) -> np.ndarray:
     """binom_quantile's lo: boost's cdf(k - 1) (0 at k = 0), or
     cdf(k) - pmf(k) where u lies more than _NEAR + _SLACK above that."""
-    if n > _TABLE_MAX_SHOTS or k.size < _TABLE_MIN_ENTRIES:
+    if n > _TABLE_MAX_SHOTS:
         return np.where(k > 0, _binom_cdf(k - 1, n, p), 0.0)
     lo = _table_pmf(k, n, p)
     np.subtract(hi, lo, out=lo)

@@ -241,17 +241,10 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
                    phi_z.reshape(spec.layers, -1)).reshape(2, n_probes, n)
 
 
-def evaluate_batch(spec: CircuitSpec, theta: np.ndarray,
-                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact outcome probabilities (p0, p1) for each point in the batch."""
-    p0, p1 = _probe_populations(spec, check_theta(spec, theta)[None], x)[:, 0]
-    return p0, p1
-
-
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """Exact (p0, p1) for a single point."""
-    p0, p1 = evaluate_batch(spec, theta, x)
-    return float(p0[0]), float(p1[0])
+    p0, p1 = _probe_populations(spec, check_theta(spec, theta)[None], x)[:, 0, 0]
+    return float(p0), float(p1)
 
 
 def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -276,23 +269,6 @@ def measure_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
     """Projection probability onto each point's label state |y_i>."""
     theta = check_theta(spec, theta)
     return measure_many(spec, theta[None], x, y)[0]
-
-
-def measure_label(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> float:
-    """M(theta, x, y): probability of projecting the final state onto |y>."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    return float(measure_batch(spec, theta, x, np.array([y]))[0])
-
-
-def classify_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Predicted labels: 1 where p1 > 0.5, else 0 (ties go to 0)."""
-    _, p1 = evaluate_batch(spec, theta, x)
-    return (p1 > 0.5).astype(int)
-
-
-def classify(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> int:
-    return int(classify_batch(spec, theta, x)[0])
 
 
 def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
@@ -355,9 +331,3 @@ def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
     m, angle_grads = gate_angle_gradients(spec, theta, x, y)
     return m, chain_rule(spec, angle_grads, x)
 
-
-def analytic_gradient(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray, y: int) -> np.ndarray:
-    """Exact gradient of measure_label with respect to every parameter."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    return analytic_gradient_batch(spec, theta, x, np.array([y]))[1][0]

@@ -307,13 +307,6 @@ def read_config(path: str | Path | None, overrides: Sequence[str] = ()) -> dict:
     return apply_overrides(_as_mapping(raw, "config"), overrides)
 
 
-def load_config(path: str | Path, master_seed: int | None = None,
-                workers: int | None = None,
-                output_dir: str | None = None) -> ExperimentConfig:
-    return ExperimentConfig.from_mapping(read_config(path), master_seed=master_seed,
-                                         workers=workers, output_dir=output_dir)
-
-
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -86,11 +86,6 @@ def row_values(kind: CostKind, measured: np.ndarray) -> np.ndarray:
     raise ValueError(f"unhandled cost kind {kind}")  # pragma: no cover
 
 
-def accuracy_from(measured: np.ndarray) -> float:
-    """Fraction of points with estimated M above 0.5."""
-    return float(row_accuracies(np.ravel(measured)))
-
-
 def value_from(kind: CostKind, measured: np.ndarray) -> float:
     """Objective value from a batch of per-point M estimates."""
     return float(row_values(kind, np.ravel(measured)))
@@ -105,7 +100,7 @@ def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
                            ds: Dataset, backend: Backend) -> tuple[float, float]:
     """(objective, accuracy) computed from one shared estimate batch."""
     m = measured_values(spec, theta, ds, backend)
-    return value_from(kind, m), accuracy_from(m)
+    return value_from(kind, m), float(row_accuracies(m))
 
 
 def evaluate_many_with_accuracy(kind: CostKind, spec: CircuitSpec, thetas: np.ndarray,

@@ -117,17 +117,6 @@ def mitigate_estimate(value: float, y: int, cal: CalibrationMatrix) -> float:
     return float(mitigate(pair, cal)[y])
 
 
-def decision_threshold(y: int, cal: CalibrationMatrix) -> float:
-    """Observed-frequency value that maps to a mitigated estimate of 0.5.
-
-    Mitigation is strictly increasing in the observed frequency whenever
-    both diagonal entries exceed 0.5, so thresholding the mitigated estimate
-    at 0.5 equals thresholding the raw estimate here.
-    """
-    m = cal.as_array
-    return float(0.5 * (m[y, y] + m[1 - y, y]))
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Least-squares line through (theoretical, observed) pairs plus the

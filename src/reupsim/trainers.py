@@ -23,7 +23,7 @@ theta <- theta - alpha * H * grad with a backtracking line search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +104,17 @@ class GradConfig(RunLimits):
         if self.cost is CostKind.ACCURACY:
             raise ValueError(f"the accuracy cost needs the ga optimizer: {self.method.value} "
                              "minimizes its cost, so it would drive accuracy down")
+        # archived configs write every field, so a key at its default passes
+        bfgs = self.method in (OptimizerKind.BFGS_STANDARD, OptimizerKind.BFGS_AS_WRITTEN)
+        unread = {"learning_rate": bfgs, "batch_size": bfgs, "line_search": not bfgs,
+                  "step": self.gradient is not GradMethod.FINITE_DIFFERENCE}
+        for f in fields(self):
+            default = f.default_factory() if f.default is MISSING else f.default
+            if unread.get(f.name) and getattr(self, f.name) != default:
+                reader = (f"the {self.gradient.value} gradient" if f.name == "step"
+                          else self.method.value)
+                raise ValueError(f"{f.name} is not read by {reader}; "
+                                 "leave it out or at its default")
 
 
 def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
@@ -211,8 +222,9 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
     """Quasi-Newton minimization of the configured cost; returns the iterate
     with the best measured cost and the per-iteration trace.
 
-    Stops on max_iterations, a gradient norm below 1e-8, an exhausted
-    estimate budget, or a failed line search.  `max_estimates` is a hard
+    Stops on max_iterations, the target accuracy (from iteration 0), a
+    gradient norm below 1e-8, an exhausted estimate budget, or a failed line
+    search.  `max_estimates` is a hard
     limit: a budget below iteration 0 raises BudgetError before anything is
     charged, and no evaluation or gradient is started that would overrun it.
     """
@@ -235,7 +247,8 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
     with backend_failures("iteration 0"):
         f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
         g = gradient(theta)
-    trace.record(0, theta[None], [f], [acc], backend.ledger)  # the target stops from iteration 1
+    if trace.record(0, theta[None], [f], [acc], backend.ledger):
+        return trace.best_theta, trace
 
     ls = cfg.line_search
     for k in range(1, cfg.max_iterations + 1):
@@ -324,7 +337,8 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
 
     with backend_failures("iteration 0"):
         f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-    trace.record(0, theta[None], [f], [acc], backend.ledger)  # as in bfgs_train
+    if trace.record(0, theta[None], [f], [acc], backend.ledger):
+        return trace.best_theta, trace
 
     order = np.arange(n)
     cursor = n  # force a reshuffle on first use

@@ -11,11 +11,9 @@ from oracles import (ZERO_STATE, QubitState, complex_evolve, layer_args,
                      rotation_y, rotation_z)
 
 from reupsim import circuits
-from reupsim.circuits import (Ansatz, CircuitSpec, analytic_gradient,
-                              check_theta, classify, classify_batch,
-                              evaluate_batch, evaluate_circuit, layer_angles,
-                              measure_batch, measure_label, measure_many,
-                              random_parameters)
+from reupsim.circuits import (Ansatz, CircuitSpec, analytic_gradient_batch,
+                              check_theta, evaluate_circuit, layer_angles,
+                              measure_batch, measure_many, random_parameters)
 
 ANGLES = st.floats(min_value=-4 * np.pi, max_value=4 * np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -28,6 +26,12 @@ def _ry(phi):
 
 def _rz(phi):
     return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+
+
+def _populations(spec, theta, x):
+    """(p0, p1) per point: M against all-0 and against all-1 labels."""
+    return (measure_batch(spec, theta, x, np.zeros(len(x), int)),
+            measure_batch(spec, theta, x, np.ones(len(x), int)))
 
 
 def _reference_probabilities(spec, theta, x):
@@ -66,7 +70,7 @@ def test_evolution_preserves_the_norm(layers, seed):
     spec = CircuitSpec(Ansatz.A2C, layers)
     theta = random_parameters(spec, rng)
     x = rng.uniform(-1.0, 1.0, (7, 2))
-    p0, p1 = evaluate_batch(spec, theta, x)
+    p0, p1 = _populations(spec, theta, x)
     np.testing.assert_allclose(p0 + p1, 1.0, atol=1e-12)
 
 
@@ -122,21 +126,10 @@ def test_measure_batch_picks_the_label_component():
     spec = CircuitSpec()
     theta = random_parameters(spec, rng)
     x = rng.uniform(-1.0, 1.0, (6, 2))
-    p0, p1 = evaluate_batch(spec, theta, x)
+    p0, p1 = _populations(spec, theta, x)
     y = np.array([0, 1, 0, 1, 1, 0])
     m = measure_batch(spec, theta, x, y)
     np.testing.assert_allclose(m, np.where(y == 1, p1, p0), atol=1e-15)
-
-
-def test_classify_thresholds_p1():
-    spec = CircuitSpec(Ansatz.A2A, 1)
-    x = np.array([[0.0, 0.0]])
-    # theta[2] is the data-independent R_y angle of ansatz 2A
-    theta = np.zeros(4)
-    theta[2] = np.pi          # p1 = 1
-    assert classify_batch(spec, theta, x)[0] == 1
-    theta[2] = 0.0            # stays in |0>
-    assert classify(spec, theta, x[0]) == 0
 
 
 def test_gate_shift_matches_direct_angle_change():
@@ -162,14 +155,14 @@ def test_analytic_gradient_matches_finite_differences():
         spec = CircuitSpec(ansatz, 4)
         theta = random_parameters(spec, rng)
         x = rng.uniform(-1.0, 1.0, 2)
-        y = int(rng.integers(0, 2))
-        grad = analytic_gradient(spec, theta, x, y)
+        y = rng.integers(0, 2, 1)
+        grad = analytic_gradient_batch(spec, theta, x, y)[1][0]
         for j in range(spec.n_params):
             probe = theta.copy()
             probe[j] += h
-            up = measure_label(spec, probe, x, y)
+            up = measure_batch(spec, probe, x, y)[0]
             probe[j] -= 2 * h
-            down = measure_label(spec, probe, x, y)
+            down = measure_batch(spec, probe, x, y)[0]
             assert abs(grad[j] - (up - down) / (2 * h)) < 1e-6
 
 
@@ -203,8 +196,6 @@ def test_check_theta_rejects_wrong_shapes():
 def test_label_validation():
     spec = CircuitSpec()
     theta = np.zeros(spec.n_params)
-    with pytest.raises(ValueError, match="label"):
-        measure_label(spec, theta, np.array([0.1, 0.2]), 2)
     with pytest.raises(ValueError, match="labels"):
         measure_batch(spec, theta, np.array([[0.1, 0.2]]), np.array([3]))
 

@@ -163,11 +163,11 @@ def test_an_empty_key_trains_with_its_default(tmp_path):
 
 @pytest.mark.parametrize("override,message", [
     ("optimizer.target_accuracy=2", "optimizer: target_accuracy must lie in (0, 1]"),
-    ("optimizer.line_search={c1: 5}", "optimizer.line_search: c1 must lie in (0, 1)")])
+    ("optimizer.line_search={c1: 5}", "optimizer.line_search: c1 must lie in (0, 1)"),
+    ("optimizer.learning_rate=3", "optimizer: learning_rate is not read by bfgs_standard")])
 def test_an_out_of_range_value_is_a_config_error(tmp_path, capsys, override, message):
-    argv = ["train", "--out", str(tmp_path / "run"), "--set", override]
-    if "line_search" in override:
-        argv += ["--set", "optimizer.kind=bfgs_standard"]
+    argv = ["train", "--out", str(tmp_path / "run"), "--set", override,
+            "--set", "optimizer.kind=bfgs_standard"]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"config error: {message}" in err and "Traceback" not in err

@@ -6,7 +6,7 @@ import pytest
 from reupsim.backend import IdealBackend, NoisyBackend
 from reupsim.circuits import Ansatz
 from reupsim.config import (ConfigError, ExperimentConfig, apply_overrides,
-                            load_config, save_config)
+                            read_config, save_config)
 from reupsim.costs import CostKind
 from reupsim.data import generate
 from reupsim.ga import GAConfig
@@ -179,7 +179,7 @@ def test_yaml_round_trip_preserves_the_resolved_config(tmp_path):
          "optimizer": {"kind": "sgd", "batch_size": 16}})
     path = tmp_path / "config.yaml"
     save_config(cfg, path)
-    back = load_config(path)
+    back = ExperimentConfig.from_mapping(read_config(path))
     assert back == cfg
 
 
@@ -187,13 +187,13 @@ def test_load_config_rejects_invalid_yaml(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("foo: [unclosed\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
-        load_config(path)
+        ExperimentConfig.from_mapping(read_config(path))
 
 
 def test_load_config_of_an_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
-    cfg = load_config(path)
+    cfg = ExperimentConfig.from_mapping(read_config(path))
     assert cfg.seed == 0
 
 
@@ -291,6 +291,22 @@ def test_the_accuracy_cost_is_ga_only(kind):
         ExperimentConfig.from_mapping({"cost": "accuracy", "optimizer": {"kind": kind}})
     cfg = ExperimentConfig.from_mapping({"cost": "accuracy", "optimizer": {"kind": "ga"}})
     assert cfg.build_trainer_config().fitness is CostKind.ACCURACY
+
+
+@pytest.mark.parametrize("kind, key, value, reader", [
+    ("bfgs_standard", "learning_rate", 3, "bfgs_standard"),
+    ("bfgs_as_written", "batch_size", 7, "bfgs_as_written"),
+    ("sgd", "line_search", {"kind": "wolfe"}, "sgd"),
+    ("gradient_descent", "line_search", {"c1": 0.5}, "gradient_descent"),
+    ("sgd", "step", 0.3, "the analytic gradient"),
+    ("bfgs_standard", "step", 0.3, "the analytic gradient")])
+def test_an_optimizer_key_the_method_does_not_read_is_an_error(kind, key, value, reader):
+    with pytest.raises(ConfigError, match=rf"^optimizer: {key} is not read by {reader}"):
+        ExperimentConfig.from_mapping({"optimizer": {"kind": kind, key: value}})
+    # an archived block writes every key, the unread ones at their defaults
+    archived = ExperimentConfig.from_mapping({"optimizer": {"kind": kind}}).optimizer
+    assert key in archived
+    assert ExperimentConfig.from_mapping({"optimizer": archived}).optimizer == archived
 
 
 def test_out_of_range_optimizer_values_fail_at_resolve_time():

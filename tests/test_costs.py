@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import CircuitSpec, random_parameters
-from reupsim.costs import (CostKind, accuracy_from, evaluate,
+from reupsim.costs import (CostKind, evaluate,
                            evaluate_many_with_accuracy, evaluate_with_accuracy,
                            is_loss, measured_many, measured_values, row_accuracies,
                            row_values, value_from)
@@ -24,11 +24,11 @@ def test_balanced_measurements_give_the_closed_forms():
     m = np.full(64, 0.5)
     assert value_from(CostKind.CROSS_ENTROPY, m) == pytest.approx(np.log(2), abs=1e-12)
     assert value_from(CostKind.CHI_SQUARED, m) == pytest.approx(0.25, abs=1e-12)
-    assert accuracy_from(m) == 0.0   # 0.5 is not strictly above threshold
+    assert row_accuracies(m) == 0.0   # 0.5 is not strictly above threshold
 
 
 def test_accuracy_counts_strict_majority():
-    assert accuracy_from(np.array([0.4, 0.500001, 0.9, 0.1])) == 0.5
+    assert row_accuracies(np.array([0.4, 0.500001, 0.9, 0.1])) == 0.5
 
 
 def test_cross_entropy_is_clamped_at_zero_measurements():
@@ -84,7 +84,7 @@ def test_row_objectives_equal_a_per_row_loop_bit_for_bit(m):
         assert [value_from(kind, row) for row in m] == loop
     loop = [_value_of_one_row(CostKind.ACCURACY, row) for row in m]
     np.testing.assert_array_equal(row_accuracies(m), loop)
-    assert [accuracy_from(row) for row in m] == loop
+    assert [row_accuracies(row) for row in m] == loop
 
 
 def test_is_loss_flags_only_accuracy_as_maximized():

@@ -1,12 +1,13 @@
-"""Every name a package module imports is read somewhere in that module, and
-every parameter of every function is read in that function's body.
+"""Every name a package module imports is read somewhere in that module,
+every parameter of every function is read in that function's body, and every
+public module-level function or class is read somewhere in the package.
 
-No linter runs on this repository, so these scans keep dead imports and
-unread parameters out of src/reupsim.  The import scan skips
-`__init__.py`: it imports names to re-export them.  A third scan keeps
-scipy in one place: the noisy sampler's module is the only one that imports
-it anywhere, function bodies included (tests/test_startup.py checks that
-only noisy readout loads that module).
+No linter runs on this repository, so these scans keep dead imports,
+unread parameters and orphan public API out of src/reupsim.  The import and
+orphan scans skip `__init__.py`: it imports names to re-export them, which
+is not a use.  A fourth scan keeps scipy in one place: the noisy sampler's
+module is the only one that imports it anywhere, function bodies included
+(tests/test_startup.py checks that only noisy readout loads that module).
 """
 
 import ast
@@ -18,6 +19,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reupsim"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # IdealBackend.sample takes the labels only to match NoisyBackend.sample
 UNREAD_BY_DESIGN = ["IdealBackend.sample(y)"]
+# the single-point circuit evaluation, the named objectives and the split
+# generator that the acceptance criteria in tests/test_acceptance.py call
+CALLED_BY_THE_CRITERIA = ["accuracy", "chi_squared", "cross_entropy", "evaluate_circuit",
+                          "generate_splits"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,6 +47,22 @@ def imported_packages(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module.split(".")[0])
     return found
+
+
+def orphans(sources: list[str]) -> list[str]:
+    """Public module-level functions and classes of `sources` that none of
+    them reads, as a name or as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    return sorted(set(defined) - read)
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -80,6 +101,20 @@ def test_the_scan_reports_each_unread_name():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from x import a, b as c\nprint(c, np.pi)\n")
     assert unused_imports(source) == ["a", "os"]
+
+
+def test_every_public_function_and_class_is_read_in_the_package():
+    sources = [p.read_text() for p in MODULES if p.name != "__init__.py"]
+    assert orphans(sources) == CALLED_BY_THE_CRITERIA
+
+
+def test_the_orphan_scan_reports_each_unread_definition():
+    sources = ["import m\ndef used():\n    pass\ndef _private():\n    pass\n"
+               "class Orphan:\n    def method(self):\n        return used\n"
+               "def also_orphan():\n    pass\n",
+               "from . import a\na.attr_read()\ndef attr_read():\n    pass\n"
+               "def written():\n    pass\nm.written = 2\n"]
+    assert orphans(sources) == ["Orphan", "also_orphan", "written"]
 
 
 def test_only_the_binomial_module_imports_scipy():

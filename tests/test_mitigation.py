@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, NoiseModel,
                              NoisyBackend)
-from reupsim.circuits import (Ansatz, CircuitSpec, check_theta, measure_batch,
-                              measure_label)
+from reupsim.circuits import Ansatz, CircuitSpec, check_theta, measure_batch
 from reupsim.costs import CostKind
 from reupsim.data import Dataset, generate
 from reupsim.seeding import derive_seed
-from reupsim.mitigation import (CalibrationMatrix, calibrate, decision_threshold,
-                                gradient_noise_report, mitigate,
-                                mitigate_estimate, noise_scaling,
+from reupsim.mitigation import (CalibrationMatrix, calibrate, gradient_noise_report,
+                                mitigate, mitigate_estimate, noise_scaling,
                                 observation_pairs, pole_preparations,
                                 residual_analysis)
 
@@ -48,13 +46,6 @@ def test_mitigate_estimate_matches_the_pair_form():
         mitigate_estimate(0.5, 2, cal)
 
 
-def test_decision_threshold_maps_to_half():
-    cal = CalibrationMatrix(DEFAULT_CONFUSION)
-    for y in (0, 1):
-        t = decision_threshold(y, cal)
-        assert mitigate_estimate(t, y, cal) == pytest.approx(0.5)
-
-
 def test_calibration_matrix_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         CalibrationMatrix(((0.9, 0.2), (0.1, 0.8)))
@@ -67,8 +58,9 @@ def test_pole_preparations_reach_both_poles_under_every_ansatz():
         spec = CircuitSpec(ansatz, 4)
         theta0, theta1 = pole_preparations(spec)
         x = np.array([1.0, 0.0])
-        assert measure_label(spec, theta0, x, 0) == pytest.approx(1.0, abs=1e-12)
-        assert measure_label(spec, theta1, x, 1) == pytest.approx(1.0, abs=1e-12)
+        for theta, y in ((theta0, 0), (theta1, 1)):
+            m = measure_batch(spec, theta, x, np.array([y]))[0]
+            assert m == pytest.approx(1.0, abs=1e-12)
 
 
 def test_calibrate_on_the_ideal_backend_is_the_identity():

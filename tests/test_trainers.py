@@ -179,6 +179,22 @@ def test_bfgs_train_zero_iterations_returns_the_start():
     assert len(trace) == 1
 
 
+@pytest.mark.parametrize("method", [OptimizerKind.BFGS_STANDARD, OptimizerKind.SGD])
+def test_a_target_met_at_iteration_0_stops_there(method):
+    """As the GA stops at generation 0: row 0 keeps its charges (BFGS's
+    includes the iteration-0 gradient) and nothing more is measured."""
+    spec, ds, theta0 = _small_problem(n=10, seed=7)
+    cfg = GradConfig(method=method, max_iterations=5, target_accuracy=0.05, seed=7)
+    train = bfgs_train if method is OptimizerKind.BFGS_STANDARD else sgd_train
+    backend = IdealBackend()
+    theta, trace = train(cfg, spec, ds, backend, theta0=theta0)
+    assert trace.rows[0].best_accuracy >= 0.05
+    np.testing.assert_array_equal(theta, theta0)
+    assert len(trace) == 1
+    first = 10 + ((4 * spec.layers + 1) * 10 if method is OptimizerKind.BFGS_STANDARD else 0)
+    assert trace.final.cum_estimates == backend.ledger.total_estimates == first
+
+
 def test_bfgs_train_is_deterministic_given_the_seed():
     spec, ds, _ = _small_problem(n=25, seed=8)
     cfg = GradConfig(max_iterations=6, gradient=GradMethod.FINITE_DIFFERENCE,
@@ -219,12 +235,13 @@ def test_no_optimizer_charges_past_max_estimates(case, budget, held, points):
         train, first = ga_train, 4 * points
     else:
         method, search, gradient = case
+        bfgs = method is OptimizerKind.BFGS_STANDARD
         # a small c2 makes Wolfe's curvature test fail often, each failure a gradient
+        read = ({"line_search": LineSearchSpec(kind=search, c2=0.1)} if bfgs
+                else {"batch_size": 3 if method is OptimizerKind.SGD else None})
         cfg = GradConfig(method=method, gradient=gradient, max_iterations=8,
-                         line_search=LineSearchSpec(kind=search, c2=0.1),
-                         batch_size=3 if method is OptimizerKind.SGD else None,
-                         seed=budget, max_estimates=budget)
-        if method is OptimizerKind.BFGS_STANDARD:
+                         seed=budget, max_estimates=budget, **read)
+        if bfgs:
             per_gradient = (8 if gradient is GradMethod.FINITE_DIFFERENCE else 5) * points
             train, first = bfgs_train, points + per_gradient
         else:
