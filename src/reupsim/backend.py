@@ -10,7 +10,7 @@ Determinism contract: the noise applied to an estimate is a pure function of
 blocks atomically and each index keys one Philox block, so a batch gives the
 same values as the same estimates drawn one call at a time, as long as the
 sequence of cost evaluations is the same.  Each block becomes an estimate in
-the binomial module, imported with scipy on the first noisy sample.
+the binomial module (numpy only), imported on the first noisy sample.
 
 Also here: shot/estimate accounting and the wall-time model for a run
 (per-circuit upload costs plus per-shot cycle costs).
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,14 +96,19 @@ class NoiseModel:
     def matrix(self) -> np.ndarray:
         return np.asarray(self.confusion, dtype=float)
 
+    @cached_property
+    def _readout(self) -> tuple[np.ndarray, np.ndarray]:
+        """By outcome y: the chance to misread y from the other state, and the
+        chance to read y correctly less that."""
+        m = self.matrix
+        flip = np.array([m[1, 0], m[0, 1]])
+        return flip, np.array([m[0, 0], m[1, 1]]) - flip
+
     def observed_probability(self, p_y: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Expected observed frequency of outcome y given true P(outcome=y)."""
-        m = self.matrix
-        p_y = np.asarray(p_y, dtype=float)
+        flip, gain = self._readout
         y = np.asarray(y)
-        diag = m[y, y]          # stay correct
-        flip = m[1 - y, y]      # misread from the other state
-        return flip + (diag - flip) * p_y
+        return flip.take(y) + gain.take(y) * np.asarray(p_y, dtype=float)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "NoiseModel":

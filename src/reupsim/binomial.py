@@ -1,8 +1,12 @@
-"""Binomial shot counts for the noisy backend; the one module that loads scipy.
+"""Binomial shot counts for the noisy backend, in numpy alone.
 
-An estimate's shot count is the exact binomial quantile of its Philox uniform:
-binom_quantile inverts boost's binomial CDF in scipy, at about one evaluation
-per estimate, and returns what scipy's binom.ppf returns, bit for bit.
+An estimate's shot count is the binomial quantile of its first Philox uniform;
+its residual floor is ndtri of the second.  The quantile inverts _cdf, which
+differs from boost's binomial CDF (behind scipy's binom.ppf) by at most 4.5e-13
+over shots 1 to 10**4, so a uniform draw gets binom.ppf's answer unless it
+lies within that of a CDF step.  ndtri repeats Cephes' operations in order, so
+it equals scipy's ndtri except where numpy's log rounds otherwise than the C
+library's: by a few ulps, in the tails (u below exp(-2) or above 1 - exp(-2)).
 """
 
 from __future__ import annotations
@@ -11,110 +15,236 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import ndtri
-# The binomial CDF and quantile ufuncs behind scipy's binom._cdf and
-# binom._ppf; importing them from scipy.special skips the slow stats import.
-from scipy.special._ufuncs import _binom_cdf, _binom_ppf
 
-# binom_quantile hands an entry to boost's own quantile when u lies within
-# _NEAR of a CDF value that decides it, which includes every u within _NEAR of
-# 0 or 1.  Only there did boost's root finder settle on a neighbouring k in a
-# sweep over shots 1 to 10**4: on the flat top of the CDF, and elsewhere
-# within about 2.3e-13 of a step (3e-11 * c for a small CDF value c).
-_NEAR = 2.0**-32
-# binom_quantile's bound on cdf(k - 1) (see its docstring) holds within
-# _SLACK up to _TABLE_MAX_SHOTS shots; above that every entry takes boost's.
-_SLACK = 2.0**-32
-_TABLE_MAX_SHOTS = 10_000
+# Cephes ndtri, highest power first: numerator and denominator for the centre
+# (u within 1/2 - exp(-2) of 1/2) and the tail to exp(-32), then for the far
+# tail, with zeros padding and the denominators' leading 1 explicit: eight
+# Horner steps each.
+_NDTRI = np.array([
+    (0.0, 0.0, 0.0, 0.0, -59.96335010141079, 98.00107541859997, -56.67628574690703,
+     13.931260938727968, -1.2391658386738125),
+    (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905, -225.46268785411937,
+     200.26021238006066, -82.03722561683334, 15.90562251262117, -1.1833162112133),
+    (4.0554489230596245, 31.525109459989388, 57.16281922464213, 44.08050738932008,
+     14.684956192885803, 2.1866330685079025, -0.1402560791713545, -0.03504246268278482,
+     -0.0008574567851546854),
+    (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672, 15.04253856929075,
+     2.504649462083094, -0.14218292285478779, -0.03808064076915783, -0.0009332594808954574),
+]).T[..., None].copy()                      # (Horner step, row, 1)
+_NDTRI_FAR = np.array([
+    (3.2377489177694603, 6.915228890689842, 3.9388102529247444, 1.3330346081580755,
+     0.20148538954917908, 0.012371663481782003, 0.00030158155350823543,
+     2.6580697468673755e-06, 6.239745391849833e-09),
+    (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132, 0.21623699359449663,
+     0.013420400608854318, 0.00032801446468212774, 2.8924786474538068e-06,
+     6.790194080099813e-09),
+]).T[..., None].copy()
+_EXP_M2 = 0.1353352832366127
+# binom_quantile decides an entry from its block of pmf terms unless u lies
+# within _MARGIN, plus a bound on the terms left out, of a CDF value it reads
+# there; _MARGIN is far above the block's error against _cdf (1e-12 at 10**4 shots).
+_MARGIN = 2.0**-32
+_P_MIN = 2.0**-53       # at or below: CDF taken as 1 (off by n p at most), so k = 0
+_WINDOW = 7             # values of k that one block decides
+_CHUNK = 1 << 16        # work-array elements per block, at most
+
+
+@functools.lru_cache(maxsize=4)
+def _ndtri_coefficients(size: int) -> np.ndarray:
+    """_NDTRI over `size` entries, read-only: a same-shape add is a cheaper
+    small call."""
+    coef = np.repeat(_NDTRI, size, axis=2)
+    coef.flags.writeable = False
+    return coef
+
+
+def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """x * P(x) / Q(x) for each pair of rows (P, Q), by Horner's rule as
+    Cephes' polevl runs it; x repeats each of its values for both rows."""
+    acc = x * coef[0]
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    ratio = np.multiply(acc[0::2], x[0::2], out=acc[0::2])
+    ratio /= acc[1::2]
+    return ratio
+
+
+def ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF for u in (0, 1), as Cephes computes it."""
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    if flat.size > _CHUNK // 8:     # bounds the work arrays, as _quantile does
+        size = _CHUNK // 8
+        return np.concatenate([ndtri(flat[i:i + size]) for i in range(0, flat.size, size)]
+                              ).reshape(u.shape)
+    y, w, tail = np.empty((3, flat.size))
+    np.greater(flat, 1.0 - _EXP_M2, out=y)
+    np.abs(np.subtract(y, flat, out=y), out=y)      # 1 - u where flipped, exactly
+    centre = y > _EXP_M2
+    np.sqrt(np.multiply(np.log(y, out=w), -2.0, out=w), out=w)
+    x = np.empty((4, flat.size))
+    np.multiply(np.subtract(y, 0.5, out=y), y, out=x[0])
+    np.divide(1.0, w, out=x[2])
+    x[1], x[3] = x[0], x[2]
+    mid, ratio = _horner(x, _ndtri_coefficients(flat.size) if flat.size <= 4096 else _NDTRI)
+    if np.maximum.reduce(w, initial=0.0) >= 8.0:
+        far = np.flatnonzero(w >= 8.0)
+        ratio[far] = _horner(x[2:, far], _NDTRI_FAR)[0]
+    mid *= y
+    mid += y
+    mid *= 2.5066282746310007
+    np.divide(np.log(w, out=tail), w, out=tail)
+    np.subtract(w, tail, out=tail)
+    tail -= ratio
+    np.copysign(tail, np.subtract(flat, 0.5, out=y), out=tail)
+    np.copyto(tail, mid, where=centre)
+    return tail.reshape(u.shape)
 
 
 @functools.lru_cache(maxsize=8)
 def _log_binomials(n: int) -> np.ndarray:
-    """log C(n, k) for k = 0..n, from math.lgamma."""
-    lg = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-    table = lg[n] - lg - lg[::-1]
+    """log C(n, k) for k = 0..n: sums of log((n + 1 - j) / j) in long double,
+    which round to the nearest double where long double has 64 bits."""
+    j = np.arange(1, n + 1, dtype=np.longdouble)
+    table = np.concatenate([[0.0], np.cumsum(np.log((n + 1 - j) / j)).astype(float)])
     table.flags.writeable = False
     return table
 
 
-def binom_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """Smallest k with binomial CDF(k; n, p) >= u, for u in (0, 1).
+def _rows(n: int, sds: float) -> int:
+    """pmf terms spanning `sds` standard deviations at p = 1/2, at least _WINDOW."""
+    return max(_WINDOW, min(n + 1, math.ceil(sds / 2.0 * math.sqrt(n))))
 
-    Equals scipy's binom.ppf(u, n, p) bit for bit, NaN for p outside
-    [0, 1] included, as checked on scipy 1.17.1: the guarantee rests on the
-    private boost ufuncs _binom_cdf/_binom_ppf and on the root finder behind
-    the latter, so re-run tests/test_backend.py before trusting another
-    scipy version.  A Cornish-Fisher guess for k is checked against
-    cdf(k - 1) < u <= cdf(k), and only the entries that fail step up or down
-    until they pass: about one CDF evaluation per entry instead of boost's
-    root search.
 
-    The one evaluation is boost's cdf(k).  For cdf(k - 1) the check takes
-    lo = cdf(k) - pmf(k), with the pmf from a log-binomial table.  lo is
-    within _SLACK = 2**-32 (2.3e-10) of boost's cdf(k - 1): the two differ by
-    at most 3.1e-14 at 150 shots and 3.6e-12 at 10**4.  So where
-    u > lo + _NEAR + _SLACK, boost's cdf(k - 1) would also lie below u and
-    more than _NEAR from it, and the check and the _NEAR hand-off decide as
-    they would on boost's value; every other entry, and every entry whose pmf
-    is not finite, gets boost's cdf(k - 1).
+def _terms(k: np.ndarray, n: int, p: np.ndarray, odds: np.ndarray, rows: int) -> np.ndarray:
+    """pmf(k - i; n, p) for i < rows, shape (rows, entries), for k >= 0 and
+    odds = (1 - p) / p: row 0 from the log-binomial table, each later row the
+    one above times the ratio ((n + 1) / (n - k + i) - 1) * odds."""
+    t, rest = np.empty((rows, k.size)), n - k
+    np.add(rest, np.arange(1.0, rows)[:, None], out=t[1:])
+    np.divide(n + 1.0, t[1:], out=t[1:])
+    t[1:] -= 1.0
+    t[1:] *= odds
+    _log_binomials(n).take(k.astype(np.intp), out=t[0], mode="clip")
+    t[0] += k * np.log(p)
+    t[0] += np.multiply(rest, np.log1p(-p), out=rest)
+    np.exp(t[0], out=t[0])
+    if k.size < 128:            # few entries: one call for all rows beats one per row
+        np.multiply.accumulate(t, axis=0, out=t)
+    else:
+        for prev, row in zip(t, t[1:]):
+            row *= prev
+    return t
+
+
+def _cdf(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """The binomial CDF that binom_quantile inverts, for p in (0, 1): with the
+    terms of _terms over 9.5 standard deviations, added in order, the sum of
+    pmf(k), pmf(k - 1), ... where k < n p, else 1 minus that of pmf(k + 1),
+    pmf(k + 2), ... (the terms from n - k - 1 down at 1 - p)."""
+    down = k < n * p
+    head, p = np.where(down, k, n - 1.0 - k), np.where(down, p, 1.0 - p)
+    terms = _terms(np.maximum(head, 0.0), n, p, (1.0 - p) / p, _rows(n, 9.5))
+    tail = np.where(head < 0, 0.0, np.cumsum(terms, axis=0)[-1])
+    return np.where(down, tail, 1.0 - tail)
+
+
+def _exact(u: np.ndarray, k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """binom_quantile by stepping from k to _cdf(k - 1) <= u < _cdf(k), then
+    down one where _cdf(k - 1) == u."""
+    hi, lo = _cdf(k, n, p), _cdf(k - 1.0, n, p)
+    todo = np.flatnonzero((hi <= u) | (lo > u))
+    while todo.size:
+        up = hi[todo] <= u[todo]
+        i, j = todo[up], todo[~up]
+        k[i] += 1.0
+        lo[i], hi[i] = hi[i], _cdf(k[i], n, p[i])
+        k[j] -= 1.0
+        hi[j], lo[j] = lo[j], _cdf(k[j] - 1.0, n, p[j])
+        todo = todo[(hi[todo] <= u[todo]) | (lo[todo] > u[todo])]
+    return k - (lo == u)
+
+
+def binom_quantile(u: np.ndarray, n: int, p: np.ndarray,
+                   z: np.ndarray | None = None) -> np.ndarray:
+    """Smallest k with _cdf(k; n, p) >= u, for u in (0, 1), or the largest of
+    several with _cdf(k) == u (boost's choice, seen where _cdf(k) is the largest
+    double below 1 for several k); 0 at p = 0, n at p = 1, NaN for p outside
+    [0, 1].  z is ndtri(u) where the caller has it.
+
+    Entries with u >= 1/2 are mirrored (k -> n - k, p -> 1 - p, u -> 1 - u),
+    so all read a lower tail.  From a normal-quantile guess, a block of pmf
+    terms at and below head = guess + 3 is summed toward 0 and the rest bounded
+    geometrically; the CDF at head - j, j < _WINDOW, is that sum less the terms
+    above it.  An entry with u within _MARGIN plus the bound of one of these
+    values, or with its answer outside them, takes a block over five standard
+    deviations if it had fewer, else _exact.
     """
     u, p = np.asarray(u, dtype=float), np.asarray(p, dtype=float)
     if u.shape != p.shape:
         u, p = np.broadcast_arrays(u, p)
-    z = ndtri(u)
-    sd = np.sqrt(np.maximum(n * p * (1.0 - p), 0.0))
-    k = np.clip(np.ceil(n * p + sd * z + (z * z - 1.0) * (1.0 - 2.0 * p) / 6.0 - 0.5),
-                0, n)
-    hi = _binom_cdf(k, n, p)
-    lo = _lower_cdf(u, k, n, p, hi)
-    todo = np.flatnonzero((u > hi) | (u <= lo))
-    while todo.size:
-        up = u[todo] > hi[todo]
-        i, j = todo[up], todo[~up]
-        k[i] += 1
-        lo[i] = hi[i]
-        hi[i] = _binom_cdf(k[i], n, p[i])
-        k[j] -= 1
-        hi[j] = lo[j]
-        lo[j] = np.where(k[j] > 0, _binom_cdf(k[j] - 1, n, p[j]), 0.0)
-        todo = todo[(u[todo] > hi[todo]) | (u[todo] <= lo[todo])]
-    near = (np.abs(u - hi) <= _NEAR) | (np.abs(u - lo) <= _NEAR)
-    if near.any():
-        k[near] = _binom_ppf(u[near], n, p[near])
-    return np.where((p >= 0.0) & (p <= 1.0), k, np.nan)
+    z = ndtri(u) if z is None else z
+    inner = (p > _P_MIN) & (p < 1.0)
+    if inner.all():
+        return _quantile(u.ravel(), z.ravel(), n, p.ravel()).reshape(u.shape)
+    k = np.where(p == 1.0, float(n), np.where((p >= 0.0) & (p <= _P_MIN), 0.0, np.nan))
+    if inner.any():
+        k[inner] = _quantile(u[inner], z[inner], n, p[inner])
+    return k
 
 
-def _table_pmf(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """Binomial pmf(k; n, p) from the log-binomial table, for n up to
-    _TABLE_MAX_SHOTS; NaN where the logs meet 0 * inf or a p outside [0, 1]."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pmf = _log_binomials(n).take(k.astype(np.intp), mode="clip")
-        log_pmf += k * np.log(p)
-        log_pmf += (n - k) * np.log1p(-p)
-    return np.exp(log_pmf, out=log_pmf)
+def _quantile(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """binom_quantile of 1-D entries with p in (_P_MIN, 1): blocks over five
+    standard deviations for small calls, over three (in chunks) for large."""
+    rows = _rows(n, 5.0) if u.size * _rows(n, 5.0) <= _CHUNK else _rows(n, 3.0)
+    size = _CHUNK // rows
+    if u.size <= size:
+        return _block(u, z, n, p, rows)
+    return np.concatenate([_block(u[i:i + size], z[i:i + size], n, p[i:i + size], rows)
+                           for i in range(0, u.size, size)])
 
 
-def _lower_cdf(u: np.ndarray, k: np.ndarray, n: int, p: np.ndarray,
-               hi: np.ndarray) -> np.ndarray:
-    """binom_quantile's lo: boost's cdf(k - 1) (0 at k = 0), or
-    cdf(k) - pmf(k) where u lies more than _NEAR + _SLACK above that."""
-    if n > _TABLE_MAX_SHOTS:
-        return np.where(k > 0, _binom_cdf(k - 1, n, p), 0.0)
-    lo = _table_pmf(k, n, p)
-    np.subtract(hi, lo, out=lo)
-    # At p = 0 or 1 the pmf is 0, making lo = cdf(k) exact, or else it is 1
-    # (k = 0 at p = 0, k = n at p = 1) and comes out NaN; a NaN lo, as from a
-    # NaN k or p or a p outside [0, 1], fails the test below.
-    keep = u > lo + (_NEAR + _SLACK)
-    if not keep.all():
-        i = np.flatnonzero(~keep)
-        lo[i] = np.where(k[i] > 0, _binom_cdf(k[i] - 1, n, p[i]), 0.0)
-    return lo
+def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray, rows: int) -> np.ndarray:
+    up, v, pm, odds, head = np.empty((5, u.size))
+    np.greater_equal(u, 0.5, out=up)
+    np.minimum(np.subtract(1.0, u, out=v), u, out=v)
+    np.abs(np.subtract(up, p, out=pm), out=pm)      # 1 - p where mirrored, exactly
+    np.subtract(1.0, pm, out=odds)
+    # head = ceil(n pm - sd |z| + 2.5): three steps above the normal guess
+    np.sqrt(np.multiply(odds, pm, out=head), out=head)
+    odds /= pm
+    np.abs(np.multiply(head, z, out=head), out=head)
+    head *= -math.sqrt(n)
+    head += n * pm + 2.5
+    np.minimum(np.maximum(np.ceil(head, out=head), 0.0, out=head), n, out=head)
+    t = _terms(head, n, pm, odds, rows)
+    cdf = np.empty((_WINDOW, u.size))
+    np.add.reduce(t, axis=0, out=cdf[0])
+    np.subtract(cdf[0], np.add.accumulate(t[:_WINDOW - 1], axis=0), out=cdf[1:])
+    # the terms past the block sum to at most last * r / (1 - r): r, the last
+    # ratio, bounds each later one and is below 1 (head <= n pm + 3.5, so the
+    # block's end is below the mode)
+    r = np.divide(t[-1], t[-2] + 1e-300, out=odds)
+    slack = t[-1] * r
+    slack /= np.subtract(1.0, r, out=r)
+    slack += _MARGIN
+    count = np.add.reduce(cdf >= v + _MARGIN, axis=0)
+    sure = (np.add.reduce(cdf >= v - slack, axis=0) == count) & (count >= 1) & (count < _WINDOW)
+    k = np.abs(up * n - (head + 1.0 - count))   # n - k where mirrored
+    if not sure.all():
+        todo = np.flatnonzero(~sure)
+        k[todo] = (_block(u[todo], z[todo], n, p[todo], _rows(n, 5.0)) if rows < _rows(n, 5.0)
+                   else _exact(u[todo], np.clip(k[todo], 0.0, n), n, p[todo]))
+    return k
 
 
 def estimates(u: np.ndarray, shots: int, o: np.ndarray, residual_sigma: float) -> np.ndarray:
     """Shot frequencies of u[:, 0] at probabilities o plus a residual floor from u[:, 1]."""
-    est = binom_quantile(u[:, 0], shots, o) / shots
+    u = np.array(u[:, :2].T)
+    z = ndtri(u)
+    est = binom_quantile(u[0], shots, o, z[0]) / shots
     if residual_sigma > 0:
-        est = est + ndtri(u[:, 1]) * residual_sigma
-    return np.clip(est, 0.0, 1.0)
+        est += z[1] * residual_sigma
+    return np.minimum(np.maximum(est, 0.0, out=est), 1.0, out=est)

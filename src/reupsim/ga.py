@@ -23,7 +23,7 @@ from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
-from .trace import RunLimits, TrainingTrace, backend_failures
+from .trace import RunLimits, TrainingTrace, backend_failures, reject_unread
 
 
 class SelectionKind(Choice, noun="selection"):
@@ -63,6 +63,9 @@ class MutationSpec:
             raise ValueError(f"mask_base must lie in (0, 1], got {self.mask_base}")
         if self.delta_halfwidth < 0:
             raise ValueError(f"delta_halfwidth must be >= 0, got {self.delta_halfwidth}")
+        reject_unread(self, dict.fromkeys(("mask_base", "scale", "delta_halfwidth")
+                                          if self.kind == "fixed" else ("rate",),
+                                          f"{self.kind} mutation"))
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class GAConfig(RunLimits):
             raise ValueError(f"max_generations must be >= 0, got {self.max_generations}")
         if self.tournament_size < 1:
             raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
+        if self.selection is not SelectionKind.TOURNAMENT:
+            reject_unread(self, {"tournament_size": f"{self.selection.value} selection"})
 
 
 def _proportional_weights(fitnesses: np.ndarray) -> np.ndarray:

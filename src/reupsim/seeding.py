@@ -8,6 +8,7 @@ platforms, and worker counts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -27,10 +28,11 @@ def derive_seed(seed: int, context: str) -> int:
     return int.from_bytes(_digest(seed, context)[:8], "little") >> 1
 
 
+@functools.lru_cache(maxsize=64)
 def derive_key(seed: int, context: str) -> np.ndarray:
-    """A 128-bit Philox key for (seed, context) as two uint64 words."""
-    raw = _digest(seed, context)[:16]
-    return np.frombuffer(raw, dtype=np.uint64).copy()
+    """A 128-bit Philox key for (seed, context) as two uint64 words, hashed
+    once per pair; the array is shared, so read-only."""
+    return np.frombuffer(_digest(seed, context)[:16], dtype=np.uint64)
 
 
 def counter_uniforms(seed: int, context: str, start: int, count: int) -> np.ndarray:

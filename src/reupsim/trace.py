@@ -13,7 +13,7 @@ keeps the incumbent it returns and decides the target-accuracy stop.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,17 @@ class backend_failures:
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, Exception) and not isinstance(exc, (ValueError, TrainingError)):
             raise TrainingError(f"backend failure at {self.where}: {exc}") from exc
+
+
+def reject_unread(config, unread: dict[str, str]) -> None:
+    """A field of `config` named in `unread` and set away from its default is
+    an error naming what does not read it; archived configs write every field,
+    so one at its default passes."""
+    for f in fields(config):
+        default = f.default_factory() if f.default is MISSING else f.default
+        if f.name in unread and getattr(config, f.name) != default:
+            raise ValueError(f"{f.name} is not read by {unread[f.name]}; "
+                             "leave it out or at its default")
 
 
 @dataclass(frozen=True)

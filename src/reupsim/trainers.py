@@ -23,7 +23,7 @@ theta <- theta - alpha * H * grad with a backtracking line search.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
-from .trace import RunLimits, TrainingTrace, backend_failures
+from .trace import RunLimits, TrainingTrace, backend_failures, reject_unread
 
 GRAD_NORM_TOL = 1e-8
 CURVATURE_TOL = 1e-12
@@ -104,17 +104,12 @@ class GradConfig(RunLimits):
         if self.cost is CostKind.ACCURACY:
             raise ValueError(f"the accuracy cost needs the ga optimizer: {self.method.value} "
                              "minimizes its cost, so it would drive accuracy down")
-        # archived configs write every field, so a key at its default passes
         bfgs = self.method in (OptimizerKind.BFGS_STANDARD, OptimizerKind.BFGS_AS_WRITTEN)
-        unread = {"learning_rate": bfgs, "batch_size": bfgs, "line_search": not bfgs,
-                  "step": self.gradient is not GradMethod.FINITE_DIFFERENCE}
-        for f in fields(self):
-            default = f.default_factory() if f.default is MISSING else f.default
-            if unread.get(f.name) and getattr(self, f.name) != default:
-                reader = (f"the {self.gradient.value} gradient" if f.name == "step"
-                          else self.method.value)
-                raise ValueError(f"{f.name} is not read by {reader}; "
-                                 "leave it out or at its default")
+        unread = dict.fromkeys(("learning_rate", "batch_size") if bfgs else ("line_search",),
+                               self.method.value)
+        if self.gradient is not GradMethod.FINITE_DIFFERENCE:
+            unread["step"] = f"the {self.gradient.value} gradient"
+        reject_unread(self, unread)
 
 
 def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
@@ -316,7 +311,8 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
 def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
               theta0: np.ndarray | None = None) -> tuple[np.ndarray, TrainingTrace]:
     """Mini-batch gradient descent; full-batch when batch_size is unset or
-    equals the dataset size (plain gradient descent).
+    equals the dataset size (plain gradient descent).  A batch_size above the
+    dataset size is a SettingError.
 
     One iteration is one parameter update; the full-set cost and accuracy
     are measured once per iteration for the trace.  `max_estimates` is a
@@ -325,7 +321,10 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
     if cfg.method not in (OptimizerKind.SGD, OptimizerKind.GRADIENT_DESCENT):
         raise ValueError(f"sgd_train got optimizer {cfg.method.value}")
     n = len(dataset)
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    batch = n if cfg.batch_size is None else cfg.batch_size
+    if batch > n:
+        raise SettingError(f"batch_size={batch} is above the {n} points: "
+                           "a batch cannot be larger than the dataset")
     if cfg.method is OptimizerKind.GRADIENT_DESCENT and batch != n:
         raise SettingError(f"batch_size={cfg.batch_size} is below the {n} points: "
                            "gradient_descent is full-batch; use sgd for mini-batches")

@@ -152,6 +152,46 @@ def test_a_gradient_descent_mini_batch_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["sgd", "gradient_descent"])
+def test_a_batch_above_the_dataset_is_a_config_error(tmp_path, capsys, kind):
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out), "--set", "dataset.n=20",
+            "--set", f"optimizer.kind={kind}", "--set", "optimizer.batch_size=1000"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert ("config error: optimizer.batch_size=1000 is above the 20 points"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ("optimizer.mutation={kind: decaying, rate: 0.9}",
+     "optimizer.mutation: rate is not read by decaying mutation"),
+    ("optimizer.mutation={kind: fixed, mask_base: 0.5}",
+     "optimizer.mutation: mask_base is not read by fixed mutation"),
+    ("optimizer.mutation={kind: fixed, scale: 1.0}",
+     "optimizer.mutation: scale is not read by fixed mutation"),
+    ("optimizer.mutation={kind: fixed, delta_halfwidth: 0.1}",
+     "optimizer.mutation: delta_halfwidth is not read by fixed mutation"),
+    ("optimizer.tournament_size=5", "optimizer: tournament_size is not read by sss selection")])
+def test_a_ga_key_its_kind_does_not_read_is_a_config_error(tmp_path, capsys, override, message):
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out), "--set", "optimizer.kind=ga", "--set", override]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}; leave it out or at its default" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_the_keys_a_ga_kind_reads_train(tmp_path):
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out), "--set", "dataset.n=12",
+            "--set", "optimizer={kind: ga, population_size: 4, max_generations: 1, "
+            "selection: tournament, tournament_size: 2, mutation: {kind: fixed, rate: 0.9}}"]
+    assert cli.main(argv) == cli.EXIT_OK
+    archived = (out / "config.yaml").read_text()
+    assert "tournament_size: 2" in archived and "rate: 0.9" in archived
+
+
 def test_an_empty_key_trains_with_its_default(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text("dataset: {n: 6}\noptimizer:\n  population_size:\n"

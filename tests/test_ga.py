@@ -151,7 +151,7 @@ def test_mutating_a_generation_matches_child_by_child_draws(kind):
     """One call over the (C, d) children gives, bit for bit, what mutating each
     child in row order with its own random(d) and uniform(low, high, d) draws
     gives, and leaves the generator in the same state."""
-    spec = MutationSpec(kind=kind, rate=0.3, mask_base=0.9)
+    spec = MutationSpec(kind=kind, rate=0.3) if kind == "fixed" else MutationSpec(kind=kind)
     children = np.random.default_rng(1).uniform(-3.0, 3.0, (48, 16))
     rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
     expected = []

@@ -5,9 +5,9 @@ public module-level function or class is read somewhere in the package.
 No linter runs on this repository, so these scans keep dead imports,
 unread parameters and orphan public API out of src/reupsim.  The import and
 orphan scans skip `__init__.py`: it imports names to re-export them, which
-is not a use.  A fourth scan keeps scipy in one place: the noisy sampler's
-module is the only one that imports it anywhere, function bodies included
-(tests/test_startup.py checks that only noisy readout loads that module).
+is not a use.  A fourth scan keeps scipy out of the package: no module
+imports it anywhere, function bodies included, so the runtime needs only
+numpy and PyYAML (tests/test_startup.py checks that no run loads it).
 """
 
 import ast
@@ -117,9 +117,9 @@ def test_the_orphan_scan_reports_each_unread_definition():
     assert orphans(sources) == ["Orphan", "also_orphan", "written"]
 
 
-def test_only_the_binomial_module_imports_scipy():
+def test_no_module_imports_scipy():
     importers = [p.name for p in MODULES if "scipy" in imported_packages(p.read_text())]
-    assert importers == ["binomial.py"]
+    assert importers == []
 
 
 def test_the_import_scan_reads_function_bodies():

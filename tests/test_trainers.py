@@ -238,7 +238,7 @@ def test_no_optimizer_charges_past_max_estimates(case, budget, held, points):
         bfgs = method is OptimizerKind.BFGS_STANDARD
         # a small c2 makes Wolfe's curvature test fail often, each failure a gradient
         read = ({"line_search": LineSearchSpec(kind=search, c2=0.1)} if bfgs
-                else {"batch_size": 3 if method is OptimizerKind.SGD else None})
+                else {"batch_size": min(3, points) if method is OptimizerKind.SGD else None})
         cfg = GradConfig(method=method, gradient=gradient, max_iterations=8,
                          seed=budget, max_estimates=budget, **read)
         if bfgs:
