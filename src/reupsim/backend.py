@@ -31,6 +31,9 @@ from .seeding import counter_uniforms
 DEFAULT_CONFUSION = ((0.76, 0.24), (0.16, 0.84))
 DEFAULT_SHOTS = 150
 DEFAULT_RESIDUAL_SIGMA = 0.006
+# The noisy sampler's ceiling: its CDF is checked against boost's up to here,
+# and a block's work per estimate grows with the square root of the shots.
+MAX_SHOTS = 100_000
 
 class MeasurementLedger:
     """Thread-safe running totals of estimates and shots.
@@ -87,6 +90,8 @@ class NoiseModel:
             raise ValueError("confusion rows must each sum to 1 within 1e-12")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.shots > MAX_SHOTS:
+            raise ValueError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
         if self.residual_sigma < 0:
             raise ValueError(f"residual_sigma must be >= 0, got {self.residual_sigma}")
         if self.seed < 0:

@@ -3,10 +3,11 @@
 An estimate's shot count is the binomial quantile of its first Philox uniform;
 its residual floor is ndtri of the second.  The quantile inverts _cdf, which
 differs from boost's binomial CDF (behind scipy's binom.ppf) by at most 4.5e-13
-over shots 1 to 10**4, so a uniform draw gets binom.ppf's answer unless it
-lies within that of a CDF step.  ndtri repeats Cephes' operations in order, so
-it equals scipy's ndtri except where numpy's log rounds otherwise than the C
-library's: by a few ulps, in the tails (u below exp(-2) or above 1 - exp(-2)).
+over shots 1 to 10**4 and 7e-12 at 10**5 (backend.MAX_SHOTS), so a uniform
+draw gets binom.ppf's answer unless it lies within that of a CDF step.  ndtri
+repeats Cephes' operations in order, so it equals scipy's ndtri except where
+numpy's log rounds otherwise than the C library's: by a few ulps, in the tails
+(u below exp(-2) or above 1 - exp(-2)).
 """
 
 from __future__ import annotations
@@ -42,20 +43,13 @@ _NDTRI_FAR = np.array([
 _EXP_M2 = 0.1353352832366127
 # binom_quantile decides an entry from its block of pmf terms unless u lies
 # within _MARGIN, plus a bound on the terms left out, of a CDF value it reads
-# there; _MARGIN is far above the block's error against _cdf (1e-12 at 10**4 shots).
+# there; _MARGIN is far above the block's error against _cdf (6e-13 at 10**4
+# shots, 8e-12 at backend.MAX_SHOTS = 10**5).
 _MARGIN = 2.0**-32
 _P_MIN = 2.0**-53       # at or below: CDF taken as 1 (off by n p at most), so k = 0
 _WINDOW = 7             # values of k that one block decides
+_BLOCK_SDS = 5.0        # standard deviations that one block spans
 _CHUNK = 1 << 16        # work-array elements per block, at most
-
-
-@functools.lru_cache(maxsize=4)
-def _ndtri_coefficients(size: int) -> np.ndarray:
-    """_NDTRI over `size` entries, read-only: a same-shape add is a cheaper
-    small call."""
-    coef = np.repeat(_NDTRI, size, axis=2)
-    coef.flags.writeable = False
-    return coef
 
 
 def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -88,7 +82,7 @@ def ndtri(u: np.ndarray) -> np.ndarray:
     np.multiply(np.subtract(y, 0.5, out=y), y, out=x[0])
     np.divide(1.0, w, out=x[2])
     x[1], x[3] = x[0], x[2]
-    mid, ratio = _horner(x, _ndtri_coefficients(flat.size) if flat.size <= 4096 else _NDTRI)
+    mid, ratio = _horner(x, _NDTRI)
     if np.maximum.reduce(w, initial=0.0) >= 8.0:
         far = np.flatnonzero(w >= 8.0)
         ratio[far] = _horner(x[2:, far], _NDTRI_FAR)[0]
@@ -131,11 +125,8 @@ def _terms(k: np.ndarray, n: int, p: np.ndarray, odds: np.ndarray, rows: int) ->
     t[0] += k * np.log(p)
     t[0] += np.multiply(rest, np.log1p(-p), out=rest)
     np.exp(t[0], out=t[0])
-    if k.size < 128:            # few entries: one call for all rows beats one per row
-        np.multiply.accumulate(t, axis=0, out=t)
-    else:
-        for prev, row in zip(t, t[1:]):
-            row *= prev
+    for prev, row in zip(t, t[1:]):
+        row *= prev
     return t
 
 
@@ -176,11 +167,11 @@ def binom_quantile(u: np.ndarray, n: int, p: np.ndarray,
 
     Entries with u >= 1/2 are mirrored (k -> n - k, p -> 1 - p, u -> 1 - u),
     so all read a lower tail.  From a normal-quantile guess, a block of pmf
-    terms at and below head = guess + 3 is summed toward 0 and the rest bounded
-    geometrically; the CDF at head - j, j < _WINDOW, is that sum less the terms
-    above it.  An entry with u within _MARGIN plus the bound of one of these
-    values, or with its answer outside them, takes a block over five standard
-    deviations if it had fewer, else _exact.
+    terms over _BLOCK_SDS standard deviations at and below head = guess + 3 is
+    summed toward 0 and the rest bounded geometrically; the CDF at head - j,
+    j < _WINDOW, is that sum less the terms above it.  An entry with u within
+    _MARGIN plus the bound of one of these values, or with its answer outside
+    them, takes _exact.
     """
     u, p = np.asarray(u, dtype=float), np.asarray(p, dtype=float)
     if u.shape != p.shape:
@@ -196,17 +187,16 @@ def binom_quantile(u: np.ndarray, n: int, p: np.ndarray,
 
 
 def _quantile(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """binom_quantile of 1-D entries with p in (_P_MIN, 1): blocks over five
-    standard deviations for small calls, over three (in chunks) for large."""
-    rows = _rows(n, 5.0) if u.size * _rows(n, 5.0) <= _CHUNK else _rows(n, 3.0)
-    size = _CHUNK // rows
+    """binom_quantile of 1-D entries with p in (_P_MIN, 1), in chunks of at
+    most _CHUNK block terms."""
+    size = _CHUNK // _rows(n, _BLOCK_SDS)
     if u.size <= size:
-        return _block(u, z, n, p, rows)
-    return np.concatenate([_block(u[i:i + size], z[i:i + size], n, p[i:i + size], rows)
+        return _block(u, z, n, p)
+    return np.concatenate([_block(u[i:i + size], z[i:i + size], n, p[i:i + size])
                            for i in range(0, u.size, size)])
 
 
-def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray, rows: int) -> np.ndarray:
+def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     up, v, pm, odds, head = np.empty((5, u.size))
     np.greater_equal(u, 0.5, out=up)
     np.minimum(np.subtract(1.0, u, out=v), u, out=v)
@@ -219,10 +209,11 @@ def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray, rows: int) -> np
     head *= -math.sqrt(n)
     head += n * pm + 2.5
     np.minimum(np.maximum(np.ceil(head, out=head), 0.0, out=head), n, out=head)
-    t = _terms(head, n, pm, odds, rows)
+    t = _terms(head, n, pm, odds, _rows(n, _BLOCK_SDS))
     cdf = np.empty((_WINDOW, u.size))
     np.add.reduce(t, axis=0, out=cdf[0])
-    np.subtract(cdf[0], np.add.accumulate(t[:_WINDOW - 1], axis=0), out=cdf[1:])
+    for j in range(1, _WINDOW):     # a row at a time: accumulate runs element by element
+        np.subtract(cdf[j - 1], t[j - 1], out=cdf[j])
     # the terms past the block sum to at most last * r / (1 - r): r, the last
     # ratio, bounds each later one and is below 1 (head <= n pm + 3.5, so the
     # block's end is below the mode)
@@ -235,8 +226,7 @@ def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray, rows: int) -> np
     k = np.abs(up * n - (head + 1.0 - count))   # n - k where mirrored
     if not sure.all():
         todo = np.flatnonzero(~sure)
-        k[todo] = (_block(u[todo], z[todo], n, p[todo], _rows(n, 5.0)) if rows < _rows(n, 5.0)
-                   else _exact(u[todo], np.clip(k[todo], 0.0, n), n, p[todo]))
+        k[todo] = _exact(u[todo], np.clip(k[todo], 0.0, n), n, p[todo])
     return k
 
 

@@ -21,8 +21,9 @@ import numpy as np
 import yaml
 
 from . import circuits, costs, data, mitigation
-from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, IdealBackend, MeasurementLedger,
-                      NoiseModel, NoisyBackend, SettingError, TimeBudget, estimate_time)
+from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, MAX_SHOTS, IdealBackend,
+                      MeasurementLedger, NoiseModel, NoisyBackend, SettingError, TimeBudget,
+                      estimate_time)
 from .circuits import Ansatz, CircuitSpec
 from .config import (ConfigError, ExperimentConfig, _build, _circle, read_config,
                      save_config, set_dotted)
@@ -474,15 +475,18 @@ def cmd_analyze_time_budget(args) -> int:
 # parser
 
 
-def _at_least(minimum: int, kind=int, exclusive: bool = False):
-    """An argparse type: a `kind` value >= minimum (> minimum if exclusive);
-    any other value, NaN included, makes parsing exit 2 naming the flag."""
+def _at_least(minimum: int, kind=int, exclusive: bool = False, maximum=None):
+    """An argparse type: a `kind` value >= minimum (> minimum if exclusive) and
+    at most `maximum` if given; any other value, NaN included, makes parsing
+    exit 2 naming the flag."""
     relation = ">" if exclusive else ">="
 
     def number(text: str):
         value = kind(text)
         if not (value > minimum if exclusive else value >= minimum):
             raise argparse.ArgumentTypeError(f"must be {relation} {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
     number.__name__ = kind.__name__
     return number
@@ -502,6 +506,7 @@ def _list_of(item, distinct: int = 1):
 
 
 _count = _at_least(1)
+_shots = _at_least(1, maximum=MAX_SHOTS)     # read by a noisy backend
 _non_negative = _at_least(0)
 _non_negative_real = _at_least(0, float)
 _positive_real = _at_least(0, float, exclusive=True)
@@ -552,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, help="parameter file (one value per line)")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--backend", choices=("ideal", "noisy"), default="ideal")
-    p.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
+    p.add_argument("--shots", type=_shots, default=DEFAULT_SHOTS)
     p.add_argument("--residual-sigma", type=_non_negative_real, default=DEFAULT_RESIDUAL_SIGMA)
     p.add_argument("--noise-seed", type=_non_negative, default=None)
     p.add_argument("--out", default=None, help="per-point results CSV")
@@ -580,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser("residuals",
                         help="theoretical vs observed populations, raw and mitigated")
     a.add_argument("--points", type=_count, default=250)
-    a.add_argument("--shots", type=_count, default=500)
+    a.add_argument("--shots", type=_shots, default=500)
     a.add_argument("--residual-sigma", type=_non_negative_real, default=DEFAULT_RESIDUAL_SIGMA)
     a.add_argument("--calibration-shots", type=_count, default=20000)
     a.add_argument("--theta", default=None,
@@ -591,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_analyze_residuals)
 
     a = asub.add_parser("noise-scaling", help="estimator spread vs shot count")
-    a.add_argument("--shots", type=_list_of(_count, distinct=2), default="10,30,100,300,1000",
+    a.add_argument("--shots", type=_list_of(_shots, distinct=2), default="10,30,100,300,1000",
                    help="comma-separated shot counts, at least two distinct")
     a.add_argument("--repeats", type=_at_least(2), default=200)
     a.add_argument("--points", type=_count, default=20)
@@ -607,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated step sizes")
     a.add_argument("--repeats", type=_count, default=20)
     a.add_argument("--points", type=_count, default=25)
-    a.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
+    a.add_argument("--shots", type=_shots, default=DEFAULT_SHOTS)
     a.add_argument("--ideal", action="store_true",
                    help="run the noisy leg on an ideal backend")
     a.add_argument("--out", required=True)

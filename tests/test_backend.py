@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from reupsim import binomial
-from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, MeasurementLedger,
+from reupsim.backend import (DEFAULT_CONFUSION, MAX_SHOTS, IdealBackend, MeasurementLedger,
                              NoiseModel, NoisyBackend, TimeBudget, estimate_time)
 from reupsim.binomial import binom_quantile
 from reupsim.circuits import CircuitSpec
@@ -271,9 +271,9 @@ def test_binom_quantile_evaluates_about_one_cdf_per_entry(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 7, 150, 1000])
 def test_the_block_and_the_exact_search_give_the_same_k(monkeypatch, n):
-    """binom_quantile's blocks (the long one of small calls, the short one of
-    chunked large calls) and its exact search from the mean agree, on Philox
-    draws and next to the CDF's steps."""
+    """binom_quantile's block, over a whole call and in chunks of 40 entries,
+    and its exact search from the mean agree, on Philox draws and next to the
+    CDF's steps."""
     rng = np.random.default_rng(n)
     p = np.concatenate([rng.uniform(0.16, 0.84, 1500), rng.uniform(1e-6, 1.0, 500)])
     k = np.clip(np.round(n * p + 3.0 * rng.standard_normal(p.size)), 0, n)
@@ -283,7 +283,7 @@ def test_the_block_and_the_exact_search_give_the_same_k(monkeypatch, n):
     u, p = u[(u > 0.0) & (u < 1.0)], p[(u > 0.0) & (u < 1.0)]
     exact = binomial._exact(u, np.floor(n * p), n, p)
     small = binomial._quantile(u, binomial.ndtri(u), n, p)
-    monkeypatch.setattr(binomial, "_CHUNK", 40 * binomial._rows(n, 5.0))
+    monkeypatch.setattr(binomial, "_CHUNK", 40 * binomial._rows(n, binomial._BLOCK_SDS))
     large = binomial._quantile(u, binomial.ndtri(u), n, p)
     np.testing.assert_array_equal(small, exact)
     np.testing.assert_array_equal(large, exact)
@@ -308,10 +308,33 @@ def test_the_sampler_work_is_bounded_at_20000_shots(monkeypatch):
     np.testing.assert_array_equal(est, stats.binom.ppf(u[:, 0], 20_000, o) / 20_000)
 
 
+def test_the_sampler_at_the_shot_ceiling_equals_binom_ppf():
+    """At MAX_SHOTS, _cdf stays within band(n) of boost's CDF, and the counts
+    of Philox draws are binom.ppf's and the exact search's; one shot more is
+    an error."""
+    n = MAX_SHOTS
+    rng = np.random.default_rng(9)
+    for p in (0.5, 0.03, 0.97, 1e-4):
+        sd = np.sqrt(n * p * (1.0 - p))
+        k = np.unique(np.clip(np.round(n * p + sd * np.linspace(-8.0, 8.0, 81)), 0, n))
+        assert np.abs(binomial._cdf(k, n, np.full(k.size, p))
+                      - stats.binom.cdf(k, n, p)).max() <= band(n)
+    u = counter_uniforms(n, "ceiling-test", 0, 2000)[:, 0]
+    p = rng.uniform(1e-3, 1.0 - 1e-3, u.size)
+    k = binom_quantile(u, n, p)
+    np.testing.assert_array_equal(k, stats.binom.ppf(u, n, p))
+    np.testing.assert_array_equal(k[:300], binomial._exact(u[:300], np.floor(n * p[:300]),
+                                                           n, p[:300]))
+    assert NoiseModel(shots=n).shots == n
+    with pytest.raises(ValueError, match=f"shots must be <= {n}, got {n + 1}"):
+        NoiseModel(shots=n + 1)
+
+
 def test_ndtri_equals_scipys_but_for_a_few_ulps_in_the_tails():
     """binomial.ndtri repeats Cephes' operations; numpy's log can round
     otherwise than the C library's, which moves a tail value by up to three
-    ulps, for about one value in 10**4 (219 of 3 * 10**6 measured)."""
+    ulps, for about one value in 10**4 (219 of 3 * 10**6 measured with numpy
+    2.4 on an AVX-512 host; numpy picks its log kernel by CPU)."""
     rng = np.random.default_rng(5)
     u = np.concatenate([counter_uniforms(5, "ndtri-test", 0, 50_000).ravel(),
                         rng.random(50_000) ** 8, 1.0 - rng.random(50_000) ** 8 / 2,

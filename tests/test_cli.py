@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reupsim import cli
+from reupsim.backend import MAX_SHOTS
 from reupsim.circuits import CircuitSpec
 from reupsim.data import CircleSpec, generate, generate_splits, load
 from reupsim.seeding import derive_seed
@@ -234,6 +235,26 @@ def test_evaluate_scores_a_parameter_file(tmp_path, capsys):
     assert all(r["predicted"] == "0" for r in rows)
 
 
+def test_a_noisy_run_at_the_shot_ceiling_runs_and_one_past_it_exits_2(tmp_path, capsys):
+    """MAX_SHOTS is the noisy sampler's ceiling: evaluate samples at it, and a
+    train config one past it is a config error naming backend.noise's shots."""
+    data_path = tmp_path / "pts.csv"
+    cli.main(["gen-data", "--out", str(data_path), "--n", "30", "--seed", "3"])
+    theta_path = tmp_path / "theta.txt"
+    cli.write_theta(theta_path, np.full(16, 0.3))
+    argv = ["evaluate", "--theta", str(theta_path), "--data", str(data_path),
+            "--backend", "noisy", "--shots", str(MAX_SHOTS)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert f"{MAX_SHOTS} shots per estimate" in capsys.readouterr().out
+    config = tmp_path / "c.yaml"
+    config.write_text(f"backend: {{kind: noisy, shots: {MAX_SHOTS + 1}}}\n")
+    rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert (f"config error: backend.noise: shots must be <= {MAX_SHOTS}, got {MAX_SHOTS + 1}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_rejects_a_theta_of_the_wrong_length(tmp_path, capsys):
     data_path = tmp_path / "pts.csv"
     cli.main(["gen-data", "--out", str(data_path), "--n", "10", "--seed", "3"])
@@ -422,7 +443,15 @@ def test_a_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, monkey
     (["analyze", "noise-scaling", "--out", "n", "--shots", "10"], "--shots",
      "need at least 2 distinct values"),
     (["analyze", "noise-scaling", "--out", "n", "--shots", "10,10"], "--shots",
-     "need at least 2 distinct values")])
+     "need at least 2 distinct values"),
+    (["evaluate", "--theta", "t.txt", "--data", "d.csv", "--shots", "100001"], "--shots",
+     "must be <= 100000, got 100001"),
+    (["analyze", "residuals", "--out", "r", "--shots", "100001"], "--shots",
+     "must be <= 100000, got 100001"),
+    (["analyze", "noise-scaling", "--out", "n", "--shots", "10,100001"], "--shots",
+     "must be <= 100000, got 100001"),
+    (["analyze", "gradient-noise", "--out", "g", "--shots", "100001"], "--shots",
+     "must be <= 100000, got 100001")])
 def test_an_out_of_range_value_flag_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
                                                            argv, flag, message):
     """Out-of-range numbers and lists are parse errors (exit 2), not file

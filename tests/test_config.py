@@ -77,6 +77,8 @@ def test_value_errors_report_their_dotted_path():
         ExperimentConfig.from_mapping(
             {"backend": {"kind": "noisy", "noise": {"confusion": [[2, -1], [0, 1]]}}})
     for noise, message in (({"shots": 0}, r"backend\.noise: shots must be >= 1, got 0"),
+                           ({"shots": 100_001},
+                            r"backend\.noise: shots must be <= 100000, got 100001"),
                            ({"seed": -1}, r"backend\.noise: seed must be non-negative"),
                            ({"residual_sigma": -0.1},
                             r"backend\.noise: residual_sigma must be >= 0"),
