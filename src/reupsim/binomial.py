@@ -144,16 +144,14 @@ def _cdf(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 
 def _exact(u: np.ndarray, k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     """binom_quantile by stepping from k to _cdf(k - 1) <= u < _cdf(k), then
-    down one where _cdf(k - 1) == u."""
-    hi, lo = _cdf(k, n, p), _cdf(k - 1.0, n, p)
+    down one where _cdf(k - 1) == u; one _cdf call per step."""
+    lo, hi = _cdf(np.concatenate([k - 1.0, k]), n, np.concatenate([p, p])).reshape(2, -1)
     todo = np.flatnonzero((hi <= u) | (lo > u))
     while todo.size:
         up = hi[todo] <= u[todo]
-        i, j = todo[up], todo[~up]
-        k[i] += 1.0
-        lo[i], hi[i] = hi[i], _cdf(k[i], n, p[i])
-        k[j] -= 1.0
-        hi[j], lo[j] = lo[j], _cdf(k[j] - 1.0, n, p[j])
+        k[todo] += np.where(up, 1.0, -1.0)
+        new = _cdf(np.where(up, k[todo], k[todo] - 1.0), n, p[todo])
+        lo[todo], hi[todo] = np.where(up, hi[todo], new), np.where(up, new, lo[todo])
         todo = todo[(hi[todo] <= u[todo]) | (lo[todo] > u[todo])]
     return k - (lo == u)
 
