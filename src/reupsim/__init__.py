@@ -1,8 +1,7 @@
 """Deterministic simulator and experiment harness for single-qubit
 data re-uploading classifiers trained with classical optimizers."""
 
-from .backend import (IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
-                      TimeBudget, estimate_time)
+from .backend import IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend, estimate_time
 from .circuits import (Ansatz, CircuitSpec, evaluate_circuit, measure_batch,
                        random_parameters)
 from .config import ConfigError, ExperimentConfig, save_config
@@ -24,7 +23,7 @@ __all__ = [
     "Ansatz", "CircuitSpec", "evaluate_circuit", "measure_batch", "random_parameters",
     "CircleSpec", "Dataset", "generate", "generate_splits", "load", "save",
     "IdealBackend", "NoisyBackend", "NoiseModel", "MeasurementLedger",
-    "TimeBudget", "estimate_time",
+    "estimate_time",
     "CostKind", "accuracy", "cross_entropy", "chi_squared", "evaluate",
     "GAConfig", "MutationSpec", "SelectionKind", "CrossoverKind", "ga_train",
     "GradConfig", "GradMethod", "OptimizerKind", "LineSearchSpec",

@@ -206,44 +206,18 @@ class NoisyBackend(Backend):
         return binomial.estimates(u, self.noise.shots, o, self.noise.residual_sigma)
 
 
-@dataclass(frozen=True)
-class TimeBudget:
-    """Seconds per experimental step for wall-time estimation.
-
-    The first three entries are paid once per estimate (circuit upload and
-    hand-off); the remaining four once per shot (one cool/prepare/run/detect
-    cycle).  Defaults are calibrated so one 50-individual generation over 250
-    points at 150 shots lands near five and a half hours.
-    """
-
-    usb_load: float = 0.55
-    dds_load: float = 0.17
-    fpga_receive: float = 0.08
-    cooling: float = 0.0027
-    preparation: float = 0.0002
-    gate: float = 0.0003
-    detection: float = 0.002
-
-    def __post_init__(self):
-        for name in ("usb_load", "dds_load", "fpga_receive",
-                     "cooling", "preparation", "gate", "detection"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def per_estimate(self) -> float:
-        return self.usb_load + self.dds_load + self.fpga_receive
-
-    @property
-    def per_shot(self) -> float:
-        return self.cooling + self.preparation + self.gate + self.detection
+# Seconds per ion-trap step, paid once per estimate (circuit upload and hand-off) or
+# once per shot (one cool/prepare/run/detect cycle); calibrated so one 50-individual
+# generation over 250 points at 150 shots lands near five and a half hours.
+HARDWARE_STEPS = (("usb_load", 0.55, "estimate"), ("dds_load", 0.17, "estimate"),
+                  ("fpga_receive", 0.08, "estimate"), ("cooling", 0.0027, "shot"),
+                  ("preparation", 0.0002, "shot"), ("gate", 0.0003, "shot"),
+                  ("detection", 0.002, "shot"))
+_SECONDS_PER = {unit: sum(s for _, s, per in HARDWARE_STEPS if per == unit)
+                for unit in ("estimate", "shot")}
 
 
-DEFAULT_TIME_BUDGET = TimeBudget()
-
-
-def estimate_time(ledger: MeasurementLedger, budget: TimeBudget | None = None) -> float:
+def estimate_time(ledger: MeasurementLedger) -> float:
     """Modeled wall-clock seconds for everything the ledger has recorded."""
-    budget = budget if budget is not None else DEFAULT_TIME_BUDGET
     estimates, shots = ledger.snapshot()
-    return estimates * budget.per_estimate + shots * budget.per_shot
+    return estimates * _SECONDS_PER["estimate"] + shots * _SECONDS_PER["shot"]

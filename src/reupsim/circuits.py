@@ -80,10 +80,9 @@ def check_theta(spec: CircuitSpec, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def random_parameters(spec: CircuitSpec, rng: np.random.Generator,
-                      low: float = -2 * np.pi, high: float = 2 * np.pi) -> np.ndarray:
-    """Uniform random parameter vector in [low, high)."""
-    return rng.uniform(low, high, size=spec.n_params)
+def random_parameters(spec: CircuitSpec, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random parameter vector in [-2 pi, 2 pi)."""
+    return rng.uniform(-2 * np.pi, 2 * np.pi, size=spec.n_params)
 
 
 def ansatz_design(ansatz: Ansatz, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

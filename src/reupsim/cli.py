@@ -18,15 +18,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from . import circuits, costs, data, mitigation
-from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, MAX_SHOTS, IdealBackend,
-                      MeasurementLedger, NoiseModel, NoisyBackend, SettingError, TimeBudget,
-                      estimate_time)
+from . import circuits, data, mitigation
+from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, HARDWARE_STEPS, MAX_SHOTS,
+                      IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
+                      SettingError, estimate_time)
 from .circuits import Ansatz, CircuitSpec
-from .config import (ConfigError, ExperimentConfig, _build, _circle, read_config,
-                     save_config, set_dotted)
+from .config import (ConfigError, ExperimentConfig, _build, _circle, apply_overrides,
+                     read_config, save_config, set_dotted)
 from .ga import GAConfig, ga_train
 from .seeding import derive_seed
 from .trace import TrainingError
@@ -96,9 +95,12 @@ def read_theta(path: str | Path) -> np.ndarray:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no parameters found")
     return np.array(values)
@@ -213,34 +215,15 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_value(param: str, text: str):
-    """Parse one sweep value; `optimizer.mutation` accepts a rate or a kind."""
-    if param == "optimizer.mutation":
-        if text.strip() in ("fixed", "decaying"):
-            return {"kind": text.strip()}
-        try:
-            return {"kind": "fixed", "rate": float(text)}
-        except ValueError:
-            raise ConfigError(f"sweep value {text!r}: expected a mutation rate "
-                              "or one of fixed, decaying") from None
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError:
-        raise ConfigError(f"sweep value {text!r} is not valid YAML") from None
-
-
 def cmd_sweep(args) -> int:
     base_raw = read_config(args.config, args.set)
     master = ExperimentConfig.from_mapping(base_raw, master_seed=_master_seed(args),
                                            workers=args.workers).seed
 
-    values = args.values
     cells = []
-    for text in values:
-        value = _sweep_value(args.param, text)
+    for text in args.values:
         for rep in range(args.repeats):
-            raw = copy.deepcopy(base_raw)
-            set_dotted(raw, args.param, value)
+            raw = apply_overrides(copy.deepcopy(base_raw), [f"{args.param}={text}"])
             set_dotted(raw, "optimizer.seed",
                        derive_seed(master, f"sweep/{args.param}={text}/rep{rep}"))
             cfg = ExperimentConfig.from_mapping(raw, master_seed=master,
@@ -266,7 +249,7 @@ def cmd_sweep(args) -> int:
                  "cum_estimates", "cum_shots", "wall_ms"), results)
 
     summary_rows = []
-    for text in values:
+    for text in args.values:
         accs = [r[4] for r in results if r[1] == text]
         losses = [r[5] for r in results if r[1] == text]
         summary_rows.append((args.param, text, float(np.median(accs)),
@@ -275,7 +258,7 @@ def cmd_sweep(args) -> int:
                 ("param", "value", "median_accuracy", "median_loss", "repeats"),
                 summary_rows)
 
-    print(f"swept {args.param} over {len(values)} values x {args.repeats} repeats")
+    print(f"swept {args.param} over {len(args.values)} values x {args.repeats} repeats")
     for _, text, med_acc, med_loss, _ in summary_rows:
         print(f"  {args.param}={text}: median accuracy {med_acc:.4f}, "
               f"median loss {med_loss:.6f}")
@@ -377,8 +360,7 @@ def cmd_analyze_gradient_noise(args) -> int:
                 ("step", "cost", "component", "theoretical", "noisy_mean",
                  "noisy_std", "sign_agreement"), rows)
     for step in steps:
-        for kind in (costs.CostKind.ACCURACY, costs.CostKind.CROSS_ENTROPY,
-                     costs.CostKind.CHI_SQUARED):
+        for kind in mitigation.GRADIENT_NOISE_COSTS:
             peak = report.max_abs_theoretical(kind, step)
             try:
                 agree = report.mean_sign_agreement(kind, step)
@@ -445,22 +427,14 @@ def cmd_analyze_ansatz_spread(args) -> int:
 
 
 def cmd_analyze_time_budget(args) -> int:
-    budget = TimeBudget()
     ledger = MeasurementLedger()
     n_estimates = args.generations * args.population * args.points
     ledger.reserve(n_estimates, args.shots)
-    total = estimate_time(ledger, budget)
+    total = estimate_time(ledger)
     n_shots = n_estimates * args.shots
-    rows = [
-        ("usb_load", budget.usb_load * n_estimates),
-        ("dds_load", budget.dds_load * n_estimates),
-        ("fpga_receive", budget.fpga_receive * n_estimates),
-        ("cooling", budget.cooling * n_shots),
-        ("preparation", budget.preparation * n_shots),
-        ("gate", budget.gate * n_shots),
-        ("detection", budget.detection * n_shots),
-        ("total", total),
-    ]
+    count = {"estimate": n_estimates, "shot": n_shots}
+    rows = [(name, seconds * count[per]) for name, seconds, per in HARDWARE_STEPS]
+    rows.append(("total", total))
     out_dir = Path(args.out)
     _write_rows(out_dir / "time_budget.csv", ("component", "seconds"), rows)
     print(f"{args.generations} generation(s), population {args.population}, "
@@ -475,18 +449,20 @@ def cmd_analyze_time_budget(args) -> int:
 # parser
 
 
-def _at_least(minimum: int, kind=int, exclusive: bool = False, maximum=None):
-    """An argparse type: a `kind` value >= minimum (> minimum if exclusive) and
-    at most `maximum` if given; any other value, NaN included, makes parsing
-    exit 2 naming the flag."""
+def _at_least(minimum: int | None, kind=int, exclusive: bool = False, maximum=None):
+    """An argparse type: a `kind` value (finite, if a float), >= minimum
+    (> minimum if exclusive) and at most `maximum` where given; any other
+    value, NaN and infinity included, makes parsing exit 2 naming the flag."""
     relation = ">" if exclusive else ">="
 
     def number(text: str):
         value = kind(text)
-        if not (value > minimum if exclusive else value >= minimum):
+        if minimum is not None and not (value > minimum if exclusive else value >= minimum):
             raise argparse.ArgumentTypeError(f"must be {relation} {minimum}, got {value}")
         if maximum is not None and value > maximum:
             raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
+        if kind is float and not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
     number.__name__ = kind.__name__
     return number
@@ -510,6 +486,7 @@ _shots = _at_least(1, maximum=MAX_SHOTS)     # read by a noisy backend
 _non_negative = _at_least(0)
 _non_negative_real = _at_least(0, float)
 _positive_real = _at_least(0, float, exclusive=True)
+_real = _at_least(None, float)
 
 
 def _add_seed(parser) -> None:
@@ -622,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = asub.add_parser("landscape",
                         help="best-accuracy surface over the first two parameters")
-    a.add_argument("--grid-min", type=float, default=-np.pi)
-    a.add_argument("--grid-max", type=float, default=np.pi)
+    a.add_argument("--grid-min", type=_real, default=-np.pi)
+    a.add_argument("--grid-max", type=_real, default=np.pi)
     a.add_argument("--grid-steps", type=_count, default=21)
     a.add_argument("--budget", type=_non_negative, default=0,
                    help="random perturbations of the remaining parameters per cell")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import typing
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, is_dataclass
@@ -64,8 +65,8 @@ def _is_number(value) -> bool:
 
 
 def _coerce(kind, value, path: str):
-    """A non-null `value` as the type `kind`: an int, a float, a string, a
-    Choice member, or a tuple of floats or of such tuples (a matrix)."""
+    """A non-null `value` as the type `kind`: an int, a finite float, a
+    string, a Choice member, or a tuple of floats or of such tuples (a matrix)."""
     if typing.get_origin(kind) is tuple:
         items = typing.get_args(kind)
         rows = typing.get_args(items[0])     # a matrix: a tuple of tuples
@@ -77,7 +78,13 @@ def _coerce(kind, value, path: str):
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is float and _is_number(value):
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:           # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise _fail(path, f"must be finite, got {number}")
+        return number
     if kind is str and isinstance(value, str):
         return value
     if isinstance(value, str) and issubclass(kind, Choice):

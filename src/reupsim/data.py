@@ -99,11 +99,11 @@ def generate(n: int, spec: CircleSpec = DEFAULT_BOUNDARY, seed: int = 0) -> Data
     return Dataset(x, spec.classify(x), spec, seed)
 
 
-def generate_splits(seed: int, train_size: int = TRAIN_SIZE, test_size: int = TEST_SIZE,
-                    spec: CircleSpec = DEFAULT_BOUNDARY) -> tuple[Dataset, Dataset]:
-    """Independent train/test draws from seeds derived off the one given."""
-    train = generate(train_size, spec, derive_seed(seed, "data/train"))
-    test = generate(test_size, spec, derive_seed(seed, "data/test"))
+def generate_splits(seed: int, train_size: int = TRAIN_SIZE) -> tuple[Dataset, Dataset]:
+    """Independent train/test draws about the default boundary, from seeds
+    derived off the one given; the test draw has TEST_SIZE points."""
+    train = generate(train_size, DEFAULT_BOUNDARY, derive_seed(seed, "data/train"))
+    test = generate(TEST_SIZE, DEFAULT_BOUNDARY, derive_seed(seed, "data/test"))
     return train, test
 
 
@@ -131,6 +131,8 @@ def _parse_boundary_line(line: str, path: Path) -> tuple[CircleSpec, int]:
         seed = int(fields["seed"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}:1: malformed boundary line ({exc})") from None
+    if not np.isfinite((cx, cy, radius, x_lo, x_hi, y_lo, y_hi)).all():
+        raise ValueError(f"{path}:1: boundary line has a value that is not finite")
     return CircleSpec((cx, cy), radius, (x_lo, x_hi, y_lo, y_hi)), seed
 
 
@@ -160,11 +162,14 @@ def load(path: str | Path) -> Dataset:
             for name, value in zip(CSV_HEADER, row):
                 kind = int if name == "label" else float
                 try:
-                    kind(value)
+                    number = kind(value)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: field {name!r} is not a valid "
                         f"{kind.__name__}: {value!r}") from None
+                if not (np.isfinite(number) if kind is float else number in (0, 1)):
+                    raise ValueError(f"{path}:{lineno}: field {name!r} is not "
+                                     f"{'finite' if kind is float else '0 or 1'}: {value!r}")
             xs.append([float(row[0]), float(row[1])])
             ys.append(int(row[2]))
     if not xs:

@@ -25,6 +25,9 @@ from .trainers import GradMethod, estimate_gradient
 
 IDENTITY_CONFUSION = ((1.0, 0.0), (0.0, 1.0))
 
+# the costs whose gradients gradient_noise_report compares, in report order
+GRADIENT_NOISE_COSTS = (CostKind.ACCURACY, CostKind.CROSS_ENTROPY, CostKind.CHI_SQUARED)
+
 # pole-0 preparation is the all-zero parameter vector; pole-1 puts pi in the
 # first slot, which with calibration input x = (1, 0) turns the first layer
 # into R_y(pi) under every ansatz kind while all other gates stay identity.
@@ -252,17 +255,14 @@ class GradientNoiseReport:
 
 def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
                           noise: NoiseModel | None, steps,
-                          repeats: int = 20,
-                          kinds: tuple[CostKind, ...] = (CostKind.ACCURACY,
-                                                         CostKind.CROSS_ENTROPY,
-                                                         CostKind.CHI_SQUARED)
-                          ) -> GradientNoiseReport:
+                          repeats: int = 20) -> GradientNoiseReport:
     """Noiseless finite-difference gradients against their noisy estimates.
 
-    For every step size and cost, the exact finite-difference gradient is
-    compared component-wise to `repeats` independent noisy measurements of
-    the same quantity; sign agreement is the fraction of repeats whose sign
-    matches the noiseless component (undefined where that component is 0).
+    For every step size and each cost of GRADIENT_NOISE_COSTS, the exact
+    finite-difference gradient is compared component-wise to `repeats`
+    independent noisy measurements of the same quantity; sign agreement is
+    the fraction of repeats whose sign matches the noiseless component
+    (undefined where that component is 0).
     Passing noise=None runs the "noisy" leg on an ideal backend, which makes
     every defined agreement 1 by construction.
     """
@@ -272,7 +272,7 @@ def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset
     theta = circuits.check_theta(spec, theta)
     rows: list[GradientNoiseRow] = []
     for step in steps:
-        for kind in kinds:
+        for kind in GRADIENT_NOISE_COSTS:
             exact = estimate_gradient(GradMethod.FINITE_DIFFERENCE, kind, spec, theta,
                                       dataset, IdealBackend(), step=step)
             reps = np.empty((repeats, theta.size))

@@ -198,9 +198,7 @@ def bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray,
     return left @ H @ left.T + rho * np.outer(s, s)
 
 
-def _initial_theta(cfg: GradConfig, spec: CircuitSpec, theta0: np.ndarray | None) -> np.ndarray:
-    if theta0 is not None:
-        return circuits.check_theta(spec, np.asarray(theta0, dtype=float)).copy()
+def _initial_theta(cfg: GradConfig, spec: CircuitSpec) -> np.ndarray:
     rng = np.random.default_rng(derive_seed(cfg.seed, "grad-init"))
     return rng.uniform(cfg.init_range[0], cfg.init_range[1], spec.n_params)
 
@@ -212,8 +210,8 @@ def _gradient_cost(method: GradMethod, spec: CircuitSpec, n_points: int) -> int:
     return (4 * spec.layers + 1) * n_points
 
 
-def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-               theta0: np.ndarray | None = None) -> tuple[np.ndarray, TrainingTrace]:
+def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
+               backend: Backend) -> tuple[np.ndarray, TrainingTrace]:
     """Quasi-Newton minimization of the configured cost; returns the iterate
     with the best measured cost and the per-iteration trace.
 
@@ -229,7 +227,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
     grad_cost = _gradient_cost(cfg.gradient, spec, n)
     guard = EstimateBudget(cfg.max_estimates, backend.ledger)
     guard.require(n + grad_cost, "iteration 0: a cost evaluation and a gradient")
-    theta = _initial_theta(cfg, spec, theta0)
+    theta = _initial_theta(cfg, spec)
     dim = theta.size
     H = np.eye(dim)
     h_seeded = False
@@ -308,8 +306,8 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Ba
     return trace.best_theta, trace
 
 
-def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Backend,
-              theta0: np.ndarray | None = None) -> tuple[np.ndarray, TrainingTrace]:
+def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
+              backend: Backend) -> tuple[np.ndarray, TrainingTrace]:
     """Mini-batch gradient descent; full-batch when batch_size is unset or
     equals the dataset size (plain gradient descent).  A batch_size above the
     dataset size is a SettingError.
@@ -330,7 +328,7 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset, backend: Bac
                            "gradient_descent is full-batch; use sgd for mini-batches")
     guard = EstimateBudget(cfg.max_estimates, backend.ledger)
     guard.require(n, "iteration 0: a cost evaluation")
-    theta = _initial_theta(cfg, spec, theta0)
+    theta = _initial_theta(cfg, spec)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "sgd-shuffle"))
     trace = TrainingTrace(target_accuracy=cfg.target_accuracy)
 
@@ -379,18 +377,16 @@ class LocalSearchSpec:
 
 def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
                    grid0: np.ndarray, grid1: np.ndarray,
-                   neighborhood: LocalSearchSpec | None = None,
-                   backend: Backend | None = None) -> np.ndarray:
+                   neighborhood: LocalSearchSpec) -> np.ndarray:
     """Best-achievable-accuracy surface over a (theta_0, theta_1) grid.
 
     Each cell fixes the first two parameters at the grid values and reports
     the best accuracy over the unperturbed point plus `budget` random
-    perturbations of the remaining parameters, measured as one probe batch
-    per cell.  Cell RNG streams are keyed by cell index, so the scan order
-    cannot change the surface.
+    perturbations of the remaining parameters, measured on the ideal backend
+    as one probe batch per cell.  Cell RNG streams are keyed by cell index, so
+    the scan order cannot change the surface.
     """
-    neighborhood = neighborhood if neighborhood is not None else LocalSearchSpec()
-    backend = backend if backend is not None else IdealBackend()
+    backend = IdealBackend()
     theta0 = circuits.check_theta(spec, np.asarray(theta0, dtype=float))
     grid0 = np.asarray(grid0, dtype=float)
     grid1 = np.asarray(grid1, dtype=float)

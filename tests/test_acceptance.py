@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from reupsim import cli, costs
-from reupsim.backend import (IdealBackend, MeasurementLedger, NoiseModel,
-                             NoisyBackend, TimeBudget, estimate_time)
+from reupsim.backend import (IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
+                             estimate_time)
 from reupsim.circuits import Ansatz, CircuitSpec, evaluate_circuit
 from reupsim.costs import CostKind
 from reupsim.data import DEFAULT_BOUNDARY, Dataset, generate, generate_splits
@@ -323,7 +323,7 @@ def test_criterion_12_worker_count_determinism(tmp_path):
 def test_criterion_13_modeled_time_budget():
     ledger = MeasurementLedger()
     ledger.reserve(1 * 50 * 250, 150)  # one pop-50 generation, 250 points
-    minutes = estimate_time(ledger, TimeBudget()) / 60.0
+    minutes = estimate_time(ledger) / 60.0
     ok = abs(minutes - 330.0) <= 10.0
     _report(13, ok, f"one pop-50 generation at 250 points x 150 shots models to "
                     f"{minutes:.2f} min (target 330 +/- 10)")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from reupsim import binomial
-from reupsim.backend import (DEFAULT_CONFUSION, MAX_SHOTS, IdealBackend, MeasurementLedger,
-                             NoiseModel, NoisyBackend, TimeBudget, estimate_time)
+from reupsim.backend import (DEFAULT_CONFUSION, HARDWARE_STEPS, MAX_SHOTS, IdealBackend,
+                             MeasurementLedger, NoiseModel, NoisyBackend, estimate_time)
 from reupsim.binomial import binom_quantile
 from reupsim.circuits import CircuitSpec
 from reupsim.config import _archived
@@ -366,13 +366,10 @@ def test_sampling_edge_probabilities_raises_no_warning(size):
 
 
 def test_time_budget_arithmetic():
-    budget = TimeBudget()
     ledger = MeasurementLedger()
     ledger.reserve(10, 150)
-    want = 10 * budget.per_estimate + 1500 * budget.per_shot
-    assert estimate_time(ledger, budget) == pytest.approx(want)
-
-
-def test_time_budget_validation():
-    with pytest.raises(ValueError, match="cooling"):
-        TimeBudget(cooling=-1.0)
+    count = {"estimate": 10, "shot": 1500}
+    want = sum(seconds * count[per] for _, seconds, per in HARDWARE_STEPS)
+    # 0.8 s of upload and hand-off per estimate, 5.2 ms of cycle per shot
+    assert want == pytest.approx(10 * 0.8 + 1500 * 0.0052)
+    assert estimate_time(ledger) == pytest.approx(want)

@@ -81,6 +81,30 @@ def test_train_archives_a_rerunnable_config(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_a_seed_of_64_bits_or_more_is_read_from_the_flag_as_from_the_config(tmp_path,
+                                                                            monkeypatch):
+    """Seeds have no upper bound: the flag, the config key and REUP_SEED all
+    take 2**64 and give the same run."""
+    seed = str(2**64)
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_TRAIN_CONFIG)
+    flag, key = tmp_path / "flag", tmp_path / "key"
+    assert cli.main(["train", "--config", str(config), "--out", str(flag),
+                     "--seed", seed]) == cli.EXIT_OK
+    config.write_text(SMALL_TRAIN_CONFIG.replace("seed: 5", f"seed: {seed}"))
+    assert cli.main(["train", "--config", str(config), "--out", str(key)]) == cli.EXIT_OK
+    for name in ("trace.csv", "best_theta.txt"):
+        assert (flag / name).read_bytes() == (key / name).read_bytes()
+    assert cli.main(["gen-data", "--out", str(flag / "d.csv"), "--n", "5",
+                     "--seed", seed]) == cli.EXIT_OK
+    monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+    assert cli.main(["gen-data", "--out", str(key / "d.csv"), "--n", "5"]) == cli.EXIT_OK
+    assert (flag / "d.csv").read_bytes() == (key / "d.csv").read_bytes()
+    rc = cli.main(["evaluate", "--theta", str(flag / "best_theta.txt"), "--data",
+                   str(flag / "d.csv"), "--backend", "noisy", "--noise-seed", seed])
+    assert rc == cli.EXIT_OK
+
+
 def test_train_set_overrides_change_the_run(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text(SMALL_TRAIN_CONFIG)
@@ -205,7 +229,17 @@ def test_an_empty_key_trains_with_its_default(tmp_path):
 @pytest.mark.parametrize("override,message", [
     ("optimizer.target_accuracy=2", "optimizer: target_accuracy must lie in (0, 1]"),
     ("optimizer.line_search={c1: 5}", "optimizer.line_search: c1 must lie in (0, 1)"),
-    ("optimizer.learning_rate=3", "optimizer: learning_rate is not read by bfgs_standard")])
+    ("optimizer.learning_rate=3", "optimizer: learning_rate is not read by bfgs_standard"),
+    ("dataset.radius=.nan", "dataset.radius: must be finite, got nan"),
+    ("backend={kind: noisy, noise: {residual_sigma: .nan}}",
+     "backend.noise.residual_sigma: must be finite, got nan"),
+    ("backend={kind: noisy, noise: {confusion: [[.nan, 1], [0, 1]]}}",
+     "backend.noise.confusion: must be finite, got nan"),
+    ("optimizer.init_range=[.nan, 1]", "optimizer.init_range: must be finite, got nan"),
+    ("optimizer.line_search={alpha0: .inf}",
+     "optimizer.line_search.alpha0: must be finite, got inf"),
+    ("optimizer.line_search={alpha0: " + "9" * 400 + "}",
+     "optimizer.line_search.alpha0: must be finite, got inf")])
 def test_an_out_of_range_value_is_a_config_error(tmp_path, capsys, override, message):
     argv = ["train", "--out", str(tmp_path / "run"), "--set", override,
             "--set", "optimizer.kind=bfgs_standard"]
@@ -284,6 +318,35 @@ def test_missing_files_exit_with_the_io_code(tmp_path, capsys):
     assert rc == cli.EXIT_IO
 
 
+def test_a_non_finite_number_in_an_input_file_exits_4_naming_the_line(tmp_path, capsys):
+    """A NaN parameter or coordinate is a bad file, not a number to score:
+    evaluate and train stop before writing anything."""
+    data_path = tmp_path / "pts.csv"
+    cli.main(["gen-data", "--out", str(data_path), "--n", "10", "--seed", "3"])
+    theta_path = tmp_path / "theta.txt"
+    cli.write_theta(theta_path, np.zeros(16))
+    nan_theta = tmp_path / "nan_theta.txt"
+    nan_theta.write_text("0.0\n" * 2 + "nan\n" + "0.0\n" * 13)
+    nan_data = tmp_path / "nan_pts.csv"
+    lines = data_path.read_text().splitlines()
+    nan_data.write_text("\n".join(lines[:2] + ["nan,0.5,0"] + lines[3:]) + "\n")
+    out = tmp_path / "scores.csv"
+    capsys.readouterr()
+    for theta, points, message in (
+            (nan_theta, data_path, "nan_theta.txt:3: not a finite number: 'nan'"),
+            (theta_path, nan_data, "nan_pts.csv:3: field 'x0' is not finite: 'nan'")):
+        rc = cli.main(["evaluate", "--theta", str(theta), "--data", str(points),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_IO
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    run = tmp_path / "run"
+    rc = cli.main(["train", "--out", str(run), "--set", f"dataset.path={nan_data}"])
+    assert rc == cli.EXIT_IO
+    assert "nan_pts.csv:3: field 'x0' is not finite" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_read_theta_skips_comments_and_reports_bad_lines(tmp_path):
     path = tmp_path / "theta.txt"
     path.write_text("# trained parameters\n\n0.5\n-1.25\n\n# end\n2.0\n")
@@ -292,6 +355,9 @@ def test_read_theta_skips_comments_and_reports_bad_lines(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5\noops\n")
     with pytest.raises(ValueError, match="bad.txt:2"):
+        cli.read_theta(bad)
+    bad.write_text("0.5\n-inf\n")
+    with pytest.raises(ValueError, match="bad.txt:2: not a finite number: '-inf'"):
         cli.read_theta(bad)
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
@@ -318,6 +384,44 @@ def test_sweep_writes_per_cell_and_summary_rows(tmp_path, capsys):
         summary = list(csv.DictReader(fh))
     assert [r["value"] for r in summary] == ["4", "6"]
     assert all(r["repeats"] == "2" for r in summary)
+
+
+def test_a_nested_key_sweep_sets_that_key_in_each_cell(tmp_path, monkeypatch):
+    """A mutation-rate sweep is a sweep over optimizer.mutation.rate on a base
+    whose mutation kind reads a rate."""
+    config = tmp_path / "config.yaml"
+    config.write_text("dataset: {n: 20}\n"
+                      "optimizer: {kind: ga, population_size: 4, max_generations: 1}\n")
+    cells = []
+    run_training = cli.run_training
+
+    def recording(cfg):
+        cells.append(cfg)
+        return run_training(cfg)
+
+    monkeypatch.setattr(cli, "run_training", recording)
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(config), "--param", "optimizer.mutation.rate",
+                   "--values", "0.1,0.3", "--repeats", "1", "--out", str(out),
+                   "--set", "optimizer.mutation.kind=fixed"])
+    assert rc == cli.EXIT_OK
+    assert [{k: c.optimizer["mutation"][k] for k in ("kind", "rate")} for c in cells] == [
+        {"kind": "fixed", "rate": 0.1}, {"kind": "fixed", "rate": 0.3}]
+    with open(out / "sweep.csv") as fh:
+        assert [(r["param"], r["value"]) for r in csv.DictReader(fh)] == [
+            ("optimizer.mutation.rate", "0.1"), ("optimizer.mutation.rate", "0.3")]
+
+
+def test_a_sweep_value_that_is_not_yaml_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("dataset: {n: 20}\n")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(config), "--param", "optimizer.population_size",
+                   "--values", "4,[6", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert ("config error: override 'optimizer.population_size=[6': value is not valid YAML"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_an_ideal_cell_over_a_noise_block_is_a_config_error(tmp_path, capsys):
@@ -451,7 +555,19 @@ def test_a_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, monkey
     (["analyze", "noise-scaling", "--out", "n", "--shots", "10,100001"], "--shots",
      "must be <= 100000, got 100001"),
     (["analyze", "gradient-noise", "--out", "g", "--shots", "100001"], "--shots",
-     "must be <= 100000, got 100001")])
+     "must be <= 100000, got 100001"),
+    (["evaluate", "--theta", "t.txt", "--data", "d.csv", "--residual-sigma", "inf"],
+     "--residual-sigma", "must be finite, got inf"),
+    (["analyze", "landscape", "--out", "l", "--budget", "1", "--radius", "inf"], "--radius",
+     "must be finite, got inf"),
+    (["analyze", "landscape", "--out", "l", "--grid-min", "nan"], "--grid-min",
+     "must be finite, got nan"),
+    (["analyze", "landscape", "--out", "l", "--grid-max=-inf"], "--grid-max",
+     "must be finite, got -inf"),
+    (["analyze", "landscape", "--out", "l", "--grid-max", "x"], "--grid-max",
+     "invalid float value: 'x'"),
+    (["analyze", "gradient-noise", "--out", "g", "--steps", "0.1,inf"], "--steps",
+     "must be finite, got inf")])
 def test_an_out_of_range_value_flag_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
                                                            argv, flag, message):
     """Out-of-range numbers and lists are parse errors (exit 2), not file
@@ -482,7 +598,9 @@ def test_circuit_and_circle_flags_are_read_like_config_blocks(tmp_path, capsys):
             (["analyze", "landscape", "--out", str(tmp_path / "l"), "--ansatz", "3A"],
              "circuit.ansatz: unknown ansatz '3A'"),
             (["analyze", "ansatz-spread", "--out", str(tmp_path / "s"), "--layers", "0"],
-             "circuit: layer count must be >= 1, got 0")):
+             "circuit: layer count must be >= 1, got 0"),
+            (["gen-data", "--out", str(tmp_path / "n.csv"), "--radius", "nan"],
+             "dataset.radius: must be finite, got nan")):
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reupsim.data import (CircleSpec, DEFAULT_BOUNDARY, Dataset, generate,
+from reupsim.data import (CircleSpec, DEFAULT_BOUNDARY, TEST_SIZE, Dataset, generate,
                           generate_splits, load, save)
 
 
@@ -61,11 +61,11 @@ def test_generate_splits_are_independent_and_stable():
 
 
 def test_split_sizes_are_adjustable():
-    train, test = generate_splits(0, train_size=500, test_size=100)
+    train, test = generate_splits(0, train_size=500)
     assert len(train) == 500
-    assert len(test) == 100
+    assert len(test) == TEST_SIZE
     # the test draw does not depend on the train size
-    _, test_default = generate_splits(0, train_size=250, test_size=100)
+    _, test_default = generate_splits(0)
     np.testing.assert_array_equal(test.x, test_default.x)
 
 
@@ -87,6 +87,18 @@ def test_load_rejects_malformed_files(tmp_path):
         load(path)
     path.write_text("x0,x1,label\n0.1,oops,1\n")
     with pytest.raises(ValueError, match="x1"):
+        load(path)
+    path.write_text("x0,x1,label\nnan,0.2,0\n")
+    with pytest.raises(ValueError, match="bad.csv:2: field 'x0' is not finite: 'nan'"):
+        load(path)
+    # a label is 0 or 1, however many digits it has
+    for label in ("2", "9" * 400):
+        path.write_text(f"x0,x1,label\n0.1,0.2,{label}\n")
+        with pytest.raises(ValueError, match="bad.csv:2: field 'label' is not 0 or 1"):
+            load(path)
+    path.write_text("# boundary center=0.0,0.0 radius=inf domain=-1.0,1.0,-1.0,1.0 seed=0\n"
+                    "x0,x1,label\n0.1,0.2,1\n")
+    with pytest.raises(ValueError, match="bad.csv:1: boundary line has a value that is not"):
         load(path)
     path.write_text("x0,x1,label\n")
     with pytest.raises(ValueError, match="no data rows"):

@@ -1,13 +1,15 @@
 """Every name a package module imports is read somewhere in that module,
-every parameter of every function is read in that function's body, and every
-public module-level function or class is read somewhere in the package.
+every parameter of every function is read in that function's body, every
+public module-level function or class is read somewhere in the package, and
+every defaulted parameter is passed by some call in the package.
 
 No linter runs on this repository, so these scans keep dead imports,
-unread parameters and orphan public API out of src/reupsim.  The import and
-orphan scans skip `__init__.py`: it imports names to re-export them, which
-is not a use.  A fourth scan keeps scipy out of the package: no module
-imports it anywhere, function bodies included, so the runtime needs only
-numpy and PyYAML (tests/test_startup.py checks that no run loads it).
+unread parameters, orphan public API and settings that nothing varies out
+of src/reupsim.  The import, orphan and default scans skip `__init__.py`: it
+imports names to re-export them, which is not a use.  A fifth scan keeps
+scipy out of the package: no module imports it anywhere, function bodies
+included, so the runtime needs only numpy and PyYAML (tests/test_startup.py
+checks that no run loads it).
 """
 
 import ast
@@ -23,6 +25,11 @@ UNREAD_BY_DESIGN = ["IdealBackend.sample(y)"]
 # generator that the acceptance criteria in tests/test_acceptance.py call
 CALLED_BY_THE_CRITERIA = ["accuracy", "chi_squared", "cross_entropy", "evaluate_circuit",
                           "generate_splits"]
+# main's argv is for callers outside the package; the acceptance criteria, not
+# the package, call the split generator with a train size; a Choice subclass
+# passes its noun as a class keyword, which is not a call
+SET_FROM_OUTSIDE = ["Choice.__init_subclass__(noun)", "generate_splits(train_size)",
+                    "main(argv)"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,6 +98,63 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
+def unpassed_defaults(sources: list[str]) -> list[str]:
+    """`function(parameter)` for each defaulted parameter of a function in
+    `sources` that no call there passes; methods are named `Class.method`.
+
+    Calls match definitions by name alone, and a call of a class counts for
+    its `__init__`.  A call that unpacks `*args` or `**kwargs` counts as
+    passing every parameter; a call through `super()` counts for none, since
+    the name alone cannot tell which class's method it reaches.
+    """
+    defined = []     # (names that call it, qualified name, positional, one defaulted)
+
+    def visit(node, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]          # self or cls
+                names = {child.name} | ({cls} if child.name == "__init__" else set())
+                qualified = child.name if cls is None else f"{cls}.{child.name}"
+                defined.extend((names, qualified, positional, p) for p in defaulted)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    trees = [ast.parse(source) for source in sources]
+    for tree in trees:
+        visit(tree, None)
+    passed = set()
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            through = func.value
+            if isinstance(through, ast.Call) and getattr(through.func, "id", None) == "super":
+                continue
+            callee = func.attr
+        elif isinstance(func, ast.Name):
+            callee = func.id
+        else:
+            continue
+        unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
+                   or any(k.arg is None for k in call.keywords))
+        keywords = {k.arg for k in call.keywords}
+        for names, qualified, positional, param in defined:
+            if callee in names and (unpacks or param in keywords
+                                    or param in positional[:len(call.args)]):
+                passed.add((qualified, param))
+    return sorted({f"{q}({p})" for _, q, _, p in defined if (q, p) not in passed})
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
@@ -139,3 +203,17 @@ def test_the_parameter_scan_reports_each_unread_parameter():
               "class K:\n    def m(self, x):\n        def inner():\n            return x\n"
               "        return inner\n    def __exit__(self, kind, exc, tb):\n        pass\n")
     assert unread_parameters(source) == ["f(b)", "f(rest)", "f(extra)", "K.m(self)"]
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    sources = [p.read_text() for p in MODULES if p.name != "__init__.py"]
+    assert unpassed_defaults(sources) == SET_FROM_OUTSIDE
+
+
+def test_the_default_scan_reports_each_parameter_no_call_passes():
+    sources = ["def f(a, b=1, *, c=2, d=3):\n    pass\n"
+               "class K:\n    def __init__(self, x=0, y=0):\n        pass\n"
+               "    def m(self, z=1):\n        super().m(z=2)\n"
+               "    @staticmethod\n    def s(w=1):\n        pass\n",
+               "f(0, 5, d=4)\nK(1)\nobj.s(2)\ng(*args)\ndef g(v=1, u=2):\n    pass\n"]
+    assert unpassed_defaults(sources) == ["K.__init__(y)", "K.m(z)", "f(c)"]

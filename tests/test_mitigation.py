@@ -11,9 +11,9 @@ from reupsim.circuits import Ansatz, CircuitSpec, check_theta, measure_batch
 from reupsim.costs import CostKind
 from reupsim.data import Dataset, generate
 from reupsim.seeding import derive_seed
-from reupsim.mitigation import (CalibrationMatrix, calibrate, gradient_noise_report,
-                                mitigate, mitigate_estimate, noise_scaling,
-                                observation_pairs, pole_preparations,
+from reupsim.mitigation import (GRADIENT_NOISE_COSTS, CalibrationMatrix, calibrate,
+                                gradient_noise_report, mitigate, mitigate_estimate,
+                                noise_scaling, observation_pairs, pole_preparations,
                                 residual_analysis)
 
 DIAG = st.floats(0.55, 0.999)
@@ -184,9 +184,10 @@ def test_gradient_noise_report_ideal_leg_always_agrees():
     spec = CircuitSpec()
     ds = generate(8, seed=22)
     theta = np.random.default_rng(22).uniform(-np.pi, np.pi, 16)
-    report = gradient_noise_report(spec, theta, ds, noise=None, steps=[0.1],
-                                   repeats=3, kinds=(CostKind.CROSS_ENTROPY,))
-    assert report.mean_sign_agreement(CostKind.CROSS_ENTROPY) == 1.0
-    assert report.max_abs_theoretical(CostKind.CROSS_ENTROPY) > 0.0
+    report = gradient_noise_report(spec, theta, ds, noise=None, steps=[0.1], repeats=3)
+    assert {r.cost for r in report.rows} == set(GRADIENT_NOISE_COSTS)
+    for kind in (CostKind.CROSS_ENTROPY, CostKind.CHI_SQUARED):
+        assert report.mean_sign_agreement(kind) == 1.0
+        assert report.max_abs_theoretical(kind) > 0.0
     with pytest.raises(ValueError, match="no rows"):
-        report.max_abs_theoretical(CostKind.CHI_SQUARED)
+        report.max_abs_theoretical(CostKind.CHI_SQUARED, step=0.2)
