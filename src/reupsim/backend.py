@@ -84,7 +84,7 @@ class NoiseModel:
         m = np.asarray(self.confusion, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"confusion must be 2x2, got shape {m.shape}")
-        if (m < 0).any() or (m > 1).any():
+        if not ((m >= 0) & (m <= 1)).all():         # NaN fails both comparisons
             raise ValueError("confusion entries must lie in [0, 1]")
         if np.abs(m.sum(axis=1) - 1.0).max() > 1e-12:
             raise ValueError("confusion rows must each sum to 1 within 1e-12")
@@ -92,8 +92,8 @@ class NoiseModel:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.shots > MAX_SHOTS:
             raise ValueError(f"shots must be <= {MAX_SHOTS}, got {self.shots}")
-        if self.residual_sigma < 0:
-            raise ValueError(f"residual_sigma must be >= 0, got {self.residual_sigma}")
+        if not 0 <= self.residual_sigma < np.inf:    # NaN fails both comparisons
+            raise ValueError(f"residual_sigma must be >= 0 and finite, got {self.residual_sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

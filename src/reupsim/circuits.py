@@ -264,29 +264,33 @@ def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.nda
 
 
 def measure_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                  y: np.ndarray) -> np.ndarray:
-    """Projection probability onto each point's label state |y_i>."""
+                  y: np.ndarray, states: bool = False):
+    """Projection probability M onto each point's label state |y_i>; with
+    states=True, (M, (psi, cos, sin)): the same M bit for bit, from the kernel
+    pass that keeps every state, a pair gate_angle_gradients takes as `forward`."""
     theta = check_theta(spec, theta)
-    return measure_many(spec, theta[None], x, y)[0]
+    if not states:
+        return measure_many(spec, theta[None], x, y)[0]
+    kept = _evolve(*layer_angles(spec, theta, x), states=True)
+    sq = np.square(kept[0][-1])
+    return np.where(np.asarray(y) == 1, sq[1, 0] + sq[1, 1], sq[0, 0] + sq[0, 1]), kept
 
 
 def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                         y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                         y: np.ndarray, forward=None) -> tuple[np.ndarray, np.ndarray]:
     """(M, dM/d(gate angle)): M per point, shape (n,), bit-identical to
     measure_batch, and the derivatives by all 2L gate angles, shape (L, 2, n).
 
-    The kernel's forward pass keeps the state psi_g after every gate g; M is
-    read from the last one.  The
-    backward pass carries the row vector w = conj(<y|psi>) <y| G_last ... G_{g+1}
+    The forward pass (`forward`, if measure_batch kept it at this theta and
+    x) keeps the state psi_g after every gate g; M is read from the last one.
+    The backward pass carries the row vector w = conj(<y|psi>) <y| G_last ... G_{g+1}
     back through the same rotations, so that dM/dphi_g = 2 Re(w K_g psi_g)
     with K_g the generator of gate g: -iY/2 for R_y, which gives
     Re(w_b a - w_a b), and diag(0, i) for the phase, which gives
     -2 Im(w_b b).  The skipped last R_z changes no population: its entry is 0.
     """
-    psi, cos, sin = _evolve(*layer_angles(spec, theta, x), states=True)
+    m, (psi, cos, sin) = forward or measure_batch(spec, theta, x, y, states=True)
     label = np.asarray(y) == 1
-    sq = np.square(psi[-1])
-    m = np.where(label, sq[1, 0] + sq[1, 1], sq[0, 0] + sq[0, 1])
     w = np.where(np.stack([label, ~label])[:, None], 0.0, psi[-1] * [[1.0], [-1.0]])
     tmp = np.empty_like(w)
     grads = np.empty((spec.layers, 2, w.shape[-1]))
@@ -324,9 +328,9 @@ def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x: np.ndarray) -> np.
 
 
 def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                            y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                            y: np.ndarray, forward=None) -> tuple[np.ndarray, np.ndarray]:
     """(M, exact dM/dtheta_j) per point, shapes (n,) and (n, 4L), from one
-    forward pass."""
-    m, angle_grads = gate_angle_gradients(spec, theta, x, y)
+    forward pass, or from `forward` as gate_angle_gradients takes it."""
+    m, angle_grads = gate_angle_gradients(spec, theta, x, y, forward)
     return m, chain_rule(spec, angle_grads, x)
 

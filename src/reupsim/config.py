@@ -308,9 +308,13 @@ def read_config(path: str | Path | None, overrides: Sequence[str] = ()) -> dict:
     if path is not None:
         with open(path) as fh:
             try:
-                raw = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{path}: not valid YAML ({exc})") from None
+                raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            except yaml.YAMLError:
+                fh.seek(0)      # the pure-Python loader words the message
+                try:
+                    raw = yaml.safe_load(fh)
+                except yaml.YAMLError as exc:
+                    raise ConfigError(f"{path}: not valid YAML ({exc})") from None
     return apply_overrides(_as_mapping(raw, "config"), overrides)
 
 
@@ -318,7 +322,8 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_mapping(), fh, sort_keys=True, default_flow_style=False)
+        yaml.dump(cfg.to_mapping(), fh, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
+                  sort_keys=True, default_flow_style=False)
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

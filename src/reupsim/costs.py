@@ -36,11 +36,13 @@ def is_loss(kind: CostKind) -> bool:
 
 
 def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                    backend: Backend) -> np.ndarray:
-    """Per-point estimates of M(theta, x_i, y_i) through the backend."""
+                    backend: Backend, states: bool = False):
+    """Per-point estimates of M(theta, x_i, y_i) through the backend; with
+    states=True, (estimates, forward), forward what circuits.measure_batch gave."""
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    return backend.sample(circuits.measure_batch(spec, theta, ds.x, ds.y), ds.y)
+    m = circuits.measure_batch(spec, theta, ds.x, ds.y, states)
+    return (backend.sample(m[0], ds.y), m) if states else backend.sample(m, ds.y)
 
 
 def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: Backend,
@@ -97,10 +99,14 @@ def evaluate(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
 
 
 def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                           ds: Dataset, backend: Backend) -> tuple[float, float]:
-    """(objective, accuracy) computed from one shared estimate batch."""
-    m = measured_values(spec, theta, ds, backend)
-    return value_from(kind, m), float(row_accuracies(m))
+                           ds: Dataset, backend: Backend, states: bool = False) -> tuple:
+    """(objective, accuracy) computed from one shared estimate batch; with
+    states=True, the forward pass for analytic_gradient comes third."""
+    if not states:
+        m = measured_values(spec, theta, ds, backend)
+        return value_from(kind, m), float(row_accuracies(m))
+    m, forward = measured_values(spec, theta, ds, backend, states=True)
+    return value_from(kind, m), float(row_accuracies(m)), forward
 
 
 def evaluate_many_with_accuracy(kind: CostKind, spec: CircuitSpec, thetas: np.ndarray,
@@ -135,8 +141,9 @@ def cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:
 
 
 def analytic_gradient(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                      ds: Dataset) -> np.ndarray:
-    """Exact objective gradient, composed from the state-evolution gradients.
+                      ds: Dataset, forward=None) -> np.ndarray:
+    """Exact objective gradient, composed from the state-evolution gradients
+    (from `forward` of evaluate_with_accuracy at this theta, if given).
 
     Accuracy is piecewise constant, so its gradient is identically zero away
     from threshold crossings; the other objectives chain through dM/dtheta.
@@ -145,5 +152,5 @@ def analytic_gradient(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
         raise ValueError("dataset is empty")
     if kind is CostKind.ACCURACY:
         return np.zeros(spec.n_params)
-    m, dm = circuits.analytic_gradient_batch(spec, theta, ds.x, ds.y)
+    m, dm = circuits.analytic_gradient_batch(spec, theta, ds.x, ds.y, forward)
     return (cost_weights(kind, m)[:, None] * dm).mean(axis=0)

@@ -133,7 +133,10 @@ def _parse_boundary_line(line: str, path: Path) -> tuple[CircleSpec, int]:
         raise ValueError(f"{path}:1: malformed boundary line ({exc})") from None
     if not np.isfinite((cx, cy, radius, x_lo, x_hi, y_lo, y_hi)).all():
         raise ValueError(f"{path}:1: boundary line has a value that is not finite")
-    return CircleSpec((cx, cy), radius, (x_lo, x_hi, y_lo, y_hi)), seed
+    try:
+        return CircleSpec((cx, cy), radius, (x_lo, x_hi, y_lo, y_hi)), seed
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
 
 
 def load(path: str | Path) -> Dataset:

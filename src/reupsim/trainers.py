@@ -148,32 +148,32 @@ def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarra
 
 
 def gradient_analytic(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                      ds: Dataset, backend: Backend) -> np.ndarray:
+                      ds: Dataset, backend: Backend, forward=None) -> np.ndarray:
     """Closed-form cost gradient with hardware-equivalent accounting.
 
     Noisy backends route through the shift-rule sampler (measuring a
     derivative still means measuring); ideal backends return the exact
-    composition and charge the same number of estimates.
+    composition, on `forward` if given, and charge the same number of estimates.
     """
     if kind is CostKind.ACCURACY:
         raise ValueError("the accuracy cost has an identically-zero gradient; "
                          "pick a differentiable cost")
     if backend.is_noisy:
         return gradient_parameter_shift(kind, spec, theta, ds, backend)
-    grad = costs.analytic_gradient(kind, spec, theta, ds)
+    grad = costs.analytic_gradient(kind, spec, theta, ds, forward)
     backend.charge((4 * spec.layers + 1) * len(ds))
     return grad
 
 
 def estimate_gradient(method: GradMethod, kind: CostKind, spec: CircuitSpec,
                       theta: np.ndarray, ds: Dataset, backend: Backend,
-                      step: float = 1e-2) -> np.ndarray:
+                      step: float = 1e-2, forward=None) -> np.ndarray:
     if method is GradMethod.FINITE_DIFFERENCE:
         return gradient_fd(kind, spec, theta, ds, backend, step)
     if method is GradMethod.PARAMETER_SHIFT:
         return gradient_parameter_shift(kind, spec, theta, ds, backend)
     if method is GradMethod.ANALYTIC:
-        return gradient_analytic(kind, spec, theta, ds, backend)
+        return gradient_analytic(kind, spec, theta, ds, backend, forward)
     raise ValueError(f"unhandled gradient method {method}")  # pragma: no cover
 
 
@@ -233,13 +233,14 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
     h_seeded = False
     trace = TrainingTrace(target_accuracy=cfg.target_accuracy)
 
-    def gradient(at: np.ndarray) -> np.ndarray:
+    def gradient(at: np.ndarray, forward: tuple) -> np.ndarray:
         return estimate_gradient(cfg.gradient, cfg.cost, spec, at, dataset, backend,
-                                 step=cfg.step)
+                                 step=cfg.step, forward=forward)
 
     with backend_failures("iteration 0"):
-        f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-        g = gradient(theta)
+        f, acc, forward = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset,
+                                                       backend, states=True)
+        g = gradient(theta, forward)
     if trace.record(0, theta[None], [f], [acc], backend.ledger):
         return trace.best_theta, trace
 
@@ -264,27 +265,27 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
         with backend_failures(f"iteration {k}"):
             for _ in range(ls.max_halvings):
                 trial = theta + alpha * d
-                f_trial, acc_trial = costs.evaluate_with_accuracy(cfg.cost, spec, trial,
-                                                                  dataset, backend)
+                f_trial, acc_trial, forward = costs.evaluate_with_accuracy(
+                    cfg.cost, spec, trial, dataset, backend, states=True)
                 if f_trial <= f + ls.c1 * alpha * slope:
                     # with no budget left for Wolfe's curvature gradient the
                     # Armijo step is taken, as armijo takes it
                     if ls.kind != "wolfe" or not guard.allows(grad_cost):
-                        accepted = (trial, f_trial, acc_trial, None)
+                        accepted = (trial, f_trial, acc_trial, forward, None)
                         break
-                    g_trial = gradient(trial)
+                    g_trial = gradient(trial, forward)
                     if abs(float(g_trial @ d)) <= ls.c2 * abs(slope):
-                        accepted = (trial, f_trial, acc_trial, g_trial)
+                        accepted = (trial, f_trial, acc_trial, forward, g_trial)
                         break
                 alpha *= 0.5
                 if not guard.allows(n):
                     break
             if accepted is None:
                 break
-            trial, f_trial, acc_trial, g_trial = accepted
+            trial, f_trial, acc_trial, forward, g_trial = accepted
             # without budget for a gradient, trace the accepted step, then stop
             if g_trial is None and guard.allows(grad_cost):
-                g_trial = gradient(trial)
+                g_trial = gradient(trial, forward)
 
         s = trial - theta
         if g_trial is not None:

@@ -112,6 +112,21 @@ def test_noise_model_validation():
         NoiseModel(residual_sigma=-0.1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_noise_model_rejects_a_non_finite_residual_sigma(value):
+    """A NaN sigma fails no `< 0` test and would sample as sigma 0."""
+    with pytest.raises(ValueError, match=f"^residual_sigma must be >= 0 and finite, got {value}$"):
+        NoiseModel(residual_sigma=value)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_noise_model_rejects_a_nan_confusion_entry(row):
+    confusion = [list(r) for r in DEFAULT_CONFUSION]
+    confusion[row][row] = float("nan")
+    with pytest.raises(ValueError, match=r"^confusion entries must lie in \[0, 1\]$"):
+        NoiseModel(confusion=tuple(map(tuple, confusion)))
+
+
 def test_observed_probability_endpoints():
     nm = NoiseModel()
     m = np.asarray(DEFAULT_CONFUSION)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line harness, run in process."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,21 @@ def test_missing_files_exit_with_the_io_code(tmp_path, capsys):
     cli.write_theta(theta_path, np.zeros(16))
     rc = cli.main(["evaluate", "--theta", str(theta_path), "--data", str(data_path)])
     assert rc == cli.EXIT_IO
+
+
+def test_a_boundary_line_its_circle_rejects_exits_4_naming_the_line(tmp_path, capsys):
+    """A boundary line that parses but describes no valid circle is a bad
+    file at line 1, as a line that does not parse is."""
+    data_path = tmp_path / "pts.csv"
+    cli.main(["gen-data", "--out", str(data_path), "--n", "10", "--seed", "3"])
+    first, rest = data_path.read_text().split("\n", 1)
+    data_path.write_text(re.sub(r"radius=\S+", "radius=-1.0", first) + "\n" + rest)
+    theta_path = tmp_path / "theta.txt"
+    cli.write_theta(theta_path, np.zeros(16))
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--theta", str(theta_path), "--data", str(data_path)])
+    assert rc == cli.EXIT_IO
+    assert f"{data_path}:1: radius must be positive, got -1.0" in capsys.readouterr().err
 
 
 def test_a_non_finite_number_in_an_input_file_exits_4_naming_the_line(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from reupsim.backend import IdealBackend, NoisyBackend
 from reupsim.circuits import Ansatz
@@ -190,6 +191,42 @@ def test_load_config_rejects_invalid_yaml(tmp_path):
     path.write_text("foo: [unclosed\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
         ExperimentConfig.from_mapping(read_config(path))
+
+
+def test_an_invalid_yaml_message_is_the_pure_python_loaders(tmp_path):
+    """libyaml words its errors differently; the message stays the one the
+    pure-Python loader gives, with the file's path and position."""
+    path = tmp_path / "broken.yaml"
+    path.write_text("foo: [unclosed\n")
+    with pytest.raises(ConfigError) as err:
+        read_config(path)
+    assert str(err.value) == (
+        f"{path}: not valid YAML (while parsing a flow sequence\n"
+        f'  in "{path}", line 1, column 6\n'
+        "expected ',' or ']', but got '<stream end>'\n"
+        f'  in "{path}", line 2, column 1)')
+
+
+def test_config_yaml_reads_and_writes_the_same_without_libyaml(tmp_path, monkeypatch):
+    """The C loader and dumper give the mapping and the archived bytes that
+    the pure-Python classes give; without libyaml those are used."""
+    path = tmp_path / "in.yaml"
+    path.write_text("seed: 5\noutput_dir: runs/a b\ncost: chi_squared\n"
+                    "circuit: {ansatz: 2b, layers: 3}\n"
+                    "backend:\n  kind: noisy\n  noise: {confusion: [[0.9, 0.1], [0.25, 0.75]],"
+                    " residual_sigma: 1.0e-3}\n"
+                    "optimizer: {kind: bfgs_standard, line_search: {kind: wolfe, c2: 0.5},"
+                    " init_range: [-1, .5], target_accuracy: null}\n")
+
+    def round_trip(name):
+        raw = read_config(path, ["dataset.n=12"])
+        save_config(ExperimentConfig.from_mapping(raw), tmp_path / name)
+        return raw, (tmp_path / name).read_bytes()
+
+    with_libyaml = round_trip("c.yaml")
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    assert round_trip("python.yaml") == with_libyaml
 
 
 def test_load_config_of_an_empty_file_gives_defaults(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reupsim import circuits, costs
+from reupsim import circuits, costs, trainers
 from reupsim.backend import BudgetError, IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import Ansatz, CircuitSpec, random_parameters
 from reupsim.costs import CostKind
@@ -254,6 +254,58 @@ def test_no_optimizer_charges_past_max_estimates(case, budget, held, points):
         return
     assert held + first <= budget
     assert backend.ledger.total_estimates <= budget
+
+
+# (line search, cap): plain Armijo; Wolfe trials whose curvature test fails after
+# their gradient; a cap that cuts a long Armijo search; a cap that leaves Wolfe
+# no gradient for its second trial
+SPIED_SEARCHES = [(LineSearchSpec(), None), (LineSearchSpec("wolfe", c2=0.5, alpha0=4.0), None),
+                  (LineSearchSpec(alpha0=1e6), 4000), (LineSearchSpec("wolfe", c2=0.1), 1600)]
+
+
+@pytest.mark.parametrize("search, cap", SPIED_SEARCHES)
+@pytest.mark.parametrize("kind", [CostKind.CROSS_ENTROPY, CostKind.CHI_SQUARED])
+def test_ideal_analytic_bfgs_runs_one_forward_pass_per_evaluation(monkeypatch, search, cap,
+                                                                   kind):
+    """Each cost evaluation runs the kernel once, keeping its states, and the
+    gradient at an evaluated point reuses them: no other kernel call is made.
+    Every gradient the update sees equals a from-scratch analytic gradient."""
+    spec, ds = CircuitSpec(), generate(40, seed=3)
+    backend = IdealBackend()
+    events, gradients = [], []
+    real_evolve, real_sample = circuits._evolve, backend.sample
+    real_estimate = trainers.estimate_gradient
+
+    def evolve(phi_y, phi_z, states=False):
+        events.append("evolve" if states else "evolve without states")
+        return real_evolve(phi_y, phi_z, states)
+
+    def sample(p_y, y):
+        events.append("evaluate")
+        return real_sample(p_y, y)
+
+    def estimate(method, kind_, spec_, theta, ds_, backend_, **kwargs):
+        events.append("gradient")
+        gradients.append((theta.copy(), real_estimate(method, kind_, spec_, theta, ds_,
+                                                      backend_, **kwargs)))
+        return gradients[-1][1]
+
+    monkeypatch.setattr(circuits, "_evolve", evolve)
+    monkeypatch.setattr(backend, "sample", sample)
+    monkeypatch.setattr(trainers, "estimate_gradient", estimate)
+    cfg = GradConfig(cost=kind, max_iterations=12, seed=3, line_search=search,
+                     max_estimates=cap)
+    bfgs_train(cfg, spec, ds, backend)
+    monkeypatch.undo()
+    evaluations = [e for e in events if e != "gradient"]
+    assert evaluations == ["evolve", "evaluate"] * (len(evaluations) // 2)
+    assert events[:3] == ["evolve", "evaluate", "gradient"]
+    for theta, grad in gradients:
+        assert grad.tobytes() == costs.analytic_gradient(kind, spec, theta, ds).tobytes()
+    if cap is not None:
+        assert backend.ledger.total_estimates <= cap
+        # the cap ended the op on a line-search trial with no gradient
+        assert events[-2:] == ["evolve", "evaluate"]
 
 
 def test_bfgs_train_rejects_wrong_optimizer_kind():
