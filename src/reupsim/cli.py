@@ -5,6 +5,9 @@ Every run archives its fully-resolved config next to the outputs; re-running
 that file reproduces the run byte for byte.  Exit codes: 0 success, 2 config
 problem (the message names the offending key), 3 backend failure during
 training, 4 I/O trouble (missing, malformed, or unwritable files).
+
+A process builds the parser of the one command of COMMANDS that it runs, and
+imports what only one command uses inside that command's runner.
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ import argparse
 import copy
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import circuits, data, mitigation
+from . import circuits, data
 from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, HARDWARE_STEPS, MAX_SHOTS,
                       IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
                       SettingError, estimate_time)
@@ -37,6 +40,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_IO = 4
+# what a failed run prints and exits with: the first row whose exception matches
+FAILURES = ((ConfigError, "config error", EXIT_CONFIG),
+            (TrainingError, "training failed", EXIT_BACKEND),
+            (OSError, "i/o error", EXIT_IO), (ValueError, "invalid input", EXIT_IO))
 
 
 def _env_seed() -> int | None:
@@ -65,10 +72,10 @@ def _analysis_seed(args) -> int:
     return seed if seed is not None else 0
 
 
-def _write_rows(path: Path, header: tuple[str, ...], rows) -> None:
+def _write_rows(path: Path, header: str, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
@@ -89,18 +96,17 @@ def write_theta(path: str | Path, theta: np.ndarray) -> None:
 
 def read_theta(path: str | Path) -> np.ndarray:
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
-            if not np.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
-            values.append(value)
+    for lineno, line in enumerate(data.read_utf8(path), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+        if not np.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no parameters found")
     return np.array(values)
@@ -125,28 +131,25 @@ def run_training(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# runners: each takes the parsed flags; an analysis also takes its circuit, its
+# dataset and `seed_of`, the seed of a named draw.  A runner that returns
+# (files, lines) has them written under --out by _report.
 
 
-def cmd_gen_data(args) -> int:
+def _gen_data(args) -> None:
     seed = _analysis_seed(args)
     circle = _circle(vars(args))
     if args.split is not None:
-        context = f"data/{args.split}"
-        n = args.n if args.n is not None else (data.TRAIN_SIZE if args.split == "train"
-                                               else data.TEST_SIZE)
-        ds = data.generate(n, circle, derive_seed(seed, context))
-    else:
-        n = args.n if args.n is not None else data.TRAIN_SIZE
-        ds = data.generate(n, circle, seed)
+        seed = derive_seed(seed, f"data/{args.split}")
+    n = args.n if args.n is not None else (data.TEST_SIZE if args.split == "test"
+                                           else data.TRAIN_SIZE)
+    ds = data.generate(n, circle, seed)
     data.save(ds, args.out)
-    inside = float(ds.y.mean())
     print(f"wrote {len(ds)} points to {args.out} "
-          f"(seed {ds.seed}, label-1 fraction {inside:.3f})")
-    return EXIT_OK
+          f"(seed {ds.seed}, label-1 fraction {float(ds.y.mean()):.3f})")
 
 
-def cmd_train(args) -> int:
+def _train(args) -> None:
     cfg = ExperimentConfig.from_mapping(read_config(args.config, args.set),
                                         master_seed=_master_seed(args),
                                         workers=args.workers, output_dir=args.out)
@@ -179,10 +182,9 @@ def cmd_train(args) -> int:
     print(f"estimates {final.cum_estimates}, shots {final.cum_shots}, "
           f"modeled time {minutes:.1f} min")
     print(f"outputs in {out_dir}")
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def _evaluate(args) -> None:
     theta = read_theta(args.theta)
     ds = data.load(args.data)
     spec = _circuit_from_flags(args)
@@ -190,32 +192,27 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"theta: expected {spec.n_params} parameters for "
                           f"{spec.ansatz.value} with {spec.layers} layers, got {theta.size}")
     if args.backend == "noisy":
-        noise_seed = args.noise_seed
-        if noise_seed is None:
-            noise_seed = derive_seed(_analysis_seed(args), "evaluate")
+        noise_seed = (args.noise_seed if args.noise_seed is not None
+                      else derive_seed(_analysis_seed(args), "evaluate"))
         backend = NoisyBackend(NoiseModel(shots=args.shots,
                                           residual_sigma=args.residual_sigma,
                                           seed=noise_seed))
     else:
         backend = IdealBackend(shots=args.shots)
 
-    ones = np.ones(len(ds), dtype=int)
-    est = backend.measure(spec, theta, ds.x, ones)
+    est = backend.measure(spec, theta, ds.x, np.ones(len(ds), dtype=int))
     predicted = (est > 0.5).astype(int)
-    correct = predicted == ds.y
     rows = [(ds.x[i, 0], ds.x[i, 1], int(ds.y[i]), int(predicted[i]), float(est[i]))
             for i in range(len(ds))]
     if args.out is not None:
-        _write_rows(Path(args.out), ("x0", "x1", "label", "predicted", "p1_estimate"),
-                    rows)
+        _write_rows(Path(args.out), "x0,x1,label,predicted,p1_estimate", rows)
         print(f"wrote per-point results to {args.out}")
-    acc = float(correct.mean())
+    acc = float((predicted == ds.y).mean())
     print(f"accuracy {acc:.4f} on {len(ds)} points ({args.backend} backend, "
           f"{args.shots} shots per estimate)")
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def _sweep(args):
     base_raw = read_config(args.config, args.set)
     master = ExperimentConfig.from_mapping(base_raw, master_seed=_master_seed(args),
                                            workers=args.workers).seed
@@ -238,15 +235,11 @@ def cmd_sweep(args) -> int:
                 final.best_loss, final.cum_estimates, final.cum_shots, final.wall_ms)
 
     if args.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_cell, cells))
     else:
         results = [run_cell(c) for c in cells]
-
-    out_dir = Path(args.out)
-    _write_rows(out_dir / "sweep.csv",
-                ("param", "value", "repeat", "seed", "best_accuracy", "best_loss",
-                 "cum_estimates", "cum_shots", "wall_ms"), results)
 
     summary_rows = []
     for text in args.values:
@@ -254,20 +247,14 @@ def cmd_sweep(args) -> int:
         losses = [r[5] for r in results if r[1] == text]
         summary_rows.append((args.param, text, float(np.median(accs)),
                              float(np.median(losses)), len(accs)))
-    _write_rows(out_dir / "sweep_summary.csv",
-                ("param", "value", "median_accuracy", "median_loss", "repeats"),
-                summary_rows)
-
-    print(f"swept {args.param} over {len(args.values)} values x {args.repeats} repeats")
-    for _, text, med_acc, med_loss, _ in summary_rows:
-        print(f"  {args.param}={text}: median accuracy {med_acc:.4f}, "
-              f"median loss {med_loss:.6f}")
-    print(f"outputs in {out_dir}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# analysis subcommands
+    files = [("sweep.csv", "param,value,repeat,seed,best_accuracy,best_loss,cum_estimates,"
+                           "cum_shots,wall_ms", results),
+             ("sweep_summary.csv", "param,value,median_accuracy,median_loss,repeats",
+              summary_rows)]
+    lines = [f"swept {args.param} over {len(args.values)} values x {args.repeats} repeats"]
+    lines += [f"  {args.param}={text}: median accuracy {med_acc:.4f}, "
+              f"median loss {med_loss:.6f}" for _, text, med_acc, med_loss, _ in summary_rows]
+    return files, lines
 
 
 def _circuit_from_flags(args) -> CircuitSpec:
@@ -276,157 +263,97 @@ def _circuit_from_flags(args) -> CircuitSpec:
                                 "layers": args.layers}, "circuit")
 
 
-def cmd_analyze_residuals(args) -> int:
-    seed = _analysis_seed(args)
-    spec = _circuit_from_flags(args)
-    ds = data.generate(args.points, seed=derive_seed(seed, "analyze/residuals/data"))
+def _residuals(args, spec, ds, seed_of):
+    from . import mitigation
     noise = NoiseModel(shots=args.shots, residual_sigma=args.residual_sigma,
-                       seed=derive_seed(seed, "analyze/residuals/backend"))
-    backend = NoisyBackend(noise)
-    cal_backend = NoisyBackend(replace(noise,
-                                       seed=derive_seed(seed, "analyze/residuals/cal")))
-    cal = mitigation.calibrate(cal_backend, spec, shots=args.calibration_shots)
+                       seed=seed_of("backend"))
+    cal = mitigation.calibrate(NoisyBackend(replace(noise, seed=seed_of("cal"))), spec,
+                               shots=args.calibration_shots)
     theta = read_theta(args.theta) if args.theta is not None else None
-    pairs = mitigation.observation_pairs(
-        spec, ds, backend, theta=theta,
-        seed=derive_seed(seed, "analyze/residuals/thetas"), cal=cal)
-    raw_report = mitigation.residual_analysis(pairs[:, :2])
-    mit_report = mitigation.residual_analysis(pairs[:, [0, 2]])
-
-    out_dir = Path(args.out)
-    _write_rows(out_dir / "pairs.csv", ("theoretical", "observed", "mitigated"),
-                [tuple(row) for row in pairs])
-    _write_rows(out_dir / "fit.csv",
-                ("variant", "slope", "intercept", "residual_mean", "residual_std",
-                 "n_pairs"),
-                [("raw", raw_report.slope, raw_report.intercept,
-                  raw_report.residual_mean, raw_report.residual_std,
-                  raw_report.n_pairs),
-                 ("mitigated", mit_report.slope, mit_report.intercept,
-                  mit_report.residual_mean, mit_report.residual_std,
-                  mit_report.n_pairs)])
-    hist_rows = [(raw_report.bin_edges[i], raw_report.bin_edges[i + 1],
-                  raw_report.bin_density[i])
-                 for i in range(raw_report.bin_density.size)]
-    _write_rows(out_dir / "residual_histogram.csv",
-                ("bin_left", "bin_right", "density"), hist_rows)
-
-    print(f"raw fit: slope {raw_report.slope:.4f}, intercept "
-          f"{raw_report.intercept:.4f}, residual std {raw_report.residual_std:.4f}")
-    print(f"mitigated fit: slope {mit_report.slope:.4f}, intercept "
-          f"{mit_report.intercept:.4f}, residual std {mit_report.residual_std:.4f}")
-    print(f"outputs in {out_dir}")
-    return EXIT_OK
+    pairs = mitigation.observation_pairs(spec, ds, NoisyBackend(noise), theta=theta,
+                                         seed=seed_of("thetas"), cal=cal)
+    fits = (("raw", mitigation.residual_analysis(pairs[:, :2])),
+            ("mitigated", mitigation.residual_analysis(pairs[:, [0, 2]])))
+    edges, density = fits[0][1].bin_edges, fits[0][1].bin_density
+    files = [("pairs.csv", "theoretical,observed,mitigated", pairs),
+             ("fit.csv", "variant,slope,intercept,residual_mean,residual_std,n_pairs",
+              [(name, r.slope, r.intercept, r.residual_mean, r.residual_std, r.n_pairs)
+               for name, r in fits]),
+             ("residual_histogram.csv", "bin_left,bin_right,density",
+              zip(edges[:-1], edges[1:], density))]
+    return files, [f"{name} fit: slope {r.slope:.4f}, intercept {r.intercept:.4f}, "
+                   f"residual std {r.residual_std:.4f}" for name, r in fits]
 
 
-def cmd_analyze_noise_scaling(args) -> int:
-    seed = _analysis_seed(args)
-    spec = _circuit_from_flags(args)
-    shot_counts = args.shots
-    ds = data.generate(args.points, seed=derive_seed(seed, "analyze/scaling/data"))
-    rng = np.random.default_rng(derive_seed(seed, "analyze/scaling/theta"))
-    theta = circuits.random_parameters(spec, rng)
-    report = mitigation.noise_scaling(spec, theta, ds, shot_counts,
+def _noise_scaling(args, spec, ds, seed_of):
+    from . import mitigation
+    theta = circuits.random_parameters(spec, np.random.default_rng(seed_of("theta")))
+    report = mitigation.noise_scaling(spec, theta, ds, args.shots,
                                       residual_sigma=args.residual_sigma,
-                                      repeats=args.repeats,
-                                      seed=derive_seed(seed, "analyze/scaling/backend"))
-    out_dir = Path(args.out)
+                                      repeats=args.repeats, seed=seed_of("backend"))
     rows = [(int(n), float(s), report.amplitude, report.exponent)
             for n, s in zip(report.shot_counts, report.stds)]
-    _write_rows(out_dir / "noise_scaling.csv",
-                ("shots", "std", "fit_amplitude", "fit_exponent"), rows)
-    print(f"fitted std ~ {report.amplitude:.4f} * N^{report.exponent:.4f} "
-          f"over N in {shot_counts}")
-    print(f"outputs in {out_dir}")
-    return EXIT_OK
+    return ([("noise_scaling.csv", "shots,std,fit_amplitude,fit_exponent", rows)],
+            [f"fitted std ~ {report.amplitude:.4f} * N^{report.exponent:.4f} "
+             f"over N in {args.shots}"])
 
 
-def cmd_analyze_gradient_noise(args) -> int:
-    seed = _analysis_seed(args)
-    spec = _circuit_from_flags(args)
-    steps = args.steps
-    ds = data.generate(args.points, seed=derive_seed(seed, "analyze/grad/data"))
-    rng = np.random.default_rng(derive_seed(seed, "analyze/grad/theta"))
-    theta = circuits.random_parameters(spec, rng)
-    noise = None if args.ideal else NoiseModel(shots=args.shots,
-                                               seed=derive_seed(seed,
-                                                                "analyze/grad/backend"))
-    report = mitigation.gradient_noise_report(spec, theta, ds, noise, steps,
+def _gradient_noise(args, spec, ds, seed_of):
+    from . import mitigation
+    theta = circuits.random_parameters(spec, np.random.default_rng(seed_of("theta")))
+    noise = None if args.ideal else NoiseModel(shots=args.shots, seed=seed_of("backend"))
+    report = mitigation.gradient_noise_report(spec, theta, ds, noise, args.steps,
                                               repeats=args.repeats)
-    out_dir = Path(args.out)
     rows = [(r.step, r.cost.value, r.component, r.theoretical, r.noisy_mean,
              r.noisy_std, r.sign_agreement) for r in report.rows]
-    _write_rows(out_dir / "gradient_noise.csv",
-                ("step", "cost", "component", "theoretical", "noisy_mean",
-                 "noisy_std", "sign_agreement"), rows)
-    for step in steps:
+    lines = []
+    for step in args.steps:
         for kind in mitigation.GRADIENT_NOISE_COSTS:
             peak = report.max_abs_theoretical(kind, step)
             try:
-                agree = report.mean_sign_agreement(kind, step)
-                agree_text = f"{agree:.3f}"
+                agree_text = f"{report.mean_sign_agreement(kind, step):.3f}"
             except ValueError:
                 agree_text = "n/a"
-            print(f"step {step}: {kind.value}: max |gradient| {peak:.6f}, "
-                  f"sign agreement {agree_text}")
-    print(f"outputs in {out_dir}")
-    return EXIT_OK
+            lines.append(f"step {step}: {kind.value}: max |gradient| {peak:.6f}, "
+                         f"sign agreement {agree_text}")
+    return ([("gradient_noise.csv",
+              "step,cost,component,theoretical,noisy_mean,noisy_std,sign_agreement", rows)],
+            lines)
 
 
-def cmd_analyze_landscape(args) -> int:
-    seed = _analysis_seed(args)
-    spec = _circuit_from_flags(args)
-    ds = data.generate(args.points, seed=derive_seed(seed, "analyze/landscape/data"))
-    rng = np.random.default_rng(derive_seed(seed, "analyze/landscape/theta"))
-    theta0 = circuits.random_parameters(spec, rng)
+def _landscape(args, spec, ds, seed_of):
+    theta0 = circuits.random_parameters(spec, np.random.default_rng(seed_of("theta")))
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
     neighborhood = LocalSearchSpec(budget=args.budget, radius=args.radius,
-                                   seed=derive_seed(seed, "analyze/landscape/search"))
+                                   seed=seed_of("search"))
     surface = landscape_scan(spec, ds, theta0, grid, grid, neighborhood)
-    out_dir = Path(args.out)
-    rows = [(float(grid[i]), float(grid[j]), float(surface[i, j]))
-            for i in range(grid.size) for j in range(grid.size)]
-    _write_rows(out_dir / "landscape.csv", ("theta0", "theta1", "best_accuracy"),
-                rows)
-    print(f"accuracy surface over {grid.size}x{grid.size} grid: "
-          f"min {surface.min():.4f}, max {surface.max():.4f}")
-    print(f"outputs in {out_dir}")
-    return EXIT_OK
+    rows = [(a, b, surface[i, j]) for i, a in enumerate(grid) for j, b in enumerate(grid)]
+    return ([("landscape.csv", "theta0,theta1,best_accuracy", rows)],
+            [f"accuracy surface over {grid.size}x{grid.size} grid: "
+             f"min {surface.min():.4f}, max {surface.max():.4f}"])
 
 
-def cmd_analyze_ansatz_spread(args) -> int:
-    seed = _analysis_seed(args)
-    layers = _circuit_from_flags(args).layers
-    ds = data.generate(args.points, seed=derive_seed(seed, "analyze/spread/data"))
-    out_dir = Path(args.out)
-    rows = []
-    summary = []
+def _ansatz_spread(args, spec, ds, seed_of):
+    rows, summary = [], []
     for ansatz in Ansatz:
-        spec = CircuitSpec(ansatz, layers)
+        kind = CircuitSpec(ansatz, spec.layers)
         sums_y = np.empty((args.sets, len(ds)))
         sums_z = np.empty((args.sets, len(ds)))
         for s in range(args.sets):
-            rng = np.random.default_rng(
-                derive_seed(seed, f"analyze/spread/{ansatz.value}/{s}"))
-            theta = circuits.random_parameters(spec, rng)
-            phi_y, phi_z = circuits.layer_angles(spec, theta, ds.x)
+            rng = np.random.default_rng(seed_of(f"{ansatz.value}/{s}"))
+            phi_y, phi_z = circuits.layer_angles(kind, circuits.random_parameters(kind, rng),
+                                                 ds.x)
             sums_y[s] = phi_y.sum(axis=0)
             sums_z[s] = phi_z.sum(axis=0)
-            for p in range(len(ds)):
-                rows.append((ansatz.value, s, p, float(sums_y[s, p]),
-                             float(sums_z[s, p])))
+            rows += [(ansatz.value, s, p, sums_y[s, p], sums_z[s, p]) for p in range(len(ds))]
         summary.append((ansatz.value, float(sums_y.std()), float(sums_z.std())))
-    _write_rows(out_dir / "ansatz_spread.csv",
-                ("ansatz", "set", "point", "phi_y_sum", "phi_z_sum"), rows)
-    _write_rows(out_dir / "ansatz_spread_summary.csv",
-                ("ansatz", "phi_y_sum_std", "phi_z_sum_std"), summary)
-    for name, sy, sz in summary:
-        print(f"{name}: total-angle spread std phi_y {sy:.3f}, phi_z {sz:.3f}")
-    print(f"outputs in {out_dir}")
-    return EXIT_OK
+    return ([("ansatz_spread.csv", "ansatz,set,point,phi_y_sum,phi_z_sum", rows),
+             ("ansatz_spread_summary.csv", "ansatz,phi_y_sum_std,phi_z_sum_std", summary)],
+            [f"{name}: total-angle spread std phi_y {sy:.3f}, phi_z {sz:.3f}"
+             for name, sy, sz in summary])
 
 
-def cmd_analyze_time_budget(args) -> int:
+def _time_budget(args):
     ledger = MeasurementLedger()
     n_estimates = args.generations * args.population * args.points
     ledger.reserve(n_estimates, args.shots)
@@ -435,18 +362,24 @@ def cmd_analyze_time_budget(args) -> int:
     count = {"estimate": n_estimates, "shot": n_shots}
     rows = [(name, seconds * count[per]) for name, seconds, per in HARDWARE_STEPS]
     rows.append(("total", total))
-    out_dir = Path(args.out)
-    _write_rows(out_dir / "time_budget.csv", ("component", "seconds"), rows)
-    print(f"{args.generations} generation(s), population {args.population}, "
-          f"{args.points} points, {args.shots} shots per estimate:")
-    print(f"  {n_estimates} estimates, {n_shots} shots, "
-          f"{total:.0f} s = {total / 60.0:.2f} min")
+    return ([("time_budget.csv", "component,seconds", rows)],
+            [f"{args.generations} generation(s), population {args.population}, "
+             f"{args.points} points, {args.shots} shots per estimate:",
+             f"  {n_estimates} estimates, {n_shots} shots, "
+             f"{total:.0f} s = {total / 60.0:.2f} min"])
+
+
+def _report(out_dir: Path, files, lines) -> None:
+    """Write the (name, header, rows) files under out_dir, then print the lines."""
+    for name, header, rows in files:
+        _write_rows(out_dir / name, header, rows)
+    for line in lines:
+        print(line)
     print(f"outputs in {out_dir}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
 
 
 def _at_least(minimum: int | None, kind=int, exclusive: bool = False, maximum=None):
@@ -489,165 +422,171 @@ _positive_real = _at_least(0, float, exclusive=True)
 _real = _at_least(None, float)
 
 
-def _add_seed(parser) -> None:
-    parser.add_argument("--seed", type=_non_negative, default=None,
-                        help=f"master seed (default: ${SEED_ENV_VAR} or config file)")
+class _NoisyOnly(argparse.Action):
+    """Stores a flag that only a noisy backend reads, and notes that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string):
+        setattr(namespace, self.dest, values)
+        self.given = True
 
 
-def _add_circuit(parser, ansatz: bool = True) -> None:
-    """--ansatz and --layers; a flag not given takes CircuitSpec's default."""
-    if ansatz:
-        parser.add_argument("--ansatz", default=None, help="ansatz kind (2A, 2B, 2C, 2D)")
-    parser.add_argument("--layers", type=int, default=None, help="number of layers")
+# Flags that several commands take, declared once; a command row names one as
+# a string, or as (name, changes) to change some of its settings.
+FLAGS = {
+    "--out": dict(required=True),
+    "--seed": dict(type=_non_negative,
+                   help=f"master seed (default: ${SEED_ENV_VAR} or config file)"),
+    "--points": dict(type=_count),
+    "--shots": dict(type=_shots, default=DEFAULT_SHOTS),
+    "--residual-sigma": dict(type=_non_negative_real, default=DEFAULT_RESIDUAL_SIGMA),
+    "--repeats": dict(type=_count),
+    "--set": dict(action="append", default=[], metavar="KEY=VALUE"),
+    "--workers": dict(type=_count),
+    "--config": dict(required=True),
+    "--ansatz": dict(help="ansatz kind (2A, 2B, 2C, 2D)"),    # CircuitSpec's when not given
+    "--layers": dict(type=int, help="number of layers"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table.  `tag` is an analysis's seed context (see
+    _run); `ideal` tells from the parsed flags that the run has no noisy
+    backend, and then a _NoisyOnly flag given is an error."""
+    words: tuple[str, ...]
+    help: str
+    flags: tuple = ()
+    run: Callable | None = None         # None: a group of commands
+    tag: str | None = None
+    ideal: Callable | None = None
+
+
+COMMANDS = (
+    Command(("gen-data",), "generate a circle-boundary dataset CSV", (
+        ("--n", dict(type=_count, help="number of points")),
+        ("--out", dict(help="output CSV path")),
+        ("--split", dict(choices=("train", "test"),
+                         help="derive the seed for the canonical train or test split")),
+        ("--center", dict(type=float, nargs=2, metavar=("X0", "X1"))),
+        ("--radius", dict(type=float)),
+        ("--domain", dict(type=float, nargs=4, metavar=("XLO", "XHI", "YLO", "YHI"))),
+        "--seed"), _gen_data),
+    Command(("train",), "run one training experiment from a config", (
+        ("--config", dict(required=False, help="YAML config path")),
+        ("--out", dict(required=False, help="output directory")),
+        ("--workers",
+         dict(help="accepted for archived configs; does not affect results or speed")),
+        ("--set", dict(help="override a config key (dotted path, YAML value); repeatable")),
+        "--seed"), _train),
+    Command(("evaluate",), "score a trained parameter vector on a dataset", (
+        ("--theta", dict(required=True, help="parameter file (one value per line)")),
+        ("--data", dict(required=True, help="dataset CSV")),
+        ("--backend", dict(choices=("ideal", "noisy"), default="ideal")),
+        "--shots", ("--residual-sigma", dict(action=_NoisyOnly)),
+        ("--noise-seed", dict(type=_non_negative, action=_NoisyOnly)),
+        ("--out", dict(required=False, help="per-point results CSV")),
+        "--ansatz", "--layers", ("--seed", dict(action=_NoisyOnly))),
+        _evaluate, ideal=lambda args: args.backend == "ideal"),
+    Command(("sweep",), "repeat training over one hyperparameter", (
+        ("--config", dict(help="base YAML config")),
+        ("--param", dict(required=True,
+                         help="dotted config key to vary, e.g. optimizer.population_size")),
+        ("--values", dict(type=_list_of(str), required=True, help="comma-separated values")),
+        ("--repeats", dict(default=5, help="repeats per value")),
+        ("--jobs", dict(type=_count, default=1, help="parallel training jobs")),
+        ("--out", dict(help="output directory")), "--workers", "--set", "--seed"), _sweep),
+    Command(("analyze",), "run one of the analysis pipelines"),
+    Command(("analyze", "residuals"),
+            "theoretical vs observed populations, raw and mitigated", (
+        ("--points", dict(default=250)), ("--shots", dict(default=500)), "--residual-sigma",
+        ("--calibration-shots", dict(type=_count, default=20000)),
+        ("--theta", dict(help="optional fixed parameter file; default draws per-point")),
+        "--out", "--ansatz", "--layers", "--seed"), _residuals, tag="residuals"),
+    Command(("analyze", "noise-scaling"), "estimator spread vs shot count", (
+        ("--shots", dict(type=_list_of(_shots, distinct=2), default="10,30,100,300,1000",
+                         help="comma-separated shot counts, at least two distinct")),
+        ("--repeats", dict(type=_at_least(2), default=200)), ("--points", dict(default=20)),
+        ("--residual-sigma", dict(default=0.0)), "--out", "--ansatz", "--layers", "--seed"),
+        _noise_scaling, tag="scaling"),
+    Command(("analyze", "gradient-noise"),
+            "exact finite-difference gradients vs noisy estimates", (
+        ("--steps", dict(type=_list_of(_positive_real), default="0.1,0.5,1.0",
+                         help="comma-separated step sizes")),
+        ("--repeats", dict(default=20)), ("--points", dict(default=25)),
+        ("--shots", dict(action=_NoisyOnly)),
+        ("--ideal", dict(action="store_true", help="run the noisy leg on an ideal backend")),
+        "--out", "--ansatz", "--layers", "--seed"),
+        _gradient_noise, tag="grad", ideal=lambda args: args.ideal),
+    Command(("analyze", "landscape"),
+            "best-accuracy surface over the first two parameters", (
+        ("--grid-min", dict(type=_real, default=-np.pi)),
+        ("--grid-max", dict(type=_real, default=np.pi)),
+        ("--grid-steps", dict(type=_count, default=21)),
+        ("--budget", dict(type=_non_negative, default=0,
+                          help="random perturbations of the remaining parameters per cell")),
+        ("--radius", dict(type=_non_negative_real, default=0.5)),
+        ("--points", dict(default=100)), "--out", "--ansatz", "--layers", "--seed"),
+        _landscape, tag="landscape"),
+    Command(("analyze", "ansatz-spread"), "total applied rotation angles per ansatz kind", (
+        ("--sets", dict(type=_count, default=20, help="random parameter sets per kind")),
+        ("--points", dict(default=200)), "--layers", "--out", "--seed"),
+        _ansatz_spread, tag="spread"),
+    Command(("analyze", "time-budget"), "modeled hardware time for a training run", (
+        ("--population", dict(type=_count, default=50)), ("--points", dict(default=250)),
+        ("--shots", dict(type=_count)), ("--generations", dict(type=_non_negative, default=1)),
+        "--out"), _time_budget),
+)
+
+
+def _run(command: Command, args):
+    """What the command's runner returns; an analysis's gets its circuit, dataset and seeds."""
+    if command.tag is None:
+        return command.run(args)
+    seed = _analysis_seed(args)
+    spec = _circuit_from_flags(args)
+
+    def seed_of(name: str) -> int:
+        return derive_seed(seed, f"analyze/{command.tag}/{name}")
+
+    return command.run(args, spec, data.generate(args.points, seed=seed_of("data")), seed_of)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = [word for word in argv if not word.startswith("-")]
     parser = argparse.ArgumentParser(
         prog="reupsim",
         description="Train and analyze single-qubit data re-uploading classifiers "
                     "on simulated ideal or noisy hardware.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a circle-boundary dataset CSV")
-    p.add_argument("--n", type=_count, default=None, help="number of points")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--split", choices=("train", "test"), default=None,
-                   help="derive the seed for the canonical train or test split")
-    p.add_argument("--center", type=float, nargs=2, metavar=("X0", "X1"), default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--domain", type=float, nargs=4,
-                   metavar=("XLO", "XHI", "YLO", "YHI"), default=None)
-    _add_seed(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="run one training experiment from a config")
-    p.add_argument("--config", default=None, help="YAML config path")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=_count, default=None,
-                   help="accepted for archived configs; does not affect results or speed")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override a config key (dotted path, YAML value); repeatable")
-    _add_seed(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a trained parameter vector on a dataset")
-    p.add_argument("--theta", required=True, help="parameter file (one value per line)")
-    p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--backend", choices=("ideal", "noisy"), default="ideal")
-    p.add_argument("--shots", type=_shots, default=DEFAULT_SHOTS)
-    p.add_argument("--residual-sigma", type=_non_negative_real, default=DEFAULT_RESIDUAL_SIGMA)
-    p.add_argument("--noise-seed", type=_non_negative, default=None)
-    p.add_argument("--out", default=None, help="per-point results CSV")
-    _add_circuit(p)
-    _add_seed(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="repeat training over one hyperparameter")
-    p.add_argument("--config", required=True, help="base YAML config")
-    p.add_argument("--param", required=True,
-                   help="dotted config key to vary, e.g. optimizer.population_size")
-    p.add_argument("--values", type=_list_of(str), required=True,
-                   help="comma-separated values")
-    p.add_argument("--repeats", type=_count, default=5, help="repeats per value")
-    p.add_argument("--jobs", type=_count, default=1, help="parallel training jobs")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=_count, default=None)
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    _add_seed(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("analyze", help="run one of the analysis pipelines")
-    asub = p.add_subparsers(dest="analysis", required=True)
-
-    a = asub.add_parser("residuals",
-                        help="theoretical vs observed populations, raw and mitigated")
-    a.add_argument("--points", type=_count, default=250)
-    a.add_argument("--shots", type=_shots, default=500)
-    a.add_argument("--residual-sigma", type=_non_negative_real, default=DEFAULT_RESIDUAL_SIGMA)
-    a.add_argument("--calibration-shots", type=_count, default=20000)
-    a.add_argument("--theta", default=None,
-                   help="optional fixed parameter file; default draws per-point")
-    a.add_argument("--out", required=True)
-    _add_circuit(a)
-    _add_seed(a)
-    a.set_defaults(func=cmd_analyze_residuals)
-
-    a = asub.add_parser("noise-scaling", help="estimator spread vs shot count")
-    a.add_argument("--shots", type=_list_of(_shots, distinct=2), default="10,30,100,300,1000",
-                   help="comma-separated shot counts, at least two distinct")
-    a.add_argument("--repeats", type=_at_least(2), default=200)
-    a.add_argument("--points", type=_count, default=20)
-    a.add_argument("--residual-sigma", type=_non_negative_real, default=0.0)
-    a.add_argument("--out", required=True)
-    _add_circuit(a)
-    _add_seed(a)
-    a.set_defaults(func=cmd_analyze_noise_scaling)
-
-    a = asub.add_parser("gradient-noise",
-                        help="exact finite-difference gradients vs noisy estimates")
-    a.add_argument("--steps", type=_list_of(_positive_real), default="0.1,0.5,1.0",
-                   help="comma-separated step sizes")
-    a.add_argument("--repeats", type=_count, default=20)
-    a.add_argument("--points", type=_count, default=25)
-    a.add_argument("--shots", type=_shots, default=DEFAULT_SHOTS)
-    a.add_argument("--ideal", action="store_true",
-                   help="run the noisy leg on an ideal backend")
-    a.add_argument("--out", required=True)
-    _add_circuit(a)
-    _add_seed(a)
-    a.set_defaults(func=cmd_analyze_gradient_noise)
-
-    a = asub.add_parser("landscape",
-                        help="best-accuracy surface over the first two parameters")
-    a.add_argument("--grid-min", type=_real, default=-np.pi)
-    a.add_argument("--grid-max", type=_real, default=np.pi)
-    a.add_argument("--grid-steps", type=_count, default=21)
-    a.add_argument("--budget", type=_non_negative, default=0,
-                   help="random perturbations of the remaining parameters per cell")
-    a.add_argument("--radius", type=_non_negative_real, default=0.5)
-    a.add_argument("--points", type=_count, default=100)
-    a.add_argument("--out", required=True)
-    _add_circuit(a)
-    _add_seed(a)
-    a.set_defaults(func=cmd_analyze_landscape)
-
-    a = asub.add_parser("ansatz-spread",
-                        help="total applied rotation angles per ansatz kind")
-    a.add_argument("--sets", type=_count, default=20, help="random parameter sets per kind")
-    a.add_argument("--points", type=_count, default=200)
-    _add_circuit(a, ansatz=False)
-    a.add_argument("--out", required=True)
-    _add_seed(a)
-    a.set_defaults(func=cmd_analyze_ansatz_spread)
-
-    a = asub.add_parser("time-budget", help="modeled hardware time for a training run")
-    a.add_argument("--population", type=_count, default=50)
-    a.add_argument("--points", type=_count, default=250)
-    a.add_argument("--shots", type=_count, default=DEFAULT_SHOTS)
-    a.add_argument("--generations", type=_non_negative, default=1)
-    a.add_argument("--out", required=True)
-    a.set_defaults(func=cmd_analyze_time_budget)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    command, actions = None, []
+    for row in COMMANDS:
+        if row.words[:-1] not in groups:
+            continue                # under a group that argv does not name
+        sub = groups[row.words[:-1]].add_parser(row.words[-1], help=row.help)
+        if words[:len(row.words)] != list(row.words):
+            continue
+        if row.run is None:
+            groups[row.words] = sub.add_subparsers(dest="analysis", required=True)
+            continue
+        command, chosen = row, sub
+        for flag in row.flags:
+            name, changes = (flag, {}) if isinstance(flag, str) else flag
+            actions.append(sub.add_argument(name, **{**FLAGS.get(name, {}), **changes}))
     args = parser.parse_args(argv)
+    given = [action.option_strings[0] for action in actions if getattr(action, "given", False)]
+    if given and command.ideal(args):
+        chosen.error(f"argument {given[0]}: not read by the ideal backend")
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TrainingError as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_IO
+        result = _run(command, args)
+        if result is not None:
+            _report(Path(args.out), *result)
+        return EXIT_OK
+    except (TrainingError, OSError, ValueError) as exc:
+        prefix, code = next((prefix, code) for kind, prefix, code in FAILURES
+                            if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -306,7 +306,7 @@ def read_config(path: str | Path | None, overrides: Sequence[str] = ()) -> dict:
     `dotted.key=value` overrides applied."""
     raw = None
     if path is not None:
-        with open(path) as fh:
+        with open(path, "rb") as fh:    # bytes: PyYAML reports a bad encoding as YAMLError
             try:
                 raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
             except yaml.YAMLError:

@@ -10,6 +10,7 @@ uniform draw) count as outside.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,10 +140,20 @@ def _parse_boundary_line(line: str, path: Path) -> tuple[CircleSpec, int]:
         raise ValueError(f"{path}:1: {exc}") from None
 
 
+def read_utf8(path: str | Path) -> io.StringIO:
+    """A UTF-8 text file as a stream that splits lines as open(newline="")
+    does; bytes that are not UTF-8 are a ValueError naming the file."""
+    raw = Path(path).read_bytes()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load(path: str | Path) -> Dataset:
     """Read a dataset CSV written by save; load(save(d)) reproduces d exactly."""
     path = Path(path)
-    with open(path, newline="") as fh:
+    with read_utf8(path) as fh:
         first = fh.readline()
         if first.startswith("#"):
             boundary, seed = _parse_boundary_line(first, path)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line harness, run in process."""
 
+import argparse
 import csv
 import re
 
@@ -381,6 +382,74 @@ def test_read_theta_skips_comments_and_reports_bad_lines(tmp_path):
         cli.read_theta(empty)
 
 
+def test_a_theta_file_that_is_not_utf8_is_an_error_naming_the_file(tmp_path):
+    path = tmp_path / "theta.txt"
+    path.write_bytes(b"0.5\n\xff\n")
+    with pytest.raises(ValueError) as err:
+        cli.read_theta(path)
+    assert str(err.value) == (f"{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+                              "in position 4: invalid start byte)")
+
+
+def test_an_input_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    """A config exits 2 as invalid YAML; a theta file or a dataset exits 4."""
+    data_path, theta_path = tmp_path / "pts.csv", tmp_path / "theta.txt"
+    cli.main(["gen-data", "--out", str(data_path), "--n", "10", "--seed", "3"])
+    cli.write_theta(theta_path, np.zeros(16))
+    bad_config, bad_theta, bad_data = (tmp_path / "bad.yaml", tmp_path / "bad.txt",
+                                       tmp_path / "bad.csv")
+    bad_config.write_bytes(b"seed: \xff\n")
+    bad_theta.write_bytes(b"0.0\n" * 15 + b"\xff\n")
+    bad_data.write_bytes(data_path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    capsys.readouterr()
+    for argv, code, message in (
+            (["train", "--config", str(bad_config), "--out", str(tmp_path / "run")],
+             cli.EXIT_CONFIG, f"config error: {bad_config}: not valid YAML ("),
+            (["evaluate", "--theta", str(bad_theta), "--data", str(data_path)],
+             cli.EXIT_IO, f"invalid input: {bad_theta}: not UTF-8 text ("),
+            (["evaluate", "--theta", str(theta_path), "--data", str(bad_data)],
+             cli.EXIT_IO, f"invalid input: {bad_data}: not UTF-8 text (")):
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["evaluate", "--backend", "ideal", "--noise-seed", "5"], "--noise-seed"),
+    (["evaluate", "--residual-sigma", "0.3"], "--residual-sigma"),
+    (["evaluate", "--residual-sigma", "0.006"], "--residual-sigma"),
+    (["evaluate", "--backend", "ideal", "--noise-seed", "5", "--residual-sigma", "0.3"],
+     "--residual-sigma"),
+    (["evaluate", "--seed", "3"], "--seed"),
+    (["evaluate", "--noise-s", "5"], "--noise-seed"),
+    (["analyze", "gradient-noise", "--out", "g", "--ideal", "--shots", "10"], "--shots"),
+    (["analyze", "gradient-noise", "--out", "g", "--shots", "150", "--ideal"], "--shots")])
+def test_a_flag_the_ideal_backend_does_not_read_exits_2_naming_it(tmp_path, monkeypatch,
+                                                                  capsys, argv, flag):
+    """Given with an ideal backend, a noisy backend's flag is an error, even at
+    its default value, and nothing is read or written."""
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "evaluate":
+        argv = argv[:1] + ["--theta", "t.txt", "--data", "d.csv", "--out", "o.csv"] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: not read by the ideal backend\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_noisy_backend_reads_the_flags_an_ideal_one_rejects(tmp_path):
+    data_path, theta_path = tmp_path / "pts.csv", tmp_path / "theta.txt"
+    cli.main(["gen-data", "--out", str(data_path), "--n", "10", "--seed", "3"])
+    cli.write_theta(theta_path, np.full(16, 0.3))
+    assert cli.main(["evaluate", "--theta", str(theta_path), "--data", str(data_path),
+                     "--backend", "noisy", "--noise-seed", "5", "--residual-sigma", "0.3",
+                     "--seed", "2"]) == cli.EXIT_OK
+    assert cli.main(["analyze", "gradient-noise", "--out", str(tmp_path / "g"), "--steps",
+                     "0.5", "--repeats", "1", "--points", "3", "--shots", "10"]) == cli.EXIT_OK
+
+
 def test_sweep_writes_per_cell_and_summary_rows(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text("dataset: {n: 20}\n"
@@ -597,10 +666,8 @@ def test_an_out_of_range_value_flag_exits_2_naming_the_flag(tmp_path, monkeypatc
 
 
 def test_circuit_and_circle_flags_are_read_like_config_blocks(tmp_path, capsys):
-    parser = cli.build_parser()
-    args = parser.parse_args(["analyze", "landscape", "--out", "l"])
-    assert (args.ansatz, args.layers) == (None, None)
-    assert cli._circuit_from_flags(args) == CircuitSpec()
+    # test_cli_surface.py pins that a command given neither flag receives None for both
+    assert cli._circuit_from_flags(argparse.Namespace(ansatz=None, layers=None)) == CircuitSpec()
     out = tmp_path / "d.csv"
     assert cli.main(["gen-data", "--out", str(out), "--n", "5"]) == cli.EXIT_OK
     assert load(out).boundary == CircleSpec()

@@ -207,6 +207,15 @@ def test_an_invalid_yaml_message_is_the_pure_python_loaders(tmp_path):
         f'  in "{path}", line 2, column 1)')
 
 
+def test_a_config_that_is_not_utf8_is_invalid_yaml_naming_the_file(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"seed: \xff\n")
+    with pytest.raises(ConfigError) as err:
+        read_config(path)
+    assert str(err.value).startswith(f"{path}: not valid YAML (")
+    assert "#x00ff" in str(err.value)
+
+
 def test_config_yaml_reads_and_writes_the_same_without_libyaml(tmp_path, monkeypatch):
     """The C loader and dumper give the mapping and the archived bytes that
     the pure-Python classes give; without libyaml those are used."""

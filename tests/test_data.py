@@ -105,6 +105,15 @@ def test_load_rejects_malformed_files(tmp_path):
         load(path)
 
 
+def test_a_csv_that_is_not_utf8_is_an_error_naming_the_file(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x0,x1,label\n0.1,0.2,\xff\n")
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value) == (f"{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+                              "in position 20: invalid start byte)")
+
+
 def test_load_without_boundary_line_uses_the_default(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("x0,x1,label\n0.0,0.0,1\n0.9,0.9,0\n")

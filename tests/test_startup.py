@@ -1,5 +1,7 @@
 """Start-up weight: no run loads scipy, noisy readout included; scipy is a
-test-only dependency (the oracle of tests/test_backend.py).
+test-only dependency (the oracle of tests/test_backend.py).  Importing the
+package loads none of its modules, and a training run loads neither the
+analyses' `mitigation` nor the thread pool that only `sweep --jobs` uses.
 
 Each check runs in a fresh interpreter, because this test process has
 imported scipy already.
@@ -15,17 +17,23 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-REPORT_SCIPY = """
+REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if any(m == name or m.startswith(name + ".") for name in {names!r}))))
 """
 
 
-def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
+def _modules_after(code: str, cwd: Path, *names: str) -> list[str]:
+    """The loaded modules that are one of `names` or inside one, after `code` runs."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code + REPORT_SCIPY], cwd=cwd, env=env,
-                         capture_output=True, text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", code + REPORT.format(names=names)], cwd=cwd,
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
+    return _modules_after(code, cwd, "scipy")
 
 
 def _main(argv: list[str], code: int = 0) -> str:
@@ -41,6 +49,17 @@ def _train(tmp_path: Path, backend: str, optimizer: str) -> str:
 
 def test_importing_the_package_loads_neither(tmp_path):
     assert _scipy_modules_after("import reupsim", tmp_path) == []
+
+
+def test_importing_the_package_loads_none_of_its_modules(tmp_path):
+    assert _modules_after("import reupsim", tmp_path, "reupsim") == ["reupsim"]
+
+
+def test_a_train_run_loads_neither_mitigation_nor_a_thread_pool(tmp_path):
+    code = _train(tmp_path, "{kind: noisy, noise: {shots: 30}}",
+                  "{kind: ga, population_size: 4, max_generations: 0}")
+    assert _modules_after(code, tmp_path, "reupsim.mitigation", "concurrent.futures") == []
+    assert (tmp_path / "run" / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("backend", ["{kind: ideal}", "{kind: noisy, noise: {shots: 30}}"])
