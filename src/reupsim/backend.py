@@ -202,7 +202,7 @@ class NoisyBackend(Backend):
         p_y = np.asarray(p_y, dtype=float)
         o = self.noise.observed_probability(p_y, y)
         start = self.ledger.reserve(p_y.size, self.noise.shots)
-        u = counter_uniforms(self.noise.seed, "readout", start, p_y.size)
+        u = counter_uniforms(self.noise.seed, "readout", start, p_y.size, words=2)
         return binomial.estimates(u, self.noise.shots, o, self.noise.residual_sigma)
 
 

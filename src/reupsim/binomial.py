@@ -143,17 +143,27 @@ def _cdf(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
 
 
 def _exact(u: np.ndarray, k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """binom_quantile by stepping from k to _cdf(k - 1) <= u < _cdf(k), then
-    down one where _cdf(k - 1) == u; one _cdf call per step."""
+    """binom_quantile from k: a bracket a < b with _cdf(a) <= u < _cdf(b), with
+    a = -1 or b = n while that side is open (_cdf(-1) = 0, _cdf(n) = 1), narrows
+    by steps away from k of 1, 2, 4, ... on the open side, then by halving, one
+    _cdf call a step; then b, less one where _cdf(b - 1) == u."""
     lo, hi = _cdf(np.concatenate([k - 1.0, k]), n, np.concatenate([p, p])).reshape(2, -1)
-    todo = np.flatnonzero((hi <= u) | (lo > u))
+    up, down = hi <= u, lo > u
+    a = np.where(up, k, np.where(down, -1.0, k - 1.0))
+    b = np.where(up, float(n), np.where(down, k - 1.0, k))
+    low, step = np.where(up, hi, np.where(down, 0.0, lo)), 1.0     # low = _cdf(a)
+    todo = np.flatnonzero(up | down)
     while todo.size:
-        up = hi[todo] <= u[todo]
-        k[todo] += np.where(up, 1.0, -1.0)
-        new = _cdf(np.where(up, k[todo], k[todo] - 1.0), n, p[todo])
-        lo[todo], hi[todo] = np.where(up, hi[todo], new), np.where(up, new, lo[todo])
-        todo = todo[(hi[todo] <= u[todo]) | (lo[todo] > u[todo])]
-    return k - (lo == u)
+        at, bt = a[todo], b[todo]
+        c = np.where(bt == n, at + step, np.where(at < 0, bt - step, np.floor((at + bt) / 2.0)))
+        c = np.clip(c, at + 1.0, bt - 1.0)
+        new = _cdf(c, n, p[todo])
+        over = new > u[todo]
+        a[todo], b[todo] = np.where(over, at, c), np.where(over, c, bt)
+        low[todo] = np.where(over, low[todo], new)
+        step *= 2.0
+        todo = todo[b[todo] - a[todo] > 1.0]
+    return b - (low == u)
 
 
 def binom_quantile(u: np.ndarray, n: int, p: np.ndarray,
@@ -172,8 +182,6 @@ def binom_quantile(u: np.ndarray, n: int, p: np.ndarray,
     them, takes _exact.
     """
     u, p = np.asarray(u, dtype=float), np.asarray(p, dtype=float)
-    if u.shape != p.shape:
-        u, p = np.broadcast_arrays(u, p)
     z = ndtri(u) if z is None else z
     inner = (p > _P_MIN) & (p < 1.0)
     if inner.all():
@@ -219,20 +227,19 @@ def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     slack = t[-1] * r
     slack /= np.subtract(1.0, r, out=r)
     slack += _MARGIN
-    count = np.add.reduce(cdf >= v + _MARGIN, axis=0)
-    sure = (np.add.reduce(cdf >= v - slack, axis=0) == count) & (count >= 1) & (count < _WINDOW)
+    count = np.add.reduce((cdf >= v + _MARGIN).view(np.uint8), axis=0)  # bools as bytes
+    low = np.add.reduce((cdf >= v - slack).view(np.uint8), axis=0)
+    sure = (low == count) & (count >= 1) & (count < _WINDOW)
     k = np.abs(up * n - (head + 1.0 - count))   # n - k where mirrored
     if not sure.all():
-        todo = np.flatnonzero(~sure)
-        k[todo] = _exact(u[todo], np.clip(k[todo], 0.0, n), n, p[todo])
+        k[~sure] = _exact(u[~sure], np.clip(k[~sure], 0.0, n), n, p[~sure])
     return k
 
 
 def estimates(u: np.ndarray, shots: int, o: np.ndarray, residual_sigma: float) -> np.ndarray:
     """Shot frequencies of u[:, 0] at probabilities o plus a residual floor from u[:, 1]."""
-    u = np.array(u[:, :2].T)
-    z = ndtri(u)
-    est = binom_quantile(u[0], shots, o, z[0]) / shots
+    z = ndtri(u[:, :2].T)
+    est = binom_quantile(u[:, 0], shots, o, z[0]) / shots
     if residual_sigma > 0:
         est += z[1] * residual_sigma
     return np.minimum(np.maximum(est, 0.0, out=est), 1.0, out=est)

@@ -18,6 +18,7 @@ last layer's R_z is skipped, because a phase cannot change a population.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -146,42 +147,35 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     (1 - u^2) / (1 + u^2) and 2u / (1 + u^2): where numpy vectorises float64
     tan but not cos or sin (x86 with AVX-512) that is several times cheaper.
     Every intermediate lives in one workspace; without `states` it holds the
-    2L - 1 tangents, one layer's cosines, one state and a scratch state.
+    2L - 1 tangents and cosines, then one state and a scratch state in rows
+    that first hold 1 + u^2 (at least 2L - 1 of them), then the populations.
     """
-    layers, n = phi_y.shape
-    gates = 2 * layers - 1
-    n_cos, n_psi = (gates, gates) if states else (2, 1)
-    ws = np.empty((gates + n_cos + 4 * n_psi + 4, n))
-    sin, cos = ws[:gates], ws[gates:gates + n_cos]
-    psi = ws[gates + n_cos:-4].reshape(n_psi, 2, 2, n)
-    tmp = ws[-4:].reshape(2, 2, n)
+    gates, n = 2 * len(phi_y) - 1, phi_y.shape[1]
+    n_psi = gates if states else 1
+    ws = np.empty((2 * gates + max(4 * n_psi + 4, gates), n))
+    sin, cos, rest = ws[:gates], ws[gates:2 * gates], ws[2 * gates:]
+    psi, tmp = rest[:4 * n_psi].reshape(n_psi, 2, 2, n), rest[4 * n_psi:][:4].reshape(2, 2, n)
     np.multiply(phi_y, 0.25, out=sin[0::2])         # R_y rotates by phi_y / 2
     np.multiply(phi_z[:-1], 0.5, out=sin[1::2])     # the phase by phi_z
     np.tan(sin, out=sin)
-    for l in range(layers):
-        u = sin[2 * l:2 * l + 2]                    # one gate in the last layer
-        c = cos[2 * l:2 * l + 2] if states else cos[:len(u)]
-        t = tmp.reshape(4, n)[:len(u)]
-        np.multiply(u, u, out=t)
-        np.subtract(1.0, t, out=c)
-        t += 1.0
-        c /= t
-        u /= t
-        u += u
-        for gate in range(len(u)):
-            g = 2 * l + gate
-            state = psi[g if states else 0]
-            if g == 0:                              # R_y|0> = (cos, 0, sin, 0)
-                state[0, 0], state[1, 0], state[:, 1] = c[0], u[0], 0.0
-                continue
-            if states:
-                state[...] = psi[g - 1]
-            v, scratch = (state[1], tmp[0]) if gate else (state, tmp)
-            _rotate(v, c[gate], u[gate], scratch)
+    t = np.multiply(sin, sin, out=rest[:gates])
+    np.subtract(1.0, t, out=cos)
+    t += 1.0
+    cos /= t
+    sin /= t
+    sin += sin
+    state = psi[0]                                  # R_y|0> = (cos, 0, sin, 0)
+    state[0, 0], state[1, 0], state[:, 1] = cos[0], sin[0], 0.0
+    for g in range(1, gates):
+        if states:
+            state = psi[g]
+            state[...] = psi[g - 1]
+        v, scratch = (state[1], tmp[0]) if g % 2 else (state, tmp)
+        _rotate(v, cos[g], sin[g], scratch)
     if states:
         return psi, cos, sin
-    np.square(psi[0], out=tmp)
-    return np.add(tmp[:, 0], tmp[:, 1])
+    np.square(state, out=tmp)
+    return np.add(tmp[:, 0], tmp[:, 1], out=ws[:2])
 
 
 def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
@@ -190,15 +184,13 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
     """Populations (p0, p1) of P probes in one kernel pass, shape (2, P, n).
 
     `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
-    one point set per probe.  The angles come from one stacked
-    `(P, L, 4) @ (4, n)` product written straight into the kernel's
-    `(L, P*n)` layout; numpy runs it as one gemm per probe, so a probe comes
-    out bit-identical to a single-theta evaluation (one `(P*L, 4)` gemm or
-    an einsum would not).  `shifts`, if given, holds one entry per probe:
-    None or (layer, gate, delta) with gate 0 = R_y, 1 = R_z; delta is added
-    to that single gate angle (parameter-shift evaluations).  On a shared
-    point set, probes with equal parameter bytes and equal shifts are
-    evolved once and copied.
+    one point set per probe.  The angles come from a stacked `(P, L, 4) @
+    (4, n)` product written straight into the kernel's `(L, P*n)` layout:
+    one gemm per probe (not one `(P*L, 4)` gemm or an einsum), so a probe
+    comes out bit-identical to a single-theta evaluation.  `shifts`, if
+    given, holds per probe None or (layer, gate 0 = R_y or 1 = R_z, delta to
+    add to that angle).  On a shared point set, probes with equal parameter
+    bytes and equal shifts are evolved once and copied.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
@@ -212,32 +204,33 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
     if shifts is not None and len(shifts) != n_probes:
         raise ValueError(f"got {len(shifts)} shifts for {n_probes} probes")
     if not per_probe and n_probes > 1:
-        # keyed on bytes: -0.0 and 0.0 stay apart, equal NaN rows still merge
-        keys = [row.tobytes() + repr(s).encode()
-                for row, s in zip(thetas, shifts or [None] * n_probes)]
-        _, first, inverse = np.unique(np.array(keys, dtype=object), return_index=True,
-                                      return_inverse=True)
-        if first.size < n_probes:
-            return _probe_populations(spec, thetas[first], x, None if shifts is None
-                                      else [shifts[p] for p in first])[:, inverse]
+        size, data = 8 * spec.n_params, thetas.tobytes()    # by bytes and signs: -0.0 is not 0.0
+        keys = [(data[p * size:(p + 1) * size], s and (*s, math.copysign(1.0, s[2])))
+                for p, s in enumerate(shifts or [None] * n_probes)]
+        first = dict(zip(keys[::-1], range(n_probes - 1, -1, -1)))     # key: its first probe
+        if len(first) < n_probes:
+            slot = {p: i for i, p in enumerate(first.values())}
+            return _probe_populations(spec, thetas[list(slot)], x, None if shifts is None
+                                      else [shifts[p] for p in slot]
+                                      )[:, [slot[first[key]] for key in keys]]
     cy, cz = ansatz_design(spec.ansatz, x.reshape(-1, 2))
     if per_probe:
         cy, cz = cy.reshape(n_probes, -1, 4), cz.reshape(n_probes, -1, 4)
-    slices = thetas.reshape(n_probes, spec.layers, 4)
-    n = cy.shape[-2]
-    phi_y = np.empty((spec.layers, n_probes, n))
-    phi_z = np.empty((spec.layers, n_probes, n))
-    np.matmul(slices, np.swapaxes(cy, -1, -2), out=phi_y.transpose(1, 0, 2))
-    np.matmul(slices, np.swapaxes(cz, -1, -2), out=phi_z.transpose(1, 0, 2))
-    for p, shift in enumerate(shifts or ()):
-        if shift is not None:
-            layer, gate, delta = shift
-            if not 0 <= layer < spec.layers or gate not in (0, 1):
-                raise ValueError(f"shift {shift} names no gate of a "
-                                 f"{spec.layers}-layer circuit")
-            (phi_z if gate else phi_y)[layer, p] += delta
-    return _evolve(phi_y.reshape(spec.layers, -1),
-                   phi_z.reshape(spec.layers, -1)).reshape(2, n_probes, n)
+    slices, n = thetas.reshape(n_probes, spec.layers, 4), cy.shape[-2]
+    phi = np.empty((2, spec.layers, n_probes, n))   # (phi_y, phi_z)
+    for angles, design in zip(phi, (cy, cz)):
+        np.matmul(slices, np.swapaxes(design, -1, -2), out=angles.transpose(1, 0, 2))
+    if shifts is not None:      # 0.0 elsewhere: a -0.0 it turns to +0.0 moves no population bit
+        deltas = np.zeros((2, spec.layers, n_probes, 1))
+        for p, shift in enumerate(shifts):
+            if shift is not None:
+                layer, gate, delta = shift
+                if not 0 <= layer < spec.layers or gate not in (0, 1):
+                    raise ValueError(f"shift {shift} names no gate of a "
+                                     f"{spec.layers}-layer circuit")
+                deltas[1 if gate else 0, layer, p] = delta
+        phi += deltas
+    return _evolve(*phi.reshape(2, spec.layers, -1)).reshape(2, n_probes, n)
 
 
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -320,11 +313,10 @@ def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x: np.ndarray) -> np.
     chain rule contracts gate-angle derivatives with the ansatz design rows.
     """
     cy, cz = ansatz_design(spec.ansatz, x)           # (n, 4) each
-    out = np.empty((cy.shape[0], spec.n_params))
-    for l in range(spec.layers):
-        out[:, 4 * l:4 * l + 4] = (angle_grads[l, 0][:, None] * cy
-                                   + angle_grads[l, 1][:, None] * cz)
-    return out
+    by_point = angle_grads.transpose(2, 0, 1)[..., None]     # (n, L, 2, 1)
+    out = by_point[:, :, 0] * cy[:, None]            # (n, L, 4): layer l's 4 columns
+    out += by_point[:, :, 1] * cz[:, None]
+    return out.reshape(-1, spec.n_params)
 
 
 def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,

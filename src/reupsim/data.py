@@ -141,11 +141,11 @@ def _parse_boundary_line(line: str, path: Path) -> tuple[CircleSpec, int]:
 
 
 def read_utf8(path: str | Path) -> io.StringIO:
-    """A UTF-8 text file as a stream that splits lines as open(newline="")
-    does; bytes that are not UTF-8 are a ValueError naming the file."""
+    """A UTF-8 text file, less any byte-order mark, as a stream that splits lines
+    as open(newline="") does; bytes that are not UTF-8 are a ValueError naming it."""
     raw = Path(path).read_bytes()
     try:
-        return io.StringIO(raw.decode("utf-8"), newline="")
+        return io.StringIO(raw.decode("utf-8-sig"), newline="")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 

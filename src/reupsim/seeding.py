@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import threading
 
 import numpy as np
 
@@ -35,19 +36,35 @@ def derive_key(seed: int, context: str) -> np.ndarray:
     return np.frombuffer(_digest(seed, context)[:16], dtype=np.uint64)
 
 
-def counter_uniforms(seed: int, context: str, start: int, count: int) -> np.ndarray:
-    """Open-interval (0, 1) uniforms indexed by Philox counter, shape (count, 4).
+class _Generators(threading.local):
+    """Per thread: Philox generators and their state dicts, by (seed, context)."""
 
-    Row i holds the four draws of the Philox block at counter start + i under
-    the key derived from (seed, context).  Philox increments its counter once
-    per 4-word block, so a batched call over a contiguous counter range yields
-    exactly the same rows as per-counter calls: values depend only on
-    (seed, context, counter), never on how a batch is chunked across workers.
+    def __init__(self):
+        def make(seed: int, context: str) -> tuple[np.random.Philox, dict]:
+            philox = np.random.Philox(key=derive_key(seed, context))
+            return philox, philox.state
+        self.get = functools.lru_cache(maxsize=64)(make)
+
+
+_GENERATORS = _Generators()
+
+
+def counter_uniforms(seed: int, context: str, start: int, count: int,
+                     words: int = 4) -> np.ndarray:
+    """Open-interval (0, 1) uniforms indexed by Philox counter, shape (count, words).
+
+    Row i holds the first `words` draws of the Philox block at counter start + i under
+    the key of (seed, context), each column contiguous.  Philox increments its counter
+    once per 4-word block, so values depend only on (seed, context, counter): not on
+    how a range is chunked across calls or workers, nor on the reuse of a thread's
+    generator, which is seated at `start` with an empty buffer as a fresh one would be.
     """
     if start < 0 or count < 0:
         raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
-    philox = np.random.Philox(key=derive_key(seed, context), counter=[start, 0, 0, 0])
-    return unit_interval(philox.random_raw(4 * count).reshape(count, 4))
+    philox, state = _GENERATORS.get(seed, context)
+    state["state"]["counter"][0] = start
+    philox.state = state
+    return unit_interval(philox.random_raw(4 * count).reshape(count, 4).T[:words].copy()).T
 
 
 def unit_interval(bits: np.ndarray) -> np.ndarray:

@@ -352,3 +352,59 @@ def test_measure_many_validation():
         measure_many(spec, thetas, x, y, shifts=[(0, 2, 0.1), None])
     with pytest.raises(ValueError, match="labels"):
         measure_many(spec, thetas, x, np.array([0, 2, 1]))
+
+
+def _counting_kernel(monkeypatch):
+    """The column counts of every kernel pass from here on."""
+    columns = []
+
+    def spy(phi_y, phi_z):
+        columns.append(phi_y.shape[1])
+        return evolve(phi_y, phi_z)
+
+    evolve = circuits._evolve
+    monkeypatch.setattr(circuits, "_evolve", spy)
+    return columns
+
+
+def test_shifts_merge_by_the_bytes_of_their_delta(monkeypatch):
+    """Equal rows with equal shifts are one probe; 0.0 and -0.0 are two
+    deltas.  Each row is what a one-probe call gives."""
+    spec = CircuitSpec()
+    rng = np.random.default_rng(59)
+    theta = random_parameters(spec, rng)
+    x, y = rng.uniform(-1.0, 1.0, (7, 2)), rng.integers(0, 2, 7)
+    shifts = [(1, 0, 0.0), (1, 0, -0.0), (1, 0, 0.0), None, (1, 0, -0.0), (1, 0, 0.0)]
+    columns = _counting_kernel(monkeypatch)
+    many = measure_many(spec, np.repeat(theta[None], len(shifts), axis=0), x, y, shifts)
+    assert columns == [3 * len(x)]
+    for row, shift in zip(many, shifts):
+        np.testing.assert_array_equal(row, _single_theta_kernel(spec, theta, x, y, shift))
+    with pytest.raises(ValueError, match="names no gate"):
+        measure_many(spec, np.repeat(theta[None], 2, axis=0), x, y,
+                     shifts=[(spec.layers, 0, 0.5)] * 2)
+
+
+def test_adding_zero_to_the_angles_moves_no_population_bit():
+    """A shifted pass adds 0.0 to every angle it does not shift; at an angle
+    of -0.0 that changes the sign of a zero, and no population bit."""
+    rng = np.random.default_rng(67)
+    phi_y, phi_z = rng.uniform(-2 * np.pi, 2 * np.pi, (2, 3, 40))
+    phi_y[:, :10], phi_z[:, 5:15] = -0.0, -0.0      # columns of zeros, whole or in part
+    phi_y[1, 20:30], phi_z[0, 25:35] = -0.0, -0.0
+    zeroed = phi_y + 0.0, phi_z + 0.0
+    assert np.signbit(zeroed[0]).sum() < np.signbit(phi_y).sum()
+    assert circuits._evolve(*zeroed).tobytes() == circuits._evolve(phi_y, phi_z).tobytes()
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+@pytest.mark.parametrize("layers", [1, 4])
+def test_chain_rule_is_the_per_layer_formula_bit_for_bit(ansatz, layers):
+    spec = CircuitSpec(ansatz, layers)
+    rng = np.random.default_rng(61)
+    x = rng.uniform(-1.0, 1.0, (23, 2))
+    angle_grads = rng.normal(size=(layers, 2, len(x)))
+    cy, cz = circuits.ansatz_design(ansatz, x)
+    per_layer = np.hstack([angle_grads[l, 0][:, None] * cy + angle_grads[l, 1][:, None] * cz
+                           for l in range(layers)])
+    np.testing.assert_array_equal(circuits.chain_rule(spec, angle_grads, x), per_layer)

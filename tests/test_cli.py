@@ -414,6 +414,31 @@ def test_an_input_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_theta_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    path = tmp_path / "theta.txt"
+    cli.write_theta(path, np.linspace(-1.0, 1.0, 16))
+    plain = cli.read_theta(path)
+    path.write_bytes(BOM + path.read_bytes())
+    np.testing.assert_array_equal(cli.read_theta(path), plain)
+
+
+def test_a_dataset_with_a_byte_order_mark_loads_as_without(tmp_path):
+    """The mark would otherwise hide the boundary line, read as the header."""
+    path = tmp_path / "pts.csv"
+    assert cli.main(["gen-data", "--out", str(path), "--n", "12", "--seed", "4",
+                     "--center", "0.1", "0.2", "--radius", "0.5"]) == 0
+    plain = load(path)
+    path.write_bytes(BOM + path.read_bytes())
+    marked = load(path)
+    np.testing.assert_array_equal(marked.x, plain.x)
+    np.testing.assert_array_equal(marked.y, plain.y)
+    assert (marked.boundary, marked.seed) == (plain.boundary, plain.seed)
+    assert marked.boundary.center == (0.1, 0.2)
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["evaluate", "--backend", "ideal", "--noise-seed", "5"], "--noise-seed"),
     (["evaluate", "--residual-sigma", "0.3"], "--residual-sigma"),

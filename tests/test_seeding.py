@@ -1,5 +1,8 @@
 """Seed-derivation and counter-based RNG stream properties."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +56,57 @@ def test_counter_uniforms_validation():
     with pytest.raises(ValueError):
         counter_uniforms(0, "t", 0, -5)
     assert counter_uniforms(0, "t", 0, 0).shape == (0, 4)
+
+
+def _fresh_uniforms(seed, context, start, count):
+    """What counter_uniforms draws, from a generator made for this call alone."""
+    philox = np.random.Philox(key=derive_key(seed, context), counter=[start, 0, 0, 0])
+    return unit_interval(philox.random_raw(4 * count).reshape(count, 4))
+
+
+# (seed, context, start, count): streams revisited at lower and higher
+# counters, more streams than a thread keeps, an empty draw, a counter past 2**32
+INTERLEAVED = [(s % 5, f"c{s % 70}", (s * 7919) % 3000 + (2**40 if s % 13 == 0 else 0),
+                (s * 31) % 60) for s in range(300)]
+
+
+def test_a_reused_generator_draws_what_a_fresh_one_does():
+    for seed, context, start, count in INTERLEAVED:
+        expected = _fresh_uniforms(seed, context, start, count)
+        np.testing.assert_array_equal(counter_uniforms(seed, context, start, count), expected)
+        np.testing.assert_array_equal(counter_uniforms(seed, context, start, count, words=2),
+                                      expected[:, :2])
+    assert seeding._GENERATORS.get.cache_info().currsize <= 64
+
+
+def test_threads_never_share_a_generator():
+    """Four threads, more than the cores, draw from the same streams at once,
+    each in its own order, with thread switches forced often; a generator
+    shared between them would hand one thread another's counter."""
+    expected = [_fresh_uniforms(*call) for call in INTERLEAVED]
+    start = threading.Barrier(4)
+    wrong = []
+
+    def draw(order):
+        start.wait()
+        for _ in range(3):
+            for i in order:
+                if not np.array_equal(counter_uniforms(*INTERLEAVED[i]), expected[i]):
+                    wrong.append(INTERLEAVED[i])
+
+    orders = [list(np.random.default_rng(t).permutation(len(INTERLEAVED))) for t in range(4)]
+    threads = [threading.Thread(target=draw, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("start", [0, 1, 37, 2**40 + 3])
