@@ -18,8 +18,6 @@ last layer's R_z is skipped, because a phase cannot change a population.
 from __future__ import annotations
 
 import enum
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,8 +177,7 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
 
 
 def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
-                       shifts: Sequence[tuple[int, int, float] | None] | None = None,
-                       ) -> np.ndarray:
+                       shifts: np.ndarray | None = None) -> np.ndarray:
     """Populations (p0, p1) of P probes in one kernel pass, shape (2, P, n).
 
     `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
@@ -188,9 +185,9 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
     (4, n)` product written straight into the kernel's `(L, P*n)` layout:
     one gemm per probe (not one `(P*L, 4)` gemm or an einsum), so a probe
     comes out bit-identical to a single-theta evaluation.  `shifts`, if
-    given, holds per probe None or (layer, gate 0 = R_y or 1 = R_z, delta to
-    add to that angle).  On a shared point set, probes with equal parameter
-    bytes and equal shifts are evolved once and copied.
+    given, holds (P, L, 2) deltas: [p, l, 0] is added to probe p's layer-l
+    R_y angle, [p, l, 1] to its phase.  Unshifted probes on a shared point
+    set with equal parameter bytes are evolved once and copied.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
@@ -201,17 +198,16 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
     per_probe = x.ndim == 3
     if per_probe and x.shape[0] != n_probes:
         raise ValueError(f"got {x.shape[0]} point sets for {n_probes} probes")
-    if shifts is not None and len(shifts) != n_probes:
-        raise ValueError(f"got {len(shifts)} shifts for {n_probes} probes")
-    if not per_probe and n_probes > 1:
-        size, data = 8 * spec.n_params, thetas.tobytes()    # by bytes and signs: -0.0 is not 0.0
-        keys = [(data[p * size:(p + 1) * size], s and (*s, math.copysign(1.0, s[2])))
-                for p, s in enumerate(shifts or [None] * n_probes)]
+    if shifts is not None and shifts.shape != (n_probes, spec.layers, 2):
+        raise ValueError(f"shifts have shape {shifts.shape}, expected "
+                         f"({n_probes}, {spec.layers}, 2) for {n_probes} probes")
+    if shifts is None and not per_probe and n_probes > 1:
+        size, data = 8 * spec.n_params, thetas.tobytes()    # by bytes: -0.0 is not 0.0
+        keys = [data[p * size:(p + 1) * size] for p in range(n_probes)]
         first = dict(zip(keys[::-1], range(n_probes - 1, -1, -1)))     # key: its first probe
         if len(first) < n_probes:
             slot = {p: i for i, p in enumerate(first.values())}
-            return _probe_populations(spec, thetas[list(slot)], x, None if shifts is None
-                                      else [shifts[p] for p in slot]
+            return _probe_populations(spec, thetas[list(slot)], x
                                       )[:, [slot[first[key]] for key in keys]]
     cy, cz = ansatz_design(spec.ansatz, x.reshape(-1, 2))
     if per_probe:
@@ -220,16 +216,8 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
     phi = np.empty((2, spec.layers, n_probes, n))   # (phi_y, phi_z)
     for angles, design in zip(phi, (cy, cz)):
         np.matmul(slices, np.swapaxes(design, -1, -2), out=angles.transpose(1, 0, 2))
-    if shifts is not None:      # 0.0 elsewhere: a -0.0 it turns to +0.0 moves no population bit
-        deltas = np.zeros((2, spec.layers, n_probes, 1))
-        for p, shift in enumerate(shifts):
-            if shift is not None:
-                layer, gate, delta = shift
-                if not 0 <= layer < spec.layers or gate not in (0, 1):
-                    raise ValueError(f"shift {shift} names no gate of a "
-                                     f"{spec.layers}-layer circuit")
-                deltas[1 if gate else 0, layer, p] = delta
-        phi += deltas
+    if shifts is not None:      # a 0.0 delta that turns -0.0 to +0.0 moves no population bit
+        phi += shifts.transpose(2, 1, 0)[..., None]
     return _evolve(*phi.reshape(2, spec.layers, -1)).reshape(2, n_probes, n)
 
 
@@ -240,14 +228,13 @@ def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tup
 
 
 def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 shifts: Sequence[tuple[int, int, float] | None] | None = None,
-                 ) -> np.ndarray:
+                 shifts: np.ndarray | None = None) -> np.ndarray:
     """Projection probabilities onto |y_i> for P probes at once, shape (P, n).
 
     Row p is what a one-probe call with thetas[p] and shifts[p] returns, bit
-    for bit; without a shift, what measure_batch returns for thetas[p].  `x`
-    and `y` are either shared by every probe, shapes (n, 2) and (n,), or
-    given per probe, shapes (P, n, 2) and (P, n).
+    for bit; without shifts, what measure_batch returns for thetas[p].  `x`
+    and `y` are shared, shapes (n, 2) and (n,), or per probe, (P, n, 2) and
+    (P, n); `shifts` holds (P, L, 2) gate-angle deltas, as in _probe_populations.
     """
     y = np.asarray(y)
     if not ((y == 0) | (y == 1)).all():

@@ -11,8 +11,6 @@ minus; accuracy is the one objective that is maximized.)
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from . import circuits
@@ -46,13 +44,12 @@ def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
 
 
 def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: Backend,
-                  shifts: Sequence[tuple[int, int, float] | None] | None = None,
-                  ) -> np.ndarray:
+                  shifts: np.ndarray | None = None) -> np.ndarray:
     """Per-point estimates for P probes over the dataset, shape (P, n).
 
     One kernel call and one backend sample over the flattened batch in probe
     order, so row p is bit-identical to measured_values on probe p when the
-    probes are measured one after another.
+    probes are measured one after another.  `shifts`: (P, L, 2) angle deltas.
     """
     if len(ds) == 0:
         raise ValueError("dataset is empty")

@@ -87,7 +87,10 @@ class Dataset:
         return self.x.shape[0]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.x[idx], self.y[idx], self.boundary, self.seed)
+        """The points at `idx`, unchecked: a checked dataset's points fit its boundary."""
+        sub = object.__new__(Dataset)
+        sub.__dict__.update(vars(self), x=self.x[idx], y=self.y[idx])
+        return sub
 
 
 def generate(n: int, spec: CircleSpec = DEFAULT_BOUNDARY, seed: int = 0) -> Dataset:

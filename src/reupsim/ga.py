@@ -152,28 +152,27 @@ def select_parents(population: np.ndarray, fitnesses: np.ndarray, kind: Selectio
     raise ValueError(f"unhandled selection kind {kind}")  # pragma: no cover
 
 
-def crossover(parent_a: np.ndarray, parent_b: np.ndarray, kind: CrossoverKind,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Two children by gene-wise swaps; no blending, so position-wise each
-    child gene comes verbatim from one parent."""
-    a = np.asarray(parent_a, dtype=float)
-    b = np.asarray(parent_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"parents must be equal-length vectors, got {a.shape} and {b.shape}")
-    n = a.size
+def crossover(parents_a: np.ndarray, parents_b: np.ndarray, kind: CrossoverKind,
+              rng: np.random.Generator) -> np.ndarray:
+    """Children of the pairs (parents_a[i], parents_b[i]) as one (2 pairs, d)
+    array, rows 2i and 2i + 1 from pair i, by gene-wise swaps with no blending.
+    Each kind draws what one call per pair drew; two-point still draws per pair."""
+    a, b = np.asarray(parents_a, dtype=float), np.asarray(parents_b, dtype=float)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"parents must be two (pairs, d) arrays of one shape, "
+                         f"got {a.shape} and {b.shape}")
+    (pairs, n), genes = a.shape, np.arange(a.shape[1])
     if kind is CrossoverKind.SINGLE_POINT:
-        k = int(rng.integers(1, n))
-        take_b = np.arange(n) >= k
+        take_b = genes >= rng.integers(1, n, size=(pairs, 1))
     elif kind is CrossoverKind.TWO_POINT:
-        k1, k2 = np.sort(rng.choice(np.arange(1, n), size=2, replace=False))
-        take_b = (np.arange(n) >= k1) & (np.arange(n) < k2)
+        cuts = np.sort([rng.choice(np.arange(1, n), size=2, replace=False)
+                        for _ in range(pairs)]).reshape(pairs, 2)
+        take_b = (genes >= cuts[:, :1]) & (genes < cuts[:, 1:])
     elif kind is CrossoverKind.SCATTERED:
-        take_b = rng.random(n) < 0.5
+        take_b = rng.random((pairs, n)) < 0.5
     else:  # pragma: no cover
         raise ValueError(f"unhandled crossover kind {kind}")
-    child_a = np.where(take_b, b, a)
-    child_b = np.where(take_b, a, b)
-    return child_a, child_b
+    return np.stack([np.where(take_b, b, a), np.where(take_b, a, b)], axis=1).reshape(-1, n)
 
 
 def mutate(children: np.ndarray, t: int, spec: MutationSpec, rng: np.random.Generator,
@@ -267,13 +266,8 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
         parents = select_parents(pop, fitnesses, config.selection, rng,
                                  count=n_children + (n_children % 2),
                                  tournament_size=config.tournament_size)
-        children = []
-        for j in range(0, parents.size, 2):
-            c1, c2 = crossover(pop[parents[j]], pop[parents[j + 1]], config.crossover, rng)
-            children.append(c1)
-            if len(children) < n_children:
-                children.append(c2)
-        children = mutate(np.array(children), gen + 1, config.mutation, rng, config.init_range)
+        children = crossover(pop[parents[0::2]], pop[parents[1::2]], config.crossover, rng)
+        children = mutate(children[:n_children], gen + 1, config.mutation, rng, config.init_range)
         pop = np.vstack([pop[elite_idx], children])
 
     return trace.best_theta, trace

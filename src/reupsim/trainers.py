@@ -119,10 +119,8 @@ def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Datase
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     theta = circuits.check_theta(spec, theta)
-    probes = np.repeat(theta[None], 2 * theta.size, axis=0)
-    for j in range(theta.size):
-        probes[2 * j, j] = theta[j] + step
-        probes[2 * j + 1, j] = theta[j] - step
+    probes, j = np.repeat(theta[None], 2 * theta.size, axis=0), np.arange(theta.size)
+    probes[2 * j, j], probes[2 * j + 1, j] = theta + step, theta - step
     m = costs.measured_many(spec, probes, ds, backend)
     f = costs.row_values(kind, m)
     return (f[0::2] - f[1::2]) / (2.0 * step)
@@ -137,11 +135,11 @@ def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarra
     if kind is CostKind.ACCURACY:
         raise ValueError("parameter-shift gradient is undefined for the accuracy cost")
     theta = circuits.check_theta(spec, theta)
-    # base probe first, then the +-pi/2 pair of every gate angle in (layer, gate) order
-    shifts = [None] + [(l, gate, sign * np.pi / 2.0) for l in range(spec.layers)
-                       for gate in range(2) for sign in (1.0, -1.0)]
-    m = costs.measured_many(spec, np.repeat(theta[None], len(shifts), axis=0), ds,
-                            backend, shifts=shifts)
+    # base probe first, then the +-pi/2 pair of every gate angle g = 2 layer + gate
+    deltas, g = np.zeros((4 * spec.layers + 1, 2 * spec.layers)), np.arange(2 * spec.layers)
+    deltas[2 * g + 1, g], deltas[2 * g + 2, g] = np.pi / 2.0, -np.pi / 2.0
+    m = costs.measured_many(spec, np.repeat(theta[None], len(deltas), axis=0), ds,
+                            backend, shifts=deltas.reshape(-1, spec.layers, 2))
     w = costs.cost_weights(kind, m[0])
     dm = 0.5 * (m[1::2] - m[2::2]).reshape(spec.layers, 2, len(ds))
     return (w[:, None] * circuits.chain_rule(spec, dm, ds.x)).mean(axis=0)
@@ -161,7 +159,7 @@ def gradient_analytic(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
     if backend.is_noisy:
         return gradient_parameter_shift(kind, spec, theta, ds, backend)
     grad = costs.analytic_gradient(kind, spec, theta, ds, forward)
-    backend.charge((4 * spec.layers + 1) * len(ds))
+    backend.charge(_gradient_cost(GradMethod.ANALYTIC, spec, len(ds)))
     return grad
 
 

@@ -2,7 +2,8 @@
 
 Nothing in the package uses these: they are the one-state gate functions and
 the complex-amplitude batch kernel that the real-amplitude kernel replaced,
-kept as independent oracles.
+kept as independent oracles, and the per-probe scatter that turns one-gate
+shifts into the delta array the batched kernel takes.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,17 @@ def layer_args(ansatz: Ansatz, theta_layer: np.ndarray, x: np.ndarray) -> tuple[
         raise ValueError(f"layer slice must have 4 entries, got shape {theta_layer.shape}")
     cy, cz = ansatz_design(ansatz, x)
     return float(cy[0] @ theta_layer), float(cz[0] @ theta_layer)
+
+
+def shift_deltas(layers: int, shifts: list) -> np.ndarray:
+    """The (P, L, 2) delta array of per-probe shifts, each None or (layer,
+    gate 0 = R_y or 1 = phase, delta added to that angle)."""
+    deltas = np.zeros((len(shifts), layers, 2))
+    for p, shift in enumerate(shifts):
+        if shift is not None:
+            layer, gate, delta = shift
+            deltas[p, layer, gate] = delta
+    return deltas
 
 
 def complex_evolve(phi_y: np.ndarray, phi_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

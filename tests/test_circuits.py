@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (ZERO_STATE, QubitState, complex_evolve, layer_args,
-                     rotation_y, rotation_z)
+                     rotation_y, rotation_z, shift_deltas)
 
 from reupsim import circuits
 from reupsim.circuits import (Ansatz, CircuitSpec, analytic_gradient_batch,
@@ -144,7 +144,7 @@ def test_gate_shift_matches_direct_angle_change():
     theta2[4 + 2] += delta    # layer-1 data-independent R_y entry of 2A
     for label in (0, 1):
         y = np.full(len(x), label)
-        shifted = measure_many(spec, theta[None], x, y, shifts=[(1, 0, delta)])[0]
+        shifted = measure_many(spec, theta[None], x, y, shift_deltas(2, [(1, 0, delta)]))[0]
         np.testing.assert_allclose(shifted, measure_batch(spec, theta2, x, y), atol=1e-12)
 
 
@@ -179,8 +179,8 @@ def test_gate_angle_gradients_obey_the_shift_rule():
     np.testing.assert_array_equal(m, measure_batch(spec, theta, x, y))
     for l in range(spec.layers):
         for gate in range(2):
-            plus, minus = measure_many(spec, np.stack([theta, theta]), x, y,
-                                       [(l, gate, np.pi / 2), (l, gate, -np.pi / 2)])
+            plus, minus = measure_many(spec, np.stack([theta, theta]), x, y, shift_deltas(
+                spec.layers, [(l, gate, np.pi / 2), (l, gate, -np.pi / 2)]))
             np.testing.assert_allclose(grads[l, gate], 0.5 * (plus - minus),
                                        atol=1e-12)
 
@@ -218,7 +218,8 @@ def test_random_parameters_range_and_determinism():
 
 
 def _shifted_angles(spec, theta, x, shift=None):
-    """Single-theta layer angles with `shift` added to one gate angle."""
+    """Single-theta layer angles with `shift`, None or (layer, gate, delta),
+    added to one gate angle."""
     phi_y, phi_z = layer_angles(spec, theta, x)
     if shift is not None:
         layer, gate, delta = shift
@@ -249,10 +250,11 @@ def test_measure_many_rows_equal_measure_batch_bit_for_bit(ansatz, layers, probe
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
     y = rng.integers(0, 2, n)
-    many = measure_many(spec, thetas, x, y, shifts)
+    deltas = shift_deltas(layers, shifts)
+    many = measure_many(spec, thetas, x, y, deltas)
     assert many.shape == (probes, n)
     for p in range(probes):
-        single = measure_many(spec, thetas[p:p + 1], x, y, shifts[p:p + 1])[0]
+        single = measure_many(spec, thetas[p:p + 1], x, y, deltas[p:p + 1])[0]
         np.testing.assert_array_equal(many[p], single)
         np.testing.assert_array_equal(single, _single_theta_kernel(spec, thetas[p], x, y,
                                                                    shifts[p]))
@@ -267,10 +269,11 @@ def test_measure_many_with_a_point_set_per_probe(ansatz, layers, probes, n, seed
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (probes, n, 2))
     y = rng.integers(0, 2, (probes, n))
-    many = measure_many(spec, thetas, x, y, shifts)
+    deltas = shift_deltas(layers, shifts)
+    many = measure_many(spec, thetas, x, y, deltas)
     for p in range(probes):
         np.testing.assert_array_equal(many[p], measure_many(spec, thetas[p:p + 1], x[p], y[p],
-                                                            shifts[p:p + 1])[0])
+                                                            deltas[p:p + 1])[0])
 
 
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 16),
@@ -281,7 +284,7 @@ def test_populations_match_the_complex_kernel(ansatz, layers, probes, n, seed):
     applies every R_z.  Absolute: near p = 0 neither keeps relative precision."""
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
-    populations = circuits._probe_populations(spec, thetas, x, shifts)
+    populations = circuits._probe_populations(spec, thetas, x, shift_deltas(layers, shifts))
     for p in range(probes):
         alpha, beta = complex_evolve(*_shifted_angles(spec, thetas[p], x, shifts[p]))
         np.testing.assert_allclose(populations[:, p], np.abs([alpha, beta]) ** 2,
@@ -299,7 +302,7 @@ def test_the_last_phase_changes_no_population_bit():
             for delta in (0.3, -2.0, np.pi):
                 np.testing.assert_array_equal(
                     measure_many(spec, theta[None], x, y,
-                                 shifts=[(layers - 1, 1, delta)])[0], base)
+                                 shifts=shift_deltas(layers, [(layers - 1, 1, delta)]))[0], base)
 
 
 def test_the_kernel_allocates_one_workspace_and_its_outputs():
@@ -343,46 +346,32 @@ def test_measure_many_validation():
     with pytest.raises(ValueError, match="expected"):
         measure_many(spec, np.zeros((2, 5)), x, y)
     with pytest.raises(ValueError, match="2 probes"):
-        measure_many(spec, thetas, x, y, shifts=[None])
+        measure_many(spec, thetas, x, y, shifts=np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="2 probes"):
         measure_many(spec, thetas, np.zeros((3, 3, 2)), y)
-    with pytest.raises(ValueError, match="names no gate"):
-        measure_many(spec, thetas, x, y, shifts=[None, (2, 0, 0.1)])
-    with pytest.raises(ValueError, match="names no gate"):
-        measure_many(spec, thetas, x, y, shifts=[(0, 2, 0.1), None])
+    # one delta per probe, layer and gate: a third layer or gate has no place
+    for shape in ((2, 3, 2), (2, 2, 3), (2, 4), (2, 2, 2, 1)):
+        with pytest.raises(ValueError, match=r"shape \(.*\), expected \(2, 2, 2\)"):
+            measure_many(spec, thetas, x, y, shifts=np.zeros(shape))
     with pytest.raises(ValueError, match="labels"):
         measure_many(spec, thetas, x, np.array([0, 2, 1]))
 
 
-def _counting_kernel(monkeypatch):
-    """The column counts of every kernel pass from here on."""
-    columns = []
-
-    def spy(phi_y, phi_z):
-        columns.append(phi_y.shape[1])
-        return evolve(phi_y, phi_z)
-
-    evolve = circuits._evolve
-    monkeypatch.setattr(circuits, "_evolve", spy)
-    return columns
-
-
-def test_shifts_merge_by_the_bytes_of_their_delta(monkeypatch):
-    """Equal rows with equal shifts are one probe; 0.0 and -0.0 are two
-    deltas.  Each row is what a one-probe call gives."""
+def test_signed_zero_deltas_give_the_one_probe_rows():
+    """Deltas of 0.0 and -0.0, and no shift at all, in one shifted batch:
+    each row is what the single-theta kernel gives for its probe."""
     spec = CircuitSpec()
     rng = np.random.default_rng(59)
     theta = random_parameters(spec, rng)
     x, y = rng.uniform(-1.0, 1.0, (7, 2)), rng.integers(0, 2, 7)
     shifts = [(1, 0, 0.0), (1, 0, -0.0), (1, 0, 0.0), None, (1, 0, -0.0), (1, 0, 0.0)]
-    columns = _counting_kernel(monkeypatch)
-    many = measure_many(spec, np.repeat(theta[None], len(shifts), axis=0), x, y, shifts)
-    assert columns == [3 * len(x)]
+    many = measure_many(spec, np.repeat(theta[None], len(shifts), axis=0), x, y,
+                        shift_deltas(spec.layers, shifts))
     for row, shift in zip(many, shifts):
         np.testing.assert_array_equal(row, _single_theta_kernel(spec, theta, x, y, shift))
-    with pytest.raises(ValueError, match="names no gate"):
+    with pytest.raises(ValueError, match=r"expected \(2, 4, 2\)"):
         measure_many(spec, np.repeat(theta[None], 2, axis=0), x, y,
-                     shifts=[(spec.layers, 0, 0.5)] * 2)
+                     shifts=shift_deltas(spec.layers + 1, [(spec.layers, 0, 0.5)] * 2))
 
 
 def test_adding_zero_to_the_angles_moves_no_population_bit():

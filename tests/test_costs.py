@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import shift_deltas
 
 from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
@@ -106,9 +107,11 @@ def test_measured_many_rows_equal_successive_measured_values():
     thetas = np.random.default_rng(4).uniform(-np.pi, np.pi, (6, spec.n_params))
     shifts = [None, (0, 1, 0.3), None, (3, 0, -1.1), (2, 1, 2.0), None]
     batched_be, loop_be = NoisyBackend(NoiseModel(seed=1)), NoisyBackend(NoiseModel(seed=1))
-    batched = measured_many(spec, thetas, ds, batched_be, shifts=shifts)
+    batched = measured_many(spec, thetas, ds, batched_be,
+                            shifts=shift_deltas(spec.layers, shifts))
     loop = np.array([measured_values(spec, t, ds, loop_be) if s is None
-                     else measured_many(spec, t[None], ds, loop_be, shifts=[s])[0]
+                     else measured_many(spec, t[None], ds, loop_be,
+                                        shifts=shift_deltas(spec.layers, [s]))[0]
                      for t, s in zip(thetas, shifts)])
     np.testing.assert_array_equal(batched, loop)
     assert batched_be.ledger.snapshot() == loop_be.ledger.snapshot()
@@ -175,15 +178,13 @@ def test_the_kernel_runs_once_per_distinct_probe(monkeypatch):
     measured_many(spec, pop[[6, 7]], ds, backend)
     # rows 0, 1, 2, 4 and 6 are distinct; -0.0 is not 0.0; a NaN row repeats
     assert columns == [5 * 13, 2 * 13, 1 * 13]
-    # a shift is part of the probe: equal parameters with another shift are distinct
+    # a shifted batch: each row is its probe's one-probe call
     theta = pop[[0, 0, 0, 0, 0]]
-    shifts = [None, (1, 0, 0.5), (1, 0, 0.5), (1, 1, 0.5), None]
-    columns.clear()
-    m = measured_many(spec, theta, ds, IdealBackend(), shifts=shifts)
-    assert columns == [3 * 13]
-    for row, shift in zip(m, shifts):
+    deltas = shift_deltas(spec.layers, [None, (1, 0, 0.5), (1, 0, 0.5), (1, 1, 0.5), None])
+    m = measured_many(spec, theta, ds, IdealBackend(), shifts=deltas)
+    for row, delta in zip(m, deltas):
         np.testing.assert_array_equal(row, circuits.measure_many(spec, theta[:1], ds.x, ds.y,
-                                                                 [shift])[0])
+                                                                 delta[None])[0])
     # one point set per probe is never merged
     columns.clear()
     circuits.measure_many(spec, theta, np.repeat(ds.x[None], 5, axis=0),

@@ -47,6 +47,26 @@ def test_subset_keeps_alignment():
     np.testing.assert_array_equal(sub.y, ds.y[idx])
 
 
+def test_subset_skips_the_label_check(monkeypatch):
+    """A subset of a checked dataset is what the checked constructor would
+    build from the same points, without classifying them again."""
+    ds = generate(20, seed=2, spec=CircleSpec(center=(0.1, -0.05), radius=0.7))
+    idx = np.array([5, 1, 17, 1])
+    checked = Dataset(ds.x[idx], ds.y[idx], ds.boundary, ds.seed)
+
+    def refuse(self, x):
+        raise AssertionError("subset classified its points")
+
+    monkeypatch.setattr(CircleSpec, "classify", refuse)
+    sub = ds.subset(idx)
+    for field in ("x", "y"):
+        got, want = getattr(sub, field), getattr(checked, field)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert (sub.boundary, sub.seed) == (checked.boundary, checked.seed) == (ds.boundary, 2)
+    assert type(sub) is Dataset
+
+
 def test_generate_splits_are_independent_and_stable():
     train, test = generate_splits(0)
     assert len(train) == 250

@@ -1,5 +1,7 @@
 """Genetic-algorithm operators and the training loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,7 +80,7 @@ def test_crossover_children_take_each_gene_from_a_parent(genes, seed, kind):
     a = np.array(genes)
     b = a + 100.0
     rng = np.random.default_rng(seed)
-    c1, c2 = crossover(a, b, kind, rng)
+    c1, c2 = crossover(a[None], b[None], kind, rng)
     for j in range(a.size):
         assert {c1[j], c2[j]} == {a[j], b[j]}
 
@@ -86,15 +88,44 @@ def test_crossover_children_take_each_gene_from_a_parent(genes, seed, kind):
 def test_single_point_crossover_swaps_a_suffix():
     a = np.zeros(8)
     b = np.ones(8)
-    c1, _ = crossover(a, b, CrossoverKind.SINGLE_POINT, np.random.default_rng(6))
+    c1, _ = crossover(a[None], b[None], CrossoverKind.SINGLE_POINT, np.random.default_rng(6))
     flips = np.nonzero(np.diff(c1))[0]
     assert flips.size == 1   # one contiguous boundary
 
 
 def test_crossover_rejects_mismatched_parents():
-    with pytest.raises(ValueError, match="equal-length"):
-        crossover(np.zeros(4), np.zeros(5), CrossoverKind.SCATTERED,
-                  np.random.default_rng(0))
+    for a, b in ((np.zeros((1, 4)), np.zeros((1, 5))), (np.zeros((2, 4)), np.zeros((1, 4))),
+                 (np.zeros(4), np.zeros(4))):
+        with pytest.raises(ValueError, match="one shape"):
+            crossover(a, b, CrossoverKind.SCATTERED, np.random.default_rng(0))
+
+
+def _crossover_one_pair(a, b, kind, rng):
+    """Reference: the two children of one parent pair, one draw per pair."""
+    n = a.size
+    if kind is CrossoverKind.SINGLE_POINT:
+        take_b = np.arange(n) >= int(rng.integers(1, n))
+    elif kind is CrossoverKind.TWO_POINT:
+        k1, k2 = np.sort(rng.choice(np.arange(1, n), size=2, replace=False))
+        take_b = (np.arange(n) >= k1) & (np.arange(n) < k2)
+    else:
+        take_b = rng.random(n) < 0.5
+    return np.where(take_b, b, a), np.where(take_b, a, b)
+
+
+@pytest.mark.parametrize("kind", list(CrossoverKind))
+def test_batched_crossover_equals_one_call_per_pair(kind):
+    """Rows 2i and 2i + 1 are pair i's children from a per-pair loop, bit for
+    bit, and the generator is left where that loop leaves it."""
+    for pairs, seed in itertools.product(range(1, 26), range(50)):
+        genes = np.random.default_rng([pairs, seed]).uniform(-5, 5, (2, pairs, 3 + seed % 14))
+        batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        children = crossover(genes[0], genes[1], kind, batched_rng)
+        loop = [child for a, b in zip(*genes)
+                for child in _crossover_one_pair(a, b, kind, loop_rng)]
+        assert children.shape == (2 * pairs, genes.shape[2])
+        np.testing.assert_array_equal(children, loop)
+        assert batched_rng.random() == loop_rng.random()
 
 
 def test_decaying_mutation_step_at_generation_zero():

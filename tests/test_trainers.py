@@ -70,14 +70,22 @@ def _fd_per_probe(kind, spec, theta, ds, backend, step):
     return grad
 
 
+def _shifted_estimates(spec, theta, ds, backend, l, gate, delta):
+    """One sampled evaluation with `delta` added to one gate angle of the
+    single-theta layer angles, evolved by the kernel on their own."""
+    angles = circuits.layer_angles(spec, theta, ds.x)
+    angles[gate][l] += delta
+    p0, p1 = circuits._evolve(*angles)
+    return backend.sample(np.where(ds.y == 1, p1, p0), ds.y)
+
+
 def _shift_per_probe(kind, spec, theta, ds, backend):
     """Reference: the base batch, then one evaluation per shifted gate angle."""
     m = costs.measured_values(spec, theta, ds, backend)
     dm = np.empty((spec.layers, 2, len(ds)))
     for l in range(spec.layers):
         for gate in range(2):
-            plus, minus = (costs.measured_many(spec, theta[None], ds, backend,
-                                               shifts=[(l, gate, sign * np.pi / 2.0)])[0]
+            plus, minus = (_shifted_estimates(spec, theta, ds, backend, l, gate, sign * np.pi / 2)
                            for sign in (1.0, -1.0))
             dm[l, gate] = 0.5 * (plus - minus)
     if kind is CostKind.CROSS_ENTROPY:
