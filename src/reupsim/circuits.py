@@ -84,53 +84,81 @@ def random_parameters(spec: CircuitSpec, rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-2 * np.pi, 2 * np.pi, size=spec.n_params)
 
 
-def ansatz_design(ansatz: Ansatz, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point design rows for the two gate angles of one layer.
+# each ansatz's cy and cz, as columns picked from (x0, x1, 1, 0)
+_DESIGN_COLUMNS = {Ansatz.A2A: ((0, 1, 2, 3), (3, 3, 3, 2)),     # t0 x0 + t1 x1 + t2; t3
+                   Ansatz.A2B: ((0, 2, 3, 3), (3, 3, 1, 2)),     # t0 x0 + t1; t2 x1 + t3
+                   Ansatz.A2C: ((0, 1, 3, 3), (3, 3, 0, 1)),     # t0 x0 + t1 x1; t2 x0 + t3 x1
+                   Ansatz.A2D: ((2, 3, 3, 3), (3, 0, 1, 2))}     # t0; t1 x0 + t2 x1 + t3
 
-    Returns (cy, cz), each of shape (n, 4), such that for layer slice
-    t = theta[4l:4l+4] the angles are phi_y = cy @ t and phi_z = cz @ t.
-    The rows are also the exact derivatives d(angle)/d(theta_j).
-    """
+
+def ansatz_design(ansatz: Ansatz, x: np.ndarray) -> np.ndarray:
+    """Per-point design rows for the two gate angles of one layer: (cy, cz) as
+    one C-ordered array of shape (2, n, 4), or (2, P, n, 4) for points (P, n, 2),
+    such that for layer slice t = theta[4l:4l+4] the angles are phi_y = cy @ t
+    and phi_z = cz @ t.  The rows are also the exact derivatives d(angle)/d(theta_j)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    x0, x1 = x[:, 0], x[:, 1]
-    cy, cz = np.zeros((n, 4)), np.zeros((n, 4))
-    if ansatz is Ansatz.A2A:
-        cy[:, 0], cy[:, 1], cy[:, 2] = x0, x1, 1.0
-        cz[:, 3] = 1.0
-    elif ansatz is Ansatz.A2B:
-        cy[:, 0], cy[:, 1] = x0, 1.0
-        cz[:, 2], cz[:, 3] = x1, 1.0
-    elif ansatz is Ansatz.A2C:
-        cy[:, 0], cy[:, 1] = x0, x1
-        cz[:, 2], cz[:, 3] = x0, x1
-    elif ansatz is Ansatz.A2D:
-        cy[:, 0] = 1.0
-        cz[:, 1], cz[:, 2], cz[:, 3] = x0, x1, 1.0
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled ansatz {ansatz}")
-    return cy, cz
+    basis = np.empty((4, x.size // 2))
+    basis[:2], basis[2], basis[3] = x.reshape(-1, 2).T, 1.0, 0.0
+    rows = basis.take(_DESIGN_COLUMNS[ansatz], axis=0).transpose(0, 2, 1)
+    return np.ascontiguousarray(rows).reshape(2, *x.shape[:-1], 4)
 
 
-def layer_angles(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All layer angles for a batch of points: two (L, n) arrays."""
-    theta = check_theta(spec, theta)
-    cy, cz = ansatz_design(spec.ansatz, x)
-    slices = theta.reshape(spec.layers, 4)
-    return slices @ cy.T, slices @ cz.T
+class Design:
+    """One point set under one ansatz: `rows`, its ansatz_design rows (cy, cz)
+    stacked, which the angle product reads; `cols`, their C-contiguous
+    transposes, which the chain rule reads; given labels y, `label` = y == 1,
+    once each label is checked to be 0 or 1.  A Dataset keeps one per ansatz."""
+
+    __slots__ = ("rows", "cols", "label")
+
+    def __init__(self, ansatz: Ansatz, x: np.ndarray, y: np.ndarray | None = None):
+        self.rows = ansatz_design(ansatz, x)
+        self.cols = np.ascontiguousarray(np.swapaxes(self.rows, -1, -2))
+        if y is not None:
+            self.label = np.asarray(y) == 1
+            if not (self.label | (np.asarray(y) == 0)).all():
+                raise ValueError("labels must be 0 or 1")
+
+    def __len__(self) -> int:
+        return self.rows.shape[-2]
 
 
-def _rotate(v: np.ndarray, c: np.ndarray, s: np.ndarray, tmp: np.ndarray) -> None:
-    """Rotate the pair v = (v0, v1) in place to (c v0 - s v1, s v0 + c v1).
+def _design(spec: CircuitSpec, x, y: np.ndarray | None = None) -> Design:
+    """x if it is a Design (for spec's ansatz), else the Design of points x and labels y."""
+    return x if isinstance(x, Design) else Design(spec.ansatz, x, y)
 
-    R_y rotates the amplitudes (a, b) by half its angle; the phase e^{i phi}
-    rotates (Re b, Im b) by phi.  On v[::-1] it turns the other way, which
-    moves a row vector through R_y: <w| R_y.  `tmp` has the shape of v.
-    """
-    np.multiply(v[::-1], s, out=tmp)
+
+def _angles(spec: CircuitSpec, thetas: np.ndarray, design: Design) -> np.ndarray:
+    """The angles (phi_y, phi_z) of P parameter vectors, shape (2, L, P, n): a
+    stacked `(P, L, 4) @ (4, n)` product into the kernel's layout, one gemm per
+    probe, so a probe is bit-identical to the single-theta `slices @ cy.T`."""
+    slices = thetas.reshape(len(thetas), spec.layers, 4)
+    phi = np.empty((2, spec.layers, len(thetas), len(design)))
+    for angles, rows in zip(phi, design.rows):
+        np.matmul(slices, np.swapaxes(rows, -1, -2), out=angles.transpose(1, 0, 2))
+    return phi
+
+
+def layer_angles(spec: CircuitSpec, theta: np.ndarray, x) -> np.ndarray:
+    """All layer angles (phi_y, phi_z) at points x or their Design, shape (2, L, n)."""
+    return _angles(spec, check_theta(spec, theta)[None], _design(spec, x))[:, :, 0]
+
+
+def _pair(v: np.ndarray, tmp: np.ndarray) -> tuple:
+    """The views _rotate reads to turn the pair v = (v0, v1); `tmp` has v's shape."""
+    return v, v[::-1], v[0], v[1], tmp, tmp[0], tmp[1]
+
+
+def _rotate(pair: tuple, c: np.ndarray, s: np.ndarray) -> None:
+    """Rotate the pair v of _pair(v, tmp) in place to (c v0 - s v1, s v0 + c v1).
+    R_y rotates the amplitudes (a, b) by half its angle, the phase e^{i phi}
+    rotates (Re b, Im b) by phi; on v[::-1] it turns the other way, which
+    moves a row vector through R_y: <w| R_y."""
+    v, flipped, v0, v1, tmp, t0, t1 = pair
+    np.multiply(flipped, s, out=tmp)
     v *= c
-    v[0] -= tmp[0]
-    v[1] += tmp[1]
+    v0 -= t0
+    v1 += t1
 
 
 def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
@@ -147,6 +175,8 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     Every intermediate lives in one workspace; without `states` it holds the
     2L - 1 tangents and cosines, then one state and a scratch state in rows
     that first hold 1 + u^2 (at least 2L - 1 of them), then the populations.
+    The gates turn psi[-1] through views made once per pass; with `states`,
+    each gate's output is copied to its row before the next gate turns it.
     """
     gates, n = 2 * len(phi_y) - 1, phi_y.shape[1]
     n_psi = gates if states else 1
@@ -162,42 +192,38 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     cos /= t
     sin /= t
     sin += sin
-    state = psi[0]                                  # R_y|0> = (cos, 0, sin, 0)
+    state = psi[-1]                                 # R_y|0> = (cos, 0, sin, 0)
     state[0, 0], state[1, 0], state[:, 1] = cos[0], sin[0], 0.0
+    pairs = _pair(state, tmp), _pair(state[1], tmp[0])      # R_y turns (a, b), the phase b
     for g in range(1, gates):
         if states:
-            state = psi[g]
-            state[...] = psi[g - 1]
-        v, scratch = (state[1], tmp[0]) if g % 2 else (state, tmp)
-        _rotate(v, cos[g], sin[g], scratch)
+            psi[g - 1] = state
+        _rotate(pairs[g % 2], cos[g], sin[g])
     if states:
         return psi, cos, sin
     np.square(state, out=tmp)
     return np.add(tmp[:, 0], tmp[:, 1], out=ws[:2])
 
 
-def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
+def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x,
                        shifts: np.ndarray | None = None) -> np.ndarray:
     """Populations (p0, p1) of P probes in one kernel pass, shape (2, P, n).
 
     `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
-    one point set per probe.  The angles come from a stacked `(P, L, 4) @
-    (4, n)` product written straight into the kernel's `(L, P*n)` layout:
-    one gemm per probe (not one `(P*L, 4)` gemm or an einsum), so a probe
-    comes out bit-identical to a single-theta evaluation.  `shifts`, if
-    given, holds (P, L, 2) deltas: [p, l, 0] is added to probe p's layer-l
-    R_y angle, [p, l, 1] to its phase.  Unshifted probes on a shared point
-    set with equal parameter bytes are evolved once and copied.
+    one point set per probe, or the Design of either.  The angles come from
+    _angles, so a probe comes out bit-identical to a single-theta evaluation.
+    `shifts`, if given, holds (P, L, 2) deltas: [p, l, 0] is added to probe
+    p's layer-l R_y angle, [p, l, 1] to its phase.  Unshifted probes on a
+    shared point set with equal parameter bytes are evolved once and copied.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
         raise ValueError(f"parameter vectors have shape {thetas.shape}, expected "
                          f"(P, {spec.n_params}) for {spec.layers} layers")
-    n_probes = thetas.shape[0]
-    x = np.asarray(x, dtype=float)
-    per_probe = x.ndim == 3
-    if per_probe and x.shape[0] != n_probes:
-        raise ValueError(f"got {x.shape[0]} point sets for {n_probes} probes")
+    n_probes, design = thetas.shape[0], _design(spec, x)
+    per_probe = design.rows.ndim == 4
+    if per_probe and design.rows.shape[1] != n_probes:
+        raise ValueError(f"got {design.rows.shape[1]} point sets for {n_probes} probes")
     if shifts is not None and shifts.shape != (n_probes, spec.layers, 2):
         raise ValueError(f"shifts have shape {shifts.shape}, expected "
                          f"({n_probes}, {spec.layers}, 2) for {n_probes} probes")
@@ -207,18 +233,12 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray,
         first = dict(zip(keys[::-1], range(n_probes - 1, -1, -1)))     # key: its first probe
         if len(first) < n_probes:
             slot = {p: i for i, p in enumerate(first.values())}
-            return _probe_populations(spec, thetas[list(slot)], x
+            return _probe_populations(spec, thetas[list(slot)], design
                                       )[:, [slot[first[key]] for key in keys]]
-    cy, cz = ansatz_design(spec.ansatz, x.reshape(-1, 2))
-    if per_probe:
-        cy, cz = cy.reshape(n_probes, -1, 4), cz.reshape(n_probes, -1, 4)
-    slices, n = thetas.reshape(n_probes, spec.layers, 4), cy.shape[-2]
-    phi = np.empty((2, spec.layers, n_probes, n))   # (phi_y, phi_z)
-    for angles, design in zip(phi, (cy, cz)):
-        np.matmul(slices, np.swapaxes(design, -1, -2), out=angles.transpose(1, 0, 2))
+    phi = _angles(spec, thetas, design)
     if shifts is not None:      # a 0.0 delta that turns -0.0 to +0.0 moves no population bit
         phi += shifts.transpose(2, 1, 0)[..., None]
-    return _evolve(*phi.reshape(2, spec.layers, -1)).reshape(2, n_probes, n)
+    return _evolve(*phi.reshape(2, spec.layers, -1)).reshape(2, n_probes, len(design))
 
 
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -227,37 +247,37 @@ def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tup
     return float(p0), float(p1)
 
 
-def measure_many(spec: CircuitSpec, thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
+def measure_many(spec: CircuitSpec, thetas: np.ndarray, x, y: np.ndarray | None,
                  shifts: np.ndarray | None = None) -> np.ndarray:
     """Projection probabilities onto |y_i> for P probes at once, shape (P, n).
 
     Row p is what a one-probe call with thetas[p] and shifts[p] returns, bit
     for bit; without shifts, what measure_batch returns for thetas[p].  `x`
     and `y` are shared, shapes (n, 2) and (n,), or per probe, (P, n, 2) and
-    (P, n); `shifts` holds (P, L, 2) gate-angle deltas, as in _probe_populations.
+    (P, n); or `x` is their Design and `y` is not read.  `shifts`: (P, L, 2)
+    gate-angle deltas, as in _probe_populations.
     """
-    y = np.asarray(y)
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    p0, p1 = _probe_populations(spec, thetas, x, shifts)
-    return np.where(y == 1, p1, p0)
+    design = _design(spec, x, y)
+    p0, p1 = _probe_populations(spec, thetas, design, shifts)
+    return np.where(design.label, p1, p0)
 
 
-def measure_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                  y: np.ndarray, states: bool = False):
-    """Projection probability M onto each point's label state |y_i>; with
-    states=True, (M, (psi, cos, sin)): the same M bit for bit, from the kernel
-    pass that keeps every state, a pair gate_angle_gradients takes as `forward`."""
-    theta = check_theta(spec, theta)
+def measure_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
+                  states: bool = False):
+    """Projection probability M onto each point's label state |y_i>, for
+    points x and labels y, or their Design x; with states=True, (M, (psi, cos,
+    sin)): the same M bit for bit, from the kernel pass that keeps every
+    state, a pair gate_angle_gradients takes as `forward`."""
+    theta, design = check_theta(spec, theta)[None], _design(spec, x, y)
     if not states:
-        return measure_many(spec, theta[None], x, y)[0]
-    kept = _evolve(*layer_angles(spec, theta, x), states=True)
+        return measure_many(spec, theta, design, None)[0]
+    kept = _evolve(*_angles(spec, theta, design).reshape(2, spec.layers, -1), states=True)
     sq = np.square(kept[0][-1])
-    return np.where(np.asarray(y) == 1, sq[1, 0] + sq[1, 1], sq[0, 0] + sq[0, 1]), kept
+    return np.where(design.label, sq[1, 0] + sq[1, 1], sq[0, 0] + sq[0, 1]), kept
 
 
-def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                         y: np.ndarray, forward=None) -> tuple[np.ndarray, np.ndarray]:
+def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
+                         forward=None) -> tuple[np.ndarray, np.ndarray]:
     """(M, dM/d(gate angle)): M per point, shape (n,), bit-identical to
     measure_batch, and the derivatives by all 2L gate angles, shape (L, 2, n).
 
@@ -269,47 +289,50 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
     Re(w_b a - w_a b), and diag(0, i) for the phase, which gives
     -2 Im(w_b b).  The skipped last R_z changes no population: its entry is 0.
     """
-    m, (psi, cos, sin) = forward or measure_batch(spec, theta, x, y, states=True)
-    label = np.asarray(y) == 1
-    w = np.where(np.stack([label, ~label])[:, None], 0.0, psi[-1] * [[1.0], [-1.0]])
+    design = _design(spec, x, y)
+    m, (psi, cos, sin) = forward or measure_batch(spec, theta, design, None, states=True)
+    w = np.where(np.stack([design.label, ~design.label])[:, None], 0.0,
+                 psi[-1] * [[1.0], [-1.0]])
     tmp = np.empty_like(w)
     grads = np.empty((spec.layers, 2, w.shape[-1]))
+    (w0, w1), (t0, t1), (t00, t01) = w, tmp, tmp[0]     # views made once per pass
+    phase, turn = _pair(w1, t0), _pair(w[::-1], tmp)    # <w| through a phase, through R_y
     for g in range(len(psi) - 1, -1, -1):
         (l, gate), (a, b) = divmod(g, 2), psi[g]
         if gate:
-            np.multiply(w[1], b[::-1], out=tmp[0])
-            np.add(*tmp[0], out=grads[l, 1])
-            _rotate(w[1], cos[g], sin[g], tmp[0])
+            np.multiply(w1, b[::-1], out=t0)
+            np.add(t00, t01, out=grads[l, 1])
+            _rotate(phase, cos[g], sin[g])
             continue
-        np.multiply(w[1], a, out=tmp[0])
-        np.multiply(w[0], b, out=tmp[1])
-        tmp[0] -= tmp[1]
-        np.subtract(*tmp[0], out=grads[l, 0])
+        np.multiply(w1, a, out=t0)
+        np.multiply(w0, b, out=t1)
+        t0 -= t1
+        np.subtract(t00, t01, out=grads[l, 0])
         if g:
-            _rotate(w[::-1], cos[g], sin[g], tmp)
+            _rotate(turn, cos[g], sin[g])
     grads[:-1, 1] *= -2.0
     grads[-1, 1] = 0.0
     return m, grads
 
 
-def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-point derivatives by theta_j, shape (n, 4L), from derivatives by
-    the 2L gate angles, shape (L, 2, n).
+def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x) -> np.ndarray:
+    """Per-point derivatives by theta_j, a C-ordered (n, 4L) array, from
+    derivatives by the 2L gate angles, shape (L, 2, n), at points x or their Design.
 
     Each theta_j enters the two gate angles of its layer linearly, so the
-    chain rule contracts gate-angle derivatives with the ansatz design rows.
+    chain rule contracts gate-angle derivatives with the ansatz design rows,
+    as (L, 4, n) against their contiguous transposes.  The copy is C-ordered
+    because an axis-0 mean sums an F-ordered array in another order.
     """
-    cy, cz = ansatz_design(spec.ansatz, x)           # (n, 4) each
-    by_point = angle_grads.transpose(2, 0, 1)[..., None]     # (n, L, 2, 1)
-    out = by_point[:, :, 0] * cy[:, None]            # (n, L, 4): layer l's 4 columns
-    out += by_point[:, :, 1] * cz[:, None]
-    return out.reshape(-1, spec.n_params)
+    design = _design(spec, x)
+    out = angle_grads[:, 0, None] * design.cols[0]      # (L, 4, n): layer l's 4 columns
+    out += angle_grads[:, 1, None] * design.cols[1]
+    return np.ascontiguousarray(out.reshape(spec.n_params, -1).T)
 
 
-def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                            y: np.ndarray, forward=None) -> tuple[np.ndarray, np.ndarray]:
+def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
+                            forward=None) -> tuple[np.ndarray, np.ndarray]:
     """(M, exact dM/dtheta_j) per point, shapes (n,) and (n, 4L), from one
     forward pass, or from `forward` as gate_angle_gradients takes it."""
     m, angle_grads = gate_angle_gradients(spec, theta, x, y, forward)
     return m, chain_rule(spec, angle_grads, x)
-

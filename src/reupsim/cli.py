@@ -336,17 +336,13 @@ def _landscape(args, spec, ds, seed_of):
 def _ansatz_spread(args, spec, ds, seed_of):
     rows, summary = [], []
     for ansatz in Ansatz:
-        kind = CircuitSpec(ansatz, spec.layers)
-        sums_y = np.empty((args.sets, len(ds)))
-        sums_z = np.empty((args.sets, len(ds)))
+        kind, sums = CircuitSpec(ansatz, spec.layers), np.empty((2, args.sets, len(ds)))
         for s in range(args.sets):
             rng = np.random.default_rng(seed_of(f"{ansatz.value}/{s}"))
-            phi_y, phi_z = circuits.layer_angles(kind, circuits.random_parameters(kind, rng),
-                                                 ds.x)
-            sums_y[s] = phi_y.sum(axis=0)
-            sums_z[s] = phi_z.sum(axis=0)
-            rows += [(ansatz.value, s, p, sums_y[s, p], sums_z[s, p]) for p in range(len(ds))]
-        summary.append((ansatz.value, float(sums_y.std()), float(sums_z.std())))
+            theta = circuits.random_parameters(kind, rng)
+            sums[:, s] = circuits.layer_angles(kind, theta, ds.design(ansatz)).sum(axis=1)
+            rows += [(ansatz.value, s, p, *sums[:, s, p]) for p in range(len(ds))]
+        summary.append((ansatz.value, float(sums[0].std()), float(sums[1].std())))
     return ([("ansatz_spread.csv", "ansatz,set,point,phi_y_sum,phi_z_sum", rows),
              ("ansatz_spread_summary.csv", "ansatz,phi_y_sum_std,phi_z_sum_std", summary)],
             [f"{name}: total-angle spread std phi_y {sy:.3f}, phi_z {sz:.3f}"

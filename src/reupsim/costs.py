@@ -37,9 +37,7 @@ def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
                     backend: Backend, states: bool = False):
     """Per-point estimates of M(theta, x_i, y_i) through the backend; with
     states=True, (estimates, forward), forward what circuits.measure_batch gave."""
-    if len(ds) == 0:
-        raise ValueError("dataset is empty")
-    m = circuits.measure_batch(spec, theta, ds.x, ds.y, states)
+    m = circuits.measure_batch(spec, theta, ds.design(spec.ansatz), ds.y, states)
     return (backend.sample(m[0], ds.y), m) if states else backend.sample(m, ds.y)
 
 
@@ -51,9 +49,7 @@ def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: B
     order, so row p is bit-identical to measured_values on probe p when the
     probes are measured one after another.  `shifts`: (P, L, 2) angle deltas.
     """
-    if len(ds) == 0:
-        raise ValueError("dataset is empty")
-    p = circuits.measure_many(spec, thetas, ds.x, ds.y, shifts=shifts)
+    p = circuits.measure_many(spec, thetas, ds.design(spec.ansatz), ds.y, shifts)
     return backend.sample(p.ravel(), np.tile(ds.y, p.shape[0])).reshape(p.shape)
 
 
@@ -62,13 +58,14 @@ def row_accuracies(measured: np.ndarray) -> np.ndarray:
     measured = np.asarray(measured)
     if measured.size == 0:
         raise ValueError("no measured values")
-    return np.mean(measured > 0.5, axis=-1)
+    return np.add.reduce(measured > 0.5, axis=-1) / measured.shape[-1]
 
 
 def row_values(kind: CostKind, measured: np.ndarray) -> np.ndarray:
     """Objective value per row (last axis) of a batch of per-point M estimates.
 
-    A row's value is bit-identical to the value of that row alone.
+    A row's value is bit-identical to the value of that row alone.  Means are
+    sums over the count, which is what np.mean computes, without its wrapper.
     """
     m = np.asarray(measured, dtype=float)
     if m.size == 0:
@@ -76,12 +73,12 @@ def row_values(kind: CostKind, measured: np.ndarray) -> np.ndarray:
     if kind is CostKind.ACCURACY:
         return row_accuracies(m)
     if kind is CostKind.CROSS_ENTROPY:
-        return -np.mean(np.log(np.clip(m, LOG_EPS, 1.0)), axis=-1)
+        return -(np.add.reduce(np.log(np.clip(m, LOG_EPS, 1.0)), axis=-1) / m.shape[-1])
     if kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
         gated = np.where(m > 0.5, np.log(np.clip(m, LOG_EPS, 1.0)), 0.0)
-        return -np.mean(gated, axis=-1)
+        return -(np.add.reduce(gated, axis=-1) / m.shape[-1])
     if kind is CostKind.CHI_SQUARED:
-        return np.mean((1.0 - m) ** 2, axis=-1)
+        return np.add.reduce((1.0 - m) ** 2, axis=-1) / m.shape[-1]
     raise ValueError(f"unhandled cost kind {kind}")  # pragma: no cover
 
 
@@ -145,9 +142,7 @@ def analytic_gradient(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
     Accuracy is piecewise constant, so its gradient is identically zero away
     from threshold crossings; the other objectives chain through dM/dtheta.
     """
-    if len(ds) == 0:
-        raise ValueError("dataset is empty")
     if kind is CostKind.ACCURACY:
         return np.zeros(spec.n_params)
-    m, dm = circuits.analytic_gradient_batch(spec, theta, ds.x, ds.y, forward)
-    return (cost_weights(kind, m)[:, None] * dm).mean(axis=0)
+    m, dm = circuits.analytic_gradient_batch(spec, theta, ds.design(spec.ansatz), ds.y, forward)
+    return np.add.reduce(cost_weights(kind, m)[:, None] * dm) / len(ds)

@@ -82,6 +82,7 @@ class Dataset:
             raise ValueError(f"label of point {mismatch[0]} disagrees with the boundary")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_designs", {})
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -89,8 +90,17 @@ class Dataset:
     def subset(self, idx: np.ndarray) -> "Dataset":
         """The points at `idx`, unchecked: a checked dataset's points fit its boundary."""
         sub = object.__new__(Dataset)
-        sub.__dict__.update(vars(self), x=self.x[idx], y=self.y[idx])
+        sub.__dict__.update(vars(self), x=self.x[idx], y=self.y[idx], _designs={})
         return sub
+
+    def design(self, ansatz):
+        """The circuits.Design of this dataset under `ansatz`, built once; none if empty."""
+        if ansatz not in self._designs:
+            if not len(self):
+                raise ValueError("dataset is empty")
+            from .circuits import Design
+            self._designs[ansatz] = Design(ansatz, self.x, self.y)
+        return self._designs[ansatz]
 
 
 def generate(n: int, spec: CircleSpec = DEFAULT_BOUNDARY, seed: int = 0) -> Dataset:

@@ -240,8 +240,6 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
     is charged, and no generation starts that would overrun it.
     """
     n = len(dataset)
-    if n == 0:
-        raise ValueError("dataset is empty")
     guard = EstimateBudget(config.max_estimates, backend.ledger)
     guard.require(config.population_size * n,
                   f"one generation: {config.population_size} chromosomes x {n} points")

@@ -286,11 +286,9 @@ def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset
                                             theta, dataset, nb, step=step)
             mean = reps.mean(axis=0)
             std = reps.std(axis=0, ddof=1) if repeats > 1 else np.zeros(theta.size)
-            for j in range(theta.size):
-                if exact[j] == 0.0:
-                    agreement = float("nan")
-                else:
-                    agreement = float(np.mean(np.sign(reps[:, j]) == np.sign(exact[j])))
-                rows.append(GradientNoiseRow(float(step), kind, j, float(exact[j]),
-                                             float(mean[j]), float(std[j]), agreement))
+            agreement = np.where(exact == 0.0, np.nan,
+                                 np.mean(np.sign(reps) == np.sign(exact), axis=0))
+            rows += [GradientNoiseRow(float(step), kind, j, float(exact[j]), float(mean[j]),
+                                      float(std[j]), float(agreement[j]))
+                     for j in range(theta.size)]
     return GradientNoiseReport(rows, repeats)

@@ -142,7 +142,7 @@ def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarra
                             backend, shifts=deltas.reshape(-1, spec.layers, 2))
     w = costs.cost_weights(kind, m[0])
     dm = 0.5 * (m[1::2] - m[2::2]).reshape(spec.layers, 2, len(ds))
-    return (w[:, None] * circuits.chain_rule(spec, dm, ds.x)).mean(axis=0)
+    return (w[:, None] * circuits.chain_rule(spec, dm, ds.design(spec.ansatz))).mean(axis=0)
 
 
 def gradient_analytic(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
@@ -396,13 +396,11 @@ def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
         for j, b in enumerate(grid1):
             probes = np.tile(theta0, (neighborhood.budget + 1, 1))
             probes[:, 0], probes[:, 1] = a, b
-            if neighborhood.budget > 0:
+            if neighborhood.budget > 0:     # one draw fills the rows in stream order
                 cell_rng = np.random.default_rng(
                     derive_seed(neighborhood.seed, f"landscape/{i}/{j}"))
-                for probe in probes[1:]:
-                    probe[2:] += cell_rng.uniform(-neighborhood.radius,
-                                                  neighborhood.radius,
-                                                  theta0.size - 2)
+                probes[1:, 2:] += cell_rng.uniform(-neighborhood.radius, neighborhood.radius,
+                                                   (neighborhood.budget, theta0.size - 2))
             m = costs.measured_many(spec, probes, dataset, backend)
             surface[i, j] = costs.row_accuracies(m).max()
     return surface

@@ -397,3 +397,40 @@ def test_chain_rule_is_the_per_layer_formula_bit_for_bit(ansatz, layers):
     per_layer = np.hstack([angle_grads[l, 0][:, None] * cy + angle_grads[l, 1][:, None] * cz
                            for l in range(layers)])
     np.testing.assert_array_equal(circuits.chain_rule(spec, angle_grads, x), per_layer)
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+@pytest.mark.parametrize("layers", [1, 4])
+def test_the_stacked_angle_product_is_slices_at_cy_t_bit_for_bit(ansatz, layers):
+    """Every angle path reads one builder: a stacked (P, L, 4) product whose
+    probes equal the single-theta `slices @ cy.T` bit for bit.  (Against
+    contiguous transposes of the rows, a one-layer product rounds otherwise.)"""
+    spec = CircuitSpec(ansatz, layers)
+    rng = np.random.default_rng(71)
+    x = rng.uniform(-1.0, 1.0, (37, 2))
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (9, spec.n_params))
+    cy, cz = circuits.ansatz_design(ansatz, x)
+    phi = circuits._angles(spec, thetas, circuits.Design(ansatz, x))
+    for p, theta in enumerate(thetas):
+        slices = theta.reshape(layers, 4)
+        for got, rows in zip(phi[:, :, p], (cy, cz)):
+            assert got.tobytes() == (slices @ rows.T).tobytes()
+        assert layer_angles(spec, theta, x).tobytes() == phi[:, :, p].tobytes()
+
+
+LABELLED_ENTRY_POINTS = {
+    "measure_batch": lambda spec, theta, x, y: measure_batch(spec, theta, x, y),
+    "measure_batch_keeping_states":
+        lambda spec, theta, x, y: measure_batch(spec, theta, x, y, states=True),
+    "measure_many": lambda spec, theta, x, y: measure_many(spec, theta[None], x, y),
+    "gate_angle_gradients": circuits.gate_angle_gradients,
+    "analytic_gradient_batch": analytic_gradient_batch,
+}
+
+
+@pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS.values(), ids=LABELLED_ENTRY_POINTS)
+def test_every_labelled_entry_point_rejects_a_label_that_is_not_0_or_1(entry):
+    spec = CircuitSpec()
+    x = np.random.default_rng(73).uniform(-1.0, 1.0, (3, 2))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        entry(spec, np.zeros(spec.n_params), x, np.array([0, 2, 1]))

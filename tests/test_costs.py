@@ -9,7 +9,7 @@ from oracles import shift_deltas
 
 from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
-from reupsim.circuits import CircuitSpec, random_parameters
+from reupsim.circuits import Ansatz, CircuitSpec, random_parameters
 from reupsim.costs import (CostKind, evaluate,
                            evaluate_many_with_accuracy, evaluate_with_accuracy,
                            is_loss, measured_many, measured_values, row_accuracies,
@@ -231,3 +231,24 @@ def test_accuracy_gradient_is_identically_zero():
                                    random_parameters(spec, np.random.default_rng(1)),
                                    ds)
     np.testing.assert_array_equal(grad, np.zeros(16))
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+@pytest.mark.parametrize("layers", [1, 4])
+def test_analytic_gradient_is_the_mean_of_the_per_layer_formula_bit_for_bit(ansatz, layers):
+    """The gradient is the axis-0 mean of the weighted per-layer chain rule, as
+    test_chain_rule_is_the_per_layer_formula_bit_for_bit builds it, for every
+    differentiable cost.  chain_rule returns a C-ordered array: over the same
+    elements in F order the mean sums in another order and moves the bytes."""
+    spec = CircuitSpec(ansatz, layers)
+    ds = generate(23, seed=61)
+    theta = random_parameters(spec, np.random.default_rng(61))
+    m, angle_grads = circuits.gate_angle_gradients(spec, theta, ds.x, ds.y)
+    cy, cz = circuits.ansatz_design(ansatz, ds.x)
+    per_layer = np.hstack([angle_grads[l, 0][:, None] * cy + angle_grads[l, 1][:, None] * cz
+                           for l in range(layers)])
+    assert circuits.chain_rule(spec, angle_grads, ds.x).flags.c_contiguous
+    for kind in (CostKind.CROSS_ENTROPY, CostKind.CROSS_ENTROPY_AS_WRITTEN,
+                 CostKind.CHI_SQUARED):
+        want = (costs.cost_weights(kind, m)[:, None] * per_layer).mean(axis=0)
+        assert costs.analytic_gradient(kind, spec, theta, ds).tobytes() == want.tobytes()

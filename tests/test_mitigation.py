@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reupsim import mitigation
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, NoiseModel,
                              NoisyBackend)
 from reupsim.circuits import Ansatz, CircuitSpec, check_theta, measure_batch
@@ -191,3 +192,19 @@ def test_gradient_noise_report_ideal_leg_always_agrees():
         assert report.max_abs_theoretical(kind) > 0.0
     with pytest.raises(ValueError, match="no rows"):
         report.max_abs_theoretical(CostKind.CHI_SQUARED, step=0.2)
+
+
+def test_sign_agreement_is_the_per_component_share_of_matching_signs(monkeypatch):
+    """Each row's agreement is the share of repeats whose sign matches the
+    noiseless component, NaN where that component is 0: a per-component loop."""
+    exact = np.array([0.0, 0.4, -0.2, 0.0, 1e-9, -3.0, 2.0, -0.0])
+    draws = np.random.default_rng(29).choice([-1.0, 0.0, 0.5], size=(3 * 5, exact.size))
+    noisy = iter(draws)
+    monkeypatch.setattr(mitigation, "estimate_gradient",
+                        lambda *args, step: next(noisy) if args[5].is_noisy else exact)
+    report = gradient_noise_report(CircuitSpec(Ansatz.A2A, 2), np.zeros(exact.size),
+                                   generate(4, seed=29), NoiseModel(), steps=[0.2], repeats=5)
+    want = [float("nan") if exact[j] == 0.0
+            else float(np.mean(np.sign(reps[:, j]) == np.sign(exact[j])))
+            for reps in draws.reshape(3, 5, -1) for j in range(exact.size)]
+    np.testing.assert_array_equal([r.sign_agreement for r in report.rows], want)

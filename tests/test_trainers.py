@@ -9,7 +9,7 @@ from reupsim import circuits, costs, trainers
 from reupsim.backend import BudgetError, IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import Ansatz, CircuitSpec, random_parameters
 from reupsim.costs import CostKind
-from reupsim.data import generate
+from reupsim.data import Dataset, generate
 from reupsim.ga import GAConfig, ga_train
 from reupsim.seeding import derive_seed
 from reupsim.trace import TrainingError
@@ -447,3 +447,22 @@ def test_landscape_scan_equals_a_per_probe_loop(budget):
 def test_landscape_scan_with_repeated_probes_equals_a_per_probe_loop():
     """A zero radius makes every probe of a cell a copy of its first."""
     _scan_against_the_loop(budget=3, radius=0.0)
+
+
+def test_a_subset_builds_its_own_design():
+    """A subset taken after its dataset built a design gets a design of its own
+    points: its analytic and shift-rule gradients are those of a dataset built
+    from the same points, bit for bit."""
+    spec, ds, theta = _small_problem(n=30, seed=4)
+    assert len(ds.design(spec.ansatz)) == 30
+    idx = np.array([3, 17, 0, 29, 3, 11])
+    sub, fresh = ds.subset(idx), Dataset(ds.x[idx], ds.y[idx], ds.boundary)
+    assert len(sub.design(spec.ansatz)) == len(idx)
+    for kind in (CostKind.CROSS_ENTROPY, CostKind.CHI_SQUARED):
+        got, want = (trainers.gradient_analytic(kind, spec, theta, d, IdealBackend())
+                     for d in (sub, fresh))
+        assert got.tobytes() == want.tobytes()
+        got, want = (gradient_parameter_shift(kind, spec, theta, d,
+                                              NoisyBackend(NoiseModel(seed=5)))
+                     for d in (sub, fresh))
+        assert got.tobytes() == want.tobytes()
