@@ -34,6 +34,7 @@ DEFAULT_RESIDUAL_SIGMA = 0.006
 # The noisy sampler's ceiling: its CDF is checked against boost's up to here,
 # and a block's work per estimate grows with the square root of the shots.
 MAX_SHOTS = 100_000
+DRAW_BLOCK = 4096   # indices a noisy backend draws at once; 2,048 to 8,192 ran alike
 
 class MeasurementLedger:
     """Thread-safe running totals of estimates and shots.
@@ -97,15 +98,11 @@ class NoiseModel:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.confusion, dtype=float)
-
     @cached_property
     def _readout(self) -> tuple[np.ndarray, np.ndarray]:
         """By outcome y: the chance to misread y from the other state, and the
         chance to read y correctly less that."""
-        m = self.matrix
+        m = np.asarray(self.confusion, dtype=float)
         flip = np.array([m[1, 0], m[0, 1]])
         return flip, np.array([m[0, 0], m[1, 1]]) - flip
 
@@ -187,10 +184,14 @@ class NoisyBackend(Backend):
     """Confusion-matrix readout with binomial shot noise and a residual floor.
 
     Estimates target the observed frequency o_y, not the true p_y; inverting
-    the confusion afterwards is the mitigation module's job.
+    the confusion afterwards is the mitigation module's job.  The binomial.draws
+    of DRAW_BLOCK indices are made at once (a larger call makes its own and keeps
+    none) and kept as _kept = (first index, draws), read once and set in one
+    assignment; they depend on the index alone, so racing threads at worst redraw.
     """
 
     is_noisy = True
+    _kept = (-1, np.empty((0, 0)))
 
     def __init__(self, noise: NoiseModel | None = None):
         self.noise = noise if noise is not None else NoiseModel()
@@ -199,11 +200,16 @@ class NoisyBackend(Backend):
     def sample(self, p_y: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Noisy estimates for known true probabilities (one per entry)."""
         from . import binomial
-        p_y = np.asarray(p_y, dtype=float)
-        o = self.noise.observed_probability(p_y, y)
-        start = self.ledger.reserve(p_y.size, self.noise.shots)
-        u = counter_uniforms(self.noise.seed, "readout", start, p_y.size, words=2)
-        return binomial.estimates(u, self.noise.shots, o, self.noise.residual_sigma)
+        p_y, noise = np.asarray(p_y, dtype=float), self.noise
+        o = noise.observed_probability(p_y, y)
+        count, first, kept = p_y.size, *self._kept
+        start = self.ledger.reserve(count, noise.shots)
+        if not first <= start <= first + kept.shape[1] - count:
+            first, kept = start, binomial.draws(counter_uniforms(
+                noise.seed, "readout", start, max(count, DRAW_BLOCK), 2), noise.residual_sigma)
+            if count < DRAW_BLOCK:
+                self._kept = first, kept
+        return binomial.estimates(kept[:, start - first:start - first + count], noise.shots, o)
 
 
 # Seconds per ion-trap step, paid once per estimate (circuit upload and hand-off) or

@@ -166,7 +166,14 @@ def _exact(u: np.ndarray, k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     return b - (low == u)
 
 
-def binom_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+def _guess(u: np.ndarray) -> np.ndarray:
+    """The normal quantile of u up to sign, by Abramowitz & Stegun 26.2.23."""
+    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+
+
+def binom_quantile(u: np.ndarray, n: int, p: np.ndarray, z=None) -> np.ndarray:
     """Smallest k with _cdf(k; n, p) >= u, for u in (0, 1), or the largest of
     several with _cdf(k) == u (boost's choice, seen where _cdf(k) is the largest
     double below 1 for several k); 0 at p = 0, n at p = 1, NaN for p outside
@@ -178,13 +185,11 @@ def binom_quantile(u: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     summed toward 0 and the rest bounded geometrically; the CDF at head - j,
     j < _WINDOW, is that sum less the terms above it.  An entry with u within
     _MARGIN plus the bound of one of these values, or with its answer outside
-    them, takes _exact.  As the guess only positions the block, |z| comes from
-    Abramowitz & Stegun 26.2.23 (error below 4.5e-4), not from ndtri.
+    them, takes _exact.  As the guess only positions the block, z is _guess(u)
+    (error below 4.5e-4, if the caller did not make it ahead), not ndtri(u).
     """
     u, p = np.asarray(u, dtype=float), np.asarray(p, dtype=float)
-    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    z = _guess(u) if z is None else z
     inner = (p > _P_MIN) & (p < 1.0)
     if inner.all():
         return _quantile(u.ravel(), z.ravel(), n, p.ravel()).reshape(u.shape)
@@ -238,9 +243,15 @@ def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     return k
 
 
-def estimates(u: np.ndarray, shots: int, o: np.ndarray, residual_sigma: float) -> np.ndarray:
-    """Shot frequencies of u[:, 0] at probabilities o plus a residual floor from u[:, 1]."""
-    est = binom_quantile(u[:, 0], shots, o) / shots
-    if residual_sigma > 0:
-        est += ndtri(u[:, 1]) * residual_sigma
+def draws(u: np.ndarray, residual_sigma: float) -> np.ndarray:
+    """Read-only rows u[:, 0], its _guess and ndtri(u[:, 1]) * residual_sigma (or 0)."""
+    floor = ndtri(u[:, 1]) * residual_sigma if residual_sigma > 0 else np.zeros(len(u))
+    d = np.array([u[:, 0], _guess(u[:, 0]), floor])
+    d.flags.writeable = False
+    return d
+
+
+def estimates(d: np.ndarray, shots: int, o: np.ndarray) -> np.ndarray:
+    """Shot frequencies at probabilities o plus the floor, in [0, 1], from draws() d."""
+    est = binom_quantile(d[0], shots, o, d[1]) / shots + d[2]   # a count is never -0.0
     return np.minimum(np.maximum(est, 0.0, out=est), 1.0, out=est)

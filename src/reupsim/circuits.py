@@ -122,6 +122,13 @@ class Design:
     def __len__(self) -> int:
         return self.rows.shape[-2]
 
+    def take(self, idx: np.ndarray) -> "Design":
+        """The Design of this one's labelled points at `idx`, by C-ordered copies."""
+        sub = object.__new__(Design)
+        sub.rows, sub.cols = self.rows.take(idx, axis=-2), self.cols.take(idx, axis=-1)
+        sub.label = self.label[idx]
+        return sub
+
 
 def _design(spec: CircuitSpec, x, y: np.ndarray | None = None) -> Design:
     """x if it is a Design (for spec's ansatz), else the Design of points x and labels y."""

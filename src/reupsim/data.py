@@ -88,16 +88,17 @@ class Dataset:
         return self.x.shape[0]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        """The points at `idx`, unchecked: a checked dataset's points fit its boundary."""
+        """The points at `idx` and the designs this holds, sliced, unchecked (they fit)."""
         sub = object.__new__(Dataset)
-        sub.__dict__.update(vars(self), x=self.x[idx], y=self.y[idx], _designs={})
+        sub.__dict__.update(vars(self), x=self.x[idx], y=self.y[idx],
+                            _designs={a: d.take(idx) for a, d in self._designs.items()})
         return sub
 
     def design(self, ansatz):
         """The circuits.Design of this dataset under `ansatz`, built once; none if empty."""
+        if not len(self):
+            raise ValueError("dataset is empty")
         if ansatz not in self._designs:
-            if not len(self):
-                raise ValueError("dataset is empty")
             from .circuits import Design
             self._designs[ansatz] = Design(ansatz, self.x, self.y)
         return self._designs[ansatz]

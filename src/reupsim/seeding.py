@@ -59,8 +59,8 @@ def counter_uniforms(seed: int, context: str, start: int, count: int,
     how a range is chunked across calls or workers, nor on the reuse of a thread's
     generator, which is seated at `start` with an empty buffer as a fresh one would be.
     """
-    if start < 0 or count < 0:
-        raise ValueError(f"need start >= 0 and count >= 0, got {start}, {count}")
+    if start < 0 or count < 0 or not 1 <= words <= 4:
+        raise ValueError(f"need start, count >= 0 and words in 1..4, got {start}, {count}, {words}")
     philox, state = _GENERATORS.get(seed, context)
     state["state"]["counter"][0] = start
     philox.state = state

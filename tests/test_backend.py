@@ -1,6 +1,7 @@
 """Backend behavior: accounting, noise determinism, timing, and the binomial
 sampler behind the noisy backend."""
 
+import sys
 import threading
 import warnings
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from reupsim import binomial
-from reupsim.backend import (DEFAULT_CONFUSION, HARDWARE_STEPS, MAX_SHOTS, IdealBackend,
-                             MeasurementLedger, NoiseModel, NoisyBackend, estimate_time)
+from reupsim.backend import (DEFAULT_CONFUSION, DRAW_BLOCK, HARDWARE_STEPS, MAX_SHOTS,
+                             IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
+                             estimate_time)
 from reupsim.binomial import binom_quantile
 from reupsim.circuits import CircuitSpec
 from reupsim.config import _archived
@@ -157,6 +159,95 @@ def test_noisy_sampling_is_a_function_of_the_estimate_index():
     parts = [chunked.sample(p[:13], y[:13]), chunked.sample(p[13:], y[13:])]
     np.testing.assert_array_equal(np.concatenate(parts), one_call)
     assert chunked.sample(p[:0], y[:0]).shape == (0,)
+
+
+def _per_call_estimates(noise, start, o):
+    """What binomial makes of the Philox words of one call's own index range."""
+    u = counter_uniforms(noise.seed, "readout", start, o.size, words=2)
+    est = binom_quantile(u[:, 0], noise.shots, o) / noise.shots
+    if noise.residual_sigma > 0:
+        est += binomial.ndtri(u[:, 1]) * noise.residual_sigma
+    return np.minimum(np.maximum(est, 0.0), 1.0)
+
+
+SIZES = st.one_of(st.integers(0, 300), st.integers(0, 3 * DRAW_BLOCK),
+                  st.sampled_from([DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1]))
+
+
+@given(st.sampled_from([1, 150, MAX_SHOTS]), st.sampled_from([0.0, 0.006]),
+       st.lists(st.tuples(SIZES, st.one_of(st.just(0), SIZES)), min_size=1, max_size=4),
+       st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_sampling_in_blocks_equals_drawing_each_calls_range(shots, sigma, calls, seed):
+    """Calls below, at and above DRAW_BLOCK, with charged gaps between some:
+    each call's estimates are those of its own range's Philox words, bit for bit."""
+    noise = NoiseModel(shots=shots, residual_sigma=sigma, seed=seed)
+    backend, rng = NoisyBackend(noise), np.random.default_rng(seed)
+    for size, gap in calls:
+        p, y = rng.random(size), rng.integers(0, 2, size)
+        start = backend.ledger.total_estimates
+        got = backend.sample(p, y)
+        want = _per_call_estimates(noise, start, noise.observed_probability(p, y))
+        assert got.tobytes() == want.tobytes()
+        backend.charge(gap)
+
+
+def test_threads_sharing_a_noisy_backend_get_each_index_its_own_estimate():
+    """Four threads, more than the cores, sample one backend at once with thread
+    switches forced often; each index's estimate is what one sequential call gets."""
+    noise = NoiseModel(seed=4)
+    backend, mine = NoisyBackend(noise), threading.local()
+    reserve = backend.ledger.reserve
+
+    def recording_reserve(count, shots):
+        start = reserve(count, shots)
+        mine.starts.append(start)
+        return start
+
+    backend.ledger.reserve = recording_reserve
+    sizes = [170, 250, 1, DRAW_BLOCK + 3, 0, 40, 170, 2 * DRAW_BLOCK, 250, 9]
+    rng = np.random.default_rng(4)
+    calls = [(rng.random(n), rng.integers(0, 2, n)) for n in sizes]
+    orders = [list(np.random.default_rng(t).permutation(len(calls))) for t in range(4)]
+    starts, results = [[] for _ in orders], [[] for _ in orders]
+    together = threading.Barrier(len(orders))
+
+    def run(t):
+        mine.starts = starts[t]
+        together.wait()
+        results[t].extend(backend.sample(*calls[i]) for i in orders[t])
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    total = backend.ledger.total_estimates
+    p, y = np.full(total, np.nan), np.zeros(total, dtype=int)
+    for order, begun in zip(orders, starts):
+        for i, start in zip(order, begun, strict=True):
+            p[start:start + sizes[i]], y[start:start + sizes[i]] = calls[i]
+    assert not np.isnan(p).any()
+    sequential = NoisyBackend(noise).sample(p, y)
+    for order, begun, got in zip(orders, starts, results):
+        for i, start, estimates in zip(order, begun, got, strict=True):
+            assert estimates.tobytes() == sequential[start:start + sizes[i]].tobytes()
+
+
+def test_a_call_of_a_block_or_more_keeps_no_more_than_a_block():
+    backend = NoisyBackend()
+    for size in (10, DRAW_BLOCK, 3 * DRAW_BLOCK, 20, 2 * DRAW_BLOCK + 1):
+        backend.sample(np.full(size, 0.5), np.ones(size, dtype=int))
+        arrays = [v for v in vars(backend).values() if isinstance(v, np.ndarray)]
+        arrays += [a for v in vars(backend).values() if isinstance(v, tuple)
+                   for a in v if isinstance(a, np.ndarray)]
+        assert arrays and max(a.shape[-1] for a in arrays) <= DRAW_BLOCK
 
 
 def test_noisy_estimates_are_clipped_and_unbiased():
@@ -318,7 +409,7 @@ def test_the_sampler_work_is_bounded_at_20000_shots(monkeypatch):
     monkeypatch.setattr(binomial, "_terms", recording_terms)
     u = counter_uniforms(20_000, "big-test", 0, 12_500)
     o = NoiseModel().observed_probability(u[:, 1], (u[:, 2] < 0.5).astype(int))
-    est = binomial.estimates(u, 20_000, o, 0.0)
+    est = binomial.estimates(binomial.draws(u, 0.0), 20_000, o)
     assert max(sizes) <= 4 * binomial._CHUNK
     np.testing.assert_array_equal(est, stats.binom.ppf(u[:, 0], 20_000, o) / 20_000)
 

@@ -56,6 +56,9 @@ def test_counter_uniforms_validation():
     with pytest.raises(ValueError):
         counter_uniforms(0, "t", 0, -5)
     assert counter_uniforms(0, "t", 0, 0).shape == (0, 4)
+    for words in (6, -1, 0):
+        with pytest.raises(ValueError, match=f"words in 1..4, got 0, 5, {words}$"):
+            counter_uniforms(0, "t", 0, 5, words=words)
 
 
 def _fresh_uniforms(seed, context, start, count):

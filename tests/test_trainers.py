@@ -466,3 +466,47 @@ def test_a_subset_builds_its_own_design():
                                               NoisyBackend(NoiseModel(seed=5)))
                      for d in (sub, fresh))
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_subset_slices_the_designs_its_dataset_holds():
+    """Each design a dataset holds reaches its subsets sliced: every array is
+    the fresh Design's of the subset points, bit for bit, and C-ordered (an
+    F-ordered chain rule moves the gradient mean's bytes); the subset's dict
+    is its own, and an empty one is still an error.  A subset of a dataset
+    holding no design builds its own."""
+    ds = generate(30, seed=4)
+    idx = np.array([3, 17, 0, 29, 3, 11])
+    for ansatz in (Ansatz.A2A, Ansatz.A2D):
+        ds.design(ansatz)
+    sub = ds.subset(idx)
+    assert sub._designs is not ds._designs and set(sub._designs) == set(ds._designs)
+    for ansatz, design in sub._designs.items():
+        fresh = circuits.Design(ansatz, ds.x[idx], ds.y[idx])
+        for name in ("rows", "cols", "label"):
+            got, want = getattr(design, name), getattr(fresh, name)
+            assert got.flags.c_contiguous
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                             want.tobytes())
+    with pytest.raises(ValueError, match="dataset is empty"):
+        ds.subset(idx[:0]).design(Ansatz.A2A)
+    bare = generate(30, seed=4).subset(idx)
+    assert bare._designs == {}
+    assert bare.design(Ansatz.A2B).rows.tobytes() == circuits.Design(
+        Ansatz.A2B, ds.x[idx]).rows.tobytes()
+
+
+def test_noisy_shift_rule_sgd_builds_one_design_for_the_full_dataset(monkeypatch):
+    built = []
+
+    def spy(ansatz, x):
+        built.append(len(x))
+        return design(ansatz, x)
+
+    design = circuits.ansatz_design
+    monkeypatch.setattr(circuits, "ansatz_design", spy)
+    spec, ds, _ = _small_problem(n=20, seed=6)
+    cfg = GradConfig(method=OptimizerKind.SGD, gradient=GradMethod.PARAMETER_SHIFT,
+                     batch_size=5, max_iterations=3, seed=6)
+    _, trace = sgd_train(cfg, spec, ds, NoisyBackend(NoiseModel(seed=6)))
+    assert len(trace) == 4
+    assert built == [20]
