@@ -24,8 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import circuits
-from .circuits import CircuitSpec
 from .seeding import counter_uniforms
 
 DEFAULT_CONFUSION = ((0.76, 0.24), (0.16, 0.84))
@@ -147,18 +145,14 @@ class EstimateBudget:
 
 class Backend:
     """A ledger and a shot count per estimate; subclasses turn true
-    probabilities into estimates with sample(p_y, y)."""
+    probabilities into estimates with sample(p_y, y).  A backend samples and
+    charges; it evaluates no circuit (callers pass circuits.measure_batch)."""
 
     is_noisy = False
 
     def __init__(self, shots: int):
         self.shots = shots
         self.ledger = MeasurementLedger()
-
-    def measure(self, spec: CircuitSpec, theta: np.ndarray, x: np.ndarray,
-                y: np.ndarray) -> np.ndarray:
-        p = circuits.measure_batch(spec, theta, x, y)
-        return self.sample(p, np.asarray(y))
 
     def charge(self, n_estimates: int) -> None:
         """Account for estimates obtained without a sample() call."""

@@ -172,9 +172,9 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     """Run the layered circuit on |0> for N columns; angles are (L, N) each.
 
     Returns the populations (p0, p1) as one (2, N) array.  With `states` it
-    returns (psi, cos, sin) for the backward pass, indexed by gate g: 2l is
-    layer l's R_y and 2l + 1 its phase; psi[g] = ((Re a, Im a), (Re b, Im b))
-    after gate g.  The skipped last R_z has no index.
+    returns (populations, (psi, cos, sin)), the second for the backward pass,
+    indexed by gate g: 2l is layer l's R_y and 2l + 1 its phase; psi[g] =
+    ((Re a, Im a), (Re b, Im b)) after gate g.  The last R_z has no index.
 
     A rotation's cos and sin come from u = tan of its half angle, as
     (1 - u^2) / (1 + u^2) and 2u / (1 + u^2): where numpy vectorises float64
@@ -183,7 +183,8 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     2L - 1 tangents and cosines, then one state and a scratch state in rows
     that first hold 1 + u^2 (at least 2L - 1 of them), then the populations.
     The gates turn psi[-1] through views made once per pass; with `states`,
-    each gate's output is copied to its row before the next gate turns it.
+    each gate's output is copied to its row before the next gate turns it,
+    and the populations get an array of their own: ws[:2] holds kept sines.
     """
     gates, n = 2 * len(phi_y) - 1, phi_y.shape[1]
     n_psi = gates if states else 1
@@ -206,15 +207,15 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
         if states:
             psi[g - 1] = state
         _rotate(pairs[g % 2], cos[g], sin[g])
-    if states:
-        return psi, cos, sin
     np.square(state, out=tmp)
-    return np.add(tmp[:, 0], tmp[:, 1], out=ws[:2])
+    populations = np.add(tmp[:, 0], tmp[:, 1], out=None if states else ws[:2])
+    return (populations, (psi, cos, sin)) if states else populations
 
 
 def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x,
-                       shifts: np.ndarray | None = None) -> np.ndarray:
-    """Populations (p0, p1) of P probes in one kernel pass, shape (2, P, n).
+                       shifts: np.ndarray | None = None, states: bool = False):
+    """Populations (p0, p1) of P probes in one kernel pass, shape (2, P, n);
+    with `states`, for one probe, (populations, the pass _evolve kept).
 
     `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
     one point set per probe, or the Design of either.  The angles come from
@@ -245,7 +246,8 @@ def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x,
     phi = _angles(spec, thetas, design)
     if shifts is not None:      # a 0.0 delta that turns -0.0 to +0.0 moves no population bit
         phi += shifts.transpose(2, 1, 0)[..., None]
-    return _evolve(*phi.reshape(2, spec.layers, -1)).reshape(2, n_probes, len(design))
+    out, shape = _evolve(*phi.reshape(2, spec.layers, -1), states=states), phi[:, 0].shape
+    return (out[0].reshape(shape), out[1]) if states else out.reshape(shape)
 
 
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -259,10 +261,10 @@ def measure_many(spec: CircuitSpec, thetas: np.ndarray, x, y: np.ndarray | None,
     """Projection probabilities onto |y_i> for P probes at once, shape (P, n).
 
     Row p is what a one-probe call with thetas[p] and shifts[p] returns, bit
-    for bit; without shifts, what measure_batch returns for thetas[p].  `x`
-    and `y` are shared, shapes (n, 2) and (n,), or per probe, (P, n, 2) and
-    (P, n); or `x` is their Design and `y` is not read.  `shifts`: (P, L, 2)
-    gate-angle deltas, as in _probe_populations.
+    for bit; without shifts, what measure_batch, the one-probe view, returns
+    for thetas[p].  `x` and `y` are shared, shapes (n, 2) and (n,), or per
+    probe, (P, n, 2) and (P, n); or `x` is their Design and `y` is not read.
+    `shifts`: (P, L, 2) gate-angle deltas, as in _probe_populations.
     """
     design = _design(spec, x, y)
     p0, p1 = _probe_populations(spec, thetas, design, shifts)
@@ -271,16 +273,14 @@ def measure_many(spec: CircuitSpec, thetas: np.ndarray, x, y: np.ndarray | None,
 
 def measure_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
                   states: bool = False):
-    """Projection probability M onto each point's label state |y_i>, for
-    points x and labels y, or their Design x; with states=True, (M, (psi, cos,
-    sin)): the same M bit for bit, from the kernel pass that keeps every
-    state, a pair gate_angle_gradients takes as `forward`."""
-    theta, design = check_theta(spec, theta)[None], _design(spec, x, y)
-    if not states:
-        return measure_many(spec, theta, design, None)[0]
-    kept = _evolve(*_angles(spec, theta, design).reshape(2, spec.layers, -1), states=True)
-    sq = np.square(kept[0][-1])
-    return np.where(design.label, sq[1, 0] + sq[1, 1], sq[0, 0] + sq[0, 1]), kept
+    """measure_many for the one probe theta, as an (n,) array; with
+    states=True, (M, (psi, cos, sin)): the same M bit for bit, and the pass
+    that kept every state, which gate_angle_gradients takes as `forward`."""
+    design = _design(spec, x, y)
+    out = _probe_populations(spec, check_theta(spec, theta)[None], design, states=states)
+    p0, p1 = out[0] if states else out
+    m = np.where(design.label, p1[0], p0[0])
+    return (m, out[1]) if states else m
 
 
 def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,

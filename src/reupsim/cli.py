@@ -200,7 +200,8 @@ def _evaluate(args) -> None:
     else:
         backend = IdealBackend(shots=args.shots)
 
-    est = backend.measure(spec, theta, ds.x, np.ones(len(ds), dtype=int))
+    ones = np.ones(len(ds), dtype=int)
+    est = backend.sample(circuits.measure_batch(spec, theta, ds.x, ones), ones)
     predicted = (est > 0.5).astype(int)
     rows = [(ds.x[i, 0], ds.x[i, 1], int(ds.y[i]), int(predicted[i]), float(est[i]))
             for i in range(len(ds))]

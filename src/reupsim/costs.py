@@ -1,12 +1,15 @@
 """Training objectives evaluated over a dataset through a backend.
 
-Three objectives: classification accuracy, cross-entropy, and chi-squared,
-all built on the per-point projection probability M(theta, x_i, y_i).  The
-literal published cross-entropy (gated by the correct-classification
-indicator) is kept as the clearly named "as written" variant; the default is
-the standard definition, since the gated CE is minimized by misclassifying
-everything.  (The published accuracy differs from ours only by a leading
-minus; accuracy is the one objective that is maximized.)
+Four objectives (CostKind) built on the per-point projection probability
+M(theta, x_i, y_i): accuracy, cross-entropy, chi-squared and the literal
+published cross-entropy, gated by the correct-classification indicator and
+kept as the "as written" variant (the gated CE is minimized by
+misclassifying everything).  Accuracy, the one maximized objective, differs
+from the published one only by a leading minus.
+
+Entry points: measured_values (one theta) and measured_many (P probes) return
+charged estimates, through circuits.measure_batch or measure_many and one
+backend sample; evaluate and evaluate_with_accuracy score one theta.
 """
 
 from __future__ import annotations
@@ -82,45 +85,20 @@ def row_values(kind: CostKind, measured: np.ndarray) -> np.ndarray:
     raise ValueError(f"unhandled cost kind {kind}")  # pragma: no cover
 
 
-def value_from(kind: CostKind, measured: np.ndarray) -> float:
-    """Objective value from a batch of per-point M estimates."""
-    return float(row_values(kind, np.ravel(measured)))
-
-
 def evaluate(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
              backend: Backend) -> float:
-    return value_from(kind, measured_values(spec, theta, ds, backend))
+    """The objective at one theta over the dataset, from one estimate batch."""
+    return float(row_values(kind, measured_values(spec, theta, ds, backend)))
 
 
 def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
                            ds: Dataset, backend: Backend, states: bool = False) -> tuple:
     """(objective, accuracy) computed from one shared estimate batch; with
     states=True, the forward pass for analytic_gradient comes third."""
-    if not states:
-        m = measured_values(spec, theta, ds, backend)
-        return value_from(kind, m), float(row_accuracies(m))
-    m, forward = measured_values(spec, theta, ds, backend, states=True)
-    return value_from(kind, m), float(row_accuracies(m)), forward
-
-
-def evaluate_many_with_accuracy(kind: CostKind, spec: CircuitSpec, thetas: np.ndarray,
-                                ds: Dataset, backend: Backend) -> tuple[np.ndarray, np.ndarray]:
-    """Per-probe (objectives, accuracies), each of shape (P,), from one batch."""
-    m = measured_many(spec, thetas, ds, backend)
-    return row_values(kind, m), row_accuracies(m)
-
-
-def accuracy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend) -> float:
-    return evaluate(CostKind.ACCURACY, spec, theta, ds, backend)
-
-
-def cross_entropy(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                  backend: Backend) -> float:
-    return evaluate(CostKind.CROSS_ENTROPY, spec, theta, ds, backend)
-
-
-def chi_squared(spec: CircuitSpec, theta: np.ndarray, ds: Dataset, backend: Backend) -> float:
-    return evaluate(CostKind.CHI_SQUARED, spec, theta, ds, backend)
+    out = measured_values(spec, theta, ds, backend, states)
+    m = out[0] if states else out
+    pair = float(row_values(kind, m)), float(row_accuracies(m))
+    return (*pair, out[1]) if states else pair
 
 
 def cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:

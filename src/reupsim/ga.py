@@ -251,8 +251,8 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
     trace = TrainingTrace(target_accuracy=config.target_accuracy)
     for gen in range(config.max_generations + 1):
         with backend_failures(f"generation {gen}"):
-            values, accs = costs.evaluate_many_with_accuracy(
-                config.fitness, spec, pop, dataset, backend)
+            measured = costs.measured_many(spec, pop, dataset, backend)
+        values, accs = costs.row_values(config.fitness, measured), costs.row_accuracies(measured)
         fitnesses = values if maximize else -values
         if (trace.record(gen, pop, values, accs, backend.ledger, diversity(pop), maximize)
                 or gen == config.max_generations

@@ -84,8 +84,8 @@ def calibrate(backend: Backend, profile: CircuitSpec | None = None,
     reps = max(1, math.ceil(shots / backend.shots))
     rows = []
     for theta in pole_preparations(profile):
-        x = np.repeat(CALIBRATION_X, reps, axis=0)
-        estimates = backend.measure(profile, theta, x, np.zeros(reps, dtype=int))
+        x, y = np.repeat(CALIBRATION_X, reps, axis=0), np.zeros(reps, dtype=int)
+        estimates = backend.sample(circuits.measure_batch(profile, theta, x, y), y)
         p0 = float(estimates.mean())
         rows.append((p0, 1.0 - p0))
     m = np.array(rows)

@@ -100,8 +100,7 @@ def test_criterion_03_vanishing_costs_changes_at_the_reference_point(train250):
     h = 0.01
 
     def value(kind, theta):
-        return costs.value_from(kind, costs.measured_values(SPEC, theta,
-                                                            train250, backend))
+        return costs.evaluate(kind, SPEC, theta, train250, backend)
 
     t0 = time.perf_counter()
     changes = {}
@@ -263,8 +262,8 @@ def test_criterion_10_generalization_gap():
     gaps = []
     for seed in range(5):
         theta, _ = ga_train(GAConfig(seed=seed), SPEC, train, backend)
-        train_acc = costs.accuracy(SPEC, theta, train, backend)
-        test_acc = costs.accuracy(SPEC, theta, test, backend)
+        train_acc = costs.evaluate(CostKind.ACCURACY, SPEC, theta, train, backend)
+        test_acc = costs.evaluate(CostKind.ACCURACY, SPEC, theta, test, backend)
         gaps.append(abs(train_acc - test_acc))
     elapsed = time.perf_counter() - t0
     median_gap = float(np.median(gaps))
@@ -281,10 +280,10 @@ def test_criterion_11_closed_form_costs():
     theta = np.zeros(SPEC.n_params)
     theta[0] = np.pi / 2
     backend = IdealBackend()
-    ce = costs.cross_entropy(SPEC, theta, ds, backend)
-    chi = costs.chi_squared(SPEC, theta, ds, backend)
+    ce = costs.evaluate(CostKind.CROSS_ENTROPY, SPEC, theta, ds, backend)
+    chi = costs.evaluate(CostKind.CHI_SQUARED, SPEC, theta, ds, backend)
     rng = np.random.default_rng(derive_seed(0, "chi-squared-range"))
-    in_range = all(0.0 <= costs.value_from(CostKind.CHI_SQUARED,
+    in_range = all(0.0 <= costs.row_values(CostKind.CHI_SQUARED,
                                            rng.uniform(0.0, 1.0,
                                                        rng.integers(1, 50))) <= 1.0
                    for _ in range(10_000))

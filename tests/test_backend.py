@@ -16,7 +16,7 @@ from reupsim.backend import (DEFAULT_CONFUSION, DRAW_BLOCK, HARDWARE_STEPS, MAX_
                              IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
                              estimate_time)
 from reupsim.binomial import binom_quantile
-from reupsim.circuits import CircuitSpec
+from reupsim.circuits import CircuitSpec, measure_batch
 from reupsim.config import _archived
 from reupsim.data import generate
 from reupsim.seeding import counter_uniforms
@@ -273,9 +273,10 @@ def test_ideal_backend_passes_values_through_but_charges():
     be = IdealBackend(shots=150)
     ds = generate(20, seed=4)
     spec = CircuitSpec()
-    out = be.measure(spec, np.zeros(spec.n_params), ds.x, ds.y)
+    p = measure_batch(spec, np.zeros(spec.n_params), ds.x, ds.y)
+    out = be.sample(p, ds.y)
     assert be.ledger.snapshot() == (20, 3000)
-    out2 = IdealBackend().measure(spec, np.zeros(spec.n_params), ds.x, ds.y)
+    out2 = IdealBackend().sample(p, ds.y)
     np.testing.assert_array_equal(out, out2)
 
 

@@ -185,6 +185,33 @@ def test_gate_angle_gradients_obey_the_shift_rule():
                                        atol=1e-12)
 
 
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+@pytest.mark.parametrize("layers", [1, 2, 4])
+def test_the_pass_that_keeps_its_states_gives_the_plain_populations(ansatz, layers):
+    """_evolve with states returns the plain pass's populations bit for bit.
+    A kept forward, used after another kernel pass, gives the gradient of a
+    fresh pass bit for bit, and that gradient obeys the shift rule: the kept
+    sines and cosines are the ones the pass turned by."""
+    rng = np.random.default_rng(79)
+    spec = CircuitSpec(ansatz, layers)
+    theta = random_parameters(spec, rng)
+    x, y = rng.uniform(-1.0, 1.0, (23, 2)), rng.integers(0, 2, 23)
+    phi_y, phi_z = layer_angles(spec, theta, x)
+    populations, kept = circuits._evolve(phi_y, phi_z, states=True)
+    assert populations.tobytes() == circuits._evolve(phi_y, phi_z).tobytes()
+    assert len(kept) == 3 and len(kept[0]) == 2 * layers - 1
+    m, forward = measure_batch(spec, theta, x, y, states=True)
+    measure_many(spec, random_parameters(spec, rng)[None], x, y)
+    kept_m, kept_grads = circuits.gate_angle_gradients(spec, theta, x, y, (m, forward))
+    fresh_m, fresh_grads = circuits.gate_angle_gradients(spec, theta, x, y)
+    assert kept_m.tobytes() == fresh_m.tobytes() == measure_batch(spec, theta, x, y).tobytes()
+    assert kept_grads.tobytes() == fresh_grads.tobytes()
+    for l in range(layers):
+        plus, minus = measure_many(spec, np.stack([theta, theta]), x, y, shift_deltas(
+            layers, [(l, 0, np.pi / 2), (l, 0, -np.pi / 2)]))
+        np.testing.assert_allclose(kept_grads[l, 0], 0.5 * (plus - minus), atol=1e-12)
+
+
 def test_check_theta_rejects_wrong_shapes():
     spec = CircuitSpec(Ansatz.A2C, 4)
     with pytest.raises(ValueError, match="expected \\(16,\\)"):

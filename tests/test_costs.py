@@ -10,12 +10,16 @@ from oracles import shift_deltas
 from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import Ansatz, CircuitSpec, random_parameters
-from reupsim.costs import (CostKind, evaluate,
-                           evaluate_many_with_accuracy, evaluate_with_accuracy,
-                           is_loss, measured_many, measured_values, row_accuracies,
-                           row_values, value_from)
+from reupsim.costs import (CostKind, evaluate, evaluate_with_accuracy, is_loss,
+                           measured_many, measured_values, row_accuracies, row_values)
 from reupsim.data import Dataset, generate
 from reupsim.trainers import gradient_fd
+
+
+def _value(kind, m):
+    """The objective of one batch of per-point M estimates, as evaluate scores it."""
+    return float(row_values(kind, m))
+
 
 MEASURES = hnp.arrays(float, st.integers(1, 60),
                       elements=st.floats(0.0, 1.0, allow_nan=False))
@@ -23,8 +27,8 @@ MEASURES = hnp.arrays(float, st.integers(1, 60),
 
 def test_balanced_measurements_give_the_closed_forms():
     m = np.full(64, 0.5)
-    assert value_from(CostKind.CROSS_ENTROPY, m) == pytest.approx(np.log(2), abs=1e-12)
-    assert value_from(CostKind.CHI_SQUARED, m) == pytest.approx(0.25, abs=1e-12)
+    assert _value(CostKind.CROSS_ENTROPY, m) == pytest.approx(np.log(2), abs=1e-12)
+    assert _value(CostKind.CHI_SQUARED, m) == pytest.approx(0.25, abs=1e-12)
     assert row_accuracies(m) == 0.0   # 0.5 is not strictly above threshold
 
 
@@ -33,7 +37,7 @@ def test_accuracy_counts_strict_majority():
 
 
 def test_cross_entropy_is_clamped_at_zero_measurements():
-    value = value_from(CostKind.CROSS_ENTROPY, np.array([0.0]))
+    value = _value(CostKind.CROSS_ENTROPY, np.array([0.0]))
     assert np.isfinite(value)
     assert value == pytest.approx(-np.log(costs.LOG_EPS))
 
@@ -41,13 +45,13 @@ def test_cross_entropy_is_clamped_at_zero_measurements():
 def test_gated_cross_entropy_ignores_misclassified_points():
     m = np.array([0.2, 0.4, 0.8])
     want = -np.log(0.8) / 3.0
-    assert value_from(CostKind.CROSS_ENTROPY_AS_WRITTEN, m) == pytest.approx(want)
-    assert value_from(CostKind.CROSS_ENTROPY_AS_WRITTEN, np.array([0.1, 0.3])) == 0.0
+    assert _value(CostKind.CROSS_ENTROPY_AS_WRITTEN, m) == pytest.approx(want)
+    assert _value(CostKind.CROSS_ENTROPY_AS_WRITTEN, np.array([0.1, 0.3])) == 0.0
 
 
 @given(MEASURES)
 def test_chi_squared_stays_in_the_unit_interval(m):
-    assert 0.0 <= value_from(CostKind.CHI_SQUARED, m) <= 1.0
+    assert 0.0 <= _value(CostKind.CHI_SQUARED, m) <= 1.0
 
 
 def _value_of_one_row(kind, m):
@@ -82,7 +86,7 @@ def test_row_objectives_equal_a_per_row_loop_bit_for_bit(m):
     for kind in CostKind:
         loop = [_value_of_one_row(kind, row) for row in m]
         np.testing.assert_array_equal(row_values(kind, m), loop)
-        assert [value_from(kind, row) for row in m] == loop
+        assert [_value(kind, row) for row in m] == loop
     loop = [_value_of_one_row(CostKind.ACCURACY, row) for row in m]
     np.testing.assert_array_equal(row_accuracies(m), loop)
     assert [row_accuracies(row) for row in m] == loop
@@ -116,8 +120,8 @@ def test_measured_many_rows_equal_successive_measured_values():
     np.testing.assert_array_equal(batched, loop)
     assert batched_be.ledger.snapshot() == loop_be.ledger.snapshot()
 
-    values, accs = evaluate_many_with_accuracy(CostKind.CHI_SQUARED, spec, thetas, ds,
-                                               NoisyBackend(NoiseModel(seed=1)))
+    m = measured_many(spec, thetas, ds, NoisyBackend(NoiseModel(seed=1)))
+    values, accs = row_values(CostKind.CHI_SQUARED, m), row_accuracies(m)
     loop_be = NoisyBackend(NoiseModel(seed=1))
     pairs = [evaluate_with_accuracy(CostKind.CHI_SQUARED, spec, t, ds, loop_be)
              for t in thetas]
@@ -166,9 +170,9 @@ def test_the_kernel_runs_once_per_distinct_probe(monkeypatch):
     pop = _population_with_repeats(spec)
     columns = []
 
-    def spy(phi_y, phi_z):
+    def spy(phi_y, phi_z, states=False):
         columns.append(phi_y.shape[1])
-        return evolve(phi_y, phi_z)
+        return evolve(phi_y, phi_z, states)
 
     evolve = circuits._evolve
     monkeypatch.setattr(circuits, "_evolve", spy)
@@ -210,7 +214,7 @@ def test_evaluate_with_accuracy_uses_one_estimate_batch():
     assert be.ledger.total_estimates == 30
     assert value == pytest.approx(evaluate(CostKind.CROSS_ENTROPY, spec, theta, ds,
                                            IdealBackend()))
-    assert acc == pytest.approx(costs.accuracy(spec, theta, ds, IdealBackend()))
+    assert acc == pytest.approx(evaluate(CostKind.ACCURACY, spec, theta, ds, IdealBackend()))
 
 
 def test_analytic_cost_gradients_match_finite_differences():

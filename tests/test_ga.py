@@ -240,11 +240,9 @@ def test_ga_train_is_deterministic_and_traces_every_generation():
     assert trace_a.final.cum_estimates == 7 * 8 * 30
 
 
-def _per_chromosome(kind, spec, thetas, ds, backend):
-    """Reference: one evaluate_with_accuracy call per chromosome, in order."""
-    pairs = [costs.evaluate_with_accuracy(kind, spec, theta, ds, backend)
-             for theta in thetas]
-    return np.array([v for v, _ in pairs]), np.array([a for _, a in pairs])
+def _per_chromosome(spec, thetas, ds, backend):
+    """Reference: one measured_values call per chromosome, in order."""
+    return np.array([costs.measured_values(spec, theta, ds, backend) for theta in thetas])
 
 
 @pytest.mark.parametrize("fitness", [CostKind.CROSS_ENTROPY, CostKind.ACCURACY])
@@ -253,8 +251,8 @@ def test_batched_generations_equal_a_per_chromosome_loop(monkeypatch, fitness):
     spec = CircuitSpec()
     ds = generate(25, seed=6)
     runs = []
-    for evaluate in (costs.evaluate_many_with_accuracy, _per_chromosome):
-        monkeypatch.setattr(costs, "evaluate_many_with_accuracy", evaluate)
+    for measure in (costs.measured_many, _per_chromosome):
+        monkeypatch.setattr(costs, "measured_many", measure)
         backend = NoisyBackend(NoiseModel(seed=2))
         theta, trace = ga_train(cfg, spec, ds, backend)
         runs.append((theta, trace.rows, backend.ledger.snapshot()))
@@ -276,15 +274,15 @@ def test_repeated_chromosomes_in_a_run_equal_a_per_chromosome_loop(monkeypatch, 
     ds = generate(25, seed=6)
     columns = []
 
-    def spy(phi_y, phi_z):
+    def spy(phi_y, phi_z, states=False):
         columns.append(phi_y.shape[1])
-        return evolve(phi_y, phi_z)
+        return evolve(phi_y, phi_z, states)
 
     evolve = circuits._evolve
     monkeypatch.setattr(circuits, "_evolve", spy)
     runs = []
-    for evaluate in (costs.evaluate_many_with_accuracy, _per_chromosome):
-        monkeypatch.setattr(costs, "evaluate_many_with_accuracy", evaluate)
+    for measure in (costs.measured_many, _per_chromosome):
+        monkeypatch.setattr(costs, "measured_many", measure)
         backend = NoisyBackend(NoiseModel(seed=2)) if noisy else IdealBackend()
         theta, trace = ga_train(cfg, spec, ds, backend)
         runs.append((theta, trace.rows, backend.ledger.snapshot()))

@@ -9,7 +9,8 @@ of src/reupsim.  The import, orphan and default scans skip `__init__.py`: it
 imports names to re-export them, which is not a use.  A fifth scan keeps
 scipy out of the package: no module imports it anywhere, function bodies
 included, so the runtime needs only numpy and PyYAML (tests/test_startup.py
-checks that no run loads it).
+checks that no run loads it).  A sixth keeps the layers apart: the backend
+samples and charges, and imports neither the circuits nor the costs.
 """
 
 import ast
@@ -21,10 +22,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reupsim"
 MODULES = sorted(PACKAGE.glob("*.py"))
 # IdealBackend.sample takes the labels only to match NoisyBackend.sample
 UNREAD_BY_DESIGN = ["IdealBackend.sample(y)"]
-# the single-point circuit evaluation, the named objectives and the split
-# generator that the acceptance criteria in tests/test_acceptance.py call
-CALLED_BY_THE_CRITERIA = ["accuracy", "chi_squared", "cross_entropy", "evaluate_circuit",
-                          "generate_splits"]
+# the single-point circuit evaluation, the objective of one theta and the
+# split generator that the acceptance criteria in tests/test_acceptance.py call
+CALLED_BY_THE_CRITERIA = ["evaluate", "evaluate_circuit", "generate_splits"]
 # main's argv is for callers outside the package; the acceptance criteria, not
 # the package, call the split generator with a train size; a Choice subclass
 # passes its noun as a class keyword, which is not a call
@@ -184,6 +184,34 @@ def test_the_orphan_scan_reports_each_unread_definition():
 def test_no_module_imports_scipy():
     importers = [p.name for p in MODULES if "scipy" in imported_packages(p.read_text())]
     assert importers == []
+
+
+def sibling_imports(source: str) -> set[str]:
+    """Package modules a module imports anywhere, relatively (`from . import m`,
+    `from .m import x`) or absolutely (`import reupsim.m`, `from reupsim.m import x`)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("reupsim"):
+            found |= ({node.module.split(".")[1]} if "." in node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("reupsim.")}
+    return found
+
+
+def test_the_backend_imports_neither_circuits_nor_costs():
+    imports = sibling_imports((PACKAGE / "backend.py").read_text())
+    assert imports & {"circuits", "costs"} == set()
+
+
+def test_the_sibling_scan_reads_every_import_form():
+    source = ("from . import a, b\nfrom .c import k\nimport reupsim.d\nimport numpy\n"
+              "def f():\n    from reupsim import e\n    from reupsim.g import h\n"
+              "from .. import far\n")
+    assert sibling_imports(source) == {"a", "b", "c", "d", "e", "g"}
 
 
 def test_the_import_scan_reads_function_bodies():

@@ -135,7 +135,7 @@ def _observation_pairs_per_point(spec, dataset, backend, theta=None, seed=0, cal
     for i in range(n):
         x = dataset.x[i:i + 1]
         out[i, 0] = float(measure_batch(spec, thetas[i], x, one)[0])
-        out[i, 1] = float(backend.measure(spec, thetas[i], x, one)[0])
+        out[i, 1] = float(backend.sample(measure_batch(spec, thetas[i], x, one), one)[0])
         if cal is not None:
             out[i, 2] = mitigate_estimate(out[i, 1], 1, cal)
     return out

@@ -418,14 +418,15 @@ def _landscape_per_probe(spec, dataset, theta0, grid0, grid1, neighborhood):
         for j, b in enumerate(grid1):
             theta = theta0.copy()
             theta[0], theta[1] = a, b
-            best = costs.accuracy(spec, theta, dataset, backend)
+            best = costs.evaluate(CostKind.ACCURACY, spec, theta, dataset, backend)
             cell_rng = np.random.default_rng(
                 derive_seed(neighborhood.seed, f"landscape/{i}/{j}"))
             for _ in range(neighborhood.budget):
                 probe = theta.copy()
                 probe[2:] += cell_rng.uniform(-neighborhood.radius, neighborhood.radius,
                                               theta.size - 2)
-                best = max(best, costs.accuracy(spec, probe, dataset, backend))
+                best = max(best, costs.evaluate(CostKind.ACCURACY, spec, probe, dataset,
+                                                backend))
             surface[i, j] = best
     return surface
 
