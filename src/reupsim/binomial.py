@@ -18,20 +18,22 @@ import math
 import numpy as np
 
 # Cephes ndtri, highest power first: numerator and denominator for the centre
-# (u within 1/2 - exp(-2) of 1/2) and the tail to exp(-32), then for the far
+# (u within 1/2 - exp(-2) of 1/2), for the tail to exp(-32) and for the far
 # tail, with zeros padding and the denominators' leading 1 explicit: eight
 # Horner steps each.
-_NDTRI = np.array([
+_NDTRI_CENTRE = np.array([
     (0.0, 0.0, 0.0, 0.0, -59.96335010141079, 98.00107541859997, -56.67628574690703,
      13.931260938727968, -1.2391658386738125),
     (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905, -225.46268785411937,
      200.26021238006066, -82.03722561683334, 15.90562251262117, -1.1833162112133),
+]).T[..., None].copy()                      # (Horner step, row, 1)
+_NDTRI_TAIL = np.array([
     (4.0554489230596245, 31.525109459989388, 57.16281922464213, 44.08050738932008,
      14.684956192885803, 2.1866330685079025, -0.1402560791713545, -0.03504246268278482,
      -0.0008574567851546854),
     (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672, 15.04253856929075,
      2.504649462083094, -0.14218292285478779, -0.03808064076915783, -0.0009332594808954574),
-]).T[..., None].copy()                      # (Horner step, row, 1)
+]).T[..., None].copy()
 _NDTRI_FAR = np.array([
     (3.2377489177694603, 6.915228890689842, 3.9388102529247444, 1.3330346081580755,
      0.20148538954917908, 0.012371663481782003, 0.00030158155350823543,
@@ -49,12 +51,16 @@ _MARGIN = 2.0**-32
 _P_MIN = 2.0**-53       # at or below: CDF taken as 1 (off by n p at most), so k = 0
 _WINDOW = 7             # values of k that one block decides
 _BLOCK_SDS = 5.0        # standard deviations that one block spans
-_CHUNK = 1 << 16        # work-array elements per block, at most
+# Work-array elements per block, at most: a block's pmf terms take 1 MiB, half
+# the 2 MiB per-core L2 of the Xeon it was sized on (4,228 entries of 31 terms
+# at 150 shots, 370 of 354 at 20,000), so 12,500 estimates at 150 shots run
+# as 3 blocks; ndtri takes _CHUNK // 8 entries a pass, 12,500 in one.
+_CHUNK = 1 << 17
 
 
 def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """x * P(x) / Q(x) for each pair of rows (P, Q), by Horner's rule as
-    Cephes' polevl runs it; x repeats each of its values for both rows."""
+    Cephes' polevl runs it; x has a row per pair, or one row for every pair."""
     acc = x * coef[0]
     acc += coef[1]
     for c in coef[2:]:
@@ -66,35 +72,44 @@ def _horner(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse of the standard normal CDF for u in (0, 1), as Cephes computes it."""
+    """Inverse of the standard normal CDF for u in (0, 1), as Cephes computes it.
+
+    An entry takes the centre rational function where u lies within
+    1/2 - exp(-2) of 1/2, else the tail one, never both; the far tail's
+    replaces the tail's where sqrt(-2 log) of u's distance from the nearer end
+    reaches 8.  Each runs Cephes' operations in order on that entry alone, so
+    its bits do not depend on the other entries of the call."""
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
     if flat.size > _CHUNK // 8:     # bounds the work arrays, as _quantile does
         size = _CHUNK // 8
         return np.concatenate([ndtri(flat[i:i + size]) for i in range(0, flat.size, size)]
                               ).reshape(u.shape)
-    y, w, tail = np.empty((3, flat.size))
-    np.greater(flat, 1.0 - _EXP_M2, out=y)
+    y = np.greater(flat, 1.0 - _EXP_M2).astype(float)
     np.abs(np.subtract(y, flat, out=y), out=y)      # 1 - u where flipped, exactly
     centre = y > _EXP_M2
-    np.sqrt(np.multiply(np.log(y, out=w), -2.0, out=w), out=w)
-    x = np.empty((4, flat.size))
-    np.multiply(np.subtract(y, 0.5, out=y), y, out=x[0])
-    np.divide(1.0, w, out=x[2])
-    x[1], x[3] = x[0], x[2]
-    mid, ratio = _horner(x, _NDTRI)
-    if np.maximum.reduce(w, initial=0.0) >= 8.0:
-        far = np.flatnonzero(w >= 8.0)
-        ratio[far] = _horner(x[2:, far], _NDTRI_FAR)[0]
-    mid *= y
-    mid += y
+    inner, outer = np.flatnonzero(centre), np.flatnonzero(~centre)
+    out = np.empty(flat.size)
+    c = np.subtract(y[inner], 0.5)
+    x = np.multiply(c, c)[None]
+    mid = _horner(x, _NDTRI_CENTRE)[0]
+    mid *= c
+    mid += c
     mid *= 2.5066282746310007
-    np.divide(np.log(w, out=tail), w, out=tail)
+    out[inner] = mid
+    w = y[outer]
+    np.sqrt(np.multiply(np.log(w, out=w), -2.0, out=w), out=w)
+    x = np.divide(1.0, w)[None]
+    ratio = _horner(x, _NDTRI_TAIL)[0]
+    far = np.flatnonzero(w >= 8.0)
+    if far.size:
+        ratio[far] = _horner(x[:, far], _NDTRI_FAR)[0]
+    tail = np.log(w)
+    np.divide(tail, w, out=tail)
     np.subtract(w, tail, out=tail)
     tail -= ratio
-    np.copysign(tail, np.subtract(flat, 0.5, out=y), out=tail)
-    np.copyto(tail, mid, where=centre)
-    return tail.reshape(u.shape)
+    out[outer] = np.copysign(tail, np.subtract(flat[outer], 0.5), out=tail)
+    return out.reshape(u.shape)
 
 
 @functools.lru_cache(maxsize=8)

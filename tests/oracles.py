@@ -2,14 +2,16 @@
 
 Nothing in the package uses these: they are the one-state gate functions and
 the complex-amplitude batch kernel that the real-amplitude kernel replaced,
-kept as independent oracles, and the per-probe scatter that turns one-gate
-shifts into the delta array the batched kernel takes.
+kept as independent oracles, the per-probe scatter that turns one-gate
+shifts into the delta array the batched kernel takes, and the ndtri that ran
+both Cephes branches for every entry, which the one-branch ndtri replaced.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from reupsim import binomial
 from reupsim.circuits import Ansatz, ansatz_design
 
 
@@ -74,3 +76,39 @@ def complex_evolve(phi_y: np.ndarray, phi_z: np.ndarray) -> tuple[np.ndarray, np
         alpha = alpha * phase
         beta = beta * np.conj(phase)
     return alpha, beta
+
+
+_NDTRI = np.concatenate([binomial._NDTRI_CENTRE, binomial._NDTRI_TAIL], axis=1)
+
+
+def two_branch_ndtri(u: np.ndarray) -> np.ndarray:
+    """binomial.ndtri as it ran before it took only each uniform's branch:
+    the centre and tail rational functions for every entry, then a pick."""
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    if flat.size > binomial._CHUNK // 8:
+        size = binomial._CHUNK // 8
+        return np.concatenate([two_branch_ndtri(flat[i:i + size])
+                               for i in range(0, flat.size, size)]).reshape(u.shape)
+    y, w, tail = np.empty((3, flat.size))
+    np.greater(flat, 1.0 - binomial._EXP_M2, out=y)
+    np.abs(np.subtract(y, flat, out=y), out=y)      # 1 - u where flipped, exactly
+    centre = y > binomial._EXP_M2
+    np.sqrt(np.multiply(np.log(y, out=w), -2.0, out=w), out=w)
+    x = np.empty((4, flat.size))
+    np.multiply(np.subtract(y, 0.5, out=y), y, out=x[0])
+    np.divide(1.0, w, out=x[2])
+    x[1], x[3] = x[0], x[2]
+    mid, ratio = binomial._horner(x, _NDTRI)
+    if np.maximum.reduce(w, initial=0.0) >= 8.0:
+        far = np.flatnonzero(w >= 8.0)
+        ratio[far] = binomial._horner(x[2:, far], binomial._NDTRI_FAR)[0]
+    mid *= y
+    mid += y
+    mid *= 2.5066282746310007
+    np.divide(np.log(w, out=tail), w, out=tail)
+    np.subtract(w, tail, out=tail)
+    tail -= ratio
+    np.copysign(tail, np.subtract(flat, 0.5, out=y), out=tail)
+    np.copyto(tail, mid, where=centre)
+    return tail.reshape(u.shape)

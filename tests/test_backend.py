@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from oracles import two_branch_ndtri
 from reupsim import binomial
 from reupsim.backend import (DEFAULT_CONFUSION, DRAW_BLOCK, HARDWARE_STEPS, MAX_SHOTS,
                              IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
@@ -415,6 +416,28 @@ def test_the_sampler_work_is_bounded_at_20000_shots(monkeypatch):
     np.testing.assert_array_equal(est, stats.binom.ppf(u[:, 0], 20_000, o) / 20_000)
 
 
+@pytest.mark.parametrize("shots", [1, 7, 150, 1000, 20_000, MAX_SHOTS])
+def test_the_block_size_moves_no_byte(monkeypatch, shots):
+    """estimates(draws(u, sigma)) gives the same bytes whether a call runs as
+    one block or many: _CHUNK from 1 << 10 (a block of one entry at MAX_SHOTS)
+    to 1 << 20, over call sizes about a block of 1 << 17 at 150 shots (4,228
+    entries), with p from Philox draws and at and beyond the ends of (0, 1).
+    Blocks of 1 << 10 run calls of 170 entries at most from 20,000 shots on,
+    where they hold one or two entries at about a millisecond a block."""
+    for size in (1, 170, 4096, 4229, 12_500):
+        u = counter_uniforms(shots, "chunk-test", 0, size)
+        o = u[:, 2].copy()
+        o[::7] = np.resize([0.0, 1e-17, 0.5, 1.0 - 1e-16, 1.0, np.nan], o[::7].size)
+        smallest = 10 if shots <= 1000 or size <= 170 else 16
+        for sigma in (0.0, 0.006):
+            outs = []
+            for chunk in (1 << smallest, 1 << 16, 1 << 17, 1 << 20):
+                monkeypatch.setattr(binomial, "_CHUNK", chunk)
+                outs.append(binomial.estimates(binomial.draws(u, sigma), shots, o))
+            for out in outs[1:]:
+                np.testing.assert_array_equal(out.view(np.int64), outs[0].view(np.int64))
+
+
 def test_the_sampler_at_the_shot_ceiling_equals_binom_ppf():
     """At MAX_SHOTS, _cdf stays within band(n) of boost's CDF, and the counts
     of Philox draws are binom.ppf's and the exact search's; one shot more is
@@ -455,6 +478,40 @@ def test_ndtri_equals_scipys_but_for_a_few_ulps_in_the_tails():
     assert differ.sum() <= 1e-3 * u.size
     assert (np.abs(ours - theirs) <= 4 * np.spacing(np.abs(theirs))).all()
     assert binomial.ndtri(u.reshape(-1, 2)).shape == (u.size // 2, 2)
+
+
+def test_the_one_branch_ndtri_equals_the_two_branch_one_bit_for_bit():
+    """binomial.ndtri runs only each uniform's own branch; it gives the bits of
+    the two-branch ndtri it replaced (oracles.two_branch_ndtri) about the
+    centre's ends, where the far tail starts (sqrt(-2 log y) = 8 near
+    exp(-32)), at the extremes, on Philox draws, in calls where one branch is
+    empty and in calls about the chunk size."""
+    def same_bits(u):
+        np.testing.assert_array_equal(binomial.ndtri(u).view(np.int64),
+                                      two_branch_ndtri(u).view(np.int64))
+
+    def ulp_grid(x):
+        return x + np.arange(-64, 65) * np.spacing(x)
+
+    far = np.concatenate([ulp_grid(np.exp(-32.0)), 1.0 - np.arange(100, 130) * 2.0**-53])
+    w = np.sqrt(-2.0 * np.log(np.minimum(far, 1.0 - far)))
+    assert (w >= 8.0).any() and (w < 8.0).any()
+    draws = counter_uniforms(5, "ndtri-branch-test", 0, 50_000)[:, 0]
+    same_bits(np.concatenate([ulp_grid(binomial._EXP_M2), ulp_grid(1.0 - binomial._EXP_M2),
+                              far, [2.0**-54, 1e-300, BELOW_ONE, 0.5]]))
+    same_bits(draws)
+    same_bits(draws[(draws > 0.2) & (draws < 0.8)])         # centre alone
+    same_bits(draws[(draws < 0.1) | (draws > 0.9)])         # tail alone
+    same_bits(far[w >= 8.0])                                # far tail alone
+    for size in (binomial._CHUNK // 8 - 1, binomial._CHUNK // 8, binomial._CHUNK // 8 + 1):
+        same_bits(counter_uniforms(6, "ndtri-size-test", 0, size)[:, 0])
+
+
+def test_an_ndtri_entry_does_not_depend_on_the_others():
+    """A NaN in the call leaves the far-tail entries' values as they are (the
+    two-branch ndtri sent a whole chunk to the near-tail polynomial then)."""
+    u = np.array([1e-300, 0.3, 1.0 - 2.0**-53, 0.05])
+    np.testing.assert_array_equal(binomial.ndtri(np.append(u, np.nan))[:-1], binomial.ndtri(u))
 
 
 @pytest.mark.parametrize("size", [5, 100])
