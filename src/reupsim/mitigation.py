@@ -96,28 +96,19 @@ def calibrate(backend: Backend, profile: CircuitSpec | None = None,
 
 
 def mitigate(observed: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
-    """Recover a true-probability pair from an observed-frequency pair.
+    """Recover true-probability pairs from observed-frequency pairs, shape (..., 2).
 
-    Applies the inverse of the transposed calibration matrix, clips the
-    result to [0, 1], and renormalizes it to sum to 1.
+    Applies the inverse of the transposed calibration matrix to each pair,
+    clips the result to [0, 1], and renormalizes it to sum to 1; a pair that
+    clips to zero becomes [0.5, 0.5] and a NaN pair stays NaN.
     """
     observed = np.asarray(observed, dtype=float)
-    if observed.shape != (2,):
-        raise ValueError(f"observed must be a probability pair, got shape {observed.shape}")
-    raw = np.linalg.solve(cal.as_array.T, observed)
+    if observed.ndim == 0 or observed.shape[-1] != 2:
+        raise ValueError(f"observed must hold probability pairs, got shape {observed.shape}")
+    raw = np.linalg.solve(cal.as_array.T, observed[..., None])[..., 0]
     clipped = np.clip(raw, 0.0, 1.0)
-    total = clipped.sum()
-    if total <= 0:
-        return np.array([0.5, 0.5])
-    return clipped / total
-
-
-def mitigate_estimate(value: float, y: int, cal: CalibrationMatrix) -> float:
-    """Mitigated estimate of P(outcome = y) from a single observed frequency."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y}")
-    pair = np.array([1.0 - value, value]) if y == 1 else np.array([value, 1.0 - value])
-    return float(mitigate(pair, cal)[y])
+    total = clipped.sum(axis=-1, keepdims=True)
+    return np.divide(clipped, total, out=np.full_like(clipped, 0.5), where=~(total <= 0))
 
 
 @dataclass(frozen=True)
@@ -178,7 +169,7 @@ def observation_pairs(spec: CircuitSpec, dataset: Dataset, backend: Backend,
     est = backend.sample(p, ones[:, 0])
     if cal is None:
         return np.column_stack([p, est])
-    return np.column_stack([p, est, [mitigate_estimate(e, 1, cal) for e in est]])
+    return np.column_stack([p, est, mitigate(np.column_stack([1.0 - est, est]), cal)[:, 1]])
 
 
 @dataclass(frozen=True)

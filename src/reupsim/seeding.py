@@ -8,9 +8,7 @@ platforms, and worker counts.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import threading
 
 import numpy as np
 
@@ -29,24 +27,9 @@ def derive_seed(seed: int, context: str) -> int:
     return int.from_bytes(_digest(seed, context)[:8], "little") >> 1
 
 
-@functools.lru_cache(maxsize=64)
 def derive_key(seed: int, context: str) -> np.ndarray:
-    """A 128-bit Philox key for (seed, context) as two uint64 words, hashed
-    once per pair; the array is shared, so read-only."""
+    """A 128-bit Philox key for (seed, context) as two uint64 words."""
     return np.frombuffer(_digest(seed, context)[:16], dtype=np.uint64)
-
-
-class _Generators(threading.local):
-    """Per thread: Philox generators and their state dicts, by (seed, context)."""
-
-    def __init__(self):
-        def make(seed: int, context: str) -> tuple[np.random.Philox, dict]:
-            philox = np.random.Philox(key=derive_key(seed, context))
-            return philox, philox.state
-        self.get = functools.lru_cache(maxsize=64)(make)
-
-
-_GENERATORS = _Generators()
 
 
 def counter_uniforms(seed: int, context: str, start: int, count: int,
@@ -56,14 +39,12 @@ def counter_uniforms(seed: int, context: str, start: int, count: int,
     Row i holds the first `words` draws of the Philox block at counter start + i under
     the key of (seed, context), each column contiguous.  Philox increments its counter
     once per 4-word block, so values depend only on (seed, context, counter): not on
-    how a range is chunked across calls or workers, nor on the reuse of a thread's
-    generator, which is seated at `start` with an empty buffer as a fresh one would be.
+    how a range is chunked across calls or workers.  Each call builds its own
+    generator, so threads share no state.
     """
     if start < 0 or count < 0 or not 1 <= words <= 4:
         raise ValueError(f"need start, count >= 0 and words in 1..4, got {start}, {count}, {words}")
-    philox, state = _GENERATORS.get(seed, context)
-    state["state"]["counter"][0] = start
-    philox.state = state
+    philox = np.random.Philox(key=derive_key(seed, context), counter=[start, 0, 0, 0])
     return unit_interval(philox.random_raw(4 * count).reshape(count, 4).T[:words].copy()).T
 
 

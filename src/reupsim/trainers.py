@@ -57,8 +57,8 @@ class LineSearchSpec:
     """Backtracking search for the step length.
 
     armijo: halve alpha until the sufficient-decrease condition holds.
-    wolfe: additionally require the strict curvature condition, at the cost
-    of one gradient evaluation per trial step.
+    wolfe: additionally require the strict curvature condition with `c2`, at
+    the cost of one gradient evaluation per trial step.
     """
 
     kind: str = "armijo"
@@ -72,7 +72,9 @@ class LineSearchSpec:
             raise ValueError(f"line search kind must be armijo or wolfe, got {self.kind!r}")
         if not 0.0 < self.c1 < 1.0:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if not self.c1 < self.c2 < 1.0:
+        if self.kind == "armijo":
+            reject_unread(self, {"c2": "armijo line search"})
+        elif not self.c1 < self.c2 < 1.0:
             raise ValueError(f"c2 must lie in (c1, 1), got {self.c2}")
         if self.alpha0 <= 0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")

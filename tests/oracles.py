@@ -3,8 +3,10 @@
 Nothing in the package uses these: they are the one-state gate functions and
 the complex-amplitude batch kernel that the real-amplitude kernel replaced,
 kept as independent oracles, the per-probe scatter that turns one-gate
-shifts into the delta array the batched kernel takes, and the ndtri that ran
-both Cephes branches for every entry, which the one-branch ndtri replaced.
+shifts into the delta array the batched kernel takes, the ndtri that ran
+both Cephes branches for every entry, which the one-branch ndtri replaced,
+and the one-pair-at-a-time readout mitigation that `mitigation.mitigate`
+batched.
 """
 
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ import numpy as np
 
 from reupsim import binomial
 from reupsim.circuits import Ansatz, ansatz_design
+from reupsim.mitigation import CalibrationMatrix
 
 
 @dataclass(frozen=True)
@@ -112,3 +115,16 @@ def two_branch_ndtri(u: np.ndarray) -> np.ndarray:
     np.copysign(tail, np.subtract(flat, 0.5, out=y), out=tail)
     np.copyto(tail, mid, where=centre)
     return tail.reshape(u.shape)
+
+
+def mitigate_estimate(value: float, y: int, cal: CalibrationMatrix) -> float:
+    """Mitigated estimate of P(outcome = y) from a single observed frequency,
+    one 2x2 solve per call."""
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y}")
+    pair = np.array([1.0 - value, value]) if y == 1 else np.array([value, 1.0 - value])
+    clipped = np.clip(np.linalg.solve(cal.as_array.T, pair), 0.0, 1.0)
+    total = clipped.sum()
+    if total <= 0:
+        return 0.5
+    return float((clipped / total)[y])

@@ -231,6 +231,8 @@ def test_an_empty_key_trains_with_its_default(tmp_path):
 @pytest.mark.parametrize("override,message", [
     ("optimizer.target_accuracy=2", "optimizer: target_accuracy must lie in (0, 1]"),
     ("optimizer.line_search={c1: 5}", "optimizer.line_search: c1 must lie in (0, 1)"),
+    ("optimizer.line_search={kind: armijo, c2: 0.5}",
+     "optimizer.line_search: c2 is not read by armijo line search"),
     ("optimizer.learning_rate=3", "optimizer: learning_rate is not read by bfgs_standard"),
     ("dataset.radius=.nan", "dataset.radius: must be finite, got nan"),
     ("backend={kind: noisy, noise: {residual_sigma: .nan}}",

@@ -357,6 +357,21 @@ def test_an_optimizer_key_the_method_does_not_read_is_an_error(kind, key, value,
     assert ExperimentConfig.from_mapping({"optimizer": archived}).optimizer == archived
 
 
+def test_an_armijo_search_rejects_c2_and_keeps_the_default_of_an_archived_block():
+    """Only Wolfe reads c2; an archived Armijo block writes it at its default."""
+    optimizer = {"kind": "bfgs_standard", "line_search": {"kind": "armijo", "c2": 0.5}}
+    with pytest.raises(ConfigError, match=r"^optimizer\.line_search: c2 is not read by "
+                                          r"armijo line search; leave it out"):
+        ExperimentConfig.from_mapping({"optimizer": optimizer})
+    archived = ExperimentConfig.from_mapping({"optimizer": {"kind": "bfgs_standard"}}).optimizer
+    assert archived["line_search"]["c2"] == 0.9
+    assert ExperimentConfig.from_mapping({"optimizer": archived}).optimizer == archived
+    # c2 at its default no longer has to exceed an Armijo c1
+    steep = ExperimentConfig.from_mapping(
+        {"optimizer": {"kind": "bfgs_standard", "line_search": {"c1": 0.95}}})
+    assert steep.build_trainer_config().line_search.c1 == 0.95
+
+
 def test_out_of_range_optimizer_values_fail_at_resolve_time():
     with pytest.raises(ConfigError, match=r"^optimizer: target_accuracy must lie in"):
         ExperimentConfig.from_mapping({"optimizer": {"target_accuracy": 2}})

@@ -13,9 +13,9 @@ from reupsim.costs import CostKind
 from reupsim.data import Dataset, generate
 from reupsim.seeding import derive_seed
 from reupsim.mitigation import (GRADIENT_NOISE_COSTS, CalibrationMatrix, calibrate,
-                                gradient_noise_report, mitigate, mitigate_estimate,
-                                noise_scaling, observation_pairs, pole_preparations,
-                                residual_analysis)
+                                gradient_noise_report, mitigate, noise_scaling,
+                                observation_pairs, pole_preparations, residual_analysis)
+from oracles import mitigate_estimate
 
 DIAG = st.floats(0.55, 0.999)
 PROB = st.floats(0.0, 1.0)
@@ -38,13 +38,23 @@ def test_mitigation_clips_out_of_range_observations():
     assert out.sum() == pytest.approx(1.0)
 
 
-def test_mitigate_estimate_matches_the_pair_form():
-    cal = CalibrationMatrix(DEFAULT_CONFUSION)
-    value = 0.61
-    full = mitigate(np.array([1.0 - value, value]), cal)
-    assert mitigate_estimate(value, 1, cal) == pytest.approx(full[1])
-    with pytest.raises(ValueError, match="label"):
-        mitigate_estimate(0.5, 2, cal)
+@pytest.mark.parametrize("confusion", [DEFAULT_CONFUSION, ((0.9, 0.1), (0.3, 0.7)),
+                                       ((0.6, 0.4), (0.02, 0.98))])
+def test_a_batch_of_pairs_mitigates_as_each_pair_alone(confusion):
+    """An (N, 2) call gives, bit for bit, what N (2,) calls give, over
+    frequencies in (0, 1), the endpoints, and pairs that clip."""
+    cal = CalibrationMatrix(confusion)
+    values = np.concatenate([np.random.default_rng(31).uniform(size=500),
+                             [0.0, 1.0, 2.0**-54, np.nextafter(1.0, 0.0)]])
+    pairs = np.column_stack([1.0 - values, values])
+    pairs = np.concatenate([pairs, pairs[:, ::-1], [[0.05, 0.95], [1.2, -0.2], [0.0, 0.0]]])
+    batched = mitigate(pairs, cal)
+    assert batched.shape == pairs.shape
+    np.testing.assert_array_equal(batched, [mitigate(pair, cal) for pair in pairs])
+    np.testing.assert_array_equal(mitigate(pairs[None], cal), batched[None])
+    assert batched[-1].tolist() == [0.5, 0.5]       # a pair that clips to zero
+    with pytest.raises(ValueError, match="probability pairs"):
+        mitigate(np.zeros(3), cal)
 
 
 def test_calibration_matrix_validation():

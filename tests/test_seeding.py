@@ -68,7 +68,7 @@ def _fresh_uniforms(seed, context, start, count):
 
 
 # (seed, context, start, count): streams revisited at lower and higher
-# counters, more streams than a thread keeps, an empty draw, a counter past 2**32
+# counters, 70 contexts, an empty draw, a counter past 2**32
 INTERLEAVED = [(s % 5, f"c{s % 70}", (s * 7919) % 3000 + (2**40 if s % 13 == 0 else 0),
                 (s * 31) % 60) for s in range(300)]
 
@@ -79,7 +79,30 @@ def test_a_reused_generator_draws_what_a_fresh_one_does():
         np.testing.assert_array_equal(counter_uniforms(seed, context, start, count), expected)
         np.testing.assert_array_equal(counter_uniforms(seed, context, start, count, words=2),
                                       expected[:, :2])
-    assert seeding._GENERATORS.get.cache_info().currsize <= 64
+
+
+# The top 53 bits of the first Philox words of the readout stream of noise
+# seed 0, three counters from each start, as integers: the uniform of k is
+# k * 2**-53 + 2**-54 in doubles, which IEEE arithmetic rounds alike on every CPU.
+READOUT_WORDS = {
+    0: [[8083351381561086, 6181299031119988, 8127196727750266, 4458911614602299],
+        [4119781562739291, 7836473032708258, 5609350026131390, 6815839967385064],
+        [6061519343021772, 7566239750313370, 649756417738371, 3481642431984406]],
+    2**40 + 5: [[4622707777209674, 575619837356473, 5862373188473956, 4272349227754985],
+                [5665782682156470, 3697858503030296, 4949089998004184, 3043789843184589],
+                [5968145617785930, 2506482615801749, 1994950824534071, 6124126315205168]],
+}
+
+
+@pytest.mark.parametrize("start", sorted(READOUT_WORDS))
+@pytest.mark.parametrize("words", [2, 4])
+def test_the_readout_stream_has_its_known_values(start, words):
+    """Pinned values: a change in the key, in where the counter goes, or in
+    the word-to-uniform map moves the noise of every archived run."""
+    k = np.array(READOUT_WORDS[start], dtype=np.uint64)[:, :words]
+    expected = k * 2.0**-53 + 2.0**-54
+    np.testing.assert_array_equal(counter_uniforms(0, "readout", start, 3, words=words),
+                                  expected)
 
 
 def test_threads_never_share_a_generator():

@@ -245,7 +245,8 @@ def test_no_optimizer_charges_past_max_estimates(case, budget, held, points):
         method, search, gradient = case
         bfgs = method is OptimizerKind.BFGS_STANDARD
         # a small c2 makes Wolfe's curvature test fail often, each failure a gradient
-        read = ({"line_search": LineSearchSpec(kind=search, c2=0.1)} if bfgs
+        line_search = LineSearchSpec("wolfe", c2=0.1) if search == "wolfe" else LineSearchSpec()
+        read = ({"line_search": line_search} if bfgs
                 else {"batch_size": min(3, points) if method is OptimizerKind.SGD else None})
         cfg = GradConfig(method=method, gradient=gradient, max_iterations=8,
                          seed=budget, max_estimates=budget, **read)
@@ -353,9 +354,20 @@ def test_line_search_spec_validation():
     with pytest.raises(ValueError, match="c1"):
         LineSearchSpec(c1=0.0)
     with pytest.raises(ValueError, match="c2"):
-        LineSearchSpec(c1=0.5, c2=0.4)
+        LineSearchSpec(kind="wolfe", c1=0.5, c2=0.4)
     with pytest.raises(ValueError, match="alpha0"):
         LineSearchSpec(alpha0=0.0)
+
+
+def test_an_armijo_search_reads_no_c2():
+    """c2 is Wolfe's curvature constant: Armijo rejects it away from its
+    default and does not check it against c1."""
+    with pytest.raises(ValueError, match="^c2 is not read by armijo line search"):
+        LineSearchSpec(kind="armijo", c2=0.5)
+    assert LineSearchSpec(kind="armijo", c1=0.95).c1 == 0.95
+    with pytest.raises(ValueError, match=r"c2 must lie in \(c1, 1\), got 0.9"):
+        LineSearchSpec(kind="wolfe", c1=0.95)
+    assert LineSearchSpec(kind="wolfe", c2=0.5).c2 == 0.5
 
 
 def test_grad_config_validation():
