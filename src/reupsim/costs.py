@@ -10,6 +10,7 @@ from the published one only by a leading minus.
 Entry points: measured_values (one theta) and measured_many (P probes) return
 charged estimates, through circuits.measure_batch or measure_many and one
 backend sample; evaluate and evaluate_with_accuracy score one theta.
+cost_weights gives dCost/dM, which trainers.estimate_gradient chains.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def evaluate(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
 def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
                            ds: Dataset, backend: Backend, states: bool = False) -> tuple:
     """(objective, accuracy) computed from one shared estimate batch; with
-    states=True, the forward pass for analytic_gradient comes third."""
+    states=True, the forward pass for an analytic gradient comes third."""
     out = measured_values(spec, theta, ds, backend, states)
     m = out[0] if states else out
     pair = float(row_values(kind, m)), float(row_accuracies(m))
@@ -111,16 +112,3 @@ def cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:
         return -2.0 * (1.0 - m)
     raise ValueError(f"cost {kind.value} has no usable measurement derivative")
 
-
-def analytic_gradient(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                      ds: Dataset, forward=None) -> np.ndarray:
-    """Exact objective gradient, composed from the state-evolution gradients
-    (from `forward` of evaluate_with_accuracy at this theta, if given).
-
-    Accuracy is piecewise constant, so its gradient is identically zero away
-    from threshold crossings; the other objectives chain through dM/dtheta.
-    """
-    if kind is CostKind.ACCURACY:
-        return np.zeros(spec.n_params)
-    m, dm = circuits.analytic_gradient_batch(spec, theta, ds.design(spec.ansatz), ds.y, forward)
-    return np.add.reduce(cost_weights(kind, m)[:, None] * dm) / len(ds)

@@ -1,20 +1,21 @@
-"""Gradient estimators and gradient-based training loops.
+"""The gradient estimator and gradient-based training loops.
 
-Three ways to get a cost gradient through a backend:
+One estimator, estimate_gradient, gets a cost gradient through a backend by
+one of three probe plans:
 
-* finite_difference: central differences on the whole cost, two cost
-  evaluations per parameter (the hardware-expensive route; on a noisy
-  backend the estimate inherits all the readout noise).
-* parameter_shift: per-gate-angle exact rule, two shifted evaluations per
-  gate angle plus one base batch for the chain-rule weights.
-* analytic: closed-form state derivatives.  On an ideal backend this is the
-  exact composition; on a noisy backend the shifted evaluations are sampled
-  exactly like parameter_shift, since hardware cannot return a derivative
-  without measuring, and the two protocols coincide for these rotations.
+* finite_difference: central differences on the whole cost, two probes per
+  parameter (the hardware-expensive route; on a noisy backend the estimate
+  inherits all the readout noise).
+* parameter_shift: the base probe and a +-pi/2 pair per gate angle, chained
+  to the parameters with the base probe's cost weights.
+* analytic: closed-form state derivatives on an ideal backend, charged as
+  the shift rule.  On a noisy backend it is the shift rule, since hardware
+  cannot return a derivative without measuring, and the two protocols
+  coincide for these rotations.
 
-All estimators charge the measurement ledger with what the equivalent
-hardware run would consume, so convergence-per-measurement comparisons
-between optimizers are honest.
+Every plan charges the measurement ledger with what the equivalent hardware
+run would consume, so convergence-per-measurement comparisons between
+optimizers are honest.
 
 The BFGS loop supports the textbook inverse-Hessian update and an
 alternative published form (a DFP-shaped inverse update); both step along
@@ -114,67 +115,44 @@ class GradConfig(RunLimits):
         reject_unread(self, unread)
 
 
-def gradient_fd(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
-                backend: Backend, step: float) -> np.ndarray:
-    """Central-difference cost gradient: 2 x dim cost evaluations, measured as
-    one probe batch in the order +e_0, -e_0, +e_1, -e_1, ..."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    theta = circuits.check_theta(spec, theta)
-    probes, j = np.repeat(theta[None], 2 * theta.size, axis=0), np.arange(theta.size)
-    probes[2 * j, j], probes[2 * j + 1, j] = theta + step, theta - step
-    m = costs.measured_many(spec, probes, ds, backend)
-    f = costs.row_values(kind, m)
-    return (f[0::2] - f[1::2]) / (2.0 * step)
-
-
-def gradient_parameter_shift(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                             ds: Dataset, backend: Backend) -> np.ndarray:
-    """Shift-rule cost gradient: +-pi/2 evaluations per gate angle.
-
-    Refuses the accuracy cost: an indicator has no meaningful shift gradient.
-    """
-    if kind is CostKind.ACCURACY:
-        raise ValueError("parameter-shift gradient is undefined for the accuracy cost")
-    theta = circuits.check_theta(spec, theta)
-    # base probe first, then the +-pi/2 pair of every gate angle g = 2 layer + gate
-    deltas, g = np.zeros((4 * spec.layers + 1, 2 * spec.layers)), np.arange(2 * spec.layers)
-    deltas[2 * g + 1, g], deltas[2 * g + 2, g] = np.pi / 2.0, -np.pi / 2.0
-    m = costs.measured_many(spec, np.repeat(theta[None], len(deltas), axis=0), ds,
-                            backend, shifts=deltas.reshape(-1, spec.layers, 2))
-    w = costs.cost_weights(kind, m[0])
-    dm = 0.5 * (m[1::2] - m[2::2]).reshape(spec.layers, 2, len(ds))
-    return (w[:, None] * circuits.chain_rule(spec, dm, ds.design(spec.ansatz))).mean(axis=0)
-
-
-def gradient_analytic(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                      ds: Dataset, backend: Backend, forward=None) -> np.ndarray:
-    """Closed-form cost gradient with hardware-equivalent accounting.
-
-    Noisy backends route through the shift-rule sampler (measuring a
-    derivative still means measuring); ideal backends return the exact
-    composition, on `forward` if given, and charge the same number of estimates.
-    """
-    if kind is CostKind.ACCURACY:
-        raise ValueError("the accuracy cost has an identically-zero gradient; "
-                         "pick a differentiable cost")
-    if backend.is_noisy:
-        return gradient_parameter_shift(kind, spec, theta, ds, backend)
-    grad = costs.analytic_gradient(kind, spec, theta, ds, forward)
-    backend.charge(_gradient_cost(GradMethod.ANALYTIC, spec, len(ds)))
-    return grad
-
-
 def estimate_gradient(method: GradMethod, kind: CostKind, spec: CircuitSpec,
                       theta: np.ndarray, ds: Dataset, backend: Backend,
                       step: float = 1e-2, forward=None) -> np.ndarray:
+    """The cost gradient at theta by `method`, charged `_gradient_cost` estimates.
+
+    Finite differences measure one batch of 2 x dim probes in the order +e_0,
+    -e_0, +e_1, -e_1, and so on.  The derivative methods refuse the accuracy
+    cost before anything is measured, and end in one combine: the cost
+    weights of M times dM/dtheta, averaged over the points.  An analytic
+    gradient on an ideal backend is exact, on `forward` of
+    evaluate_with_accuracy at theta if given; otherwise one batch measures
+    the base probe and the +-pi/2 pair of every gate angle, and the halved
+    differences are chained to theta.
+    """
+    theta = circuits.check_theta(spec, theta)
     if method is GradMethod.FINITE_DIFFERENCE:
-        return gradient_fd(kind, spec, theta, ds, backend, step)
-    if method is GradMethod.PARAMETER_SHIFT:
-        return gradient_parameter_shift(kind, spec, theta, ds, backend)
-    if method is GradMethod.ANALYTIC:
-        return gradient_analytic(kind, spec, theta, ds, backend, forward)
-    raise ValueError(f"unhandled gradient method {method}")  # pragma: no cover
+        if step <= 0:
+            raise ValueError(f"step must be positive, got {step}")
+        probes, j = np.repeat(theta[None], 2 * theta.size, axis=0), np.arange(theta.size)
+        probes[2 * j, j], probes[2 * j + 1, j] = theta + step, theta - step
+        f = costs.row_values(kind, costs.measured_many(spec, probes, ds, backend))
+        return (f[0::2] - f[1::2]) / (2.0 * step)
+    if kind is CostKind.ACCURACY:
+        raise ValueError(f"the {method.value} gradient is undefined for the accuracy cost; "
+                         "pick a differentiable cost")
+    design = ds.design(spec.ansatz)
+    if method is GradMethod.ANALYTIC and not backend.is_noisy:
+        m, dm = circuits.analytic_gradient_batch(spec, theta, design, None, forward)
+        backend.charge(_gradient_cost(method, spec, len(ds)))
+    else:
+        # base probe first, then the +-pi/2 pair of every gate angle g = 2 layer + gate
+        deltas, g = np.zeros((4 * spec.layers + 1, 2 * spec.layers)), np.arange(2 * spec.layers)
+        deltas[2 * g + 1, g], deltas[2 * g + 2, g] = np.pi / 2.0, -np.pi / 2.0
+        shifted = costs.measured_many(spec, np.repeat(theta[None], len(deltas), axis=0), ds,
+                                      backend, shifts=deltas.reshape(-1, spec.layers, 2))
+        m, half = shifted[0], 0.5 * (shifted[1::2] - shifted[2::2])
+        dm = circuits.chain_rule(spec, half.reshape(spec.layers, 2, len(ds)), design)
+    return np.add.reduce(costs.cost_weights(kind, m)[:, None] * dm) / len(ds)
 
 
 def bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray,
@@ -261,31 +239,25 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
             break
 
         alpha = ls.alpha0
-        accepted = None
+        accepted = False
         with backend_failures(f"iteration {k}"):
             for _ in range(ls.max_halvings):
                 trial = theta + alpha * d
                 f_trial, acc_trial, forward = costs.evaluate_with_accuracy(
                     cfg.cost, spec, trial, dataset, backend, states=True)
                 if f_trial <= f + ls.c1 * alpha * slope:
-                    # with no budget left for Wolfe's curvature gradient the
-                    # Armijo step is taken, as armijo takes it
-                    if ls.kind != "wolfe" or not guard.allows(grad_cost):
-                        accepted = (trial, f_trial, acc_trial, forward, None)
-                        break
-                    g_trial = gradient(trial, forward)
-                    if abs(float(g_trial @ d)) <= ls.c2 * abs(slope):
-                        accepted = (trial, f_trial, acc_trial, forward, g_trial)
+                    # with no budget left for a gradient the step is taken
+                    # without one: it is traced, then the run stops
+                    g_trial = gradient(trial, forward) if guard.allows(grad_cost) else None
+                    accepted = (g_trial is None or ls.kind == "armijo"
+                                or abs(float(g_trial @ d)) <= ls.c2 * abs(slope))
+                    if accepted:
                         break
                 alpha *= 0.5
                 if not guard.allows(n):
                     break
-            if accepted is None:
-                break
-            trial, f_trial, acc_trial, forward, g_trial = accepted
-            # without budget for a gradient, trace the accepted step, then stop
-            if g_trial is None and guard.allows(grad_cost):
-                g_trial = gradient(trial, forward)
+        if not accepted:
+            break
 
         s = trial - theta
         if g_trial is not None:

@@ -1,4 +1,6 @@
-"""Gradient estimators, the quasi-Newton update, and the training loops."""
+"""The gradient estimator, the quasi-Newton update, and the training loops."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +17,7 @@ from reupsim.seeding import derive_seed
 from reupsim.trace import TrainingError
 from reupsim.trainers import (GradConfig, GradMethod, LineSearchSpec,
                               LocalSearchSpec, OptimizerKind, _initial_theta, bfgs_train,
-                              bfgs_update, estimate_gradient, gradient_fd,
-                              gradient_parameter_shift, landscape_scan, sgd_train)
+                              bfgs_update, estimate_gradient, landscape_scan, sgd_train)
 
 
 def _small_problem(n=20, seed=0):
@@ -40,21 +41,20 @@ def test_gradient_estimators_agree_on_the_ideal_backend():
         np.testing.assert_allclose(fd, analytic, atol=1e-7)
 
 
-def test_gradient_estimators_charge_hardware_equivalent_estimates():
-    spec, ds, theta = _small_problem(n=10)
-    be = IdealBackend()
-    gradient_fd(CostKind.CROSS_ENTROPY, spec, theta, ds, be, step=0.1)
-    assert be.ledger.total_estimates == 2 * spec.n_params * 10
-
-    be = IdealBackend()
-    estimate_gradient(GradMethod.PARAMETER_SHIFT, CostKind.CROSS_ENTROPY, spec,
-                      theta, ds, be)
-    assert be.ledger.total_estimates == (4 * spec.layers + 1) * 10
-
-    be = IdealBackend()
-    estimate_gradient(GradMethod.ANALYTIC, CostKind.CROSS_ENTROPY, spec,
-                      theta, ds, be)
-    assert be.ledger.total_estimates == (4 * spec.layers + 1) * 10
+@pytest.mark.parametrize("layers", [1, 4])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("method", list(GradMethod))
+def test_gradient_estimators_charge_hardware_equivalent_estimates(method, noisy, layers):
+    """Each method charges what the equivalent hardware run measures, and
+    that is the count the budget checks read, trainers._gradient_cost."""
+    spec, ds = CircuitSpec(layers=layers), generate(10, seed=0)
+    theta = np.random.default_rng(0).uniform(-np.pi, np.pi, spec.n_params)
+    be = NoisyBackend(NoiseModel(seed=3)) if noisy else IdealBackend()
+    be.charge(7)
+    estimate_gradient(method, CostKind.CROSS_ENTROPY, spec, theta, ds, be, step=0.1)
+    per_probe = 2 * spec.n_params if method is GradMethod.FINITE_DIFFERENCE else 4 * layers + 1
+    assert be.ledger.total_estimates - 7 == per_probe * 10
+    assert be.ledger.total_estimates - 7 == trainers._gradient_cost(method, spec, 10)
 
 
 def _fd_per_probe(kind, spec, theta, ds, backend, step):
@@ -120,8 +120,10 @@ def test_batched_gradients_equal_a_per_probe_loop(ansatz, layers, kind, n, noisy
     def backend():
         return NoisyBackend(NoiseModel(seed=9)) if noisy else IdealBackend()
 
-    for batched, reference, kwargs in ((gradient_fd, _fd_per_probe, {"step": 0.05}),
-                                       (gradient_parameter_shift, _shift_per_probe, {})):
+    for method, reference, kwargs in ((GradMethod.FINITE_DIFFERENCE, _fd_per_probe,
+                                       {"step": 0.05}),
+                                      (GradMethod.PARAMETER_SHIFT, _shift_per_probe, {})):
+        batched = partial(estimate_gradient, method)
         be_batched, be_reference = backend(), backend()
         np.testing.assert_array_equal(batched(kind, spec, theta, ds, be_batched, **kwargs),
                                       reference(kind, spec, theta, ds, be_reference, **kwargs))
@@ -139,14 +141,17 @@ def test_analytic_on_a_noisy_backend_samples_like_the_shift_rule():
     np.testing.assert_array_equal(a, b)
 
 
-def test_gradient_methods_reject_the_accuracy_cost():
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("method", [GradMethod.PARAMETER_SHIFT, GradMethod.ANALYTIC])
+def test_gradient_methods_reject_the_accuracy_cost(monkeypatch, method, noisy):
+    """The refusal comes before anything is evaluated or charged."""
     spec, ds, theta = _small_problem(n=5)
+    backend = NoisyBackend(NoiseModel(seed=2)) if noisy else IdealBackend()
+    monkeypatch.setattr(circuits, "_evolve",
+                        lambda *args, **kwargs: pytest.fail("a circuit was evaluated"))
     with pytest.raises(ValueError, match="accuracy"):
-        estimate_gradient(GradMethod.PARAMETER_SHIFT, CostKind.ACCURACY, spec,
-                          theta, ds, IdealBackend())
-    with pytest.raises(ValueError, match="accuracy"):
-        estimate_gradient(GradMethod.ANALYTIC, CostKind.ACCURACY, spec, theta, ds,
-                          IdealBackend())
+        estimate_gradient(method, CostKind.ACCURACY, spec, theta, ds, backend)
+    assert backend.ledger.total_estimates == 0
 
 
 def test_bfgs_update_satisfies_the_secant_equation():
@@ -310,7 +315,8 @@ def test_ideal_analytic_bfgs_runs_one_forward_pass_per_evaluation(monkeypatch, s
     assert evaluations == ["evolve", "evaluate"] * (len(evaluations) // 2)
     assert events[:3] == ["evolve", "evaluate", "gradient"]
     for theta, grad in gradients:
-        assert grad.tobytes() == costs.analytic_gradient(kind, spec, theta, ds).tobytes()
+        fresh = estimate_gradient(GradMethod.ANALYTIC, kind, spec, theta, ds, IdealBackend())
+        assert grad.tobytes() == fresh.tobytes()
     if cap is not None:
         assert backend.ledger.total_estimates <= cap
         # the cap ended the op on a line-search trial with no gradient
@@ -472,11 +478,12 @@ def test_a_subset_builds_its_own_design():
     sub, fresh = ds.subset(idx), Dataset(ds.x[idx], ds.y[idx], ds.boundary)
     assert len(sub.design(spec.ansatz)) == len(idx)
     for kind in (CostKind.CROSS_ENTROPY, CostKind.CHI_SQUARED):
-        got, want = (trainers.gradient_analytic(kind, spec, theta, d, IdealBackend())
+        got, want = (estimate_gradient(GradMethod.ANALYTIC, kind, spec, theta, d,
+                                       IdealBackend())
                      for d in (sub, fresh))
         assert got.tobytes() == want.tobytes()
-        got, want = (gradient_parameter_shift(kind, spec, theta, d,
-                                              NoisyBackend(NoiseModel(seed=5)))
+        got, want = (estimate_gradient(GradMethod.PARAMETER_SHIFT, kind, spec, theta, d,
+                                       NoisyBackend(NoiseModel(seed=5)))
                      for d in (sub, fresh))
         assert got.tobytes() == want.tobytes()
 
