@@ -125,24 +125,6 @@ class BudgetError(SettingError):
     """max_estimates cannot pay for an optimizer's first charge."""
 
 
-class EstimateBudget:
-    """max_estimates as a hard limit on a ledger's total, checked before each charge."""
-
-    def __init__(self, limit: int | None, ledger: MeasurementLedger):
-        self.limit = limit
-        self.ledger = ledger
-
-    def allows(self, upcoming: int) -> bool:
-        return self.limit is None or self.ledger.total_estimates + upcoming <= self.limit
-
-    def require(self, upcoming: int, what: str) -> None:
-        """Raise BudgetError unless the first charge, `what`, fits in the limit."""
-        if not self.allows(upcoming):
-            held = self.ledger.total_estimates
-            raise BudgetError(f"max_estimates={self.limit} is below {what} = {upcoming} "
-                              f"estimates" + (f" on top of {held} already charged" if held else ""))
-
-
 class Backend:
     """A ledger and a shot count per estimate; subclasses turn true
     probabilities into estimates with sample(p_y, y).  A backend samples and

@@ -400,12 +400,16 @@ def _at_least(minimum: int | None, kind=int, exclusive: bool = False, maximum=No
 
 def _list_of(item, distinct: int = 1):
     """An argparse type: comma-separated `item` values, blank ones skipped; a bad
-    item, an empty list or under `distinct` distinct values exits 2 naming the flag."""
+    item, an empty list, under `distinct` distinct values or a value listed
+    twice exits 2 naming the flag."""
     def values(text: str) -> list:
         out = [item(t.strip()) for t in text.split(",") if t.strip()]
         if len(set(out)) < distinct:
             raise argparse.ArgumentTypeError(
                 f"need at least {distinct} distinct values" if out else "empty list")
+        twice = [v for i, v in enumerate(out) if v in out[:i]]
+        if twice:
+            raise argparse.ArgumentTypeError(f"{twice[0]} is listed twice")
         return out
     values.__name__ = f"{item.__name__} list"
     return values

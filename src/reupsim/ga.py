@@ -13,12 +13,13 @@ loss-type objectives before handing them over.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import costs
-from .backend import Backend, EstimateBudget
+from .backend import Backend
 from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
@@ -235,28 +236,27 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
     The trace has one row per generation, generation 0 being the random
     initial population.  The ledger charges population x dataset estimates
     every generation, elites and repeated chromosomes included, but the
-    kernel runs once per distinct chromosome.  `max_estimates` is a hard
-    limit: a budget below one generation raises BudgetError before anything
-    is charged, and no generation starts that would overrun it.
+    kernel runs once per distinct chromosome.  The trace ends the run at the
+    target accuracy, after max_generations, or when `max_estimates` cannot
+    pay for the next generation; a budget below one generation raises
+    BudgetError before anything is charged.
     """
     n = len(dataset)
-    guard = EstimateBudget(config.max_estimates, backend.ledger)
-    guard.require(config.population_size * n,
-                  f"one generation: {config.population_size} chromosomes x {n} points")
+    generation = config.population_size * n
+    trace = TrainingTrace.start(config, config.max_generations, backend.ledger, generation,
+                                f"one generation: {config.population_size} chromosomes "
+                                f"x {n} points")
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))
     low, high = config.init_range
     pop = rng.uniform(low, high, size=(config.population_size, spec.n_params))
     maximize = not costs.is_loss(config.fitness)
 
-    trace = TrainingTrace(target_accuracy=config.target_accuracy)
-    for gen in range(config.max_generations + 1):
+    for gen in itertools.count():
         with backend_failures(f"generation {gen}"):
             measured = costs.measured_many(spec, pop, dataset, backend)
         values, accs = costs.row_values(config.fitness, measured), costs.row_accuracies(measured)
         fitnesses = values if maximize else -values
-        if (trace.record(gen, pop, values, accs, backend.ledger, diversity(pop), maximize)
-                or gen == config.max_generations
-                or not guard.allows(config.population_size * n)):
+        if trace.record(gen, pop, values, accs, generation, diversity(pop), maximize):
             break
 
         elite_idx = np.argsort(-fitnesses, kind="stable")[:config.elitism_count]

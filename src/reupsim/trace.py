@@ -6,8 +6,9 @@ not host wall clock, so re-running an archived experiment reproduces the
 trace byte for byte.  The diversity column is populated by the population
 optimizer only and left empty otherwise.
 
-Every optimizer hands each step's candidates to TrainingTrace.record, which
-keeps the incumbent it returns and decides the target-accuracy stop.
+Every optimizer starts its trace with TrainingTrace.start and hands each
+step's candidates to TrainingTrace.record, which keeps the incumbent it
+returns and ends the run at the target, the last step or the budget.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import MeasurementLedger, estimate_time
+from .backend import BudgetError, MeasurementLedger, estimate_time
 
 TRACE_HEADER = ("iter", "best_accuracy", "best_loss", "diversity",
                 "cum_estimates", "cum_shots", "wall_ms")
@@ -101,11 +102,34 @@ class TraceRow:
 @dataclass
 class TrainingTrace:
     """The rows of a run plus its incumbent: `best_theta`, the candidate whose
-    measured cost is the last row's best_loss."""
+    measured cost is the last row's best_loss.  A live run's trace also holds
+    its limits and the ledger it reads; traces compare by their rows alone."""
 
     rows: list[TraceRow] = field(default_factory=list)
-    target_accuracy: float | None = None
+    target_accuracy: float | None = field(default=None, compare=False)
+    max_steps: int | None = field(default=None, compare=False)
+    max_estimates: int | None = field(default=None, compare=False)
+    ledger: MeasurementLedger | None = field(default=None, compare=False)
     best_theta: np.ndarray | None = field(default=None, init=False, compare=False)
+
+    @classmethod
+    def start(cls, limits: RunLimits, max_steps: int, ledger: MeasurementLedger,
+              first: int, what: str) -> "TrainingTrace":
+        """The trace of a run of at most `max_steps` steps that charges `ledger`;
+        BudgetError unless its first charge, `what`, of `first` estimates fits."""
+        trace = cls(target_accuracy=limits.target_accuracy, max_steps=max_steps,
+                    max_estimates=limits.max_estimates, ledger=ledger)
+        if not trace.allows(first):
+            held = ledger.total_estimates
+            on_top = f" on top of {held} already charged" if held else ""
+            raise BudgetError(f"max_estimates={limits.max_estimates} is below {what} = "
+                              f"{first} estimates{on_top}")
+        return trace
+
+    def allows(self, upcoming: int) -> bool:
+        """Whether `upcoming` more estimates keep the ledger within max_estimates."""
+        return (self.max_estimates is None
+                or self.ledger.total_estimates + upcoming <= self.max_estimates)
 
     def append(self, iteration: int, best_accuracy: float, best_loss: float,
                diversity: float | None, cum_estimates: int, cum_shots: int,
@@ -118,10 +142,12 @@ class TrainingTrace:
                                   cum_estimates, cum_shots, wall_ms))
 
     def record(self, iteration: int, thetas: np.ndarray, values, accuracies,
-               ledger: MeasurementLedger, diversity: float | None = None,
+               next_step: int, diversity: float | None = None,
                maximize: bool = False) -> bool:
         """Append the row of a step that measured `thetas` (one candidate per
-        row) at cost `values` and `accuracies`; True once the target is reached.
+        row) at cost `values` and `accuracies`; True when the run ends here:
+        at the target, at step max_steps, or when the `next_step` estimates
+        would overrun the budget.
 
         The first candidate with the best cost is the incumbent, replaced only
         by a strictly better cost (higher when `maximize`).  best_accuracy is
@@ -138,10 +164,11 @@ class TrainingTrace:
         best_accuracy = float(max(accuracies))
         if last:
             best_accuracy = max(last.best_accuracy, best_accuracy)
-        est, shots = ledger.snapshot()
+        est, shots = self.ledger.snapshot()
         self.append(iteration, best_accuracy, best_loss, diversity, est, shots,
-                    estimate_time(ledger) * 1000.0)
-        return self.target_accuracy is not None and best_accuracy >= self.target_accuracy
+                    estimate_time(self.ledger) * 1000.0)
+        return ((self.target_accuracy is not None and best_accuracy >= self.target_accuracy)
+                or iteration == self.max_steps or not self.allows(next_step))
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, costs
-from .backend import Backend, EstimateBudget, IdealBackend, SettingError
+from .backend import Backend, IdealBackend, SettingError
 from .circuits import Choice, CircuitSpec
 from .costs import CostKind
 from .data import Dataset
@@ -193,23 +193,22 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
     """Quasi-Newton minimization of the configured cost; returns the iterate
     with the best measured cost and the per-iteration trace.
 
-    Stops on max_iterations, the target accuracy (from iteration 0), a
-    gradient norm below 1e-8, an exhausted estimate budget, or a failed line
-    search.  `max_estimates` is a hard
-    limit: a budget below iteration 0 raises BudgetError before anything is
-    charged, and no evaluation or gradient is started that would overrun it.
+    The trace ends the run at the target accuracy, after max_iterations, or
+    when `max_estimates` cannot pay for a cost evaluation and a gradient; a
+    gradient norm below 1e-8 or a failed line search also stops it.  No
+    evaluation or gradient starts that would overrun the budget, and one below
+    iteration 0 raises BudgetError before anything is charged.
     """
     if cfg.method not in (OptimizerKind.BFGS_STANDARD, OptimizerKind.BFGS_AS_WRITTEN):
         raise ValueError(f"bfgs_train got optimizer {cfg.method.value}")
     n = len(dataset)
     grad_cost = _gradient_cost(cfg.gradient, spec, n)
-    guard = EstimateBudget(cfg.max_estimates, backend.ledger)
-    guard.require(n + grad_cost, "iteration 0: a cost evaluation and a gradient")
+    trace = TrainingTrace.start(cfg, cfg.max_iterations, backend.ledger, n + grad_cost,
+                                "iteration 0: a cost evaluation and a gradient")
     theta = _initial_theta(cfg, spec)
     dim = theta.size
     H = np.eye(dim)
     h_seeded = False
-    trace = TrainingTrace(target_accuracy=cfg.target_accuracy)
 
     def gradient(at: np.ndarray, forward: tuple) -> np.ndarray:
         return estimate_gradient(cfg.gradient, cfg.cost, spec, at, dataset, backend,
@@ -219,13 +218,13 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
         f, acc, forward = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset,
                                                        backend, states=True)
         g = gradient(theta, forward)
-    if trace.record(0, theta[None], [f], [acc], backend.ledger):
-        return trace.best_theta, trace
 
-    ls = cfg.line_search
-    for k in range(1, cfg.max_iterations + 1):
+    ls, k = cfg.line_search, 0
+    # a step taken with no budget left for its gradient (g = None) is traced, then ends the run
+    while not trace.record(k, theta[None], [f], [acc], n + grad_cost) and g is not None:
         if np.linalg.norm(g) < GRAD_NORM_TOL:
             break
+        k += 1
         d = -(H @ g)
         slope = float(g @ d)
         if slope >= 0:
@@ -233,10 +232,6 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
             H = np.eye(dim)
             d = -g
             slope = float(g @ d)
-
-        # cost of one more iteration: at least one line-search trial + one gradient
-        if not guard.allows(n + grad_cost):
-            break
 
         alpha = ls.alpha0
         accepted = False
@@ -246,15 +241,13 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
                 f_trial, acc_trial, forward = costs.evaluate_with_accuracy(
                     cfg.cost, spec, trial, dataset, backend, states=True)
                 if f_trial <= f + ls.c1 * alpha * slope:
-                    # with no budget left for a gradient the step is taken
-                    # without one: it is traced, then the run stops
-                    g_trial = gradient(trial, forward) if guard.allows(grad_cost) else None
+                    g_trial = gradient(trial, forward) if trace.allows(grad_cost) else None
                     accepted = (g_trial is None or ls.kind == "armijo"
                                 or abs(float(g_trial @ d)) <= ls.c2 * abs(slope))
                     if accepted:
                         break
                 alpha *= 0.5
-                if not guard.allows(n):
+                if not trace.allows(n):
                     break
         if not accepted:
             break
@@ -270,11 +263,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
                     H = (ys / float(y @ y)) * np.eye(dim)
                     h_seeded = True
                 H = bfgs_update(H, s, y, cfg.method)
-        theta, f = trial, f_trial
-        if (trace.record(k, trial[None], [f_trial], [acc_trial], backend.ledger)
-                or g_trial is None):
-            break
-        g = g_trial
+        theta, f, acc, g = trial, f_trial, acc_trial, g_trial
 
     return trace.best_theta, trace
 
@@ -286,8 +275,9 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
     dataset size is a SettingError.
 
     One iteration is one parameter update; the full-set cost and accuracy
-    are measured once per iteration for the trace.  `max_estimates` is a
-    hard limit, as in bfgs_train.
+    are measured once per iteration for the trace.  The trace ends the run as
+    in bfgs_train, the next step being a mini-batch gradient and a cost
+    evaluation.
     """
     if cfg.method not in (OptimizerKind.SGD, OptimizerKind.GRADIENT_DESCENT):
         raise ValueError(f"sgd_train got optimizer {cfg.method.value}")
@@ -299,23 +289,19 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
     if cfg.method is OptimizerKind.GRADIENT_DESCENT and batch != n:
         raise SettingError(f"batch_size={cfg.batch_size} is below the {n} points: "
                            "gradient_descent is full-batch; use sgd for mini-batches")
-    guard = EstimateBudget(cfg.max_estimates, backend.ledger)
-    guard.require(n, "iteration 0: a cost evaluation")
+    trace = TrainingTrace.start(cfg, cfg.max_iterations, backend.ledger, n,
+                                "iteration 0: a cost evaluation")
     theta = _initial_theta(cfg, spec)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "sgd-shuffle"))
-    trace = TrainingTrace(target_accuracy=cfg.target_accuracy)
 
     with backend_failures("iteration 0"):
         f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-    if trace.record(0, theta[None], [f], [acc], backend.ledger):
-        return trace.best_theta, trace
 
     order = np.arange(n)
-    cursor = n  # force a reshuffle on first use
+    k, cursor = 0, n  # a cursor at the end forces a reshuffle on first use
     grad_cost = _gradient_cost(cfg.gradient, spec, batch)
-    for k in range(1, cfg.max_iterations + 1):
-        if not guard.allows(grad_cost + n):
-            break
+    while not trace.record(k, theta[None], [f], [acc], grad_cost + n):
+        k += 1
         if cursor + batch > n:
             order = shuffle_rng.permutation(n) if batch < n else order
             cursor = 0
@@ -326,8 +312,6 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
                                   dataset.subset(idx), backend, step=cfg.step)
             theta = theta - cfg.learning_rate * g
             f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-        if trace.record(k, theta[None], [f], [acc], backend.ledger):
-            break
 
     return trace.best_theta, trace
 

@@ -83,6 +83,36 @@ def test_train_archives_a_rerunnable_config(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_archived_files_keep_their_line_endings(tmp_path, capsys):
+    """trace.csv and a gen-data CSV's rows are written by csv.writer, so they
+    end in \\r\\n (a gen-data file's boundary line ends in \\n); every other
+    file a command writes ends its lines in \\n alone.  Archived bytes depend
+    on both conventions."""
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_TRAIN_CONFIG)
+    run, pts = tmp_path / "run", tmp_path / "pts.csv"
+    assert cli.main(["train", "--config", str(config), "--out", str(run)]) == cli.EXIT_OK
+    assert cli.main(["gen-data", "--out", str(pts), "--n", "5"]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--theta", str(run / "best_theta.txt"), "--data", str(pts),
+                     "--out", str(tmp_path / "scores.csv")]) == cli.EXIT_OK
+    assert cli.main(["analyze", "time-budget", "--out", str(tmp_path / "budget")]) == cli.EXIT_OK
+    capsys.readouterr()
+
+    def lines(path):
+        return path.read_bytes().splitlines(keepends=True)
+
+    trace = lines(run / "trace.csv")
+    assert len(trace) == 5 and all(line.endswith(b"\r\n") for line in trace)
+    boundary, *rows = lines(pts)
+    assert boundary.startswith(b"# boundary") and boundary.endswith(b"\n")
+    assert not boundary.endswith(b"\r\n")
+    assert len(rows) == 6 and all(line.endswith(b"\r\n") for line in rows)
+    for path in (run / "best_theta.txt", run / "summary.txt", run / "config.yaml",
+                 tmp_path / "scores.csv", tmp_path / "budget" / "time_budget.csv"):
+        text = path.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text, path.name
+
+
 def test_a_seed_of_64_bits_or_more_is_read_from_the_flag_as_from_the_config(tmp_path,
                                                                             monkeypatch):
     """Seeds have no upper bound: the flag, the config key and REUP_SEED all

@@ -239,6 +239,29 @@ reupsim analyze: error: argument analysis: invalid choice: 'bogus' (choose from 
 usage: reupsim [-h] {gen-data,train,evaluate,sweep,analyze} ...
 reupsim: error: unrecognized arguments: --bogus
 """,
+    # a value listed twice would train a sweep cell twice on one seed, or
+    # weigh a shot count or step twice in an analysis
+    'sweep --config c.yaml --param seed --values 0.1,0.1 --repeats 2 --out s': """\
+usage: reupsim sweep [-h] --config CONFIG --param PARAM --values VALUES
+                     [--repeats REPEATS] [--jobs JOBS] --out OUT
+                     [--workers WORKERS] [--set KEY=VALUE] [--seed SEED]
+reupsim sweep: error: argument --values: 0.1 is listed twice
+""",
+    'analyze noise-scaling --out n --shots 10,10,30': """\
+usage: reupsim analyze noise-scaling [-h] [--shots SHOTS] [--repeats REPEATS]
+                                     [--points POINTS]
+                                     [--residual-sigma RESIDUAL_SIGMA] --out
+                                     OUT [--ansatz ANSATZ] [--layers LAYERS]
+                                     [--seed SEED]
+reupsim analyze noise-scaling: error: argument --shots: 10 is listed twice
+""",
+    'analyze gradient-noise --out g --steps 0.5,1,0.50': """\
+usage: reupsim analyze gradient-noise [-h] [--steps STEPS] [--repeats REPEATS]
+                                      [--points POINTS] [--shots SHOTS]
+                                      [--ideal] --out OUT [--ansatz ANSATZ]
+                                      [--layers LAYERS] [--seed SEED]
+reupsim analyze gradient-noise: error: argument --steps: 0.5 is listed twice
+""",
     'gen-data': """\
 usage: reupsim gen-data [-h] [--n N] --out OUT [--split {train,test}]
                         [--center X0 X1] [--radius RADIUS]

@@ -1,13 +1,13 @@
-"""Training trace records, their CSV round trip, and the incumbent rule that
-TrainingTrace.record applies for every optimizer."""
+"""Training trace records, their CSV round trip, and the incumbent and stop
+rules that TrainingTrace.record applies for every optimizer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reupsim.backend import MeasurementLedger
-from reupsim.trace import TRACE_HEADER, TrainingTrace
+from reupsim.backend import BudgetError, MeasurementLedger
+from reupsim.trace import TRACE_HEADER, RunLimits, TrainingTrace
 
 
 def _sample_trace():
@@ -109,10 +109,11 @@ def descent_reference(steps, target):
 
 
 def recorded(steps, maximize, target, stop_from=0):
-    trace, ledger = TrainingTrace(target_accuracy=target), MeasurementLedger()
+    ledger = MeasurementLedger()
+    trace = TrainingTrace(target_accuracy=target, ledger=ledger)
     for k, (thetas, values, accs) in enumerate(steps):
         ledger.reserve(len(values), 10)
-        if trace.record(k, thetas, values, accs, ledger, maximize=maximize) and k >= stop_from:
+        if trace.record(k, thetas, values, accs, 0, maximize=maximize) and k >= stop_from:
             break
     assert trace.estimates() == [len(steps[0][1]) * (k + 1) for k in range(len(trace))]
     return trace.best_theta, [(r.best_accuracy, r.best_loss) for r in trace.rows]
@@ -166,9 +167,74 @@ def test_ties_and_worse_candidates_keep_the_earlier_incumbent(maximize):
 
 
 def test_the_target_stops_a_run_at_equal_accuracy():
-    trace, ledger = TrainingTrace(target_accuracy=0.75), MeasurementLedger()
+    ledger = MeasurementLedger()
+    trace = TrainingTrace(target_accuracy=0.75, ledger=ledger)
     theta = np.zeros((1, 2))
-    assert not trace.record(0, theta, [0.5], [0.625], ledger)
-    assert trace.record(1, theta, [0.75], [0.75], ledger)
-    assert trace.record(2, theta, [0.75], [0.5], ledger)
-    assert not TrainingTrace().record(0, theta, [0.5], [1.0], ledger)
+    assert not trace.record(0, theta, [0.5], [0.625], 0)
+    assert trace.record(1, theta, [0.75], [0.75], 0)
+    assert trace.record(2, theta, [0.75], [0.5], 0)
+    assert not TrainingTrace(ledger=ledger).record(0, theta, [0.5], [1.0], 0)
+
+
+# The stop rule: TrainingTrace.start refuses a first charge the budget cannot
+# pay, and record ends a run at the target, at max_steps, or when the next
+# step would overrun max_estimates.
+
+def _started(max_steps=None, max_estimates=None, target=None, held=0, first=0):
+    ledger = MeasurementLedger()
+    ledger.reserve(held, 10)
+    limits = RunLimits(target_accuracy=target, max_estimates=max_estimates)
+    return TrainingTrace.start(limits, max_steps, ledger, first, "the first step"), ledger
+
+
+def test_start_refuses_a_first_charge_above_the_budget():
+    with pytest.raises(BudgetError) as exc:
+        _started(max_estimates=99, first=100)
+    assert str(exc.value) == "max_estimates=99 is below the first step = 100 estimates"
+    with pytest.raises(BudgetError) as exc:
+        _started(max_estimates=120, held=30, first=100)
+    assert str(exc.value) == ("max_estimates=120 is below the first step = 100 estimates "
+                              "on top of 30 already charged")
+
+
+def test_start_takes_a_first_charge_that_fits_exactly():
+    trace, ledger = _started(max_steps=5, max_estimates=130, target=0.75, held=30, first=100)
+    assert (trace.max_steps, trace.max_estimates, trace.target_accuracy) == (5, 130, 0.75)
+    assert trace.ledger is ledger and len(trace) == 0
+    assert _started(first=10 ** 12)[0].allows(10 ** 12)     # no budget: anything fits
+
+
+def _step(trace, ledger, k, accuracy=0.5, charge=10, next_step=10):
+    ledger.reserve(charge, 10)
+    return trace.record(k, np.zeros((1, 2)), [0.5], [accuracy], next_step)
+
+
+def test_record_ends_the_run_at_the_target():
+    trace, ledger = _started(max_steps=10, target=0.75)
+    assert not _step(trace, ledger, 0, accuracy=0.625)
+    assert _step(trace, ledger, 1, accuracy=0.75)
+
+
+def test_record_ends_the_run_at_max_steps():
+    trace, ledger = _started(max_steps=2)
+    assert [_step(trace, ledger, k) for k in range(3)] == [False, False, True]
+    zero, ledger = _started(max_steps=0)
+    assert _step(zero, ledger, 0)
+
+
+def test_record_ends_the_run_when_the_next_step_overruns_the_budget():
+    trace, ledger = _started(max_steps=10, max_estimates=35)
+    assert not _step(trace, ledger, 0)                  # 10 held, the next 10 fit
+    assert not _step(trace, ledger, 1, next_step=15)    # 20 + 15 = 35: fits exactly
+    assert _step(trace, ledger, 2, charge=0, next_step=16)
+    assert trace.estimates() == [10, 20, 20]
+
+
+def test_a_read_back_trace_has_no_ledger_and_compares_by_rows(tmp_path):
+    trace, ledger = _started(max_steps=3, max_estimates=100, target=0.9)
+    for k in range(3):
+        _step(trace, ledger, k)
+    trace.write_csv(tmp_path / "trace.csv")
+    back = TrainingTrace.read_csv(tmp_path / "trace.csv")
+    assert back.ledger is None and back.max_steps is None and back.max_estimates is None
+    assert back.rows == trace.rows and back == trace
