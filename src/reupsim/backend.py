@@ -127,8 +127,10 @@ class BudgetError(SettingError):
 
 class Backend:
     """A ledger and a shot count per estimate; subclasses turn true
-    probabilities into estimates with sample(p_y, y).  A backend samples and
-    charges; it evaluates no circuit (callers pass circuits.measure_batch)."""
+    probabilities into estimates with sample(p_y, y, charged), charging the
+    first `charged` (all when None): the rest hold the next indices, for the
+    ledger's next charge() to pay, if any.  A backend samples and charges; it
+    evaluates no circuit."""
 
     is_noisy = False
 
@@ -137,7 +139,7 @@ class Backend:
         self.ledger = MeasurementLedger()
 
     def charge(self, n_estimates: int) -> None:
-        """Account for estimates obtained without a sample() call."""
+        """Account for estimates obtained without, or past, a sample() charge."""
         self.ledger.reserve(n_estimates, self.shots)
 
 
@@ -149,10 +151,10 @@ class IdealBackend(Backend):
             raise ValueError(f"shots must be >= 1, got {shots}")
         super().__init__(shots)
 
-    def sample(self, p_y: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def sample(self, p_y: np.ndarray, y: np.ndarray, charged: int | None = None) -> np.ndarray:
         """Accounting-only twin of NoisyBackend.sample: the values pass through."""
         p_y = np.asarray(p_y, dtype=float)
-        self.ledger.reserve(p_y.size, self.shots)
+        self.ledger.reserve(p_y.size if charged is None else charged, self.shots)
         return p_y
 
 
@@ -173,13 +175,13 @@ class NoisyBackend(Backend):
         self.noise = noise if noise is not None else NoiseModel()
         super().__init__(self.noise.shots)
 
-    def sample(self, p_y: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def sample(self, p_y: np.ndarray, y: np.ndarray, charged: int | None = None) -> np.ndarray:
         """Noisy estimates for known true probabilities (one per entry)."""
         from . import binomial
         p_y, noise = np.asarray(p_y, dtype=float), self.noise
         o = noise.observed_probability(p_y, y)
         count, first, kept = p_y.size, *self._kept
-        start = self.ledger.reserve(count, noise.shots)
+        start = self.ledger.reserve(count if charged is None else charged, noise.shots)
         if not first <= start <= first + kept.shape[1] - count:
             first, kept = start, binomial.draws(counter_uniforms(
                 noise.seed, "readout", start, max(count, DRAW_BLOCK), 2), noise.residual_sigma)

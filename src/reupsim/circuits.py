@@ -212,48 +212,61 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     return (populations, (psi, cos, sin)) if states else populations
 
 
-def _probe_populations(spec: CircuitSpec, thetas: np.ndarray, x,
-                       shifts: np.ndarray | None = None, states: bool = False):
-    """Populations (p0, p1) of P probes in one kernel pass, shape (2, P, n);
-    with `states`, for one probe, (populations, the pass _evolve kept).
+def _probe_populations(spec: CircuitSpec, groups: list, states: bool = False):
+    """Populations (p0, p1) of probe groups (thetas, x, shifts) in one kernel
+    pass, one (2, P, n) array per group; with `states`, for one group of one
+    probe, (its array, the pass _evolve kept).
 
-    `x` is either (n, 2), one point set shared by every probe, or (P, n, 2),
-    one point set per probe, or the Design of either.  The angles come from
-    _angles, so a probe comes out bit-identical to a single-theta evaluation.
-    `shifts`, if given, holds (P, L, 2) deltas: [p, l, 0] is added to probe
-    p's layer-l R_y angle, [p, l, 1] to its phase.  Unshifted probes on a
-    shared point set with equal parameter bytes are evolved once and copied.
+    `x` is (n, 2), shared by the group's probes, or (P, n, 2), one point set
+    per probe, or the Design of either.  The angles come from _angles, so a
+    probe is bit-identical to a single-theta evaluation, whatever the other
+    probes.  `shifts`, if given, holds (P, L, 2) deltas: [p, l, 0] is added to
+    probe p's layer-l R_y angle, [p, l, 1] to its phase.  Unshifted probes of
+    a group on shared points with equal parameter bytes are evolved once.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
-        raise ValueError(f"parameter vectors have shape {thetas.shape}, expected "
-                         f"(P, {spec.n_params}) for {spec.layers} layers")
-    n_probes, design = thetas.shape[0], _design(spec, x)
-    per_probe = design.rows.ndim == 4
-    if per_probe and design.rows.shape[1] != n_probes:
-        raise ValueError(f"got {design.rows.shape[1]} point sets for {n_probes} probes")
-    if shifts is not None and shifts.shape != (n_probes, spec.layers, 2):
-        raise ValueError(f"shifts have shape {shifts.shape}, expected "
-                         f"({n_probes}, {spec.layers}, 2) for {n_probes} probes")
-    if shifts is None and not per_probe and n_probes > 1:
-        size, data = 8 * spec.n_params, thetas.tobytes()    # by bytes: -0.0 is not 0.0
-        keys = [data[p * size:(p + 1) * size] for p in range(n_probes)]
-        first = dict(zip(keys[::-1], range(n_probes - 1, -1, -1)))     # key: its first probe
-        if len(first) < n_probes:
-            slot = {p: i for i, p in enumerate(first.values())}
-            return _probe_populations(spec, thetas[list(slot)], design
-                                      )[:, [slot[first[key]] for key in keys]]
-    phi = _angles(spec, thetas, design)
-    if shifts is not None:      # a 0.0 delta that turns -0.0 to +0.0 moves no population bit
-        phi += shifts.transpose(2, 1, 0)[..., None]
-    out, shape = _evolve(*phi.reshape(2, spec.layers, -1), states=states), phi[:, 0].shape
-    return (out[0].reshape(shape), out[1]) if states else out.reshape(shape)
+    phis, picks = [], []
+    for thetas, x, shifts in groups:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
+            raise ValueError(f"parameter vectors have shape {thetas.shape}, expected "
+                             f"(P, {spec.n_params}) for {spec.layers} layers")
+        n_probes, design, pick = thetas.shape[0], _design(spec, x), None
+        per_probe = design.rows.ndim == 4
+        if per_probe and design.rows.shape[1] != n_probes:
+            raise ValueError(f"got {design.rows.shape[1]} point sets for {n_probes} probes")
+        if shifts is not None and shifts.shape != (n_probes, spec.layers, 2):
+            raise ValueError(f"shifts have shape {shifts.shape}, expected "
+                             f"({n_probes}, {spec.layers}, 2) for {n_probes} probes")
+        if shifts is None and not per_probe and n_probes > 1:
+            size, data = 8 * spec.n_params, thetas.tobytes()    # by bytes: -0.0 is not 0.0
+            keys = [data[p * size:(p + 1) * size] for p in range(n_probes)]
+            first = dict(zip(keys[::-1], range(n_probes - 1, -1, -1)))  # key: its first probe
+            if len(first) < n_probes:
+                slot = {p: i for i, p in enumerate(first.values())}
+                thetas, pick = thetas[list(slot)], [slot[first[key]] for key in keys]
+        phi = _angles(spec, thetas, design)
+        if shifts is not None:  # a 0.0 delta that turns -0.0 to +0.0 moves no population bit
+            phi += shifts.transpose(2, 1, 0)[..., None]
+        phis.append(phi.reshape(2, spec.layers, -1))
+        picks.append((phi.shape[2:], pick))
+    out = _evolve(*(phis[0] if len(phis) == 1 else np.concatenate(phis, axis=2)), states=states)
+    flat, split = out[0] if states else out, []
+    for columns, (shape, pick) in zip(phis, picks):
+        part, flat = flat[:, :columns.shape[2]].reshape(2, *shape), flat[:, columns.shape[2]:]
+        split.append(part if pick is None else part[:, pick])
+    return (split[0], out[1]) if states else split
 
 
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """Exact (p0, p1) for a single point."""
-    p0, p1 = _probe_populations(spec, check_theta(spec, theta)[None], x)[:, 0, 0]
+    p0, p1 = _probe_populations(spec, [(check_theta(spec, theta)[None], x, None)])[0][:, 0, 0]
     return float(p0), float(p1)
+
+
+def measure_groups(spec: CircuitSpec, groups: list) -> list[np.ndarray]:
+    """measure_many of each group (thetas, labelled Design, shifts), in one pass."""
+    return [np.where(design.label, p1, p0) for (p0, p1), (_, design, _)
+            in zip(_probe_populations(spec, groups), groups)]
 
 
 def measure_many(spec: CircuitSpec, thetas: np.ndarray, x, y: np.ndarray | None,
@@ -266,9 +279,7 @@ def measure_many(spec: CircuitSpec, thetas: np.ndarray, x, y: np.ndarray | None,
     probe, (P, n, 2) and (P, n); or `x` is their Design and `y` is not read.
     `shifts`: (P, L, 2) gate-angle deltas, as in _probe_populations.
     """
-    design = _design(spec, x, y)
-    p0, p1 = _probe_populations(spec, thetas, design, shifts)
-    return np.where(design.label, p1, p0)
+    return measure_groups(spec, [(thetas, _design(spec, x, y), shifts)])[0]
 
 
 def measure_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
@@ -277,9 +288,8 @@ def measure_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
     states=True, (M, (psi, cos, sin)): the same M bit for bit, and the pass
     that kept every state, which gate_angle_gradients takes as `forward`."""
     design = _design(spec, x, y)
-    out = _probe_populations(spec, check_theta(spec, theta)[None], design, states=states)
-    p0, p1 = out[0] if states else out
-    m = np.where(design.label, p1[0], p0[0])
+    out = _probe_populations(spec, [(check_theta(spec, theta)[None], design, None)], states)
+    m = np.where(design.label, out[0][1, 0], out[0][0, 0])
     return (m, out[1]) if states else m
 
 

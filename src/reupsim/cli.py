@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import circuits, data
 from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, HARDWARE_STEPS, MAX_SHOTS,
@@ -398,21 +399,30 @@ def _at_least(minimum: int | None, kind=int, exclusive: bool = False, maximum=No
     return number
 
 
-def _list_of(item, distinct: int = 1):
+def _list_of(item, distinct: int = 1, key=None):
     """An argparse type: comma-separated `item` values, blank ones skipped; a bad
     item, an empty list, under `distinct` distinct values or a value listed
-    twice exits 2 naming the flag."""
+    twice (its `key` equal to an earlier one's, if given) exits 2 naming the flag."""
     def values(text: str) -> list:
         out = [item(t.strip()) for t in text.split(",") if t.strip()]
         if len(set(out)) < distinct:
             raise argparse.ArgumentTypeError(
                 f"need at least {distinct} distinct values" if out else "empty list")
-        twice = [v for i, v in enumerate(out) if v in out[:i]]
+        keys = [v if key is None else key(v) for v in out]
+        twice = [out[keys.index(k)] for i, k in enumerate(keys) if k in keys[:i]]
         if twice:
             raise argparse.ArgumentTypeError(f"{twice[0]} is listed twice")
         return out
     values.__name__ = f"{item.__name__} list"
     return values
+
+
+def _as_set(text: str):
+    """What `--set KEY=text` sets KEY to: its YAML value, or the text if not YAML."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError:
+        return text
 
 
 _count = _at_least(1)
@@ -492,7 +502,8 @@ COMMANDS = (
         ("--config", dict(help="base YAML config")),
         ("--param", dict(required=True,
                          help="dotted config key to vary, e.g. optimizer.population_size")),
-        ("--values", dict(type=_list_of(str), required=True, help="comma-separated values")),
+        ("--values", dict(type=_list_of(str, key=_as_set), required=True,
+                          help="comma-separated values")),
         ("--repeats", dict(default=5, help="repeats per value")),
         ("--jobs", dict(type=_count, default=1, help="parallel training jobs")),
         ("--out", dict(help="output directory")), "--workers", "--set", "--seed"), _sweep),

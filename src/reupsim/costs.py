@@ -7,9 +7,9 @@ kept as the "as written" variant (the gated CE is minimized by
 misclassifying everything).  Accuracy, the one maximized objective, differs
 from the published one only by a leading minus.
 
-Entry points: measured_values (one theta) and measured_many (P probes) return
-charged estimates, through circuits.measure_batch or measure_many and one
-backend sample; evaluate and evaluate_with_accuracy score one theta.
+Entry points: measured_values (one theta), measured_many (P probes) and
+measured_groups (probe groups) return estimates, each from one kernel pass and
+one backend sample; evaluate and evaluate_with_accuracy score one theta.
 cost_weights gives dCost/dM, which trainers.estimate_gradient chains.
 """
 
@@ -57,6 +57,18 @@ def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: B
     return backend.sample(p.ravel(), np.tile(ds.y, p.shape[0])).reshape(p.shape)
 
 
+def measured_groups(spec: CircuitSpec, groups: list, backend: Backend,
+                    charged: int) -> list[np.ndarray]:
+    """measured_many of each group (thetas, dataset, shifts) in turn, bit for bit, from
+    one kernel call and one backend sample charging its first `charged` estimates."""
+    p = circuits.measure_groups(spec, [(thetas, ds.design(spec.ansatz), shifts)
+                                       for thetas, ds, shifts in groups])
+    est = backend.sample(np.concatenate([m.ravel() for m in p]), np.concatenate(
+        [ds.y for m, (_, ds, _) in zip(p, groups) for _ in range(len(m))]), charged)
+    return [est[end - m.size:end].reshape(m.shape)
+            for m, end in zip(p, np.cumsum([m.size for m in p]))]
+
+
 def row_accuracies(measured: np.ndarray) -> np.ndarray:
     """Fraction of points with estimated M above 0.5, per row (last axis)."""
     measured = np.asarray(measured)
@@ -93,13 +105,11 @@ def evaluate(kind: CostKind, spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
 
 
 def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
-                           ds: Dataset, backend: Backend, states: bool = False) -> tuple:
-    """(objective, accuracy) computed from one shared estimate batch; with
-    states=True, the forward pass for an analytic gradient comes third."""
-    out = measured_values(spec, theta, ds, backend, states)
-    m = out[0] if states else out
-    pair = float(row_values(kind, m)), float(row_accuracies(m))
-    return (*pair, out[1]) if states else pair
+                           ds: Dataset, backend: Backend) -> tuple:
+    """(objective, accuracy, forward) from one shared estimate batch, forward
+    being the kernel pass that an analytic gradient at theta reads."""
+    m, forward = measured_values(spec, theta, ds, backend, states=True)
+    return float(row_values(kind, m)), float(row_accuracies(m)), forward
 
 
 def cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:

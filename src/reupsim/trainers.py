@@ -15,7 +15,8 @@ one of three probe plans:
 
 Every plan charges the measurement ledger with what the equivalent hardware
 run would consume, so convergence-per-measurement comparisons between
-optimizers are honest.
+optimizers are honest.  sgd_train measures a plan's probes in the readout
+that scores the step before it, and combines them as estimate_gradient does.
 
 The BFGS loop supports the textbook inverse-Hessian update and an
 alternative published form (a DFP-shaped inverse update); both step along
@@ -118,39 +119,49 @@ class GradConfig(RunLimits):
 def estimate_gradient(method: GradMethod, kind: CostKind, spec: CircuitSpec,
                       theta: np.ndarray, ds: Dataset, backend: Backend,
                       step: float = 1e-2, forward=None) -> np.ndarray:
-    """The cost gradient at theta by `method`, charged `_gradient_cost` estimates.
-
-    Finite differences measure one batch of 2 x dim probes in the order +e_0,
-    -e_0, +e_1, -e_1, and so on.  The derivative methods refuse the accuracy
-    cost before anything is measured, and end in one combine: the cost
-    weights of M times dM/dtheta, averaged over the points.  An analytic
-    gradient on an ideal backend is exact, on `forward` of
-    evaluate_with_accuracy at theta if given; otherwise one batch measures
-    the base probe and the +-pi/2 pair of every gate angle, and the halved
-    differences are chained to theta.
-    """
+    """The cost gradient at theta by `method`, charged `_gradient_cost`
+    estimates: _probe_plan's groups measured, then _combine."""
     theta = circuits.check_theta(spec, theta)
+    measured = [costs.measured_many(spec, thetas, sub, backend, shifts) for thetas, sub, shifts
+                in _probe_plan(method, kind, spec, theta, ds, backend, step)]
+    backend.charge(_gradient_cost(method, spec, len(ds)) - sum(m.size for m in measured))
+    return _combine(method, kind, spec, theta, ds, step, measured, forward)
+
+
+def _probe_plan(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
+                ds: Dataset, backend: Backend, step: float) -> list:
+    """The probe groups (thetas, ds, shifts) of a gradient at theta: +e_0, -e_0, +e_1, ...;
+    none (analytic, ideal); or the base and the +-pi/2 pair of each gate angle."""
     if method is GradMethod.FINITE_DIFFERENCE:
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
         probes, j = np.repeat(theta[None], 2 * theta.size, axis=0), np.arange(theta.size)
         probes[2 * j, j], probes[2 * j + 1, j] = theta + step, theta - step
-        f = costs.row_values(kind, costs.measured_many(spec, probes, ds, backend))
-        return (f[0::2] - f[1::2]) / (2.0 * step)
+        return [(probes, ds, None)]
     if kind is CostKind.ACCURACY:
         raise ValueError(f"the {method.value} gradient is undefined for the accuracy cost; "
                          "pick a differentiable cost")
-    design = ds.design(spec.ansatz)
     if method is GradMethod.ANALYTIC and not backend.is_noisy:
+        return []
+    deltas, g = np.zeros((4 * spec.layers + 1, 2 * spec.layers)), np.arange(2 * spec.layers)
+    deltas[2 * g + 1, g], deltas[2 * g + 2, g] = np.pi / 2.0, -np.pi / 2.0
+    return [(np.repeat(theta[None], len(deltas), axis=0), ds,
+             deltas.reshape(-1, spec.layers, 2))]
+
+
+def _combine(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
+             ds: Dataset, step: float, measured: list, forward=None) -> np.ndarray:
+    """The gradient from the estimates of _probe_plan's groups: cost differences
+    over 2 step, or the mean of the cost weights of M times dM/dtheta, dM exact
+    (on `forward` of evaluate_with_accuracy if given) or from probe differences."""
+    if method is GradMethod.FINITE_DIFFERENCE:
+        f = costs.row_values(kind, measured[0])
+        return (f[0::2] - f[1::2]) / (2.0 * step)
+    design = ds.design(spec.ansatz)
+    if not measured:
         m, dm = circuits.analytic_gradient_batch(spec, theta, design, None, forward)
-        backend.charge(_gradient_cost(method, spec, len(ds)))
     else:
-        # base probe first, then the +-pi/2 pair of every gate angle g = 2 layer + gate
-        deltas, g = np.zeros((4 * spec.layers + 1, 2 * spec.layers)), np.arange(2 * spec.layers)
-        deltas[2 * g + 1, g], deltas[2 * g + 2, g] = np.pi / 2.0, -np.pi / 2.0
-        shifted = costs.measured_many(spec, np.repeat(theta[None], len(deltas), axis=0), ds,
-                                      backend, shifts=deltas.reshape(-1, spec.layers, 2))
-        m, half = shifted[0], 0.5 * (shifted[1::2] - shifted[2::2])
+        m, half = measured[0][0], 0.5 * (measured[0][1::2] - measured[0][2::2])
         dm = circuits.chain_rule(spec, half.reshape(spec.layers, 2, len(ds)), design)
     return np.add.reduce(costs.cost_weights(kind, m)[:, None] * dm) / len(ds)
 
@@ -215,8 +226,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
                                  step=cfg.step, forward=forward)
 
     with backend_failures("iteration 0"):
-        f, acc, forward = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset,
-                                                       backend, states=True)
+        f, acc, forward = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
         g = gradient(theta, forward)
 
     ls, k = cfg.line_search, 0
@@ -239,7 +249,7 @@ def bfgs_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
             for _ in range(ls.max_halvings):
                 trial = theta + alpha * d
                 f_trial, acc_trial, forward = costs.evaluate_with_accuracy(
-                    cfg.cost, spec, trial, dataset, backend, states=True)
+                    cfg.cost, spec, trial, dataset, backend)
                 if f_trial <= f + ls.c1 * alpha * slope:
                     g_trial = gradient(trial, forward) if trace.allows(grad_cost) else None
                     accepted = (g_trial is None or ls.kind == "armijo"
@@ -274,10 +284,11 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
     equals the dataset size (plain gradient descent).  A batch_size above the
     dataset size is a SettingError.
 
-    One iteration is one parameter update; the full-set cost and accuracy
-    are measured once per iteration for the trace.  The trace ends the run as
-    in bfgs_train, the next step being a mini-batch gradient and a cost
-    evaluation.
+    One iteration is one parameter update.  Each measures the full-set cost
+    and accuracy for the trace in one readout with the probes of the next
+    mini-batch gradient at the same theta, charged once the trace takes that
+    step; it ends the run as in bfgs_train, the next step being the gradient
+    and a cost evaluation.
     """
     if cfg.method not in (OptimizerKind.SGD, OptimizerKind.GRADIENT_DESCENT):
         raise ValueError(f"sgd_train got optimizer {cfg.method.value}")
@@ -293,27 +304,26 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
                                 "iteration 0: a cost evaluation")
     theta = _initial_theta(cfg, spec)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "sgd-shuffle"))
-
-    with backend_failures("iteration 0"):
-        f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-
-    order = np.arange(n)
-    k, cursor = 0, n  # a cursor at the end forces a reshuffle on first use
+    dataset.design(spec.ansatz)     # built once: each mini-batch slices it
     grad_cost = _gradient_cost(cfg.gradient, spec, batch)
-    while not trace.record(k, theta[None], [f], [acc], grad_cost + n):
-        k += 1
+    order, k, cursor = np.arange(n), 0, n  # a cursor at the end forces a reshuffle on first use
+    while True:
         if cursor + batch > n:
-            order = shuffle_rng.permutation(n) if batch < n else order
-            cursor = 0
-        idx = order[cursor:cursor + batch]
-        cursor += batch
+            order, cursor = shuffle_rng.permutation(n) if batch < n else order, 0
+        sub, cursor = dataset.subset(order[cursor:cursor + batch]), cursor + batch
+        # the cost at theta, then the next step's probes, charged if it is taken
         with backend_failures(f"iteration {k}"):
-            g = estimate_gradient(cfg.gradient, cfg.cost, spec, theta,
-                                  dataset.subset(idx), backend, step=cfg.step)
+            groups = [(theta[None], dataset, None),
+                      *_probe_plan(cfg.gradient, cfg.cost, spec, theta, sub, backend, cfg.step)]
+            m, *measured = costs.measured_groups(spec, groups, backend, charged=n)
+        if trace.record(k, theta[None], costs.row_values(cfg.cost, m), costs.row_accuracies(m),
+                        grad_cost + n):
+            return trace.best_theta, trace
+        k += 1
+        with backend_failures(f"iteration {k}"):
+            backend.charge(grad_cost)
+            g = _combine(cfg.gradient, cfg.cost, spec, theta, sub, cfg.step, measured)
             theta = theta - cfg.learning_rate * g
-            f, acc = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
-
-    return trace.best_theta, trace
 
 
 @dataclass(frozen=True)

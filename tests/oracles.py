@@ -1,21 +1,27 @@
-"""Reference implementations the tests check `reupsim.circuits` against.
+"""Reference implementations the tests check the package against.
 
 Nothing in the package uses these: they are the one-state gate functions and
 the complex-amplitude batch kernel that the real-amplitude kernel replaced,
 kept as independent oracles, the per-probe scatter that turns one-gate
 shifts into the delta array the batched kernel takes, the ndtri that ran
 both Cephes branches for every entry, which the one-branch ndtri replaced,
-and the one-pair-at-a-time readout mitigation that `mitigation.mitigate`
-batched.
+the one-pair-at-a-time readout mitigation that `mitigation.mitigate`
+batched, and the SGD loop whose two readouts per iteration `sgd_train` made
+one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from reupsim import binomial
-from reupsim.circuits import Ansatz, ansatz_design
+from reupsim import binomial, costs
+from reupsim.backend import Backend
+from reupsim.circuits import Ansatz, CircuitSpec, ansatz_design
+from reupsim.data import Dataset
 from reupsim.mitigation import CalibrationMatrix
+from reupsim.seeding import derive_seed
+from reupsim.trace import TrainingTrace, backend_failures
+from reupsim.trainers import GradConfig, _gradient_cost, _initial_theta, estimate_gradient
 
 
 @dataclass(frozen=True)
@@ -128,3 +134,37 @@ def mitigate_estimate(value: float, y: int, cal: CalibrationMatrix) -> float:
     if total <= 0:
         return 0.5
     return float((clipped / total)[y])
+
+
+def sgd_reference(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
+                  backend: Backend) -> tuple[np.ndarray, TrainingTrace]:
+    """trainers.sgd_train as it ran when each iteration made two readouts: the
+    mini-batch gradient by estimate_gradient, then the full-set cost at the
+    updated theta by evaluate_with_accuracy (valid settings only)."""
+    n = len(dataset)
+    batch = n if cfg.batch_size is None else cfg.batch_size
+    trace = TrainingTrace.start(cfg, cfg.max_iterations, backend.ledger, n,
+                                "iteration 0: a cost evaluation")
+    theta = _initial_theta(cfg, spec)
+    shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "sgd-shuffle"))
+
+    with backend_failures("iteration 0"):
+        f, acc, _ = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
+
+    order = np.arange(n)
+    k, cursor = 0, n  # a cursor at the end forces a reshuffle on first use
+    grad_cost = _gradient_cost(cfg.gradient, spec, batch)
+    while not trace.record(k, theta[None], [f], [acc], grad_cost + n):
+        k += 1
+        if cursor + batch > n:
+            order = shuffle_rng.permutation(n) if batch < n else order
+            cursor = 0
+        idx = order[cursor:cursor + batch]
+        cursor += batch
+        with backend_failures(f"iteration {k}"):
+            g = estimate_gradient(cfg.gradient, cfg.cost, spec, theta,
+                                  dataset.subset(idx), backend, step=cfg.step)
+            theta = theta - cfg.learning_rate * g
+            f, acc, _ = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
+
+    return trace.best_theta, trace

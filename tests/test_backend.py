@@ -251,6 +251,30 @@ def test_a_call_of_a_block_or_more_keeps_no_more_than_a_block():
         assert arrays and max(a.shape[-1] for a in arrays) <= DRAW_BLOCK
 
 
+@pytest.mark.parametrize("held", [0, DRAW_BLOCK - 300, DRAW_BLOCK - 100])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_a_charged_prefix_and_a_later_charge_equal_two_samples(noisy, held):
+    """sample(p, y, prefix) charges the prefix alone; charge(rest) then leaves
+    the ledger, and every later estimate, where a sample of the prefix and one
+    of the rest would, and the values are theirs: inside a block of DRAW_BLOCK
+    indices, with the rest across its end, and with the prefix across it."""
+    def backend():
+        made = NoisyBackend(NoiseModel(seed=3)) if noisy else IdealBackend()
+        made.charge(held)
+        return made
+
+    rng = np.random.default_rng(held)
+    p, y = rng.random(420), rng.integers(0, 2, 420)
+    fused, apart = backend(), backend()
+    got = fused.sample(p, y, 250)
+    assert fused.ledger.snapshot() == (held + 250, (held + 250) * 150)
+    fused.charge(170)
+    want = np.concatenate([apart.sample(p[:250], y[:250]), apart.sample(p[250:], y[250:])])
+    assert got.tobytes() == want.tobytes()
+    assert fused.ledger.snapshot() == apart.ledger.snapshot()
+    assert fused.sample(p, y).tobytes() == apart.sample(p, y).tobytes()
+
+
 def test_noisy_estimates_are_clipped_and_unbiased():
     nm = NoiseModel(shots=400, residual_sigma=0.0, seed=3)
     be = NoisyBackend(nm)

@@ -311,7 +311,7 @@ def test_populations_match_the_complex_kernel(ansatz, layers, probes, n, seed):
     applies every R_z.  Absolute: near p = 0 neither keeps relative precision."""
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
-    populations = circuits._probe_populations(spec, thetas, x, shift_deltas(layers, shifts))
+    populations = circuits._probe_populations(spec, [(thetas, x, shift_deltas(layers, shifts))])[0]
     for p in range(probes):
         alpha, beta = complex_evolve(*_shifted_angles(spec, thetas[p], x, shifts[p]))
         np.testing.assert_allclose(populations[:, p], np.abs([alpha, beta]) ** 2,

@@ -686,6 +686,11 @@ def test_a_count_flag_below_its_minimum_exits_2_naming_the_flag(tmp_path, monkey
      "--residual-sigma", "must be >= 0, got nan"),
     (["sweep", "--config", "c.yaml", "--param", "seed", "--values", " , ", "--out", "s"],
      "--values", "empty list"),
+    # two texts of one YAML value would train one setting twice, under two seeds
+    (["sweep", "--config", "c.yaml", "--param", "optimizer.mutation.rate",
+      "--values", "0.1,0.3,0.10", "--out", "s"], "--values", "0.1 is listed twice"),
+    (["sweep", "--config", "c.yaml", "--param", "optimizer.population_size",
+      "--values", "6,8,6.0", "--out", "s"], "--values", "6 is listed twice"),
     (["analyze", "noise-scaling", "--out", "n", "--shots", "10"], "--shots",
      "need at least 2 distinct values"),
     (["analyze", "noise-scaling", "--out", "n", "--shots", "10,10"], "--shots",

@@ -125,8 +125,8 @@ def test_measured_many_rows_equal_successive_measured_values():
     loop_be = NoisyBackend(NoiseModel(seed=1))
     pairs = [evaluate_with_accuracy(CostKind.CHI_SQUARED, spec, t, ds, loop_be)
              for t in thetas]
-    np.testing.assert_array_equal(values, [v for v, _ in pairs])
-    np.testing.assert_array_equal(accs, [a for _, a in pairs])
+    np.testing.assert_array_equal(values, [v for v, _, _ in pairs])
+    np.testing.assert_array_equal(accs, [a for _, a, _ in pairs])
 
 
 def _population_with_repeats(spec):
@@ -210,7 +210,7 @@ def test_evaluate_with_accuracy_uses_one_estimate_batch():
     ds = generate(30, seed=5)
     theta = random_parameters(spec, np.random.default_rng(5))
     be = IdealBackend()
-    value, acc = evaluate_with_accuracy(CostKind.CROSS_ENTROPY, spec, theta, ds, be)
+    value, acc, _ = evaluate_with_accuracy(CostKind.CROSS_ENTROPY, spec, theta, ds, be)
     assert be.ledger.total_estimates == 30
     assert value == pytest.approx(evaluate(CostKind.CROSS_ENTROPY, spec, theta, ds,
                                            IdealBackend()))

@@ -361,7 +361,7 @@ def test_ga_train_maximizes_accuracy_fitness():
 
 def test_ga_train_wraps_backend_failures():
     class ExplodingBackend(IdealBackend):
-        def sample(self, p_y, y):
+        def sample(self, p_y, y, charged=None):
             raise RuntimeError("detector offline")
 
     cfg = GAConfig(population_size=4, max_generations=2, seed=0)

@@ -1,11 +1,13 @@
 """The gradient estimator, the quasi-Newton update, and the training loops."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sgd_reference
 
 from reupsim import circuits, costs, trainers
 from reupsim.backend import BudgetError, IdealBackend, NoiseModel, NoisyBackend
@@ -354,6 +356,75 @@ def test_sgd_shuffling_is_seeded():
     assert a.losses() == b.losses()
 
 
+def _descent_run(train, cfg, noisy, n=12):
+    """(best theta bytes, trace rows as CSV text, ledger) of one (S)GD run."""
+    spec, ds = CircuitSpec(layers=2), generate(n, seed=8)
+    backend = NoisyBackend(NoiseModel(seed=8)) if noisy else IdealBackend()
+    theta, trace = train(cfg, spec, ds, backend)
+    return theta.tobytes(), [r.as_csv() for r in trace.rows], backend.ledger.snapshot()
+
+
+DESCENT_CASES = [(gradient, noisy, batch) for gradient in GradMethod
+                 for noisy in (False, True) for batch in (1, 7, None)]
+
+
+@pytest.mark.parametrize("stop", ["steps", "target", "budget", "zero steps"])
+@pytest.mark.parametrize("gradient, noisy, batch", DESCENT_CASES)
+def test_sgd_train_equals_the_loop_that_read_out_twice_a_step(gradient, noisy, batch, stop):
+    """One readout a step (the cost, then the next gradient's probes, charged
+    only when the step is taken) gives the rows, the best theta and the ledger
+    of a gradient estimate and a cost evaluation a step, bit for bit, up to
+    each way a run ends.  batch None is full-batch gradient descent."""
+    n = 12
+    method = OptimizerKind.GRADIENT_DESCENT if batch is None else OptimizerKind.SGD
+    cfg = GradConfig(method=method, gradient=gradient, batch_size=batch, max_iterations=6,
+                     seed=8, **({"step": 0.3} if gradient is GradMethod.FINITE_DIFFERENCE
+                                else {}))
+    per_step = trainers._gradient_cost(gradient, CircuitSpec(layers=2), batch or n) + n
+    if stop == "target":
+        # the best accuracy of the first step from 2 on that raises it: the run stops there
+        accuracies = [float(row[1]) for row in _descent_run(sgd_reference, cfg, noisy, n)[1]]
+        raised = [a for k, a in enumerate(accuracies) if k >= 2 and a > accuracies[k - 1]]
+        cfg = replace(cfg, target_accuracy=raised[0])
+    elif stop == "budget":
+        cfg = replace(cfg, max_estimates=n + 2 * per_step + per_step // 2)
+    elif stop == "zero steps":
+        cfg = replace(cfg, max_iterations=0)
+    want = _descent_run(sgd_reference, cfg, noisy, n)
+    got = _descent_run(sgd_train, cfg, noisy, n)
+    assert got == want
+    steps = len(want[1]) - 1
+    assert steps == {"steps": 6, "budget": 2, "zero steps": 0}.get(stop, steps)
+    assert stop != "target" or 2 <= steps < 6
+    assert want[2][0] == n + steps * per_step
+
+
+@pytest.mark.parametrize("gradient", list(GradMethod))
+def test_noisy_sgd_runs_one_kernel_pass_and_one_readout_a_step(monkeypatch, gradient):
+    """A noisy SGD run of k iterations makes k + 1 kernel passes and k + 1
+    backend samples: each measures the cost at theta and the next gradient."""
+    spec, ds, _ = _small_problem(n=20, seed=6)
+    backend = NoisyBackend(NoiseModel(seed=6))
+    calls = {"evolve": 0, "sample": 0}
+    real_evolve, real_sample = circuits._evolve, backend.sample
+
+    def evolve(*args, **kwargs):
+        calls["evolve"] += 1
+        return real_evolve(*args, **kwargs)
+
+    def sample(*args):
+        calls["sample"] += 1
+        return real_sample(*args)
+
+    monkeypatch.setattr(circuits, "_evolve", evolve)
+    monkeypatch.setattr(backend, "sample", sample)
+    cfg = GradConfig(method=OptimizerKind.SGD, gradient=gradient, batch_size=5,
+                     max_iterations=7, seed=6)
+    _, trace = sgd_train(cfg, spec, ds, backend)
+    assert trace.final.iteration == 7
+    assert calls == {"evolve": 8, "sample": 8}
+
+
 def test_line_search_spec_validation():
     with pytest.raises(ValueError, match="armijo or wolfe"):
         LineSearchSpec(kind="exact")
@@ -392,7 +463,7 @@ def test_grad_config_validation():
 
 def test_training_wraps_backend_failures():
     class ExplodingBackend(IdealBackend):
-        def sample(self, p_y, y):
+        def sample(self, p_y, y, charged=None):
             raise RuntimeError("laser unlocked")
 
     spec, ds, _ = _small_problem(n=5)
