@@ -74,8 +74,7 @@ def _analysis_seed(args) -> int:
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with data.rewrite(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
@@ -88,9 +87,7 @@ def _cell(value) -> str:
 
 
 def write_theta(path: str | Path, theta: np.ndarray) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with data.rewrite(path) as fh:
         for v in np.asarray(theta, dtype=float):
             fh.write(repr(float(v)) + "\n")
 
@@ -156,7 +153,6 @@ def _train(args) -> None:
                                         workers=args.workers, output_dir=args.out)
     dataset, backend, theta, trace = run_training(cfg)
     out_dir = Path(cfg.output_dir if cfg.output_dir is not None else "runs/train")
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.yaml")
     trace.write_csv(out_dir / "trace.csv")
     write_theta(out_dir / "best_theta.txt", theta)
@@ -174,7 +170,7 @@ def _train(args) -> None:
         ("total_shots", final.cum_shots),
         ("modeled_minutes", minutes),
     ]
-    with open(out_dir / "summary.txt", "w") as fh:
+    with data.rewrite(out_dir / "summary.txt") as fh:
         for key, value in summary:
             fh.write(f"{key}={_cell(value)}\n")
 
@@ -219,7 +215,7 @@ def _sweep(args):
     master = ExperimentConfig.from_mapping(base_raw, master_seed=_master_seed(args),
                                            workers=args.workers).seed
 
-    cells = []
+    cells, settings = [], []
     for text in args.values:
         for rep in range(args.repeats):
             raw = apply_overrides(copy.deepcopy(base_raw), [f"{args.param}={text}"])
@@ -228,6 +224,9 @@ def _sweep(args):
             cfg = ExperimentConfig.from_mapping(raw, master_seed=master,
                                                 workers=args.workers)
             cells.append((text, rep, cfg))
+        settings.append({**cfg.to_mapping(), "optimizer": {**cfg.optimizer, "seed": None}})
+        if settings[-1] in settings[:-1]:   # e.g. a kind name in another case: one setting
+            raise ConfigError(f"argument --values: {text} is listed twice")
 
     def run_cell(cell):
         text, rep, cfg = cell

@@ -27,7 +27,7 @@ import yaml
 from .backend import DEFAULT_SHOTS, IdealBackend, NoiseModel, NoisyBackend
 from .circuits import Choice, CircuitSpec
 from .costs import CostKind
-from .data import TRAIN_SIZE, CircleSpec, Dataset, generate, load
+from .data import TRAIN_SIZE, CircleSpec, Dataset, generate, load, rewrite
 from .ga import GAConfig
 from .seeding import derive_seed
 from .trainers import GradConfig, OptimizerKind
@@ -319,9 +319,7 @@ def read_config(path: str | Path | None, overrides: Sequence[str] = ()) -> dict:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         yaml.dump(cfg.to_mapping(), fh, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper),
                   sort_keys=True, default_flow_style=False)
 

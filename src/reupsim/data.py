@@ -9,8 +9,11 @@ uniform draw) count as outside.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,10 +127,8 @@ def generate_splits(seed: int, train_size: int = TRAIN_SIZE) -> tuple[Dataset, D
 
 def save(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as CSV; floats keep full round-trip precision."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     x_lo, x_hi, y_lo, y_hi = ds.boundary.domain
-    with open(path, "w", newline="") as fh:
+    with rewrite(path, newline="") as fh:
         fh.write(f"# boundary center={ds.boundary.center[0]!r},{ds.boundary.center[1]!r}"
                  f" radius={ds.boundary.radius!r}"
                  f" domain={x_lo!r},{x_hi!r},{y_lo!r},{y_hi!r} seed={ds.seed}\n")
@@ -162,6 +163,19 @@ def read_utf8(path: str | Path) -> io.StringIO:
         return io.StringIO(raw.decode("utf-8-sig"), newline="")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+@contextlib.contextmanager
+def rewrite(path: str | Path, newline: str | None = None):
+    """open(path, "w", newline=newline), parents made, that overwrites the file in place
+    and cuts it at the written end: truncating first makes ext4 flush and discard on close."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a device or a pipe
+                fh.truncate()
 
 
 def load(path: str | Path) -> Dataset:

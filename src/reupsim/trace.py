@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .backend import BudgetError, MeasurementLedger, estimate_time
+from .data import rewrite
 
 TRACE_HEADER = ("iter", "best_accuracy", "best_loss", "diversity",
                 "cum_estimates", "cum_shots", "wall_ms")
@@ -189,9 +190,7 @@ class TrainingTrace:
         return [r.cum_estimates for r in self.rows]
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
+        with rewrite(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(TRACE_HEADER)
             for row in self.rows:

@@ -25,6 +25,7 @@ theta <- theta - alpha * H * grad with a backtracking line search.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,10 +144,17 @@ def _probe_plan(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np
                          "pick a differentiable cost")
     if method is GradMethod.ANALYTIC and not backend.is_noisy:
         return []
-    deltas, g = np.zeros((4 * spec.layers + 1, 2 * spec.layers)), np.arange(2 * spec.layers)
+    deltas = _shift_deltas(spec.layers)
+    return [(np.repeat(theta[None], len(deltas), axis=0), ds, deltas)]
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_deltas(layers: int) -> np.ndarray:
+    """The shift rule's read-only (4L+1, L, 2) gate-angle deltas: none, then +-pi/2 on each."""
+    deltas, g = np.zeros((4 * layers + 1, 2 * layers)), np.arange(2 * layers)
     deltas[2 * g + 1, g], deltas[2 * g + 2, g] = np.pi / 2.0, -np.pi / 2.0
-    return [(np.repeat(theta[None], len(deltas), axis=0), ds,
-             deltas.reshape(-1, spec.layers, 2))]
+    deltas.flags.writeable = False
+    return deltas.reshape(-1, layers, 2)
 
 
 def _combine(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np.ndarray,

@@ -2,7 +2,11 @@
 
 import argparse
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +337,62 @@ def test_evaluate_rejects_a_theta_of_the_wrong_length(tmp_path, capsys):
     assert "expected 16 parameters" in capsys.readouterr().err
 
 
+def test_a_rerun_into_one_out_leaves_the_bytes_of_a_fresh_run(tmp_path, capsys):
+    """Outputs are rewritten in place: a 1-generation run into the directory of
+    a 6-generation run leaves the bytes of a fresh 1-generation run, and a
+    gen-data or evaluate file rewritten with fewer points those of a fresh file."""
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_TRAIN_CONFIG)
+    run, fresh = tmp_path / "run", tmp_path / "fresh"
+    for generations, out in ((6, run), (1, run), (1, fresh)):
+        assert cli.main(["train", "--config", str(config), "--out", str(out), "--set",
+                         f"optimizer.max_generations={generations}"]) == cli.EXIT_OK
+    for name in ("trace.csv", "best_theta.txt", "summary.txt"):
+        assert (run / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (run / "config.yaml").read_text().replace(str(run), str(fresh)) == (
+        fresh / "config.yaml").read_text()
+    theta = run / "best_theta.txt"
+    for n, out in ((40, "pts.csv"), (5, "pts.csv"), (5, "fresh.csv")):
+        assert cli.main(["gen-data", "--n", str(n), "--out", str(tmp_path / out)]) == cli.EXIT_OK
+        assert cli.main(["evaluate", "--theta", str(theta), "--data", str(tmp_path / out),
+                         "--out", str(tmp_path / f"scores-{out}")]) == cli.EXIT_OK
+    for name in ("pts.csv", "scores-pts.csv"):
+        assert (tmp_path / name).read_bytes() == (
+            tmp_path / name.replace("pts", "fresh")).read_bytes()
+
+
+def test_an_out_that_is_no_regular_file_is_written_through(tmp_path, capsys):
+    """A device or a pipe is written but not cut: /dev/null, and /dev/stdout
+    into a pipe, exit 0."""
+    assert cli.main(["gen-data", "--n", "5", "--out", os.devnull]) == cli.EXIT_OK
+    theta = tmp_path / "theta.txt"
+    cli.write_theta(theta, np.full(16, 0.3))
+    assert cli.main(["gen-data", "--n", "5", "--out", str(tmp_path / "pts.csv")]) == cli.EXIT_OK
+    assert cli.main(["evaluate", "--theta", str(theta), "--data", str(tmp_path / "pts.csv"),
+                     "--out", os.devnull]) == cli.EXIT_OK
+    assert f"wrote per-point results to {os.devnull}" in capsys.readouterr().out
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "reupsim.cli", "gen-data", "--n", "3",
+                           "--out", "/dev/stdout"], capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout.startswith(b"# boundary") and proc.stdout.count(b"\r\n") == 4
+
+
+@pytest.mark.parametrize("command", [["gen-data", "--n", "5"], ["evaluate"]])
+def test_an_out_that_is_a_directory_exits_4_naming_it(tmp_path, monkeypatch, capsys,
+                                                      command):
+    monkeypatch.chdir(tmp_path)
+    cli.write_theta("theta.txt", np.full(16, 0.3))
+    assert cli.main(["gen-data", "--n", "5", "--out", "pts.csv"]) == cli.EXIT_OK
+    if command == ["evaluate"]:
+        command = command + ["--theta", "theta.txt", "--data", "pts.csv"]
+    Path("taken").mkdir()
+    capsys.readouterr()
+    assert cli.main(command + ["--out", "taken"]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "i/o error: [Errno 21] Is a directory: 'taken'\n"
+
+
 def test_missing_files_exit_with_the_io_code(tmp_path, capsys):
     rc = cli.main(["evaluate", "--theta", str(tmp_path / "absent.txt"),
                    "--data", str(tmp_path / "absent.csv")])
@@ -629,6 +689,25 @@ def test_a_sweep_key_under_a_non_mapping_is_a_config_error(tmp_path, capsys):
                    "--values", "1", "--out", str(tmp_path / "sweep")])
     assert rc == cli.EXIT_CONFIG
     assert "seed.nested: seed is not a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param,values,twice", [
+    ("optimizer.selection", "sss,tournament,SSS", "SSS"),     # kind names ignore case
+    ("circuit.ansatz", "2c,2B,2C", "2C"),
+    ("seed", "1,2", "2")])                                    # the master seed wins
+def test_two_values_of_one_resolved_setting_exit_2(tmp_path, capsys, param, values, twice):
+    """Values whose cells resolve to one config (the cell seed aside) would
+    train one setting twice under two seeds; nothing is trained or written."""
+    config = tmp_path / "config.yaml"
+    config.write_text("dataset: {n: 20}\n"
+                      "optimizer: {kind: ga, population_size: 4, max_generations: 1}\n")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(config), "--param", param, "--values", values,
+                   "--repeats", "1", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: argument --values: {twice} is listed twice\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed,message", [("abc", "expected an integer, got 'abc'"),

@@ -1,10 +1,13 @@
-"""Dataset generation, labeling, and CSV round trips."""
+"""Dataset generation, labeling, CSV round trips, and the in-place writer."""
+
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from reupsim.data import (CircleSpec, DEFAULT_BOUNDARY, TEST_SIZE, Dataset, generate,
-                          generate_splits, load, save)
+                          generate_splits, load, rewrite, save)
 
 
 def test_default_boundary_splits_the_box_evenly():
@@ -140,6 +143,56 @@ def test_load_without_boundary_line_uses_the_default(tmp_path):
     ds = load(path)
     assert ds.boundary == DEFAULT_BOUNDARY
     assert len(ds) == 2
+
+
+LONG, SHORT = "a,b\n" * 300 + "tail\r\n", "x\ny\r\n"
+
+
+def written_by_open(path, text, newline):
+    """The bytes open(path, "w", newline=newline) leaves after writing text."""
+    with open(path, "w", newline=newline) as fh:
+        fh.write(text)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("newline", [None, ""])
+def test_a_rewrite_leaves_the_bytes_open_w_leaves(tmp_path, newline):
+    """A long write then a short one: the short file, no stale tail, and the
+    line endings open(path, "w", newline=newline) writes."""
+    path = tmp_path / "out" / "nested" / "file.txt"
+    for text in (LONG, SHORT, LONG):
+        with rewrite(path, newline=newline) as fh:
+            fh.write(text)
+        assert path.read_bytes() == written_by_open(tmp_path / "ref.txt", text, newline)
+    with rewrite(path, newline=newline):
+        pass
+    assert path.read_bytes() == b""
+
+
+def test_a_body_that_raises_leaves_what_it_wrote(tmp_path):
+    path = tmp_path / "file.txt"
+    path.write_text(LONG)
+    with pytest.raises(RuntimeError, match="midway"):
+        with rewrite(path) as fh:
+            fh.write("ab")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"ab"
+
+
+def test_a_rewrite_keeps_the_file_its_mode_and_its_links(tmp_path):
+    """The same inode, mode 600 kept; a symlinked output writes its target and
+    stays a link; a hard link sees the new bytes."""
+    target, link, hard = tmp_path / "target.txt", tmp_path / "link.txt", tmp_path / "hard.txt"
+    target.write_text(LONG)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    os.link(target, hard)
+    inode = target.stat().st_ino
+    with rewrite(link) as fh:
+        fh.write(SHORT)
+    assert link.is_symlink() and target.read_bytes() == hard.read_bytes() == SHORT.encode()
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
 
 
 def test_circle_spec_validation():

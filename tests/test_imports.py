@@ -10,7 +10,9 @@ imports names to re-export them, which is not a use.  A fifth scan keeps
 scipy out of the package: no module imports it anywhere, function bodies
 included, so the runtime needs only numpy and PyYAML (tests/test_startup.py
 checks that no run loads it).  A sixth keeps the layers apart: the backend
-samples and charges, and imports neither the circuits nor the costs.
+samples and charges, and imports neither the circuits nor the costs.  A
+seventh keeps one writer: only data.rewrite opens a file for writing, so every
+output is overwritten in place.
 """
 
 import ast
@@ -155,6 +157,43 @@ def unpassed_defaults(sources: list[str]) -> list[str]:
     return sorted({f"{q}({p})" for _, q, _, p in defined if (q, p) not in passed})
 
 
+def file_writers(source: str) -> list[str]:
+    """The functions (`Class.method` for methods, `<module>` for module level)
+    that open a file for writing: open, io.open or an `.open` method with a
+    mode that writes or is not a string literal, os.open with a flag other
+    than os.O_RDONLY, or a write_text, write_bytes, fdopen or temporary-file call."""
+    found = set()
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes", "fdopen", "mkstemp", "NamedTemporaryFile",
+                    "TemporaryFile"):
+            return True
+        if name != "open":
+            return False
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if owner == "os":
+            flags = call.args[1] if len(call.args) > 1 else None
+            return not (isinstance(flags, ast.Attribute) and flags.attr == "O_RDONLY")
+        at = 1 if isinstance(func, ast.Name) or owner == "io" else 0    # Path.open(mode)
+        mode = call.args[at] if len(call.args) > at else next(
+            (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) or bool(set("wax+") & set(mode.value))
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                found.add(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
@@ -184,6 +223,27 @@ def test_the_orphan_scan_reports_each_unread_definition():
 def test_no_module_imports_scipy():
     importers = [p.name for p in MODULES if "scipy" in imported_packages(p.read_text())]
     assert importers == []
+
+
+def test_only_the_in_place_writer_opens_a_file_for_writing():
+    writers = [f"{p.stem}.{name}" for p in MODULES for name in file_writers(p.read_text())]
+    assert writers == ["data.rewrite"]
+
+
+def test_the_writer_scan_reads_every_open_form():
+    source = ("import io, os\nfrom pathlib import Path\n"
+              "def reads(p):\n    open(p)\n    open(p, 'rb')\n    p.open()\n"
+              "    io.open(p, mode='r')\n    os.open(p, os.O_RDONLY)\n"
+              "def appends(p):\n    return open(p, 'a')\n"
+              "def picks(p, mode):\n    return open(p, mode=mode)\n"
+              "class K:\n    def text(self, p):\n        p.write_text('x')\n"
+              "    def path(self, p):\n        return Path(p).open('w')\n"
+              "def flags(p):\n    return os.open(p, os.O_WRONLY | os.O_CREAT)\n"
+              "def nested(p):\n    def inner():\n        return io.open(p, 'r+')\n"
+              "    return inner\n"
+              "log = open('log', 'x')\n")
+    assert file_writers(source) == ["<module>", "K.path", "K.text", "appends", "flags",
+                                    "nested.inner", "picks"]
 
 
 def sibling_imports(source: str) -> set[str]:
