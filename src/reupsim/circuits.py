@@ -264,29 +264,18 @@ def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tup
 
 
 def measure_groups(spec: CircuitSpec, groups: list) -> list[np.ndarray]:
-    """measure_many of each group (thetas, labelled Design, shifts), in one pass."""
+    """Projection probabilities onto |y_i> of probe groups (thetas, labelled
+    Design, shifts), read as _probe_populations reads them, in one pass: one
+    (P, n) array per group, row p bit-identical to a one-probe group's."""
     return [np.where(design.label, p1, p0) for (p0, p1), (_, design, _)
             in zip(_probe_populations(spec, groups), groups)]
 
 
-def measure_many(spec: CircuitSpec, thetas: np.ndarray, x, y: np.ndarray | None,
-                 shifts: np.ndarray | None = None) -> np.ndarray:
-    """Projection probabilities onto |y_i> for P probes at once, shape (P, n).
-
-    Row p is what a one-probe call with thetas[p] and shifts[p] returns, bit
-    for bit; without shifts, what measure_batch, the one-probe view, returns
-    for thetas[p].  `x` and `y` are shared, shapes (n, 2) and (n,), or per
-    probe, (P, n, 2) and (P, n); or `x` is their Design and `y` is not read.
-    `shifts`: (P, L, 2) gate-angle deltas, as in _probe_populations.
-    """
-    return measure_groups(spec, [(thetas, _design(spec, x, y), shifts)])[0]
-
-
 def measure_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
                   states: bool = False):
-    """measure_many for the one probe theta, as an (n,) array; with
-    states=True, (M, (psi, cos, sin)): the same M bit for bit, and the pass
-    that kept every state, which gate_angle_gradients takes as `forward`."""
+    """measure_groups's row for the one probe theta at points x labelled y, or
+    their Design, as an (n,) array; with states=True, (M, (psi, cos, sin)): the
+    same M bit for bit, and the pass that kept every state, gate_angle_gradients's `forward`."""
     design = _design(spec, x, y)
     out = _probe_populations(spec, [(check_theta(spec, theta)[None], design, None)], states)
     m = np.where(design.label, out[0][1, 0], out[0][0, 0])

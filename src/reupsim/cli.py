@@ -211,6 +211,11 @@ def _evaluate(args) -> None:
 
 
 def _sweep(args):
+    why = {"seed": "it is the master seed, which every cell's seed derives from; use --seed",
+           "optimizer.seed": "the sweep derives it per cell",
+           "output_dir": "no training reads it", "workers": "no training reads it"}.get(args.param)
+    if why is not None:
+        raise ConfigError(f"argument --param: a sweep cannot vary {args.param}: {why}")
     base_raw = read_config(args.config, args.set)
     master = ExperimentConfig.from_mapping(base_raw, master_seed=_master_seed(args),
                                            workers=args.workers).seed

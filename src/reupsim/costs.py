@@ -7,9 +7,9 @@ kept as the "as written" variant (the gated CE is minimized by
 misclassifying everything).  Accuracy, the one maximized objective, differs
 from the published one only by a leading minus.
 
-Entry points: measured_values (one theta), measured_many (P probes) and
-measured_groups (probe groups) return estimates, each from one kernel pass and
-one backend sample; evaluate and evaluate_with_accuracy score one theta.
+Entry points: measured_values (one theta) and measured_groups (probe groups)
+return estimates, each from one kernel pass and one backend sample; evaluate
+and evaluate_with_accuracy score one theta.
 cost_weights gives dCost/dM, which trainers.estimate_gradient chains.
 """
 
@@ -45,28 +45,18 @@ def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
     return (backend.sample(m[0], ds.y), m) if states else backend.sample(m, ds.y)
 
 
-def measured_many(spec: CircuitSpec, thetas: np.ndarray, ds: Dataset, backend: Backend,
-                  shifts: np.ndarray | None = None) -> np.ndarray:
-    """Per-point estimates for P probes over the dataset, shape (P, n).
-
-    One kernel call and one backend sample over the flattened batch in probe
-    order, so row p is bit-identical to measured_values on probe p when the
-    probes are measured one after another.  `shifts`: (P, L, 2) angle deltas.
-    """
-    p = circuits.measure_many(spec, thetas, ds.design(spec.ansatz), ds.y, shifts)
-    return backend.sample(p.ravel(), np.tile(ds.y, p.shape[0])).reshape(p.shape)
-
-
 def measured_groups(spec: CircuitSpec, groups: list, backend: Backend,
-                    charged: int) -> list[np.ndarray]:
-    """measured_many of each group (thetas, dataset, shifts) in turn, bit for bit, from
-    one kernel call and one backend sample charging its first `charged` estimates."""
+                    charged: int | None = None) -> list[np.ndarray]:
+    """Per-point estimates of probe groups (thetas, dataset, shifts), one (P, n)
+    array each, from one kernel call and one backend sample in probe order that
+    charges its first `charged` estimates (all when None): row p of a group is
+    measured_values on probe p, bit for bit, when probes are measured in turn."""
     p = circuits.measure_groups(spec, [(thetas, ds.design(spec.ansatz), shifts)
                                        for thetas, ds, shifts in groups])
-    est = backend.sample(np.concatenate([m.ravel() for m in p]), np.concatenate(
-        [ds.y for m, (_, ds, _) in zip(p, groups) for _ in range(len(m))]), charged)
-    return [est[end - m.size:end].reshape(m.shape)
-            for m, end in zip(p, np.cumsum([m.size for m in p]))]
+    flat = [(m.ravel(), np.tile(ds.y, len(m))) for m, (_, ds, _) in zip(p, groups)]
+    p_y, y = flat[0] if len(flat) == 1 else (np.concatenate(a) for a in zip(*flat))
+    est, end = backend.sample(p_y, y, charged), 0
+    return [est[end:(end := end + m.size)].reshape(m.shape) for m in p]
 
 
 def row_accuracies(measured: np.ndarray) -> np.ndarray:

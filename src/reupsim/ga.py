@@ -253,7 +253,7 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
 
     for gen in itertools.count():
         with backend_failures(f"generation {gen}"):
-            measured = costs.measured_many(spec, pop, dataset, backend)
+            measured = costs.measured_groups(spec, [(pop, dataset, None)], backend)[0]
         values, accs = costs.row_values(config.fitness, measured), costs.row_accuracies(measured)
         fitnesses = values if maximize else -values
         if trace.record(gen, pop, values, accs, generation, diversity(pop), maximize):

@@ -165,7 +165,8 @@ def observation_pairs(spec: CircuitSpec, dataset: Dataset, backend: Backend,
         rng = np.random.default_rng(derive_seed(seed, "residual-thetas"))
         thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(n, spec.n_params))
     ones = np.ones((n, 1), dtype=int)
-    p = circuits.measure_many(spec, thetas, dataset.x[:, None, :], ones)[:, 0]
+    design = circuits.Design(spec.ansatz, dataset.x[:, None, :], ones)
+    p = circuits.measure_groups(spec, [(thetas, design, None)])[0][:, 0]
     est = backend.sample(p, ones[:, 0])
     if cal is None:
         return np.column_stack([p, est])
@@ -208,6 +209,9 @@ def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
         est = nb.sample(np.tile(p, repeats), np.tile(dataset.y, repeats))
         per_point = est.reshape(repeats, n).std(axis=0, ddof=1)
         stds[i] = float(per_point.mean())
+    if not stds.all():      # the fit takes the logarithm of every spread
+        raise ValueError(f"the estimates at shot count {shot_counts[stds == 0][0]} have no spread "
+                         "to fit a power law to; use more repeats or points")
     b, log_a = np.polyfit(np.log(shot_counts), np.log(stds), 1)
     return NoiseScalingReport(shot_counts, stds, float(np.exp(log_a)), float(b))
 

@@ -120,12 +120,12 @@ class GradConfig(RunLimits):
 def estimate_gradient(method: GradMethod, kind: CostKind, spec: CircuitSpec,
                       theta: np.ndarray, ds: Dataset, backend: Backend,
                       step: float = 1e-2, forward=None) -> np.ndarray:
-    """The cost gradient at theta by `method`, charged `_gradient_cost`
-    estimates: _probe_plan's groups measured, then _combine."""
+    """The cost gradient at theta by `method`: _probe_plan's groups measured,
+    if any, then charged `_gradient_cost` estimates, then _combine."""
     theta = circuits.check_theta(spec, theta)
-    measured = [costs.measured_many(spec, thetas, sub, backend, shifts) for thetas, sub, shifts
-                in _probe_plan(method, kind, spec, theta, ds, backend, step)]
-    backend.charge(_gradient_cost(method, spec, len(ds)) - sum(m.size for m in measured))
+    plan = _probe_plan(method, kind, spec, theta, ds, backend, step)
+    measured = costs.measured_groups(spec, plan, backend, charged=0) if plan else []
+    backend.charge(_gradient_cost(method, spec, len(ds)))
     return _combine(method, kind, spec, theta, ds, step, measured, forward)
 
 
@@ -377,6 +377,6 @@ def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
                     derive_seed(neighborhood.seed, f"landscape/{i}/{j}"))
                 probes[1:, 2:] += cell_rng.uniform(-neighborhood.radius, neighborhood.radius,
                                                    (neighborhood.budget, theta0.size - 2))
-            m = costs.measured_many(spec, probes, dataset, backend)
+            m = costs.measured_groups(spec, [(probes, dataset, None)], backend)[0]
             surface[i, j] = costs.row_accuracies(m).max()
     return surface

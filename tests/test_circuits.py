@@ -11,12 +11,17 @@ from oracles import (ZERO_STATE, QubitState, complex_evolve, layer_args,
                      rotation_y, rotation_z, shift_deltas)
 
 from reupsim import circuits
-from reupsim.circuits import (Ansatz, CircuitSpec, analytic_gradient_batch,
+from reupsim.circuits import (Ansatz, CircuitSpec, Design, analytic_gradient_batch,
                               check_theta, evaluate_circuit, layer_angles,
-                              measure_batch, measure_many, random_parameters)
+                              measure_batch, measure_groups, random_parameters)
 
 ANGLES = st.floats(min_value=-4 * np.pi, max_value=4 * np.pi,
                    allow_nan=False, allow_infinity=False)
+
+
+def _one_group(spec, thetas, x, y, shifts=None):
+    """measure_groups of the one group of probes `thetas` at points x labelled y."""
+    return measure_groups(spec, [(thetas, Design(spec.ansatz, x, y), shifts)])[0]
 
 
 def _ry(phi):
@@ -144,7 +149,7 @@ def test_gate_shift_matches_direct_angle_change():
     theta2[4 + 2] += delta    # layer-1 data-independent R_y entry of 2A
     for label in (0, 1):
         y = np.full(len(x), label)
-        shifted = measure_many(spec, theta[None], x, y, shift_deltas(2, [(1, 0, delta)]))[0]
+        shifted = _one_group(spec, theta[None], x, y, shift_deltas(2, [(1, 0, delta)]))[0]
         np.testing.assert_allclose(shifted, measure_batch(spec, theta2, x, y), atol=1e-12)
 
 
@@ -179,7 +184,7 @@ def test_gate_angle_gradients_obey_the_shift_rule():
     np.testing.assert_array_equal(m, measure_batch(spec, theta, x, y))
     for l in range(spec.layers):
         for gate in range(2):
-            plus, minus = measure_many(spec, np.stack([theta, theta]), x, y, shift_deltas(
+            plus, minus = _one_group(spec, np.stack([theta, theta]), x, y, shift_deltas(
                 spec.layers, [(l, gate, np.pi / 2), (l, gate, -np.pi / 2)]))
             np.testing.assert_allclose(grads[l, gate], 0.5 * (plus - minus),
                                        atol=1e-12)
@@ -201,13 +206,13 @@ def test_the_pass_that_keeps_its_states_gives_the_plain_populations(ansatz, laye
     assert populations.tobytes() == circuits._evolve(phi_y, phi_z).tobytes()
     assert len(kept) == 3 and len(kept[0]) == 2 * layers - 1
     m, forward = measure_batch(spec, theta, x, y, states=True)
-    measure_many(spec, random_parameters(spec, rng)[None], x, y)
+    _one_group(spec, random_parameters(spec, rng)[None], x, y)
     kept_m, kept_grads = circuits.gate_angle_gradients(spec, theta, x, y, (m, forward))
     fresh_m, fresh_grads = circuits.gate_angle_gradients(spec, theta, x, y)
     assert kept_m.tobytes() == fresh_m.tobytes() == measure_batch(spec, theta, x, y).tobytes()
     assert kept_grads.tobytes() == fresh_grads.tobytes()
     for l in range(layers):
-        plus, minus = measure_many(spec, np.stack([theta, theta]), x, y, shift_deltas(
+        plus, minus = _one_group(spec, np.stack([theta, theta]), x, y, shift_deltas(
             layers, [(l, 0, np.pi / 2), (l, 0, -np.pi / 2)]))
         np.testing.assert_allclose(kept_grads[l, 0], 0.5 * (plus - minus), atol=1e-12)
 
@@ -273,15 +278,15 @@ def _random_probes(ansatz, layers, probes, seed):
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 64),
        st.integers(1, 30), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_measure_many_rows_equal_measure_batch_bit_for_bit(ansatz, layers, probes, n, seed):
+def test_measure_groups_rows_equal_measure_batch_bit_for_bit(ansatz, layers, probes, n, seed):
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
     y = rng.integers(0, 2, n)
     deltas = shift_deltas(layers, shifts)
-    many = measure_many(spec, thetas, x, y, deltas)
+    many = _one_group(spec, thetas, x, y, deltas)
     assert many.shape == (probes, n)
     for p in range(probes):
-        single = measure_many(spec, thetas[p:p + 1], x, y, deltas[p:p + 1])[0]
+        single = _one_group(spec, thetas[p:p + 1], x, y, deltas[p:p + 1])[0]
         np.testing.assert_array_equal(many[p], single)
         np.testing.assert_array_equal(single, _single_theta_kernel(spec, thetas[p], x, y,
                                                                    shifts[p]))
@@ -292,15 +297,15 @@ def test_measure_many_rows_equal_measure_batch_bit_for_bit(ansatz, layers, probe
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 64),
        st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_measure_many_with_a_point_set_per_probe(ansatz, layers, probes, n, seed):
+def test_measure_groups_with_a_point_set_per_probe(ansatz, layers, probes, n, seed):
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (probes, n, 2))
     y = rng.integers(0, 2, (probes, n))
     deltas = shift_deltas(layers, shifts)
-    many = measure_many(spec, thetas, x, y, deltas)
+    many = _one_group(spec, thetas, x, y, deltas)
     for p in range(probes):
-        np.testing.assert_array_equal(many[p], measure_many(spec, thetas[p:p + 1], x[p], y[p],
-                                                            deltas[p:p + 1])[0])
+        np.testing.assert_array_equal(many[p], _one_group(spec, thetas[p:p + 1], x[p], y[p],
+                                                          deltas[p:p + 1])[0])
 
 
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 16),
@@ -328,8 +333,8 @@ def test_the_last_phase_changes_no_population_bit():
             base = measure_batch(spec, theta, x, y)
             for delta in (0.3, -2.0, np.pi):
                 np.testing.assert_array_equal(
-                    measure_many(spec, theta[None], x, y,
-                                 shifts=shift_deltas(layers, [(layers - 1, 1, delta)]))[0], base)
+                    _one_group(spec, theta[None], x, y,
+                               shifts=shift_deltas(layers, [(layers - 1, 1, delta)]))[0], base)
 
 
 def test_the_kernel_allocates_one_workspace_and_its_outputs():
@@ -359,29 +364,29 @@ def test_warm_generations_take_no_page_faults():
     thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (50, spec.n_params))
     x, y = rng.uniform(-1.0, 1.0, (250, 2)), rng.integers(0, 2, 250)
     for _ in range(3):
-        measure_many(spec, thetas, x, y)
+        _one_group(spec, thetas, x, y)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(20):
-        measure_many(spec, thetas, x, y)
+        _one_group(spec, thetas, x, y)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
-def test_measure_many_validation():
+def test_measure_groups_validation():
     spec = CircuitSpec(Ansatz.A2A, 2)
     x, y = np.zeros((3, 2)), np.array([0, 1, 0])
     thetas = np.zeros((2, spec.n_params))
     with pytest.raises(ValueError, match="expected"):
-        measure_many(spec, np.zeros((2, 5)), x, y)
+        _one_group(spec, np.zeros((2, 5)), x, y)
     with pytest.raises(ValueError, match="2 probes"):
-        measure_many(spec, thetas, x, y, shifts=np.zeros((1, 2, 2)))
+        _one_group(spec, thetas, x, y, shifts=np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="2 probes"):
-        measure_many(spec, thetas, np.zeros((3, 3, 2)), y)
+        _one_group(spec, thetas, np.zeros((3, 3, 2)), y)
     # one delta per probe, layer and gate: a third layer or gate has no place
     for shape in ((2, 3, 2), (2, 2, 3), (2, 4), (2, 2, 2, 1)):
         with pytest.raises(ValueError, match=r"shape \(.*\), expected \(2, 2, 2\)"):
-            measure_many(spec, thetas, x, y, shifts=np.zeros(shape))
+            _one_group(spec, thetas, x, y, shifts=np.zeros(shape))
     with pytest.raises(ValueError, match="labels"):
-        measure_many(spec, thetas, x, np.array([0, 2, 1]))
+        _one_group(spec, thetas, x, np.array([0, 2, 1]))
 
 
 def test_signed_zero_deltas_give_the_one_probe_rows():
@@ -392,13 +397,13 @@ def test_signed_zero_deltas_give_the_one_probe_rows():
     theta = random_parameters(spec, rng)
     x, y = rng.uniform(-1.0, 1.0, (7, 2)), rng.integers(0, 2, 7)
     shifts = [(1, 0, 0.0), (1, 0, -0.0), (1, 0, 0.0), None, (1, 0, -0.0), (1, 0, 0.0)]
-    many = measure_many(spec, np.repeat(theta[None], len(shifts), axis=0), x, y,
-                        shift_deltas(spec.layers, shifts))
+    many = _one_group(spec, np.repeat(theta[None], len(shifts), axis=0), x, y,
+                      shift_deltas(spec.layers, shifts))
     for row, shift in zip(many, shifts):
         np.testing.assert_array_equal(row, _single_theta_kernel(spec, theta, x, y, shift))
     with pytest.raises(ValueError, match=r"expected \(2, 4, 2\)"):
-        measure_many(spec, np.repeat(theta[None], 2, axis=0), x, y,
-                     shifts=shift_deltas(spec.layers + 1, [(spec.layers, 0, 0.5)] * 2))
+        _one_group(spec, np.repeat(theta[None], 2, axis=0), x, y,
+                   shifts=shift_deltas(spec.layers + 1, [(spec.layers, 0, 0.5)] * 2))
 
 
 def test_adding_zero_to_the_angles_moves_no_population_bit():
@@ -449,7 +454,7 @@ LABELLED_ENTRY_POINTS = {
     "measure_batch": lambda spec, theta, x, y: measure_batch(spec, theta, x, y),
     "measure_batch_keeping_states":
         lambda spec, theta, x, y: measure_batch(spec, theta, x, y, states=True),
-    "measure_many": lambda spec, theta, x, y: measure_many(spec, theta[None], x, y),
+    "measure_groups": lambda spec, theta, x, y: _one_group(spec, theta[None], x, y),
     "gate_angle_gradients": circuits.gate_angle_gradients,
     "analytic_gradient_batch": analytic_gradient_batch,
 }

@@ -693,8 +693,7 @@ def test_a_sweep_key_under_a_non_mapping_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("param,values,twice", [
     ("optimizer.selection", "sss,tournament,SSS", "SSS"),     # kind names ignore case
-    ("circuit.ansatz", "2c,2B,2C", "2C"),
-    ("seed", "1,2", "2")])                                    # the master seed wins
+    ("circuit.ansatz", "2c,2B,2C", "2C")])
 def test_two_values_of_one_resolved_setting_exit_2(tmp_path, capsys, param, values, twice):
     """Values whose cells resolve to one config (the cell seed aside) would
     train one setting twice under two seeds; nothing is trained or written."""
@@ -707,6 +706,27 @@ def test_two_values_of_one_resolved_setting_exit_2(tmp_path, capsys, param, valu
     assert rc == cli.EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"config error: argument --values: {twice} is listed twice\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param,why", [
+    ("seed", "it is the master seed, which every cell's seed derives from; use --seed"),
+    ("optimizer.seed", "the sweep derives it per cell"),
+    ("output_dir", "no training reads it"), ("workers", "no training reads it")],
+    ids=["seed", "optimizer.seed", "output_dir", "workers"])
+def test_a_key_the_sweep_sets_or_no_training_reads_exits_2(tmp_path, capsys, param, why):
+    """The master seed and the cell seeds are the sweep's own, and output_dir
+    and workers change no training: a sweep over them would report settings
+    it did not train.  Nothing is trained or written."""
+    config = tmp_path / "config.yaml"
+    config.write_text("dataset: {n: 20}\n"
+                      "optimizer: {kind: ga, population_size: 4, max_generations: 1}\n")
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(config), "--param", param, "--values", "7",
+                   "--repeats", "1", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: argument --param: a sweep cannot vary {param}: {why}\n")
     assert not out.exists()
 
 
@@ -856,6 +876,20 @@ def test_analyze_noise_scaling_reports_a_negative_exponent(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert float(rows[0]["fit_exponent"]) < -0.3
+
+
+def test_analyze_noise_scaling_without_a_spread_exits_4(tmp_path, capsys):
+    """One point, two repeats: at seed 0 both estimates at 1 shot agree, and a
+    zero spread has no logarithm for the power-law fit.  Nothing is written,
+    and numpy's divide warning does not reach stderr."""
+    out = tmp_path / "scaling"
+    rc = cli.main(["analyze", "noise-scaling", "--points", "1", "--repeats", "2",
+                   "--shots", "1,2", "--out", str(out)])
+    assert rc == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        "invalid input: the estimates at shot count 1 have no spread to fit a power law "
+        "to; use more repeats or points\n")
+    assert not out.exists()
 
 
 def test_analyze_gradient_noise_runs_on_the_ideal_leg(tmp_path, capsys):

@@ -9,11 +9,16 @@ from oracles import shift_deltas
 
 from reupsim import circuits, costs
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
-from reupsim.circuits import Ansatz, CircuitSpec, random_parameters
+from reupsim.circuits import Ansatz, CircuitSpec, Design, random_parameters
 from reupsim.costs import (CostKind, evaluate, evaluate_with_accuracy, is_loss,
-                           measured_many, measured_values, row_accuracies, row_values)
+                           measured_groups, measured_values, row_accuracies, row_values)
 from reupsim.data import Dataset, generate
 from reupsim.trainers import GradMethod, estimate_gradient
+
+
+def _measured_group(spec, thetas, ds, backend, shifts=None):
+    """measured_groups of the one group of probes `thetas` over ds."""
+    return measured_groups(spec, [(thetas, ds, shifts)], backend)[0]
 
 
 def _value(kind, m):
@@ -105,22 +110,22 @@ def test_cost_kind_parse():
         CostKind.parse("mse")
 
 
-def test_measured_many_rows_equal_successive_measured_values():
+def test_measured_groups_rows_equal_successive_measured_values():
     spec = CircuitSpec()
     ds = generate(21, seed=4)
     thetas = np.random.default_rng(4).uniform(-np.pi, np.pi, (6, spec.n_params))
     shifts = [None, (0, 1, 0.3), None, (3, 0, -1.1), (2, 1, 2.0), None]
     batched_be, loop_be = NoisyBackend(NoiseModel(seed=1)), NoisyBackend(NoiseModel(seed=1))
-    batched = measured_many(spec, thetas, ds, batched_be,
-                            shifts=shift_deltas(spec.layers, shifts))
+    batched = _measured_group(spec, thetas, ds, batched_be,
+                              shifts=shift_deltas(spec.layers, shifts))
     loop = np.array([measured_values(spec, t, ds, loop_be) if s is None
-                     else measured_many(spec, t[None], ds, loop_be,
-                                        shifts=shift_deltas(spec.layers, [s]))[0]
+                     else _measured_group(spec, t[None], ds, loop_be,
+                                          shifts=shift_deltas(spec.layers, [s]))[0]
                      for t, s in zip(thetas, shifts)])
     np.testing.assert_array_equal(batched, loop)
     assert batched_be.ledger.snapshot() == loop_be.ledger.snapshot()
 
-    m = measured_many(spec, thetas, ds, NoisyBackend(NoiseModel(seed=1)))
+    m = _measured_group(spec, thetas, ds, NoisyBackend(NoiseModel(seed=1)))
     values, accs = row_values(CostKind.CHI_SQUARED, m), row_accuracies(m)
     loop_be = NoisyBackend(NoiseModel(seed=1))
     pairs = [evaluate_with_accuracy(CostKind.CHI_SQUARED, spec, t, ds, loop_be)
@@ -155,7 +160,7 @@ def test_repeated_chromosomes_equal_a_per_chromosome_loop(noisy):
         return NoisyBackend(NoiseModel(seed=4)) if noisy else IdealBackend()
 
     batched_be, loop_be = backend(), backend()
-    batched = measured_many(spec, pop, ds, batched_be)
+    batched = _measured_group(spec, pop, ds, batched_be)
     loop = np.array([measured_values(spec, theta, ds, loop_be) for theta in pop])
     np.testing.assert_array_equal(batched, loop)
     assert batched_be.ledger.snapshot() == loop_be.ledger.snapshot() == (8 * 17, 8 * 17 * 150)
@@ -177,22 +182,22 @@ def test_the_kernel_runs_once_per_distinct_probe(monkeypatch):
     evolve = circuits._evolve
     monkeypatch.setattr(circuits, "_evolve", spy)
     backend = IdealBackend()
-    measured_many(spec, pop, ds, backend)
-    measured_many(spec, pop[[1, 4]], ds, backend)
-    measured_many(spec, pop[[6, 7]], ds, backend)
+    _measured_group(spec, pop, ds, backend)
+    _measured_group(spec, pop[[1, 4]], ds, backend)
+    _measured_group(spec, pop[[6, 7]], ds, backend)
     # rows 0, 1, 2, 4 and 6 are distinct; -0.0 is not 0.0; a NaN row repeats
     assert columns == [5 * 13, 2 * 13, 1 * 13]
     # a shifted batch: each row is its probe's one-probe call
     theta = pop[[0, 0, 0, 0, 0]]
     deltas = shift_deltas(spec.layers, [None, (1, 0, 0.5), (1, 0, 0.5), (1, 1, 0.5), None])
-    m = measured_many(spec, theta, ds, IdealBackend(), shifts=deltas)
+    m = _measured_group(spec, theta, ds, IdealBackend(), shifts=deltas)
     for row, delta in zip(m, deltas):
-        np.testing.assert_array_equal(row, circuits.measure_many(spec, theta[:1], ds.x, ds.y,
-                                                                 delta[None])[0])
+        np.testing.assert_array_equal(row, circuits.measure_groups(
+            spec, [(theta[:1], Design(spec.ansatz, ds.x, ds.y), delta[None])])[0][0])
     # one point set per probe is never merged
     columns.clear()
-    circuits.measure_many(spec, theta, np.repeat(ds.x[None], 5, axis=0),
-                          np.repeat(ds.y[None], 5, axis=0))
+    circuits.measure_groups(spec, [(theta, Design(spec.ansatz, np.repeat(ds.x[None], 5, axis=0),
+                                                  np.repeat(ds.y[None], 5, axis=0)), None)])
     assert columns == [5 * 13]
 
 
@@ -202,7 +207,7 @@ def test_measured_values_rejects_bad_inputs():
     with pytest.raises(ValueError, match="empty"):
         measured_values(spec, np.zeros(16), empty, IdealBackend())
     with pytest.raises(ValueError, match="empty"):
-        measured_many(spec, np.zeros((2, 16)), empty, IdealBackend())
+        _measured_group(spec, np.zeros((2, 16)), empty, IdealBackend())
 
 
 def test_evaluate_with_accuracy_uses_one_estimate_batch():

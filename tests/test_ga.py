@@ -240,9 +240,10 @@ def test_ga_train_is_deterministic_and_traces_every_generation():
     assert trace_a.final.cum_estimates == 7 * 8 * 30
 
 
-def _per_chromosome(spec, thetas, ds, backend):
+def _per_chromosome(spec, groups, backend, charged=None):
     """Reference: one measured_values call per chromosome, in order."""
-    return np.array([costs.measured_values(spec, theta, ds, backend) for theta in thetas])
+    return [np.array([costs.measured_values(spec, theta, ds, backend) for theta in thetas])
+            for thetas, ds, _ in groups]
 
 
 @pytest.mark.parametrize("fitness", [CostKind.CROSS_ENTROPY, CostKind.ACCURACY])
@@ -251,8 +252,8 @@ def test_batched_generations_equal_a_per_chromosome_loop(monkeypatch, fitness):
     spec = CircuitSpec()
     ds = generate(25, seed=6)
     runs = []
-    for measure in (costs.measured_many, _per_chromosome):
-        monkeypatch.setattr(costs, "measured_many", measure)
+    for measure in (costs.measured_groups, _per_chromosome):
+        monkeypatch.setattr(costs, "measured_groups", measure)
         backend = NoisyBackend(NoiseModel(seed=2))
         theta, trace = ga_train(cfg, spec, ds, backend)
         runs.append((theta, trace.rows, backend.ledger.snapshot()))
@@ -281,8 +282,8 @@ def test_repeated_chromosomes_in_a_run_equal_a_per_chromosome_loop(monkeypatch, 
     evolve = circuits._evolve
     monkeypatch.setattr(circuits, "_evolve", spy)
     runs = []
-    for measure in (costs.measured_many, _per_chromosome):
-        monkeypatch.setattr(costs, "measured_many", measure)
+    for measure in (costs.measured_groups, _per_chromosome):
+        monkeypatch.setattr(costs, "measured_groups", measure)
         backend = NoisyBackend(NoiseModel(seed=2)) if noisy else IdealBackend()
         theta, trace = ga_train(cfg, spec, ds, backend)
         runs.append((theta, trace.rows, backend.ledger.snapshot()))
