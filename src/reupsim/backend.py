@@ -26,6 +26,7 @@ import numpy as np
 
 from .seeding import counter_uniforms
 
+Confusion = tuple[tuple[float, float], tuple[float, float]]   # P(observed | true), by row
 DEFAULT_CONFUSION = ((0.76, 0.24), (0.16, 0.84))
 DEFAULT_SHOTS = 150
 DEFAULT_RESIDUAL_SIGMA = 0.006
@@ -67,6 +68,18 @@ class MeasurementLedger:
             return self._estimates, self._shots
 
 
+def check_confusion(confusion) -> np.ndarray:
+    """The 2x2 row-stochastic P(observed | true) that `confusion` holds, as an array."""
+    m = np.asarray(confusion, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError(f"confusion must be 2x2, got shape {m.shape}")
+    if not ((m >= 0) & (m <= 1)).all():         # NaN fails both comparisons
+        raise ValueError("confusion entries must lie in [0, 1]")
+    if np.abs(m.sum(axis=1) - 1.0).max() > 1e-12:
+        raise ValueError("confusion rows must each sum to 1 within 1e-12")
+    return m
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Readout confusion + finite shots + residual Gaussian floor.
@@ -74,19 +87,13 @@ class NoiseModel:
     confusion[i][j] = probability of observing outcome j given true state i.
     """
 
-    confusion: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_CONFUSION
+    confusion: Confusion = DEFAULT_CONFUSION
     shots: int = DEFAULT_SHOTS
     residual_sigma: float = DEFAULT_RESIDUAL_SIGMA
     seed: int = 0
 
     def __post_init__(self):
-        m = np.asarray(self.confusion, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"confusion must be 2x2, got shape {m.shape}")
-        if not ((m >= 0) & (m <= 1)).all():         # NaN fails both comparisons
-            raise ValueError("confusion entries must lie in [0, 1]")
-        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("confusion rows must each sum to 1 within 1e-12")
+        check_confusion(self.confusion)
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.shots > MAX_SHOTS:

@@ -110,6 +110,14 @@ def read_theta(path: str | Path) -> np.ndarray:
     return np.array(values)
 
 
+def _sized(theta: np.ndarray, spec: CircuitSpec) -> np.ndarray:
+    """theta, if it holds the circuit's parameter count; a config error if not."""
+    if theta.size != spec.n_params:
+        raise ConfigError(f"theta: expected {spec.n_params} parameters for "
+                          f"{spec.ansatz.value} with {spec.layers} layers, got {theta.size}")
+    return theta
+
+
 def run_training(cfg: ExperimentConfig):
     """Train per the config; returns (dataset, backend, best theta, trace)."""
     dataset = cfg.build_dataset()
@@ -185,9 +193,7 @@ def _evaluate(args) -> None:
     theta = read_theta(args.theta)
     ds = data.load(args.data)
     spec = _circuit_from_flags(args)
-    if theta.size != spec.n_params:
-        raise ConfigError(f"theta: expected {spec.n_params} parameters for "
-                          f"{spec.ansatz.value} with {spec.layers} layers, got {theta.size}")
+    _sized(theta, spec)
     if args.backend == "noisy":
         noise_seed = (args.noise_seed if args.noise_seed is not None
                       else derive_seed(_analysis_seed(args), "evaluate"))
@@ -271,11 +277,11 @@ def _circuit_from_flags(args) -> CircuitSpec:
 
 def _residuals(args, spec, ds, seed_of):
     from . import mitigation
+    theta = _sized(read_theta(args.theta), spec) if args.theta is not None else None
     noise = NoiseModel(shots=args.shots, residual_sigma=args.residual_sigma,
                        seed=seed_of("backend"))
     cal = mitigation.calibrate(NoisyBackend(replace(noise, seed=seed_of("cal"))), spec,
                                shots=args.calibration_shots)
-    theta = read_theta(args.theta) if args.theta is not None else None
     pairs = mitigation.observation_pairs(spec, ds, NoisyBackend(noise), theta=theta,
                                          seed=seed_of("thetas"), cal=cal)
     fits = (("raw", mitigation.residual_analysis(pairs[:, :2])),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import circuits
-from .backend import Backend, IdealBackend, NoiseModel, NoisyBackend
+from .backend import Backend, Confusion, IdealBackend, NoiseModel, NoisyBackend, check_confusion
 from .circuits import CircuitSpec
 from .costs import CostKind
 from .data import Dataset
@@ -34,49 +34,22 @@ GRADIENT_NOISE_COSTS = (CostKind.ACCURACY, CostKind.CROSS_ENTROPY, CostKind.CHI_
 CALIBRATION_X = np.array([[1.0, 0.0]])
 
 
-@dataclass(frozen=True)
-class CalibrationMatrix:
-    """Row-stochastic estimate of P(observed | true); must be invertible."""
-
-    matrix: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"calibration matrix must be 2x2, got shape {m.shape}")
-        if (m < 0).any() or (m > 1).any():
-            raise ValueError("calibration entries must lie in [0, 1]")
-        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("calibration rows must sum to 1")
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise ValueError("calibration matrix is singular and cannot be inverted")
-
-    @property
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float)
-
-    @classmethod
-    def from_array(cls, m: np.ndarray) -> "CalibrationMatrix":
-        return cls(tuple(tuple(float(v) for v in row) for row in np.asarray(m)))
-
-
 def pole_preparations(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Parameter vectors that prepare |0> and |1> through the full circuit."""
-    theta0 = np.zeros(spec.n_params)
-    theta1 = np.zeros(spec.n_params)
+    theta0, theta1 = np.zeros((2, spec.n_params))
     theta1[0] = np.pi
     return theta0, theta1
 
 
 def calibrate(backend: Backend, profile: CircuitSpec | None = None,
-              shots: int = 10_000) -> CalibrationMatrix:
+              shots: int = 10_000) -> Confusion:
     """Estimate the confusion matrix by preparing each pole repeatedly.
 
     Both poles run through circuits of the same depth (`profile`), so the
     calibration sees the same per-shot timing the real workload does.  The
     number of backend estimates is chosen so each pole accumulates at least
     `shots` shots; rows are frequencies of a two-outcome measurement, hence
-    row-stochastic by construction.
+    row-stochastic by construction: a confusion that NoiseModel accepts.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -88,24 +61,27 @@ def calibrate(backend: Backend, profile: CircuitSpec | None = None,
         estimates = backend.sample(circuits.measure_batch(profile, theta, x, y), y)
         p0 = float(estimates.mean())
         rows.append((p0, 1.0 - p0))
-    m = np.array(rows)
-    if abs(np.linalg.det(m)) < 1e-12:
+    if abs(np.linalg.det(rows)) < 1e-12:
         raise ValueError("calibration produced a singular matrix; the two pole "
                          "preparations are indistinguishable - try more shots")
-    return CalibrationMatrix.from_array(m)
+    return tuple(rows)
 
 
-def mitigate(observed: np.ndarray, cal: CalibrationMatrix) -> np.ndarray:
+def mitigate(observed: np.ndarray, confusion: Confusion) -> np.ndarray:
     """Recover true-probability pairs from observed-frequency pairs, shape (..., 2).
 
-    Applies the inverse of the transposed calibration matrix to each pair,
-    clips the result to [0, 1], and renormalizes it to sum to 1; a pair that
-    clips to zero becomes [0.5, 0.5] and a NaN pair stays NaN.
+    Applies the inverse of the transposed confusion matrix, which must pass
+    check_confusion and be invertible, to each pair, clips the result to
+    [0, 1], and renormalizes it to sum to 1; a pair that clips to zero becomes
+    [0.5, 0.5] and a NaN pair stays NaN.
     """
+    m = check_confusion(confusion)
+    if abs(np.linalg.det(m)) < 1e-12:
+        raise ValueError("confusion matrix is singular and cannot be inverted")
     observed = np.asarray(observed, dtype=float)
     if observed.ndim == 0 or observed.shape[-1] != 2:
         raise ValueError(f"observed must hold probability pairs, got shape {observed.shape}")
-    raw = np.linalg.solve(cal.as_array.T, observed[..., None])[..., 0]
+    raw = np.linalg.solve(m.T, observed[..., None])[..., 0]
     clipped = np.clip(raw, 0.0, 1.0)
     total = clipped.sum(axis=-1, keepdims=True)
     return np.divide(clipped, total, out=np.full_like(clipped, 0.5), where=~(total <= 0))
@@ -149,14 +125,14 @@ def residual_analysis(pairs: np.ndarray) -> ResidualReport:
 
 def observation_pairs(spec: CircuitSpec, dataset: Dataset, backend: Backend,
                       theta: np.ndarray | None = None, seed: int = 0,
-                      cal: CalibrationMatrix | None = None) -> np.ndarray:
+                      cal: Confusion | None = None) -> np.ndarray:
     """(theoretical, observed[, mitigated]) excited-state populations.
 
     Every point is projected onto |1> regardless of its class label: the
     regression compares one fixed physical quantity across the whole set.
     With no theta given, each point gets its own random parameter vector so
     the theoretical probabilities spread over [0, 1] instead of clustering.
-    Passing a calibration matrix appends a third, mitigated column.
+    Passing a calibrated confusion matrix appends a third, mitigated column.
     """
     n = len(dataset)
     if theta is not None:
@@ -205,14 +181,15 @@ def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
         noise = NoiseModel(confusion=IDENTITY_CONFUSION, shots=int(shots),
                            residual_sigma=residual_sigma,
                            seed=derive_seed(seed, f"noise-scaling/{shots}"))
-        nb = NoisyBackend(noise)
-        est = nb.sample(np.tile(p, repeats), np.tile(dataset.y, repeats))
-        per_point = est.reshape(repeats, n).std(axis=0, ddof=1)
-        stds[i] = float(per_point.mean())
+        est = NoisyBackend(noise).sample(np.tile(p, repeats), np.tile(dataset.y, repeats))
+        stds[i] = est.reshape(repeats, n).std(axis=0, ddof=1).mean()
     if not stds.all():      # the fit takes the logarithm of every spread
         raise ValueError(f"the estimates at shot count {shot_counts[stds == 0][0]} have no spread "
                          "to fit a power law to; use more repeats or points")
     b, log_a = np.polyfit(np.log(shot_counts), np.log(stds), 1)
+    if not log_a < np.log(np.finfo(float).max):     # NaN fails it too
+        raise ValueError(f"the power-law fit over shot counts {', '.join(map(str, shot_counts))} "
+                         "overflows; spread the shot counts further apart")
     return NoiseScalingReport(shot_counts, stds, float(np.exp(log_a)), float(b))
 
 
@@ -230,7 +207,6 @@ class GradientNoiseRow:
 @dataclass(frozen=True)
 class GradientNoiseReport:
     rows: list[GradientNoiseRow]
-    repeats: int
 
     def max_abs_theoretical(self, cost: CostKind, step: float | None = None) -> float:
         vals = [abs(r.theoretical) for r in self.rows
@@ -272,11 +248,8 @@ def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset
                                       dataset, IdealBackend(), step=step)
             reps = np.empty((repeats, theta.size))
             for r in range(repeats):
-                if noise is None:
-                    nb = IdealBackend()
-                else:
-                    nb = NoisyBackend(replace(
-                        noise, seed=derive_seed(noise.seed, f"grad-noise/{step}/{kind.value}/{r}")))
+                nb = IdealBackend() if noise is None else NoisyBackend(replace(
+                    noise, seed=derive_seed(noise.seed, f"grad-noise/{step}/{kind.value}/{r}")))
                 reps[r] = estimate_gradient(GradMethod.FINITE_DIFFERENCE, kind, spec,
                                             theta, dataset, nb, step=step)
             mean = reps.mean(axis=0)
@@ -286,4 +259,4 @@ def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset
             rows += [GradientNoiseRow(float(step), kind, j, float(exact[j]), float(mean[j]),
                                       float(std[j]), float(agreement[j]))
                      for j in range(theta.size)]
-    return GradientNoiseReport(rows, repeats)
+    return GradientNoiseReport(rows)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from reupsim import binomial, costs
-from reupsim.backend import Backend
+from reupsim.backend import Backend, Confusion
 from reupsim.circuits import Ansatz, CircuitSpec, ansatz_design
 from reupsim.data import Dataset
-from reupsim.mitigation import CalibrationMatrix
 from reupsim.seeding import derive_seed
 from reupsim.trace import TrainingTrace, backend_failures
 from reupsim.trainers import GradConfig, _gradient_cost, _initial_theta, estimate_gradient
@@ -123,13 +122,13 @@ def two_branch_ndtri(u: np.ndarray) -> np.ndarray:
     return tail.reshape(u.shape)
 
 
-def mitigate_estimate(value: float, y: int, cal: CalibrationMatrix) -> float:
+def mitigate_estimate(value: float, y: int, confusion: Confusion) -> float:
     """Mitigated estimate of P(outcome = y) from a single observed frequency,
     one 2x2 solve per call."""
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y}")
     pair = np.array([1.0 - value, value]) if y == 1 else np.array([value, 1.0 - value])
-    clipped = np.clip(np.linalg.solve(cal.as_array.T, pair), 0.0, 1.0)
+    clipped = np.clip(np.linalg.solve(np.asarray(confusion, dtype=float).T, pair), 0.0, 1.0)
     total = clipped.sum()
     if total <= 0:
         return 0.5

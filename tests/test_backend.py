@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -72,11 +72,16 @@ def assert_inverts_the_cdf(u, n, p):
 
 def assert_ppf_away_from_boosts_steps(u, n, p, k):
     """k equals binom.ppf wherever u lies farther than band(n) from boost's
-    CDF at k and k - 1, the values that decide binom.ppf's answer there."""
+    CDF at k and k - 1, the values that decide binom.ppf's answer there.
+    Where binom.ppf passes the first step of boost's own CDF that reaches u
+    (at n=101, p=1e-15, u=1-4.4e-14 it gives 2 though binom.cdf(1) is 1.0),
+    k is checked against that CDF instead: binom.cdf(k - 1) < u <= binom.cdf(k)."""
     ppf = stats.binom.ppf(u, n, p)
-    steps = [stats.binom.cdf(k + d, n, p) for d in (-1.0, 0.0)]
-    away = (np.abs(u - steps[0]) > band(n)) & (np.abs(u - steps[1]) > band(n))
-    np.testing.assert_array_equal(k[away], ppf[away])
+    below, at = (stats.binom.cdf(k + d, n, p) for d in (-1.0, 0.0))
+    away = (np.abs(u - below) > band(n)) & (np.abs(u - at) > band(n))
+    astray = stats.binom.cdf(ppf - 1.0, n, p) >= u
+    np.testing.assert_array_equal(k[away & ~astray], ppf[away & ~astray])
+    assert ((below < u) & (u <= at))[away & astray].all()
 
 
 def test_ledger_counts_estimates_and_shots():
@@ -309,6 +314,7 @@ def test_ideal_backend_passes_values_through_but_charges():
 @given(st.integers(1, 10_000), SUCCESS, st.lists(UNIFORMS, min_size=1, max_size=40),
        st.integers(0, 10_000), st.integers(-64, 64), st.integers(4, 52))
 @settings(max_examples=300, deadline=None)
+@example(101, 1e-15, [0.5], 0, 0, 44)     # an edge where binom.ppf passes its own CDF's step
 def test_binom_quantile_equals_binom_ppf_exactly(n, p, uniforms, k, ulps, rel_exp):
     """Random uniforms, plus uniforms a few ulps or a small relative step away
     from a value of binomial._cdf, where a search is most likely to go wrong:

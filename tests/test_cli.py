@@ -866,6 +866,26 @@ def test_analyze_residuals_writes_fits_and_histogram(tmp_path, capsys):
     assert (out / "residual_histogram.csv").is_file()
 
 
+def test_analyze_residuals_rejects_a_theta_of_the_wrong_length_as_evaluate_does(
+        tmp_path, capsys, monkeypatch):
+    """Before it calibrates: a wrong-size --theta is a config error, with evaluate's message."""
+    from reupsim import mitigation
+    theta_path, data_path = tmp_path / "theta.txt", tmp_path / "pts.csv"
+    cli.write_theta(theta_path, np.zeros(3))
+    cli.main(["gen-data", "--out", str(data_path), "--n", "5"])
+    capsys.readouterr()
+    rc = cli.main(["evaluate", "--theta", str(theta_path), "--data", str(data_path)])
+    assert rc == cli.EXIT_CONFIG
+    message = capsys.readouterr().err
+    assert message == "config error: theta: expected 16 parameters for 2C with 4 layers, got 3\n"
+    monkeypatch.setattr(mitigation, "calibrate", None)     # calling it would fail
+    out = tmp_path / "res"
+    rc = cli.main(["analyze", "residuals", "--theta", str(theta_path), "--points", "5",
+                   "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (cli.EXIT_CONFIG, message)
+    assert not out.exists()
+
+
 def test_analyze_noise_scaling_reports_a_negative_exponent(tmp_path, capsys):
     out = tmp_path / "scaling"
     rc = cli.main(["analyze", "noise-scaling", "--shots", "50,400", "--repeats", "120",
@@ -889,6 +909,21 @@ def test_analyze_noise_scaling_without_a_spread_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "invalid input: the estimates at shot count 1 have no spread to fit a power law "
         "to; use more repeats or points\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shots", ["100000,99999", "1000,1001"])
+def test_analyze_noise_scaling_with_an_overflowing_fit_exits_4(tmp_path, capsys, shots):
+    """Two near shot counts, two repeats: the fitted line through the spreads'
+    logarithms is too steep for its amplitude to be a float.  Nothing is
+    written, and numpy's overflow warning does not reach stderr."""
+    out = tmp_path / "scaling"
+    rc = cli.main(["analyze", "noise-scaling", "--points", "2", "--repeats", "2",
+                   "--shots", shots, "--out", str(out)])
+    assert rc == cli.EXIT_IO
+    assert capsys.readouterr().err == (
+        f"invalid input: the power-law fit over shot counts {shots.replace(',', ', ')} "
+        "overflows; spread the shot counts further apart\n")
     assert not out.exists()
 
 

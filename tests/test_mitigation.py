@@ -12,7 +12,7 @@ from reupsim.circuits import Ansatz, CircuitSpec, check_theta, measure_batch
 from reupsim.costs import CostKind
 from reupsim.data import Dataset, generate
 from reupsim.seeding import derive_seed
-from reupsim.mitigation import (GRADIENT_NOISE_COSTS, CalibrationMatrix, calibrate,
+from reupsim.mitigation import (GRADIENT_NOISE_COSTS, calibrate,
                                 gradient_noise_report, mitigate, noise_scaling,
                                 observation_pairs, pole_preparations, residual_analysis)
 from oracles import mitigate_estimate
@@ -24,14 +24,14 @@ PROB = st.floats(0.0, 1.0)
 @given(DIAG, DIAG, PROB)
 @settings(max_examples=60)
 def test_mitigation_inverts_the_confusion_exactly(d0, d1, p1):
-    cal = CalibrationMatrix(((d0, 1.0 - d0), (1.0 - d1, d1)))
+    cal = ((d0, 1.0 - d0), (1.0 - d1, d1))
     p = np.array([1.0 - p1, p1])
-    observed = cal.as_array.T @ p
+    observed = np.asarray(cal).T @ p
     np.testing.assert_allclose(mitigate(observed, cal), p, atol=1e-9)
 
 
 def test_mitigation_clips_out_of_range_observations():
-    cal = CalibrationMatrix(DEFAULT_CONFUSION)
+    cal = DEFAULT_CONFUSION
     # an observed frequency more extreme than the confusion can produce
     out = mitigate(np.array([0.05, 0.95]), cal)
     assert out.min() >= 0.0
@@ -43,7 +43,7 @@ def test_mitigation_clips_out_of_range_observations():
 def test_a_batch_of_pairs_mitigates_as_each_pair_alone(confusion):
     """An (N, 2) call gives, bit for bit, what N (2,) calls give, over
     frequencies in (0, 1), the endpoints, and pairs that clip."""
-    cal = CalibrationMatrix(confusion)
+    cal = confusion
     values = np.concatenate([np.random.default_rng(31).uniform(size=500),
                              [0.0, 1.0, 2.0**-54, np.nextafter(1.0, 0.0)]])
     pairs = np.column_stack([1.0 - values, values])
@@ -59,9 +59,22 @@ def test_a_batch_of_pairs_mitigates_as_each_pair_alone(confusion):
 
 def test_calibration_matrix_validation():
     with pytest.raises(ValueError, match="sum to 1"):
-        CalibrationMatrix(((0.9, 0.2), (0.1, 0.8)))
+        mitigate(np.array([0.5, 0.5]), ((0.9, 0.2), (0.1, 0.8)))
     with pytest.raises(ValueError, match="singular"):
-        CalibrationMatrix(((0.5, 0.5), (0.5, 0.5)))
+        mitigate(np.array([0.5, 0.5]), ((0.5, 0.5), (0.5, 0.5)))
+
+
+@pytest.mark.parametrize("confusion, message", [
+    (((np.nan, np.nan), (0.0, 1.0)), r"^confusion entries must lie in \[0, 1\]$"),
+    (((0.9, 0.1 + 1e-10), (0.0, 1.0)), "^confusion rows must each sum to 1 within 1e-12$"),
+    (((1.0,), (0.0,)), "^confusion must be 2x2, got shape"),
+])
+def test_mitigate_checks_a_confusion_as_the_noise_model_does(confusion, message):
+    """A NaN entry, or a row a little off 1, is no confusion to invert either."""
+    with pytest.raises(ValueError, match=message):
+        NoiseModel(confusion=confusion)
+    with pytest.raises(ValueError, match=message):
+        mitigate(np.array([0.5, 0.5]), confusion)
 
 
 def test_pole_preparations_reach_both_poles_under_every_ansatz():
@@ -76,14 +89,15 @@ def test_pole_preparations_reach_both_poles_under_every_ansatz():
 
 def test_calibrate_on_the_ideal_backend_is_the_identity():
     cal = calibrate(IdealBackend(), CircuitSpec(), shots=1000)
-    np.testing.assert_allclose(cal.as_array, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(np.asarray(cal), np.eye(2), atol=1e-12)
 
 
 def test_calibrate_recovers_the_confusion_matrix():
     noise = NoiseModel(shots=500, residual_sigma=0.0, seed=21)
     cal = calibrate(NoisyBackend(noise), CircuitSpec(), shots=100_000)
-    np.testing.assert_allclose(cal.as_array, np.asarray(DEFAULT_CONFUSION),
+    np.testing.assert_allclose(np.asarray(cal), np.asarray(DEFAULT_CONFUSION),
                                atol=0.01)
+    assert NoiseModel(confusion=cal).confusion == cal
 
 
 def test_residual_analysis_recovers_a_synthetic_line():
@@ -112,7 +126,7 @@ def test_residual_analysis_validation():
 def test_observation_pairs_columns():
     spec = CircuitSpec()
     ds = generate(12, seed=19)
-    cal = CalibrationMatrix(DEFAULT_CONFUSION)
+    cal = DEFAULT_CONFUSION
     pairs = observation_pairs(spec, ds, IdealBackend(), seed=19, cal=cal)
     assert pairs.shape == (12, 3)
     # ideal backend: observed equals theoretical, both in [0, 1]
@@ -158,7 +172,7 @@ def test_observation_pairs_equal_the_per_point_loop(noisy, fixed_theta, with_cal
     spec = CircuitSpec(Ansatz.A2B, 3)
     ds = generate(17, seed=23)
     theta = np.linspace(-2.0, 2.0, spec.n_params) if fixed_theta else None
-    cal = CalibrationMatrix(DEFAULT_CONFUSION) if with_cal else None
+    cal = DEFAULT_CONFUSION if with_cal else None
     results = []
     for pairs in (observation_pairs, _observation_pairs_per_point):
         backend = NoisyBackend(NoiseModel(seed=5)) if noisy else IdealBackend()
