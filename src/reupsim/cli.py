@@ -33,7 +33,7 @@ from .config import (ConfigError, ExperimentConfig, _build, _circle, apply_overr
 from .ga import GAConfig, ga_train
 from .seeding import derive_seed
 from .trace import TrainingError
-from .trainers import LocalSearchSpec, OptimizerKind, bfgs_train, landscape_scan, sgd_train
+from .trainers import OptimizerKind, bfgs_train, landscape_scan, sgd_train
 
 SEED_ENV_VAR = "REUP_SEED"
 
@@ -317,16 +317,15 @@ def _gradient_noise(args, spec, ds, seed_of):
     report = mitigation.gradient_noise_report(spec, theta, ds, noise, args.steps,
                                               repeats=args.repeats)
     rows = [(r.step, r.cost.value, r.component, r.theoretical, r.noisy_mean,
-             r.noisy_std, r.sign_agreement) for r in report.rows]
+             r.noisy_std, r.sign_agreement) for r in report]
     lines = []
     for step in args.steps:
         for kind in mitigation.GRADIENT_NOISE_COSTS:
-            peak = report.max_abs_theoretical(kind, step)
-            try:
-                agree_text = f"{report.mean_sign_agreement(kind, step):.3f}"
-            except ValueError:
-                agree_text = "n/a"
-            lines.append(f"step {step}: {kind.value}: max |gradient| {peak:.6f}, "
+            picked = [r for r in report if r.step == step and r.cost is kind]
+            agree = [r.sign_agreement for r in picked if not np.isnan(r.sign_agreement)]
+            agree_text = f"{np.mean(agree):.3f}" if agree else "n/a"
+            lines.append(f"step {step}: {kind.value}: max |gradient| "
+                         f"{max(abs(r.theoretical) for r in picked):.6f}, "
                          f"sign agreement {agree_text}")
     return ([("gradient_noise.csv",
               "step,cost,component,theoretical,noisy_mean,noisy_std,sign_agreement", rows)],
@@ -336,9 +335,8 @@ def _gradient_noise(args, spec, ds, seed_of):
 def _landscape(args, spec, ds, seed_of):
     theta0 = circuits.random_parameters(spec, np.random.default_rng(seed_of("theta")))
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_steps)
-    neighborhood = LocalSearchSpec(budget=args.budget, radius=args.radius,
-                                   seed=seed_of("search"))
-    surface = landscape_scan(spec, ds, theta0, grid, grid, neighborhood)
+    surface = landscape_scan(spec, ds, theta0, grid, args.budget, args.radius,
+                             seed_of("search"))
     rows = [(a, b, surface[i, j]) for i, a in enumerate(grid) for j, b in enumerate(grid)]
     return ([("landscape.csv", "theta0,theta1,best_accuracy", rows)],
             [f"accuracy surface over {grid.size}x{grid.size} grid: "

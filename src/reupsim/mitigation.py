@@ -4,8 +4,10 @@ Mitigation inverts a measured confusion matrix: observed outcome frequencies
 o = M^T p are mapped back to p via (M^T)^-1, clipped to [0, 1], and
 renormalized.  The analyses quantify what the noise does before and after:
 a regression of observed vs theoretical probabilities, the shot-count
-scaling of the estimator spread, and the gradient-vs-noise comparison that
-shows why finite-difference training stalls on noisy hardware.
+scaling of the estimator spread (rejected where the shot counts are too close
+to resolve its exponent), and the gradient-vs-noise comparison that shows why
+finite-difference training stalls on noisy hardware, returned as one
+GradientNoiseRow per step, cost and parameter.
 """
 
 from __future__ import annotations
@@ -186,10 +188,19 @@ def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
     if not stds.all():      # the fit takes the logarithm of every spread
         raise ValueError(f"the estimates at shot count {shot_counts[stds == 0][0]} have no spread "
                          "to fit a power law to; use more repeats or points")
-    b, log_a = np.polyfit(np.log(shot_counts), np.log(stds), 1)
+    log_n = np.log(shot_counts)
+    b, log_a = np.polyfit(log_n, np.log(stds), 1)
+    counts = ", ".join(map(str, shot_counts))
     if not log_a < np.log(np.finfo(float).max):     # NaN fails it too
-        raise ValueError(f"the power-law fit over shot counts {', '.join(map(str, shot_counts))} "
+        raise ValueError(f"the power-law fit over shot counts {counts} "
                          "overflows; spread the shot counts further apart")
+    # the exponent's standard error from the design alone: a log-std from
+    # `repeats` draws has variance about 1 / (2 (repeats - 1)), n points average it
+    stderr = 1.0 / math.sqrt(2 * (repeats - 1) * n * ((log_n - log_n.mean()) ** 2).sum())
+    if stderr > 0.5:
+        raise ValueError(f"the power-law fit over shot counts {counts} cannot resolve its "
+                         f"exponent (standard error {stderr:.2f} > 0.5); spread the shot "
+                         "counts further apart or use more repeats or points")
     return NoiseScalingReport(shot_counts, stds, float(np.exp(log_a)), float(b))
 
 
@@ -204,29 +215,9 @@ class GradientNoiseRow:
     sign_agreement: float  # NaN where the theoretical component is zero
 
 
-@dataclass(frozen=True)
-class GradientNoiseReport:
-    rows: list[GradientNoiseRow]
-
-    def max_abs_theoretical(self, cost: CostKind, step: float | None = None) -> float:
-        vals = [abs(r.theoretical) for r in self.rows
-                if r.cost is cost and (step is None or r.step == step)]
-        if not vals:
-            raise ValueError(f"no rows for cost {cost.value}")
-        return max(vals)
-
-    def mean_sign_agreement(self, cost: CostKind, step: float | None = None) -> float:
-        vals = [r.sign_agreement for r in self.rows
-                if r.cost is cost and (step is None or r.step == step)
-                and not math.isnan(r.sign_agreement)]
-        if not vals:
-            raise ValueError(f"no sign-agreement rows for cost {cost.value}")
-        return float(np.mean(vals))
-
-
 def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
                           noise: NoiseModel | None, steps,
-                          repeats: int = 20) -> GradientNoiseReport:
+                          repeats: int = 20) -> list[GradientNoiseRow]:
     """Noiseless finite-difference gradients against their noisy estimates.
 
     For every step size and each cost of GRADIENT_NOISE_COSTS, the exact
@@ -259,4 +250,4 @@ def gradient_noise_report(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset
             rows += [GradientNoiseRow(float(step), kind, j, float(exact[j]), float(mean[j]),
                                       float(std[j]), float(agreement[j]))
                      for j in range(theta.size)]
-    return GradientNoiseReport(rows)
+    return rows

@@ -180,15 +180,6 @@ class TrainingTrace:
             raise ValueError("trace is empty")
         return self.rows[-1]
 
-    def accuracies(self) -> list[float]:
-        return [r.best_accuracy for r in self.rows]
-
-    def losses(self) -> list[float]:
-        return [r.best_loss for r in self.rows]
-
-    def estimates(self) -> list[int]:
-        return [r.cum_estimates for r in self.rows]
-
     def write_csv(self, path: str | Path) -> None:
         with rewrite(path, newline="") as fh:
             writer = csv.writer(fh)

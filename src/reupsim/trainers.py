@@ -21,6 +21,9 @@ that scores the step before it, and combines them as estimate_gradient does.
 The BFGS loop supports the textbook inverse-Hessian update and an
 alternative published form (a DFP-shaped inverse update); both step along
 theta <- theta - alpha * H * grad with a backtracking line search.
+
+landscape_scan maps the best accuracy that a bounded random search reaches
+around each point of one grid over the first two parameters.
 """
 
 from __future__ import annotations
@@ -334,49 +337,30 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
             theta = theta - cfg.learning_rate * g
 
 
-@dataclass(frozen=True)
-class LocalSearchSpec:
-    """Bounded random search around a grid point: `budget` perturbations of
-    the non-grid parameters, each uniform in +-radius per coordinate."""
-
-    budget: int = 0
-    radius: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-
-
 def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
-                   grid0: np.ndarray, grid1: np.ndarray,
-                   neighborhood: LocalSearchSpec) -> np.ndarray:
+                   grid: np.ndarray, budget: int, radius: float, seed: int) -> np.ndarray:
     """Best-achievable-accuracy surface over a (theta_0, theta_1) grid.
 
     Each cell fixes the first two parameters at the grid values and reports
     the best accuracy over the unperturbed point plus `budget` random
-    perturbations of the remaining parameters, measured on the ideal backend
-    as one probe batch per cell.  Cell RNG streams are keyed by cell index, so
-    the scan order cannot change the surface.
+    perturbations of the remaining parameters, each uniform in +-radius per
+    coordinate, measured on the ideal backend as one probe batch per cell.
+    Cell RNG streams are keyed by cell index, so the scan order cannot change
+    the surface.
     """
     backend = IdealBackend()
     theta0 = circuits.check_theta(spec, np.asarray(theta0, dtype=float))
-    grid0 = np.asarray(grid0, dtype=float)
-    grid1 = np.asarray(grid1, dtype=float)
-    if grid0.size == 0 or grid1.size == 0:
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    surface = np.empty((grid0.size, grid1.size))
-    for i, a in enumerate(grid0):
-        for j, b in enumerate(grid1):
-            probes = np.tile(theta0, (neighborhood.budget + 1, 1))
+    surface = np.empty((grid.size, grid.size))
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            probes = np.tile(theta0, (budget + 1, 1))
             probes[:, 0], probes[:, 1] = a, b
-            if neighborhood.budget > 0:     # one draw fills the rows in stream order
-                cell_rng = np.random.default_rng(
-                    derive_seed(neighborhood.seed, f"landscape/{i}/{j}"))
-                probes[1:, 2:] += cell_rng.uniform(-neighborhood.radius, neighborhood.radius,
-                                                   (neighborhood.budget, theta0.size - 2))
+            if budget > 0:      # one draw fills the rows in stream order
+                cell_rng = np.random.default_rng(derive_seed(seed, f"landscape/{i}/{j}"))
+                probes[1:, 2:] += cell_rng.uniform(-radius, radius, (budget, theta0.size - 2))
             m = costs.measured_groups(spec, [(probes, dataset, None)], backend)[0]
             surface[i, j] = costs.row_accuracies(m).max()
     return surface

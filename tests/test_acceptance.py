@@ -193,7 +193,7 @@ def test_criterion_07_noisy_finite_differences_stall_but_ga_recovers(train250):
                          line_search=LineSearchSpec(kind="wolfe"))
         backend = NoisyBackend(NoiseModel(shots=150, seed=2000 + seed))
         _, trace = bfgs_train(cfg, SPEC, train250, backend)
-        accs = trace.accuracies()
+        accs = [r.best_accuracy for r in trace.rows]
         improvement = accs[-1] - accs[min(6, len(accs) - 1)]
         plateaued += improvement <= 0.02
     ga_finals = []

@@ -927,6 +927,49 @@ def test_analyze_noise_scaling_with_an_overflowing_fit_exits_4(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shots", [["--shots", "1000,1001"],
+                                   ["--shots", "1000,1010", "--points", "2", "--repeats", "2"]])
+def test_analyze_noise_scaling_that_cannot_resolve_the_exponent_exits_4(tmp_path, capsys,
+                                                                        shots):
+    """Shot counts too close for the repeats and points: the exponent's standard
+    error, 1 / sqrt(2 (repeats - 1) points sum (ln N - mean ln N)^2), is above
+    0.5, so the fit cannot tell N^-1/2 from a flat spread.  Nothing is written."""
+    out = tmp_path / "scaling"
+    rc = cli.main(["analyze", "noise-scaling", *shots, "--out", str(out)])
+    assert rc == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: the power-law fit over shot counts "
+                          f"{shots[1].replace(',', ', ')} cannot resolve its exponent")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ideal", [[], ["--ideal"]])
+def test_analyze_gradient_noise_summarizes_its_rows(tmp_path, capsys, ideal):
+    """Each printed line is the max |theoretical| and the mean of the defined
+    sign agreements of one step's and cost's rows, `n/a` where none is defined."""
+    out = tmp_path / "grad"
+    rc = cli.main(["analyze", "gradient-noise", "--steps", "0.01,0.5", "--repeats", "3",
+                   "--points", "6", "--seed", "4", *ideal, "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("step ")]
+    with open(out / "gradient_noise.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    want = []
+    for step in ("0.01", "0.5"):
+        for cost in ("accuracy", "cross_entropy", "chi_squared"):
+            picked = [r for r in rows if r["step"] == step and r["cost"] == cost]
+            peak = max(abs(float(r["theoretical"])) for r in picked)
+            agree = [float(r["sign_agreement"]) for r in picked
+                     if r["sign_agreement"] != "nan"]
+            agree_text = f"{np.mean(agree):.3f}" if agree else "n/a"
+            want.append(f"step {step}: {cost}: max |gradient| {peak:.6f}, "
+                        f"sign agreement {agree_text}")
+    assert printed == want
+    # the accuracy cost is flat at these steps: no agreement is defined
+    assert [line.endswith("n/a") for line in printed] == [True, False, False] * 2
+
+
 def test_analyze_gradient_noise_runs_on_the_ideal_leg(tmp_path, capsys):
     out = tmp_path / "grad"
     rc = cli.main(["analyze", "gradient-noise", "--steps", "0.5", "--repeats", "2",

@@ -298,9 +298,9 @@ def test_repeated_chromosomes_in_a_run_equal_a_per_chromosome_loop(monkeypatch, 
 def test_ga_train_best_loss_never_worsens():
     cfg = GAConfig(population_size=10, max_generations=8, seed=1)
     _, trace = ga_train(cfg, CircuitSpec(), generate(40, seed=1), IdealBackend())
-    losses = trace.losses()
+    losses = [r.best_loss for r in trace.rows]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
-    accs = trace.accuracies()
+    accs = [r.best_accuracy for r in trace.rows]
     assert all(b >= a for a, b in zip(accs, accs[1:]))
 
 

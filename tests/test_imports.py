@@ -1,7 +1,8 @@
 """Every name a package module imports is read somewhere in that module,
 every parameter of every function is read in that function's body, every
-public module-level function or class is read somewhere in the package, and
-every defaulted parameter is passed by some call in the package.
+public module-level function or class and every public method is read
+somewhere in the package, and every defaulted parameter is passed by some
+call in the package.
 
 No linter runs on this repository, so these scans keep dead imports,
 unread parameters, orphan public API and settings that nothing varies out
@@ -27,6 +28,9 @@ UNREAD_BY_DESIGN = ["IdealBackend.sample(y)"]
 # the single-point circuit evaluation, the objective of one theta and the
 # split generator that the acceptance criteria in tests/test_acceptance.py call
 CALLED_BY_THE_CRITERIA = ["evaluate", "evaluate_circuit", "generate_splits"]
+# the noise model's config reader and the trace's CSV reader, which bench/ calls
+# (ROADMAP item 5 ports bench/'s from_config call to config._build)
+READ_BY_THE_BENCH = ["NoiseModel.from_config", "TrainingTrace.read_csv"]
 # main's argv is for callers outside the package; the acceptance criteria, not
 # the package, call the split generator with a train size; a Choice subclass
 # passes its noun as a class keyword, which is not a call
@@ -59,8 +63,9 @@ def imported_packages(source: str) -> list[str]:
 
 
 def orphans(sources: list[str]) -> list[str]:
-    """Public module-level functions and classes of `sources` that none of
-    them reads, as a name or as an attribute."""
+    """Public module-level functions and classes of `sources`, and public
+    methods of their classes (named `Class.method`), that none of them reads,
+    as a name or as an attribute."""
     trees = [ast.parse(source) for source in sources]
     read = set()
     for node in (n for tree in trees for n in ast.walk(tree)):
@@ -68,10 +73,15 @@ def orphans(sources: list[str]) -> list[str]:
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
-    defined = [node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")]
-    return sorted(set(defined) - read)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []    # (reported name, name a reader reads)
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            defined.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            defined += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                        if isinstance(m, functions) and not m.name.startswith("_")]
+    return sorted(name for name, read_as in defined if read_as not in read)
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -208,16 +218,18 @@ def test_the_scan_reports_each_unread_name():
 
 def test_every_public_function_and_class_is_read_in_the_package():
     sources = [p.read_text() for p in MODULES if p.name != "__init__.py"]
-    assert orphans(sources) == CALLED_BY_THE_CRITERIA
+    assert orphans(sources) == sorted(CALLED_BY_THE_CRITERIA + READ_BY_THE_BENCH)
 
 
 def test_the_orphan_scan_reports_each_unread_definition():
     sources = ["import m\ndef used():\n    pass\ndef _private():\n    pass\n"
                "class Orphan:\n    def method(self):\n        return used\n"
+               "    def called(self):\n        return self.method\n"
+               "    def _hidden(self):\n        pass\n    def __len__(self):\n        return 0\n"
                "def also_orphan():\n    pass\n",
                "from . import a\na.attr_read()\ndef attr_read():\n    pass\n"
                "def written():\n    pass\nm.written = 2\n"]
-    assert orphans(sources) == ["Orphan", "also_orphan", "written"]
+    assert orphans(sources) == ["Orphan", "Orphan.called", "also_orphan", "written"]
 
 
 def test_no_module_imports_scipy():

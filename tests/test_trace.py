@@ -21,9 +21,9 @@ def _sample_trace():
 def test_append_and_accessors():
     trace = _sample_trace()
     assert len(trace) == 3
-    assert trace.accuracies() == [0.52, 0.68, 0.9]
-    assert trace.losses() == [0.693147, 0.51, 0.31234567891234567]
-    assert trace.estimates() == [250, 500, 750]
+    assert [r.best_accuracy for r in trace.rows] == [0.52, 0.68, 0.9]
+    assert [r.best_loss for r in trace.rows] == [0.693147, 0.51, 0.31234567891234567]
+    assert [r.cum_estimates for r in trace.rows] == [250, 500, 750]
     assert trace.final.iteration == 2
     assert trace.final.diversity is None
 
@@ -115,7 +115,8 @@ def recorded(steps, maximize, target, stop_from=0):
         ledger.reserve(len(values), 10)
         if trace.record(k, thetas, values, accs, 0, maximize=maximize) and k >= stop_from:
             break
-    assert trace.estimates() == [len(steps[0][1]) * (k + 1) for k in range(len(trace))]
+    assert ([r.cum_estimates for r in trace.rows]
+            == [len(steps[0][1]) * (k + 1) for k in range(len(trace))])
     return trace.best_theta, [(r.best_accuracy, r.best_loss) for r in trace.rows]
 
 
@@ -227,7 +228,7 @@ def test_record_ends_the_run_when_the_next_step_overruns_the_budget():
     assert not _step(trace, ledger, 0)                  # 10 held, the next 10 fit
     assert not _step(trace, ledger, 1, next_step=15)    # 20 + 15 = 35: fits exactly
     assert _step(trace, ledger, 2, charge=0, next_step=16)
-    assert trace.estimates() == [10, 20, 20]
+    assert [r.cum_estimates for r in trace.rows] == [10, 20, 20]
 
 
 def test_a_read_back_trace_has_no_ledger_and_compares_by_rows(tmp_path):

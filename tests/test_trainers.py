@@ -17,9 +17,9 @@ from reupsim.data import Dataset, generate
 from reupsim.ga import GAConfig, ga_train
 from reupsim.seeding import derive_seed
 from reupsim.trace import TrainingError
-from reupsim.trainers import (GradConfig, GradMethod, LineSearchSpec,
-                              LocalSearchSpec, OptimizerKind, _initial_theta, bfgs_train,
-                              bfgs_update, estimate_gradient, landscape_scan, sgd_train)
+from reupsim.trainers import (GradConfig, GradMethod, LineSearchSpec, OptimizerKind,
+                              _initial_theta, bfgs_train, bfgs_update, estimate_gradient,
+                              landscape_scan, sgd_train)
 
 
 def _small_problem(n=20, seed=0):
@@ -180,7 +180,7 @@ def test_bfgs_train_descends_on_the_ideal_backend():
     spec, ds, _ = _small_problem(n=40, seed=6)
     cfg = GradConfig(max_iterations=15, seed=6)
     theta, trace = bfgs_train(cfg, spec, ds, IdealBackend())
-    losses = trace.losses()
+    losses = [r.best_loss for r in trace.rows]
     assert losses[-1] < losses[0]
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
     assert trace.rows[0].iteration == 0
@@ -218,7 +218,7 @@ def test_bfgs_train_is_deterministic_given_the_seed():
     theta_a, trace_a = run()
     theta_b, trace_b = run()
     np.testing.assert_array_equal(theta_a, theta_b)
-    assert trace_a.losses() == trace_b.losses()
+    assert [r.best_loss for r in trace_a.rows] == [r.best_loss for r in trace_b.rows]
 
 
 def test_bfgs_train_respects_the_estimate_budget():
@@ -353,7 +353,7 @@ def test_sgd_shuffling_is_seeded():
                      seed=12)
     _, a = sgd_train(cfg, spec, ds, IdealBackend())
     _, b = sgd_train(cfg, spec, ds, IdealBackend())
-    assert a.losses() == b.losses()
+    assert [r.best_loss for r in a.rows] == [r.best_loss for r in b.rows]
 
 
 def _descent_run(train, cfg, noisy, n=12):
@@ -477,14 +477,13 @@ def test_training_wraps_backend_failures():
 def test_landscape_scan_cells_do_not_depend_on_the_grid():
     spec, ds, theta0 = _small_problem(n=15, seed=13)
     grid = np.array([-1.0, 0.5])
-    search = LocalSearchSpec(budget=3, radius=0.4, seed=13)
-    surface = landscape_scan(spec, ds, theta0, grid, grid, search)
+    surface = landscape_scan(spec, ds, theta0, grid, budget=3, radius=0.4, seed=13)
     assert surface.shape == (2, 2)
     # rescanning a single cell reproduces its value: streams are keyed by cell
-    single = landscape_scan(spec, ds, theta0, grid[:1], grid[:1], search)
+    single = landscape_scan(spec, ds, theta0, grid[:1], budget=3, radius=0.4, seed=13)
     assert single[0, 0] == surface[0, 0]
     with pytest.raises(ValueError, match="nonempty"):
-        landscape_scan(spec, ds, theta0, np.array([]), grid, search)
+        landscape_scan(spec, ds, theta0, np.array([]), budget=3, radius=0.4, seed=13)
 
 
 def test_landscape_has_structure_and_stays_in_range():
@@ -493,27 +492,25 @@ def test_landscape_has_structure_and_stays_in_range():
     rng = np.random.default_rng(derive_seed(3, "analyze/landscape/theta"))
     theta0 = random_parameters(spec, rng)
     grid = np.linspace(-np.pi, np.pi, 21)
-    surface = landscape_scan(spec, ds, theta0, grid, grid, LocalSearchSpec(budget=0))
+    surface = landscape_scan(spec, ds, theta0, grid, budget=0, radius=0.5, seed=0)
     assert surface.min() >= 0.0 and surface.max() <= 1.0
     # the accuracy surface over two parameters is far from flat
     assert np.ptp(surface) > 0.2
 
 
-def _landscape_per_probe(spec, dataset, theta0, grid0, grid1, neighborhood):
+def _landscape_per_probe(spec, dataset, theta0, grid, budget, radius, seed):
     """Reference: one accuracy evaluation per cell probe."""
     backend = IdealBackend()
-    surface = np.empty((grid0.size, grid1.size))
-    for i, a in enumerate(grid0):
-        for j, b in enumerate(grid1):
+    surface = np.empty((grid.size, grid.size))
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
             theta = theta0.copy()
             theta[0], theta[1] = a, b
             best = costs.evaluate(CostKind.ACCURACY, spec, theta, dataset, backend)
-            cell_rng = np.random.default_rng(
-                derive_seed(neighborhood.seed, f"landscape/{i}/{j}"))
-            for _ in range(neighborhood.budget):
+            cell_rng = np.random.default_rng(derive_seed(seed, f"landscape/{i}/{j}"))
+            for _ in range(budget):
                 probe = theta.copy()
-                probe[2:] += cell_rng.uniform(-neighborhood.radius, neighborhood.radius,
-                                              theta.size - 2)
+                probe[2:] += cell_rng.uniform(-radius, radius, theta.size - 2)
                 best = max(best, costs.evaluate(CostKind.ACCURACY, spec, probe, dataset,
                                                 backend))
             surface[i, j] = best
@@ -522,9 +519,8 @@ def _landscape_per_probe(spec, dataset, theta0, grid0, grid1, neighborhood):
 
 def _scan_against_the_loop(budget, radius):
     spec, ds, theta0 = _small_problem(n=11, seed=17)
-    grid0, grid1 = np.array([-2.0, 0.1, 1.3]), np.array([-0.4, 2.5])
-    search = LocalSearchSpec(budget=budget, radius=radius, seed=17)
-    batched, reference = (scan(spec, ds, theta0, grid0, grid1, search)
+    grid = np.array([-2.0, -0.4, 0.1, 1.3, 2.5])
+    batched, reference = (scan(spec, ds, theta0, grid, budget, radius, seed=17)
                           for scan in (landscape_scan, _landscape_per_probe))
     np.testing.assert_array_equal(batched, reference)
 
