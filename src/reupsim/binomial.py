@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .circuits import aligned_empty
+
 # Cephes ndtri, highest power first: numerator and denominator for the centre
 # (u within 1/2 - exp(-2) of 1/2), for the tail to exp(-32) and for the far
 # tail, with zeros padding and the denominators' leading 1 explicit: eight
@@ -131,7 +133,7 @@ def _terms(k: np.ndarray, n: int, p: np.ndarray, odds: np.ndarray, rows: int) ->
     """pmf(k - i; n, p) for i < rows, shape (rows, entries), for k >= 0 and
     odds = (1 - p) / p: row 0 from the log-binomial table, each later row the
     one above times the ratio ((n + 1) / (n - k + i) - 1) * odds."""
-    t, rest = np.empty((rows, k.size)), n - k
+    t, rest = aligned_empty((rows, k.size)), n - k
     np.add(rest, np.arange(1.0, rows)[:, None], out=t[1:])
     np.divide(n + 1.0, t[1:], out=t[1:])
     t[1:] -= 1.0
@@ -225,7 +227,7 @@ def _quantile(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray
 
 
 def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    up, v, pm, odds, head = np.empty((5, u.size))
+    up, v, pm, odds, head = aligned_empty((5, u.size))
     np.greater_equal(u, 0.5, out=up)
     np.minimum(np.subtract(1.0, u, out=v), u, out=v)
     np.abs(np.subtract(up, p, out=pm), out=pm)      # 1 - p where mirrored, exactly
@@ -238,7 +240,7 @@ def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     head += n * pm + 2.5
     np.minimum(np.maximum(np.ceil(head, out=head), 0.0, out=head), n, out=head)
     t = _terms(head, n, pm, odds, _rows(n, _BLOCK_SDS))
-    cdf = np.empty((_WINDOW, u.size))
+    cdf = aligned_empty((_WINDOW, u.size))
     np.add.reduce(t, axis=0, out=cdf[0])
     for j in range(1, _WINDOW):     # a row at a time: accumulate runs element by element
         np.subtract(cdf[j - 1], t[j - 1], out=cdf[j])

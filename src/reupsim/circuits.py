@@ -17,7 +17,9 @@ last layer's R_z is skipped, because a phase cannot change a population.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,13 +105,31 @@ def ansatz_design(ansatz: Ansatz, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows).reshape(2, *x.shape[:-1], 4)
 
 
+def aligned_empty(shape: tuple) -> np.ndarray:
+    """np.empty(shape) whose first byte sits on a 64-byte (cache-line) boundary,
+    wherever malloc puts the block: a pass over rows that start 16 or 32 bytes
+    past one runs several percent slower.  Only the base is aligned, so the
+    rows keep their contiguous stride."""
+    size = math.prod(shape)
+    buf = np.empty(size + 7)
+    skip = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64 // 8
+    return buf[skip:skip + size].reshape(shape)
+
+
+# the backward pass's row vector starts as conj(<y|psi>): (Re, -Im) of each amplitude
+_CONJUGATE = np.array([[1.0], [-1.0]])
+_CONJUGATE.flags.writeable = False
+
+
 class Design:
     """One point set under one ansatz: `rows`, its ansatz_design rows (cy, cz)
     stacked, which the angle product reads; `cols`, their C-contiguous
     transposes, which the chain rule reads; given labels y, `label` = y == 1,
-    once each label is checked to be 0 or 1.  A Dataset keeps one per ansatz."""
+    once each label is checked to be 0 or 1, and `unread`, the (2, 1, n) mask
+    (label, not label) of the amplitude that <y| does not read, where the
+    backward pass starts at 0.  A Dataset keeps one per ansatz."""
 
-    __slots__ = ("rows", "cols", "label")
+    __slots__ = ("rows", "cols", "label", "unread")
 
     def __init__(self, ansatz: Ansatz, x: np.ndarray, y: np.ndarray | None = None):
         self.rows = ansatz_design(ansatz, x)
@@ -118,6 +138,7 @@ class Design:
             self.label = np.asarray(y) == 1
             if not (self.label | (np.asarray(y) == 0)).all():
                 raise ValueError("labels must be 0 or 1")
+            self.unread = np.stack([self.label, ~self.label])[:, None]
 
     def __len__(self) -> int:
         return self.rows.shape[-2]
@@ -126,7 +147,7 @@ class Design:
         """The Design of this one's labelled points at `idx`, by C-ordered copies."""
         sub = object.__new__(Design)
         sub.rows, sub.cols = self.rows.take(idx, axis=-2), self.cols.take(idx, axis=-1)
-        sub.label = self.label[idx]
+        sub.label, sub.unread = self.label[idx], self.unread.take(idx, axis=-1)
         return sub
 
 
@@ -140,7 +161,7 @@ def _angles(spec: CircuitSpec, thetas: np.ndarray, design: Design) -> np.ndarray
     stacked `(P, L, 4) @ (4, n)` product into the kernel's layout, one gemm per
     probe, so a probe is bit-identical to the single-theta `slices @ cy.T`."""
     slices = thetas.reshape(len(thetas), spec.layers, 4)
-    phi = np.empty((2, spec.layers, len(thetas), len(design)))
+    phi = aligned_empty((2, spec.layers, len(thetas), len(design)))
     for angles, rows in zip(phi, design.rows):
         np.matmul(slices, np.swapaxes(rows, -1, -2), out=angles.transpose(1, 0, 2))
     return phi
@@ -179,16 +200,17 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     A rotation's cos and sin come from u = tan of its half angle, as
     (1 - u^2) / (1 + u^2) and 2u / (1 + u^2): where numpy vectorises float64
     tan but not cos or sin (x86 with AVX-512) that is several times cheaper.
-    Every intermediate lives in one workspace; without `states` it holds the
-    2L - 1 tangents and cosines, then one state and a scratch state in rows
-    that first hold 1 + u^2 (at least 2L - 1 of them), then the populations.
+    Every intermediate lives in one aligned workspace; without `states` it
+    holds the 2L - 1 tangents and cosines, then one state and a scratch state
+    in rows that first hold 1 + u^2 (at least 2L - 1 of them), then the
+    populations.
     The gates turn psi[-1] through views made once per pass; with `states`,
     each gate's output is copied to its row before the next gate turns it,
     and the populations get an array of their own: ws[:2] holds kept sines.
     """
     gates, n = 2 * len(phi_y) - 1, phi_y.shape[1]
     n_psi = gates if states else 1
-    ws = np.empty((2 * gates + max(4 * n_psi + 4, gates), n))
+    ws = aligned_empty((2 * gates + max(4 * n_psi + 4, gates), n))
     sin, cos, rest = ws[:gates], ws[gates:2 * gates], ws[2 * gates:]
     psi, tmp = rest[:4 * n_psi].reshape(n_psi, 2, 2, n), rest[4 * n_psi:][:4].reshape(2, 2, n)
     np.multiply(phi_y, 0.25, out=sin[0::2])         # R_y rotates by phi_y / 2
@@ -297,8 +319,7 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray 
     """
     design = _design(spec, x, y)
     m, (psi, cos, sin) = forward or measure_batch(spec, theta, design, None, states=True)
-    w = np.where(np.stack([design.label, ~design.label])[:, None], 0.0,
-                 psi[-1] * [[1.0], [-1.0]])
+    w = np.where(design.unread, 0.0, psi[-1] * _CONJUGATE)
     tmp = np.empty_like(w)
     grads = np.empty((spec.layers, 2, w.shape[-1]))
     (w0, w1), (t0, t1), (t00, t01) = w, tmp, tmp[0]     # views made once per pass

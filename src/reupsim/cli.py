@@ -6,7 +6,8 @@ that file reproduces the run byte for byte.  Exit codes: 0 success, 2 config
 problem (the message names the offending key), 3 backend failure during
 training, 4 I/O trouble (missing, malformed, or unwritable files).
 
-A process builds the parser of the one command of COMMANDS that it runs, and
+A process builds the parser of the one command of COMMANDS that argv starts
+with (the whole table only to word top-level help and parse errors), and
 imports what only one command uses inside that command's runner.
 """
 
@@ -571,8 +572,49 @@ def _run(command: Command, args):
     return command.run(args, spec, data.generate(args.points, seed=seed_of("data")), seed_of)
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+class _Reparse(Exception):
+    """A parse error of _OneCommand: the whole table parses argv again, and words it."""
+
+
+class _OneCommand(argparse.ArgumentParser):
+    """The parser of the one command that argv starts with, as the table would build it."""
+
+    @staticmethod
+    def error(message):
+        raise _Reparse(message)
+
+
+def _add_flags(parser: argparse.ArgumentParser, row: Command) -> list:
+    """Add the row's flags to `parser`; returns their actions."""
+    actions = []
+    for flag in row.flags:
+        name, changes = (flag, {}) if isinstance(flag, str) else flag
+        actions.append(parser.add_argument(name, **{**FLAGS.get(name, {}), **changes}))
+    return actions
+
+
+def _checked(parser: argparse.ArgumentParser, row: Command, actions: list, args):
+    """args, unless a flag that only a noisy backend reads was given to an ideal run."""
+    given = [action.option_strings[0] for action in actions if getattr(action, "given", False)]
+    if given and row.ideal(args):
+        parser.error(f"argument {given[0]}: not read by the ideal backend")
+    return args
+
+
+def _parse(argv: list) -> tuple:
+    """(command row, parsed flags) of argv.  Only the parser of the command that
+    argv starts with is built, unless argv names none (an option first, say) or
+    that parser fails; then the whole table parses argv, and prints the usage
+    and the error."""
+    row = next((row for row in COMMANDS
+                if row.run is not None and argv[:len(row.words)] == list(row.words)), None)
+    if row is not None:
+        parser = _OneCommand(prog=" ".join(("reupsim", *row.words)))
+        try:
+            return row, _checked(parser, row, _add_flags(parser, row),
+                                 parser.parse_args(argv[len(row.words):]))
+        except _Reparse:
+            pass
     words = [word for word in argv if not word.startswith("-")]
     parser = argparse.ArgumentParser(
         prog="reupsim",
@@ -589,14 +631,13 @@ def main(argv=None) -> int:
         if row.run is None:
             groups[row.words] = sub.add_subparsers(dest="analysis", required=True)
             continue
-        command, chosen = row, sub
-        for flag in row.flags:
-            name, changes = (flag, {}) if isinstance(flag, str) else flag
-            actions.append(sub.add_argument(name, **{**FLAGS.get(name, {}), **changes}))
+        command, chosen, actions = row, sub, _add_flags(sub, row)
     args = parser.parse_args(argv)
-    given = [action.option_strings[0] for action in actions if getattr(action, "given", False)]
-    if given and command.ideal(args):
-        chosen.error(f"argument {given[0]}: not read by the ideal backend")
+    return command, _checked(chosen, command, actions, args)
+
+
+def main(argv=None) -> int:
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         result = _run(command, args)
         if result is not None:

@@ -19,7 +19,7 @@ import functools
 import math
 import typing
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -184,7 +184,10 @@ def _circle(block: dict) -> CircleSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A resolved experiment: every field concrete, every seed explicit."""
+    """A resolved experiment: every field concrete, every seed explicit.  The
+    backend and optimizer blocks are kept as archived and, in `noise` and
+    `trainer`, as the NoiseModel (None when ideal) and the GAConfig or
+    GradConfig read from them; configs compare by their blocks."""
 
     seed: int
     workers: int
@@ -194,6 +197,8 @@ class ExperimentConfig:
     backend: dict
     optimizer: dict
     cost: CostKind
+    noise: NoiseModel | None = field(compare=False, repr=False)
+    trainer: GAConfig | GradConfig = field(compare=False, repr=False)
 
     @classmethod
     def from_mapping(cls, raw: dict, master_seed: int | None = None,
@@ -211,12 +216,13 @@ class ExperimentConfig:
 
         circuit = _build(CircuitSpec, raw.get("circuit"), "circuit")
         dataset = cls._resolve_dataset(_as_mapping(raw.get("dataset"), "dataset"), seed)
-        backend = cls._resolve_backend(_as_mapping(raw.get("backend"), "backend"), seed)
+        backend, noise = cls._resolve_backend(_as_mapping(raw.get("backend"), "backend"), seed)
         cost = _get(raw, "cost", "config", CostKind, CostKind.CROSS_ENTROPY)
-        optimizer = cls._resolve_optimizer(_as_mapping(raw.get("optimizer"), "optimizer"),
-                                           seed, cost)
+        optimizer, trainer = cls._resolve_optimizer(
+            _as_mapping(raw.get("optimizer"), "optimizer"), seed, cost)
         return cls(seed=seed, workers=workers, output_dir=output_dir, circuit=circuit,
-                   dataset=dataset, backend=backend, optimizer=optimizer, cost=cost)
+                   dataset=dataset, backend=backend, optimizer=optimizer, cost=cost,
+                   noise=noise, trainer=trainer)
 
     @staticmethod
     def _resolve_dataset(block: dict, master_seed: int) -> dict:
@@ -243,14 +249,15 @@ class ExperimentConfig:
                 **{k: v for k, v in circle.items() if block.get(k) is not None}}
 
     @staticmethod
-    def _resolve_backend(block: dict, master_seed: int) -> dict:
+    def _resolve_backend(block: dict, master_seed: int) -> tuple[dict, NoiseModel | None]:
+        """The backend block with every field filled in, and its NoiseModel if noisy."""
         _reject_unknown(block, {"kind", "shots", "noise"}, "backend")
         kind = _get(block, "kind", "backend", str, "ideal", choices=("ideal", "noisy"))
         shots = _get(block, "shots", "backend", int, DEFAULT_SHOTS, minimum=1)
         if kind == "ideal":
             if block.get("noise") is not None:
                 raise _fail("backend.noise", "only valid when kind is noisy")
-            return {"kind": "ideal", "shots": shots}
+            return {"kind": "ideal", "shots": shots}, None
         # the two noise defaults that depend on context: backend.shots and a derived seed
         given = _as_mapping(block.get("noise"), "backend.noise")
         context = {"shots": shots, "seed": derive_seed(master_seed, "backend")}
@@ -259,17 +266,19 @@ class ExperimentConfig:
         if block.get("shots") is not None and model.shots != shots:
             raise _fail("backend.noise.shots", f"{model.shots} differs from "
                         f"backend.shots = {shots}; set one of the two")
-        return {"kind": "noisy", "shots": model.shots, "noise": _archived(model)}
+        return {"kind": "noisy", "shots": model.shots, "noise": _archived(model)}, model
 
     @staticmethod
-    def _resolve_optimizer(block: dict, master_seed: int, cost: CostKind) -> dict:
-        """The optimizer block with every GAConfig or GradConfig field filled in."""
+    def _resolve_optimizer(block: dict, master_seed: int,
+                           cost: CostKind) -> tuple[dict, GAConfig | GradConfig]:
+        """The optimizer block with every GAConfig or GradConfig field filled in,
+        and that GAConfig or GradConfig."""
         kind = _get(block, "kind", "optimizer", str, GA_KIND, choices=OPTIMIZER_KINDS)
         seed = _get(block, "seed", "optimizer", int)
         if seed is None:
             seed = derive_seed(master_seed, "optimizer")
         trainer = _trainer_config({**block, "kind": kind, "seed": seed}, cost)
-        return {"kind": kind, **_archived(trainer)}
+        return {"kind": kind, **_archived(trainer)}, trainer
 
     def to_mapping(self) -> dict:
         out = {
@@ -292,13 +301,14 @@ class ExperimentConfig:
         return generate(block["n"], _circle(block), block["seed"])
 
     def build_backend(self):
-        if self.backend["kind"] == "ideal":
+        """A new backend: its ledger starts at zero."""
+        if self.noise is None:
             return IdealBackend(shots=self.backend["shots"])
-        return NoisyBackend(_build(NoiseModel, self.backend["noise"], "backend.noise"))
+        return NoisyBackend(self.noise)
 
     def build_trainer_config(self) -> GAConfig | GradConfig:
         """The optimizer block as a GAConfig or GradConfig instance."""
-        return _trainer_config(self.optimizer, self.cost)
+        return self.trainer
 
 
 def read_config(path: str | Path | None, overrides: Sequence[str] = ()) -> dict:

@@ -181,11 +181,10 @@ class TrainingTrace:
         return self.rows[-1]
 
     def write_csv(self, path: str | Path) -> None:
+        """The header and the rows, as csv.writer writes them: no cell needs quoting."""
+        lines = [",".join(TRACE_HEADER), *(",".join(row.as_csv()) for row in self.rows), ""]
         with rewrite(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            for row in self.rows:
-                writer.writerow(row.as_csv())
+            fh.write("\r\n".join(lines))
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "TrainingTrace":

@@ -189,13 +189,21 @@ def bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray,
     ys = float(y @ s)
     if ys <= CURVATURE_TOL:
         raise ValueError(f"curvature condition violated: y.s = {ys}")
+    # each rank-one term a[:, None] * b is np.outer(a, b), bit for bit, without its wrapper
     if mode is OptimizerKind.BFGS_AS_WRITTEN:
         Hy = H @ y
-        return H - np.outer(Hy, Hy) / float(y @ Hy) + np.outer(s, s) / ys
+        return H - (Hy[:, None] * Hy) / float(y @ Hy) + (s[:, None] * s) / ys
     rho = 1.0 / ys
-    n = s.size
-    left = np.eye(n) - rho * np.outer(s, y)
-    return left @ H @ left.T + rho * np.outer(s, s)
+    left = _identity(s.size) - rho * (s[:, None] * y)
+    return left @ H @ left.T + rho * (s[:, None] * s)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """A read-only np.eye(n)."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _initial_theta(cfg: GradConfig, spec: CircuitSpec) -> np.ndarray:

@@ -6,8 +6,8 @@ kept as independent oracles, the per-probe scatter that turns one-gate
 shifts into the delta array the batched kernel takes, the ndtri that ran
 both Cephes branches for every entry, which the one-branch ndtri replaced,
 the one-pair-at-a-time readout mitigation that `mitigation.mitigate`
-batched, and the SGD loop whose two readouts per iteration `sgd_train` made
-one.
+batched, the SGD loop whose two readouts per iteration `sgd_train` made
+one, and the BFGS update as it ran on a fresh identity and np.outer.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,8 @@ from reupsim.circuits import Ansatz, CircuitSpec, ansatz_design
 from reupsim.data import Dataset
 from reupsim.seeding import derive_seed
 from reupsim.trace import TrainingTrace, backend_failures
-from reupsim.trainers import GradConfig, _gradient_cost, _initial_theta, estimate_gradient
+from reupsim.trainers import (CURVATURE_TOL, GradConfig, OptimizerKind, _gradient_cost,
+                              _initial_theta, estimate_gradient)
 
 
 @dataclass(frozen=True)
@@ -167,3 +168,18 @@ def sgd_reference(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
             f, acc, _ = costs.evaluate_with_accuracy(cfg.cost, spec, theta, dataset, backend)
 
     return trace.best_theta, trace
+
+
+def outer_bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray,
+                      mode: OptimizerKind = OptimizerKind.BFGS_STANDARD) -> np.ndarray:
+    """trainers.bfgs_update as it ran with a fresh np.eye and np.outer."""
+    ys = float(y @ s)
+    if ys <= CURVATURE_TOL:
+        raise ValueError(f"curvature condition violated: y.s = {ys}")
+    if mode is OptimizerKind.BFGS_AS_WRITTEN:
+        Hy = H @ y
+        return H - np.outer(Hy, Hy) / float(y @ Hy) + np.outer(s, s) / ys
+    rho = 1.0 / ys
+    n = s.size
+    left = np.eye(n) - rho * np.outer(s, y)
+    return left @ H @ left.T + rho * np.outer(s, s)

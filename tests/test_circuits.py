@@ -338,8 +338,8 @@ def test_the_last_phase_changes_no_population_bit():
 
 
 def test_the_kernel_allocates_one_workspace_and_its_outputs():
-    """The kernel writes every intermediate into one workspace; per-layer
-    temporaries would push the peak past this bound."""
+    """The kernel writes every intermediate into one workspace, its base on a
+    cache line; per-layer temporaries would push the peak past this bound."""
     layers, n = 4, 12500
     phi_y, phi_z = np.random.default_rng(47).uniform(-2 * np.pi, 2 * np.pi, (2, layers, n))
     circuits._evolve(phi_y, phi_z)
@@ -353,6 +353,36 @@ def test_the_kernel_allocates_one_workspace_and_its_outputs():
         tracemalloc.stop()
     assert p0.shape == p1.shape == (n,)
     assert peak <= 1.5 * (2 * layers + 7) * n * 8
+    # the populations are the workspace's first rows: its base is on a cache line
+    assert p0.__array_interface__["data"][0] % 64 == 0
+
+
+def test_gradients_on_a_taken_design_are_those_of_the_subset_points():
+    """The analytic SGD path: a mini-batch's Design, taken from the dataset's
+    with its mask of unread amplitudes, gives the gradients of a Design built
+    from the batch's points, bit for bit."""
+    rng = np.random.default_rng(59)
+    for ansatz in Ansatz:
+        spec = CircuitSpec(ansatz, 3)
+        x, y = rng.uniform(-1.0, 1.0, (40, 2)), rng.integers(0, 2, 40)
+        theta = random_parameters(spec, rng)
+        whole = Design(ansatz, x, y)
+        for idx in (rng.permutation(40)[:10], np.arange(40), np.array([7])):
+            taken = whole.take(idx)
+            assert taken.unread.tobytes() == Design(ansatz, x[idx], y[idx]).unread.tobytes()
+            got = circuits.gate_angle_gradients(spec, theta, taken, None)
+            want = circuits.gate_angle_gradients(spec, theta, x[idx], y[idx])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (3, 0), (15, 250), (2, 4, 5, 7), (31, 4228)])
+def test_an_aligned_array_starts_on_a_cache_line(shape):
+    for _ in range(8):      # malloc hands out blocks at several offsets
+        a = circuits.aligned_empty(shape)
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.flags.writeable
+        assert a.size == 0 or a.__array_interface__["data"][0] % 64 == 0   # empty: no bytes
 
 
 def test_warm_generations_take_no_page_faults():

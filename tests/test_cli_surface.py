@@ -212,6 +212,24 @@ options:
   --generations GENERATIONS
   --out OUT
 """,
+    # an option before the command: the whole table parses argv, and helps
+    '-h train': """\
+usage: reupsim [-h] {gen-data,train,evaluate,sweep,analyze} ...
+
+Train and analyze single-qubit data re-uploading classifiers on simulated
+ideal or noisy hardware.
+
+positional arguments:
+  {gen-data,train,evaluate,sweep,analyze}
+    gen-data            generate a circle-boundary dataset CSV
+    train               run one training experiment from a config
+    evaluate            score a trained parameter vector on a dataset
+    sweep               repeat training over one hyperparameter
+    analyze             run one of the analysis pipelines
+
+options:
+  -h, --help            show this help message and exit
+""",
 }
 
 ERRORS = {
@@ -267,6 +285,20 @@ usage: reupsim gen-data [-h] [--n N] --out OUT [--split {train,test}]
                         [--center X0 X1] [--radius RADIUS]
                         [--domain XLO XHI YLO YHI] [--seed SEED]
 reupsim gen-data: error: the following arguments are required: --out
+""",
+    # a parse error of the one command's parser: the whole table words it
+    'train --config c.yaml --bogus': """\
+usage: reupsim [-h] {gen-data,train,evaluate,sweep,analyze} ...
+reupsim: error: unrecognized arguments: --bogus
+""",
+    'analyze landscape --out o extra': """\
+usage: reupsim [-h] {gen-data,train,evaluate,sweep,analyze} ...
+reupsim: error: unrecognized arguments: extra
+""",
+    'train --config': """\
+usage: reupsim train [-h] [--config CONFIG] [--out OUT] [--workers WORKERS]
+                     [--set KEY=VALUE] [--seed SEED]
+reupsim train: error: argument --config: expected one argument
 """,
 }
 
@@ -381,3 +413,22 @@ def test_the_flag_values_a_command_receives(argv, monkeypatch):
                 if name not in ("command", "analysis", "func")}
     assert received == {name: (type(value), value)
                         for name, value in RECEIVED[argv].items()}
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    ("train --help", 1), ("analyze landscape --help", 1), ("--help", 6),
+    ("train --config", 7), ("-h train", 6)])
+def test_a_command_builds_only_its_own_parser(argv, parsers, monkeypatch, capsys):
+    """argv that starts with a command builds that command's parser alone; the
+    whole table (the top level and its five commands) only when argv names no
+    command first, or when that parser fails and the table words the error."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _run(argv, capsys)
+    assert len(built) == parsers

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import yaml
 
-from reupsim.backend import IdealBackend, NoisyBackend
+from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
 from reupsim.circuits import Ansatz
-from reupsim.config import (ConfigError, ExperimentConfig, apply_overrides,
-                            read_config, save_config)
+from reupsim.config import (ConfigError, ExperimentConfig, _build, _trainer_config,
+                            apply_overrides, read_config, save_config)
 from reupsim.costs import CostKind
 from reupsim.data import generate
 from reupsim.ga import GAConfig
@@ -173,6 +173,29 @@ def test_build_trainer_config_ga_and_gradient():
     assert trainer.method is OptimizerKind.BFGS_STANDARD
     assert trainer.step == 0.5
     assert trainer.line_search.kind == "wolfe"
+
+
+@pytest.mark.parametrize("raw", [
+    {},
+    {"cost": "chi_squared", "optimizer": {"population_size": 12, "init_range": [-1, 2],
+                                          "mutation": {"kind": "fixed", "rate": 1}}},
+    {"optimizer": {"kind": "BFGS_as_written", "gradient": "finite_difference", "step": 1,
+                   "line_search": {"kind": "wolfe", "c2": 0.5}, "max_estimates": 900}},
+    {"optimizer": {"kind": "sgd", "batch_size": 5, "learning_rate": 2},
+     "backend": {"kind": "noisy", "shots": 20,
+                 "noise": {"confusion": [[1, 0], [0.25, 0.75]], "residual_sigma": 0}}},
+])
+def test_the_kept_trainer_and_noise_are_those_of_the_archived_blocks(raw):
+    """from_mapping keeps what it read the blocks into: a config built again
+    from the archived optimizer and noise blocks is equal, field for field."""
+    cfg = ExperimentConfig.from_mapping(raw)
+    assert cfg.build_trainer_config() == _trainer_config(cfg.optimizer, cfg.cost)
+    if cfg.backend["kind"] == "noisy":
+        assert cfg.noise == _build(NoiseModel, cfg.backend["noise"], "backend.noise")
+        assert cfg.build_backend().noise is cfg.noise
+    else:
+        assert cfg.noise is None
+    assert cfg.build_backend() is not cfg.build_backend()    # each with its own ledger
 
 
 def test_yaml_round_trip_preserves_the_resolved_config(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sgd_reference
+from oracles import outer_bfgs_update, sgd_reference
 
 from reupsim import circuits, costs, trainers
 from reupsim.backend import BudgetError, IdealBackend, NoiseModel, NoisyBackend
@@ -169,6 +169,23 @@ def test_bfgs_update_satisfies_the_secant_equation():
             np.testing.assert_allclose(H @ y, s, atol=1e-10)
     # the standard update keeps the inverse Hessian positive definite
     assert np.linalg.eigvalsh((H + H.T) / 2).min() > 0
+
+
+def test_bfgs_update_is_the_outer_product_update_bit_for_bit():
+    """The cached identity and the broadcast products leave every bit as
+    np.eye and np.outer gave it, in both modes."""
+    rng = np.random.default_rng(71)
+    for case in range(1000):
+        dim = (2, 4, 8, 16)[case % 4]
+        a = rng.normal(size=(dim, dim))
+        H = a @ a.T + np.eye(dim) * rng.uniform(0.01, 2.0)
+        s, y = rng.normal(size=(2, dim)) * rng.uniform(1e-3, 10.0, size=(2, 1))
+        if y @ s <= trainers.CURVATURE_TOL:
+            y = -y
+        for mode in (OptimizerKind.BFGS_STANDARD, OptimizerKind.BFGS_AS_WRITTEN):
+            got, want = bfgs_update(H, s, y, mode), outer_bfgs_update(H, s, y, mode)
+            assert got.tobytes() == want.tobytes()
+    assert trainers._identity(16).flags.writeable is False
 
 
 def test_bfgs_update_rejects_nonpositive_curvature():
