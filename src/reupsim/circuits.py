@@ -25,27 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Choice(enum.Enum):
-    """An enum of named choices that parse() matches case-insensitively.
-
-    A subclass names what it chooses, for the error message:
-    `class Ansatz(Choice, noun="ansatz")`.
-    """
-
-    def __init_subclass__(cls, noun: str = "", **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._noun = noun
-
-    @classmethod
-    def parse(cls, name: str):
-        for member in cls:
-            if member.value.lower() == str(name).lower():
-                return member
-        options = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown {cls._noun} {name!r}; expected one of {options}")
-
-
-class Ansatz(Choice, noun="ansatz"):
+class Ansatz(enum.Enum):
     """The four linear kernels mapping (theta slice, x) to gate angles."""
 
     A2A = "2A"

@@ -123,7 +123,7 @@ def run_training(cfg: ExperimentConfig):
     """Train per the config; returns (dataset, backend, best theta, trace)."""
     dataset = cfg.build_dataset()
     backend = cfg.build_backend()
-    trainer_cfg = cfg.build_trainer_config()
+    trainer_cfg = cfg.trainer
     if isinstance(trainer_cfg, GAConfig):
         train = ga_train
     elif trainer_cfg.method in (OptimizerKind.SGD, OptimizerKind.GRADIENT_DESCENT):

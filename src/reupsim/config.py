@@ -9,7 +9,8 @@ with its dotted path.  Every block backed by a dataclass is read by `_build`
 through that dataclass's fields (CircuitSpec; the dataset's CircleSpec keys;
 NoiseModel; GAConfig, GradConfig and their nested specs), which hold its
 defaults and range checks; a range error names the block.  The CLI builds
-its circuit and circle flags the same way.
+its circuit and circle flags the same way.  Every kind name (an Enum or
+Literal field) is matched by `_choose`, ignoring case.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import yaml
 
 from .backend import DEFAULT_SHOTS, IdealBackend, NoiseModel, NoisyBackend
-from .circuits import Choice, CircuitSpec
+from .circuits import CircuitSpec
 from .costs import CostKind
 from .data import TRAIN_SIZE, CircleSpec, Dataset, generate, load, rewrite
 from .ga import GAConfig
@@ -64,9 +65,19 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _choose(name: str, options: Sequence[str], path: str) -> str:
+    """The option that kind name `name` matches, ignoring case, as written in
+    `options`."""
+    for option in options:
+        if option.lower() == name.lower():
+            return option
+    raise _fail(path, f"expected one of {', '.join(options)}; got {name!r}")
+
+
 def _coerce(kind, value, path: str):
     """A non-null `value` as the type `kind`: an int, a finite float, a
-    string, a Choice member, or a tuple of floats or of such tuples (a matrix)."""
+    string, a kind name (an Enum member, or a string of a Literal, matched by
+    _choose), or a tuple of floats or of such tuples (a matrix)."""
     if typing.get_origin(kind) is tuple:
         items = typing.get_args(kind)
         rows = typing.get_args(items[0])     # a matrix: a tuple of tuples
@@ -87,20 +98,17 @@ def _coerce(kind, value, path: str):
         return number
     if kind is str and isinstance(value, str):
         return value
-    if isinstance(value, str) and issubclass(kind, Choice):
-        try:
-            return kind.parse(value)
-        except ValueError as exc:
-            raise _fail(path, str(exc)) from None
+    if isinstance(value, str) and typing.get_origin(kind) is typing.Literal:
+        return _choose(value, typing.get_args(kind), path)
+    if isinstance(value, str) and issubclass(kind, enum.Enum):
+        return kind(_choose(value, [member.value for member in kind], path))
     expected = {int: "an integer", float: "a number"}.get(kind, "a string")
     raise _fail(path, f"expected {expected}, got {value!r}")
 
 
-def _get(mapping: dict, key: str, path: str, kind, default=None, minimum=None,
-         choices=None):
-    """mapping[key] as a `kind`, or `default` when the key is absent or null.
-    A string from `choices` matches case-insensitively and resolves to the
-    choice as written there."""
+def _get(mapping: dict, key: str, path: str, kind, default=None, minimum=None):
+    """mapping[key] as a `kind` (read by _coerce), or `default` when the key
+    is absent or null."""
     value = mapping.get(key)
     if value is None:
         return default
@@ -108,11 +116,6 @@ def _get(mapping: dict, key: str, path: str, kind, default=None, minimum=None,
     value = _coerce(kind, value, path)
     if minimum is not None and value < minimum:
         raise _fail(path, f"must be >= {minimum}, got {value}")
-    if choices is not None:
-        matches = [c for c in choices if c.lower() == value.lower()]
-        if not matches:
-            raise _fail(path, f"expected one of {', '.join(choices)}; got {value!r}")
-        value = matches[0]
     return value
 
 
@@ -229,8 +232,8 @@ class ExperimentConfig:
         _reject_unknown(block, {"source", "n", "seed", "path", "center", "radius",
                                 "domain"}, "dataset")
         has_path = block.get("path") is not None
-        source = _get(block, "source", "dataset", str, "load" if has_path else "generate",
-                      choices=("generate", "load"))
+        source = _get(block, "source", "dataset", typing.Literal["generate", "load"],
+                      "load" if has_path else "generate")
         if source == "generate" and has_path:
             raise _fail("dataset.path", "only valid when source is load")
         if source == "load":
@@ -252,7 +255,7 @@ class ExperimentConfig:
     def _resolve_backend(block: dict, master_seed: int) -> tuple[dict, NoiseModel | None]:
         """The backend block with every field filled in, and its NoiseModel if noisy."""
         _reject_unknown(block, {"kind", "shots", "noise"}, "backend")
-        kind = _get(block, "kind", "backend", str, "ideal", choices=("ideal", "noisy"))
+        kind = _get(block, "kind", "backend", typing.Literal["ideal", "noisy"], "ideal")
         shots = _get(block, "shots", "backend", int, DEFAULT_SHOTS, minimum=1)
         if kind == "ideal":
             if block.get("noise") is not None:
@@ -273,7 +276,7 @@ class ExperimentConfig:
                            cost: CostKind) -> tuple[dict, GAConfig | GradConfig]:
         """The optimizer block with every GAConfig or GradConfig field filled in,
         and that GAConfig or GradConfig."""
-        kind = _get(block, "kind", "optimizer", str, GA_KIND, choices=OPTIMIZER_KINDS)
+        kind = _get(block, "kind", "optimizer", typing.Literal[OPTIMIZER_KINDS], GA_KIND)
         seed = _get(block, "seed", "optimizer", int)
         if seed is None:
             seed = derive_seed(master_seed, "optimizer")
@@ -305,10 +308,6 @@ class ExperimentConfig:
         if self.noise is None:
             return IdealBackend(shots=self.backend["shots"])
         return NoisyBackend(self.noise)
-
-    def build_trainer_config(self) -> GAConfig | GradConfig:
-        """The optimizer block as a GAConfig or GradConfig instance."""
-        return self.trainer
 
 
 def read_config(path: str | Path | None, overrides: Sequence[str] = ()) -> dict:

@@ -15,17 +15,19 @@ cost_weights gives dCost/dM, which trainers.estimate_gradient chains.
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
 from . import circuits
 from .backend import Backend
-from .circuits import Choice, CircuitSpec
+from .circuits import CircuitSpec
 from .data import Dataset
 
 LOG_EPS = 1e-12
 
 
-class CostKind(Choice, noun="cost"):
+class CostKind(enum.Enum):
     ACCURACY = "accuracy"
     CROSS_ENTROPY = "cross_entropy"
     CROSS_ENTROPY_AS_WRITTEN = "cross_entropy_as_written"

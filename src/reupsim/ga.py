@@ -12,22 +12,24 @@ loss-type objectives before handing them over.
 
 from __future__ import annotations
 
+import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from . import costs
 from .backend import Backend
-from .circuits import Choice, CircuitSpec
+from .circuits import CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
 from .trace import RunLimits, TrainingTrace, backend_failures, reject_unread
 
 
-class SelectionKind(Choice, noun="selection"):
+class SelectionKind(enum.Enum):
     SSS = "sss"
     RWS = "rws"
     SUS = "sus"
@@ -36,7 +38,7 @@ class SelectionKind(Choice, noun="selection"):
     TOURNAMENT = "tournament"
 
 
-class CrossoverKind(Choice, noun="crossover"):
+class CrossoverKind(enum.Enum):
     SINGLE_POINT = "single_point"
     TWO_POINT = "two_point"
     SCATTERED = "scattered"
@@ -49,7 +51,7 @@ class MutationSpec:
     delta ~ U(-delta_halfwidth, +delta_halfwidth); t**scale is taken as 1 at
     t = 0 so generation zero stays finite for negative exponents."""
 
-    kind: str = "decaying"
+    kind: Literal["fixed", "decaying"] = "decaying"
     rate: float = 0.2
     mask_base: float = 0.9
     scale: float = 0.25

@@ -28,14 +28,16 @@ around each point of one grid over the first two parameters.
 
 from __future__ import annotations
 
+import enum
 import functools
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from . import circuits, costs
 from .backend import Backend, IdealBackend, SettingError
-from .circuits import Choice, CircuitSpec
+from .circuits import CircuitSpec
 from .costs import CostKind
 from .data import Dataset
 from .seeding import derive_seed
@@ -45,13 +47,13 @@ GRAD_NORM_TOL = 1e-8
 CURVATURE_TOL = 1e-12
 
 
-class GradMethod(Choice, noun="gradient method"):
+class GradMethod(enum.Enum):
     FINITE_DIFFERENCE = "finite_difference"
     PARAMETER_SHIFT = "parameter_shift"
     ANALYTIC = "analytic"
 
 
-class OptimizerKind(Choice, noun="optimizer"):
+class OptimizerKind(enum.Enum):
     BFGS_STANDARD = "bfgs_standard"
     BFGS_AS_WRITTEN = "bfgs_as_written"
     GRADIENT_DESCENT = "gradient_descent"
@@ -67,7 +69,7 @@ class LineSearchSpec:
     the cost of one gradient evaluation per trial step.
     """
 
-    kind: str = "armijo"
+    kind: Literal["armijo", "wolfe"] = "armijo"
     c1: float = 1e-4
     c2: float = 0.9
     alpha0: float = 1.0

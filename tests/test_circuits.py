@@ -232,10 +232,7 @@ def test_label_validation():
         measure_batch(spec, theta, np.array([[0.1, 0.2]]), np.array([3]))
 
 
-def test_ansatz_parse_and_spec_validation():
-    assert Ansatz.parse("2c") is Ansatz.A2C
-    with pytest.raises(ValueError, match="unknown ansatz"):
-        Ansatz.parse("2E")
+def test_circuit_spec_validation():
     with pytest.raises(ValueError, match="layer count"):
         CircuitSpec(Ansatz.A2A, 0)
 

@@ -427,6 +427,41 @@ def test_a_boundary_line_its_circle_rejects_exits_4_naming_the_line(tmp_path, ca
     assert f"{data_path}:1: radius must be positive, got -1.0" in capsys.readouterr().err
 
 
+_BOUNDARY = "# boundary center=0.0,0.0 radius=0.5 domain=-1.0,1.0,-1.0,1.0 seed=0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0,x1,label\n0.1,0.2\n", ":2: expected 3 fields, got 2"),
+    (_BOUNDARY.replace("=0.5", "=abc") + "x0,x1,label\n0.9,0.9,1\n",
+     ":1: malformed boundary line (could not convert string to float: 'abc')"),
+    (_BOUNDARY.replace("radius=0.5 ", "") + "x0,x1,label\n0.9,0.9,1\n",
+     ":1: malformed boundary line ('radius')")])
+def test_a_malformed_data_file_exits_4_naming_the_line(tmp_path, capsys, text, message):
+    data_path = tmp_path / "f.csv"
+    data_path.write_text(text)
+    theta_path = tmp_path / "theta.txt"
+    cli.write_theta(theta_path, np.zeros(16))
+    rc = cli.main(["evaluate", "--theta", str(theta_path), "--data", str(data_path)])
+    assert rc == cli.EXIT_IO
+    assert f"{data_path}{message}" in capsys.readouterr().err
+
+
+def test_a_blank_data_row_is_skipped(tmp_path, capsys):
+    data_path = tmp_path / "pts.csv"
+    cli.main(["gen-data", "--out", str(data_path), "--n", "10", "--seed", "3"])
+    theta_path = tmp_path / "theta.txt"
+    cli.write_theta(theta_path, np.full(16, 0.3))
+    argv = ["evaluate", "--theta", str(theta_path), "--data", str(data_path)]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_OK
+    whole = capsys.readouterr().out
+    lines = data_path.read_text().splitlines()
+    data_path.write_text("\n".join(lines[:5] + [""] + lines[5:] + [""]) + "\n")
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == whole
+    assert len(load(data_path)) == 10
+
+
 def test_a_non_finite_number_in_an_input_file_exits_4_naming_the_line(tmp_path, capsys):
     """A NaN parameter or coordinate is a bad file, not a number to score:
     evaluate and train stop before writing anything."""
@@ -840,7 +875,7 @@ def test_circuit_and_circle_flags_are_read_like_config_blocks(tmp_path, capsys):
             (["gen-data", "--out", str(tmp_path / "r.csv"), "--radius", "0"],
              "dataset: radius must be positive, got 0.0"),
             (["analyze", "landscape", "--out", str(tmp_path / "l"), "--ansatz", "3A"],
-             "circuit.ansatz: unknown ansatz '3A'"),
+             "circuit.ansatz: expected one of 2A, 2B, 2C, 2D; got '3A'"),
             (["analyze", "ansatz-spread", "--out", str(tmp_path / "s"), "--layers", "0"],
              "circuit: layer count must be >= 1, got 0"),
             (["gen-data", "--out", str(tmp_path / "n.csv"), "--radius", "nan"],

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import yaml
 
+from reupsim import cli
 from reupsim.backend import IdealBackend, NoiseModel, NoisyBackend
-from reupsim.circuits import Ansatz
-from reupsim.config import (ConfigError, ExperimentConfig, _build, _trainer_config,
-                            apply_overrides, read_config, save_config)
+from reupsim.circuits import Ansatz, CircuitSpec
+from reupsim.config import (ConfigError, ExperimentConfig, _build, _field_types,
+                            _trainer_config, apply_overrides, read_config, save_config,
+                            set_dotted)
 from reupsim.costs import CostKind
-from reupsim.data import generate
-from reupsim.ga import GAConfig
+from reupsim.data import CircleSpec, generate
+from reupsim.ga import GAConfig, MutationSpec
 from reupsim.seeding import derive_seed
-from reupsim.trainers import GradConfig, OptimizerKind
+from reupsim.trainers import GradConfig, LineSearchSpec, OptimizerKind
 
 
 def test_empty_mapping_resolves_to_full_defaults():
@@ -152,12 +154,12 @@ def test_build_dataset_from_a_csv_file(tmp_path):
     np.testing.assert_array_equal(back.y, ds.y)
 
 
-def test_build_trainer_config_ga_and_gradient():
+def test_the_trainer_of_ga_and_gradient_configs():
     cfg = ExperimentConfig.from_mapping(
         {"cost": "chi_squared",
          "optimizer": {"kind": "ga", "population_size": 12, "seed": 3,
                        "mutation": {"kind": "fixed", "rate": 0.4}}})
-    trainer = cfg.build_trainer_config()
+    trainer = cfg.trainer
     assert isinstance(trainer, GAConfig)
     assert trainer.population_size == 12
     assert trainer.fitness is CostKind.CHI_SQUARED
@@ -168,7 +170,7 @@ def test_build_trainer_config_ga_and_gradient():
         {"optimizer": {"kind": "bfgs_standard", "gradient": "finite_difference",
                        "step": 0.5, "seed": 1,
                        "line_search": {"kind": "wolfe"}}})
-    trainer = grad_cfg.build_trainer_config()
+    trainer = grad_cfg.trainer
     assert isinstance(trainer, GradConfig)
     assert trainer.method is OptimizerKind.BFGS_STANDARD
     assert trainer.step == 0.5
@@ -189,7 +191,7 @@ def test_the_kept_trainer_and_noise_are_those_of_the_archived_blocks(raw):
     """from_mapping keeps what it read the blocks into: a config built again
     from the archived optimizer and noise blocks is equal, field for field."""
     cfg = ExperimentConfig.from_mapping(raw)
-    assert cfg.build_trainer_config() == _trainer_config(cfg.optimizer, cfg.cost)
+    assert cfg.trainer == _trainer_config(cfg.optimizer, cfg.cost)
     if cfg.backend["kind"] == "noisy":
         assert cfg.noise == _build(NoiseModel, cfg.backend["noise"], "backend.noise")
         assert cfg.build_backend().noise is cfg.noise
@@ -361,7 +363,7 @@ def test_the_accuracy_cost_is_ga_only(kind):
                                           rf"optimizer: {kind} minimizes its cost"):
         ExperimentConfig.from_mapping({"cost": "accuracy", "optimizer": {"kind": kind}})
     cfg = ExperimentConfig.from_mapping({"cost": "accuracy", "optimizer": {"kind": "ga"}})
-    assert cfg.build_trainer_config().fitness is CostKind.ACCURACY
+    assert cfg.trainer.fitness is CostKind.ACCURACY
 
 
 @pytest.mark.parametrize("kind, key, value, reader", [
@@ -392,7 +394,7 @@ def test_an_armijo_search_rejects_c2_and_keeps_the_default_of_an_archived_block(
     # c2 at its default no longer has to exceed an Armijo c1
     steep = ExperimentConfig.from_mapping(
         {"optimizer": {"kind": "bfgs_standard", "line_search": {"c1": 0.95}}})
-    assert steep.build_trainer_config().line_search.c1 == 0.95
+    assert steep.trainer.line_search.c1 == 0.95
 
 
 def test_out_of_range_optimizer_values_fail_at_resolve_time():
@@ -432,6 +434,80 @@ def test_enum_valued_keys_resolve_case_insensitively():
         {"optimizer": {"kind": "BFGS_As_Written", "gradient": "Parameter_Shift"}})
     assert (grad.optimizer["kind"], grad.optimizer["gradient"]) == (
         "bfgs_as_written", "parameter_shift")
-    assert grad.build_trainer_config().method is OptimizerKind.BFGS_AS_WRITTEN
-    with pytest.raises(ConfigError, match=r"optimizer\.selection: unknown selection 'elite'"):
+    assert grad.trainer.method is OptimizerKind.BFGS_AS_WRITTEN
+    with pytest.raises(ConfigError, match=r"^optimizer\.selection: expected one of sss, rws, "
+                                          r"sus, rank, random, tournament; got 'elite'$"):
         ExperimentConfig.from_mapping({"optimizer": {"selection": "elite"}})
+
+
+# each kind key: a name in another case, the option it resolves to, every
+# option in order, and the other keys the kind needs
+KIND_NAMES = {
+    "cost": ("Chi_Squared", "chi_squared",
+             "accuracy, cross_entropy, cross_entropy_as_written, chi_squared", {}),
+    "circuit.ansatz": ("2b", "2B", "2A, 2B, 2C, 2D", {}),
+    "dataset.source": ("Generate", "generate", "generate, load", {}),
+    "backend.kind": ("NOISY", "noisy", "ideal, noisy", {}),
+    "optimizer.kind": ("Sgd", "sgd",
+                       "ga, bfgs_standard, bfgs_as_written, gradient_descent, sgd", {}),
+    "optimizer.selection": ("Tournament", "tournament",
+                            "sss, rws, sus, rank, random, tournament", {}),
+    "optimizer.crossover": ("Two_Point", "two_point", "single_point, two_point, scattered",
+                            {}),
+    "optimizer.gradient": ("Parameter_SHIFT", "parameter_shift",
+                           "finite_difference, parameter_shift, analytic",
+                           {"optimizer.kind": "bfgs_standard"}),
+    "optimizer.mutation.kind": ("Fixed", "fixed", "fixed, decaying", {}),
+    "optimizer.line_search.kind": ("Wolfe", "wolfe", "armijo, wolfe",
+                                   {"optimizer.kind": "bfgs_standard"}),
+}
+
+
+@pytest.mark.parametrize("key", KIND_NAMES)
+def test_every_kind_key_ignores_case_and_words_an_unknown_name_alike(tmp_path, capsys, key):
+    """Each kind name resolves to its option as written, whatever its case,
+    and an unknown name is a config error (exit 2) in one wording."""
+    given, archived, options, context = KIND_NAMES[key]
+    raw = {}
+    for dotted, value in {**context, key: given}.items():
+        set_dotted(raw, dotted, value)
+    node = ExperimentConfig.from_mapping(raw).to_mapping()
+    for part in key.split("."):
+        node = node[part]
+    assert node == archived
+    sets = [f"{dotted}={value}" for dotted, value in {**context, key: "nope"}.items()]
+    argv = ["train", "--out", str(tmp_path / "run")] + [f"--set={s}" for s in sets]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    path = "config.cost" if key == "cost" else key
+    assert (f"config error: {path}: expected one of {options}; got 'nope'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_no_field_the_reader_builds_is_a_bare_string():
+    """A kind field is an Enum or a Literal, so the reader matches its names
+    as it matches every other kind name."""
+    for cls in (CircuitSpec, CircleSpec, NoiseModel, GAConfig, MutationSpec, GradConfig,
+                LineSearchSpec):
+        assert [name for name, kind in _field_types(cls).items() if kind is str] == [], cls
+
+
+@pytest.mark.parametrize("optimizer, message", [
+    ({"max_estimates": 0}, "optimizer: max_estimates must be >= 1, got 0"),
+    ({"seed": -1}, "optimizer: seed must be non-negative, got -1"),
+    ({"max_generations": -1}, "optimizer: max_generations must be >= 0, got -1"),
+    ({"selection": "tournament", "tournament_size": 0},
+     "optimizer: tournament_size must be >= 1, got 0"),
+    ({"mutation": {"delta_halfwidth": -1}},
+     "optimizer.mutation: delta_halfwidth must be >= 0, got -1.0"),
+    ({"kind": "bfgs_standard", "line_search": {"max_halvings": 0}},
+     "optimizer.line_search: max_halvings must be >= 1, got 0"),
+    ({"kind": "sgd", "max_iterations": -1}, "optimizer: max_iterations must be >= 0, got -1")])
+def test_an_optimizer_value_out_of_range_exits_2_naming_the_block(tmp_path, capsys,
+                                                                  optimizer, message):
+    config = tmp_path / "c.yaml"
+    config.write_text(yaml.safe_dump({"optimizer": optimizer}))
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == (
+        cli.EXIT_CONFIG)
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -104,12 +104,6 @@ def test_is_loss_flags_only_accuracy_as_maximized():
         assert is_loss(kind)
 
 
-def test_cost_kind_parse():
-    assert CostKind.parse("CHI_SQUARED") is CostKind.CHI_SQUARED
-    with pytest.raises(ValueError, match="unknown cost"):
-        CostKind.parse("mse")
-
-
 def test_measured_groups_rows_equal_successive_measured_values():
     spec = CircuitSpec()
     ds = generate(21, seed=4)

@@ -53,6 +53,13 @@ def test_sus_spreads_picks_evenly_for_flat_weights():
     assert sorted(picks) == [0, 1, 2, 3]
 
 
+def test_random_selection_draws_uniform_indices_ignoring_fitness():
+    pop = np.zeros((7, 2))
+    picks = select_parents(pop, np.arange(7.0), SelectionKind.RANDOM,
+                           np.random.default_rng(5), count=40)
+    np.testing.assert_array_equal(picks, np.random.default_rng(5).integers(0, 7, 40))
+
+
 def test_tournament_and_rank_prefer_high_fitness():
     rng = np.random.default_rng(4)
     pop = np.zeros((6, 2))
@@ -379,8 +386,3 @@ def test_ga_config_validation():
         GAConfig(init_range=(1.0, 1.0))
     with pytest.raises(ValueError, match="target_accuracy"):
         GAConfig(target_accuracy=1.5)
-    assert SelectionKind.parse("rws") is SelectionKind.RWS
-    with pytest.raises(ValueError, match="unknown selection"):
-        SelectionKind.parse("elite")
-    with pytest.raises(ValueError, match="unknown crossover"):
-        CrossoverKind.parse("blend")

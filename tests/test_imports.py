@@ -32,10 +32,8 @@ CALLED_BY_THE_CRITERIA = ["evaluate", "evaluate_circuit", "generate_splits"]
 # (ROADMAP item 5 ports bench/'s from_config call to config._build)
 READ_BY_THE_BENCH = ["NoiseModel.from_config", "TrainingTrace.read_csv"]
 # main's argv is for callers outside the package; the acceptance criteria, not
-# the package, call the split generator with a train size; a Choice subclass
-# passes its noun as a class keyword, which is not a call
-SET_FROM_OUTSIDE = ["Choice.__init_subclass__(noun)", "generate_splits(train_size)",
-                    "main(argv)"]
+# the package, call the split generator with a train size
+SET_FROM_OUTSIDE = ["generate_splits(train_size)", "main(argv)"]
 
 
 def unused_imports(source: str) -> list[str]:

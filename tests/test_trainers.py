@@ -471,11 +471,6 @@ def test_grad_config_validation():
         GradConfig(learning_rate=-1.0)
     with pytest.raises(ValueError, match="batch_size"):
         GradConfig(batch_size=0)
-    assert GradMethod.parse("analytic") is GradMethod.ANALYTIC
-    with pytest.raises(ValueError, match="unknown gradient method"):
-        GradMethod.parse("spsa")
-    with pytest.raises(ValueError, match="unknown optimizer"):
-        OptimizerKind.parse("adam")
 
 
 def test_training_wraps_backend_failures():
