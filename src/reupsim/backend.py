@@ -208,7 +208,6 @@ _SECONDS_PER = {unit: sum(s for _, s, per in HARDWARE_STEPS if per == unit)
                 for unit in ("estimate", "shot")}
 
 
-def estimate_time(ledger: MeasurementLedger) -> float:
-    """Modeled wall-clock seconds for everything the ledger has recorded."""
-    estimates, shots = ledger.snapshot()
+def estimate_time(estimates: int, shots: int) -> float:
+    """Modeled wall-clock seconds for `estimates` estimates of `shots` shots in all."""
     return estimates * _SECONDS_PER["estimate"] + shots * _SECONDS_PER["shot"]

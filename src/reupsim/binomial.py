@@ -207,9 +207,10 @@ def binom_quantile(u: np.ndarray, n: int, p: np.ndarray, z=None) -> np.ndarray:
     """
     u, p = np.asarray(u, dtype=float), np.asarray(p, dtype=float)
     z = _guess(u) if z is None else z
-    inner = (p > _P_MIN) & (p < 1.0)
-    if inner.all():
+    # every p inside (_P_MIN, 1), told by its extremes (a NaN fails both tests)
+    if p.size and _P_MIN < np.minimum.reduce(p, None) and np.maximum.reduce(p, None) < 1.0:
         return _quantile(u.ravel(), z.ravel(), n, p.ravel()).reshape(u.shape)
+    inner = (p > _P_MIN) & (p < 1.0)
     k = np.where(p == 1.0, float(n), np.where((p >= 0.0) & (p <= _P_MIN), 0.0, np.nan))
     if inner.any():
         k[inner] = _quantile(u[inner], z[inner], n, p[inner])
@@ -251,13 +252,18 @@ def _block(u: np.ndarray, z: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
     slack = t[-1] * r
     slack /= np.subtract(1.0, r, out=r)
     slack += _MARGIN
-    count = np.add.reduce((cdf >= v + _MARGIN).view(np.uint8), axis=0)  # bools as bytes
-    low = np.add.reduce((cdf >= v - slack).view(np.uint8), axis=0)
+    count, low = _reaching(cdf, v + _MARGIN), _reaching(cdf, v - slack)
     sure = (low == count) & (count >= 1) & (count < _WINDOW)
     k = np.abs(up * n - (head + 1.0 - count))   # n - k where mirrored
     if not sure.all():
         k[~sure] = _exact(u[~sure], np.clip(k[~sure], 0.0, n), n, p[~sure])
     return k
+
+
+def _reaching(cdf: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Per column, the window's CDF values at or above level, counted in
+    uint8, which holds _WINDOW and adds bools faster than int64 does."""
+    return np.add.reduce(cdf >= level, axis=0, dtype=np.uint8)
 
 
 def draws(u: np.ndarray, residual_sigma: float) -> np.ndarray:

@@ -136,14 +136,16 @@ def _design(spec: CircuitSpec, x, y: np.ndarray | None = None) -> Design:
     return x if isinstance(x, Design) else Design(spec.ansatz, x, y)
 
 
-def _angles(spec: CircuitSpec, thetas: np.ndarray, design: Design) -> np.ndarray:
-    """The angles (phi_y, phi_z) of P parameter vectors, shape (2, L, P, n): a
-    stacked `(P, L, 4) @ (4, n)` product into the kernel's layout, one gemm per
-    probe, so a probe is bit-identical to the single-theta `slices @ cy.T`."""
+def _angles(spec: CircuitSpec, thetas: np.ndarray, design: Design,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The angles (phi_y, phi_z) of P parameter vectors, shape (2, L, P, n), in
+    `out` if given: a stacked `(P, L, 4) @ (4, n)` product into the kernel's
+    layout, one gemm per probe, so a probe is bit-identical to the single-theta
+    `slices @ cy.T`."""
     slices = thetas.reshape(len(thetas), spec.layers, 4)
-    phi = aligned_empty((2, spec.layers, len(thetas), len(design)))
+    phi = aligned_empty((2, spec.layers, len(thetas), len(design))) if out is None else out
     for angles, rows in zip(phi, design.rows):
-        np.matmul(slices, np.swapaxes(rows, -1, -2), out=angles.transpose(1, 0, 2))
+        np.matmul(slices, rows.swapaxes(-1, -2), out=angles.transpose(1, 0, 2))
     return phi
 
 
@@ -223,19 +225,22 @@ def _probe_populations(spec: CircuitSpec, groups: list, states: bool = False):
     per probe, or the Design of either.  The angles come from _angles, so a
     probe is bit-identical to a single-theta evaluation, whatever the other
     probes.  `shifts`, if given, holds (P, L, 2) deltas: [p, l, 0] is added to
-    probe p's layer-l R_y angle, [p, l, 1] to its phase.  Unshifted probes of
-    a group on shared points with equal parameter bytes are evolved once.
+    probe p's layer-l R_y angle, [p, l, 1] to its phase; `thetas` then holds
+    P rows, or one row that every shift reads (on shared points).  Unshifted
+    probes of a group on shared points with equal parameter bytes are evolved once.
+    Every group's angles are written into one array, the kernel's input.
     """
-    phis, picks = [], []
+    plans = []
     for thetas, x, shifts in groups:
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
             raise ValueError(f"parameter vectors have shape {thetas.shape}, expected "
                              f"(P, {spec.n_params}) for {spec.layers} layers")
-        n_probes, design, pick = thetas.shape[0], _design(spec, x), None
+        design, pick = _design(spec, x), None
+        n_probes = len(shifts) if shifts is not None and len(thetas) == 1 else len(thetas)
         per_probe = design.rows.ndim == 4
-        if per_probe and design.rows.shape[1] != n_probes:
-            raise ValueError(f"got {design.rows.shape[1]} point sets for {n_probes} probes")
+        if per_probe and design.rows.shape[1] != len(thetas):
+            raise ValueError(f"got {design.rows.shape[1]} point sets for {len(thetas)} probes")
         if shifts is not None and shifts.shape != (n_probes, spec.layers, 2):
             raise ValueError(f"shifts have shape {shifts.shape}, expected "
                              f"({n_probes}, {spec.layers}, 2) for {n_probes} probes")
@@ -246,15 +251,19 @@ def _probe_populations(spec: CircuitSpec, groups: list, states: bool = False):
             if len(first) < n_probes:
                 slot = {p: i for i, p in enumerate(first.values())}
                 thetas, pick = thetas[list(slot)], [slot[first[key]] for key in keys]
-        phi = _angles(spec, thetas, design)
-        if shifts is not None:  # a 0.0 delta that turns -0.0 to +0.0 moves no population bit
-            phi += shifts.transpose(2, 1, 0)[..., None]
-        phis.append(phi.reshape(2, spec.layers, -1))
-        picks.append((phi.shape[2:], pick))
-    out = _evolve(*(phis[0] if len(phis) == 1 else np.concatenate(phis, axis=2)), states=states)
-    flat, split = out[0] if states else out, []
-    for columns, (shape, pick) in zip(phis, picks):
-        part, flat = flat[:, :columns.shape[2]].reshape(2, *shape), flat[:, columns.shape[2]:]
+        shape = (len(thetas) if shifts is None else n_probes, len(design))
+        plans.append((thetas, design, shifts, pick, shape))
+    phi, end = aligned_empty((2, spec.layers, sum(p * n for *_, (p, n) in plans))), 0
+    for thetas, design, shifts, _, shape in plans:
+        block = phi[:, :, end:(end := end + shape[0] * shape[1])].reshape(2, spec.layers, *shape)
+        if shifts is None:
+            _angles(spec, thetas, design, block)
+        else:   # a 0.0 delta that turns -0.0 to +0.0 moves no population bit
+            np.add(_angles(spec, thetas, design), shifts.transpose(2, 1, 0)[..., None], out=block)
+    out = _evolve(*phi, states=states)
+    flat, split, end = out[0] if states else out, [], 0
+    for *_, pick, shape in plans:
+        part = flat[:, end:(end := end + shape[0] * shape[1])].reshape(2, *shape)
         split.append(part if pick is None else part[:, pick])
     return (split[0], out[1]) if states else split
 

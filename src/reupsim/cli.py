@@ -26,8 +26,7 @@ import yaml
 
 from . import circuits, data
 from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, HARDWARE_STEPS, MAX_SHOTS,
-                      IdealBackend, MeasurementLedger, NoiseModel, NoisyBackend,
-                      SettingError, estimate_time)
+                      IdealBackend, NoiseModel, NoisyBackend, SettingError, estimate_time)
 from .circuits import Ansatz, CircuitSpec
 from .config import (ConfigError, ExperimentConfig, _build, _circle, apply_overrides,
                      read_config, save_config, set_dotted)
@@ -361,11 +360,9 @@ def _ansatz_spread(args, spec, ds, seed_of):
 
 
 def _time_budget(args):
-    ledger = MeasurementLedger()
     n_estimates = args.generations * args.population * args.points
-    ledger.reserve(n_estimates, args.shots)
-    total = estimate_time(ledger)
     n_shots = n_estimates * args.shots
+    total = estimate_time(n_estimates, n_shots)
     count = {"estimate": n_estimates, "shot": n_shots}
     rows = [(name, seconds * count[per]) for name, seconds, per in HARDWARE_STEPS]
     rows.append(("total", total))
@@ -424,6 +421,15 @@ def _list_of(item, distinct: int = 1, key=None):
         return out
     values.__name__ = f"{item.__name__} list"
     return values
+
+
+def _one_of(*options: str) -> dict:
+    """The argparse settings of a flag that takes one of `options` in any case:
+    its type returns the option that the text names, ignoring case, or the
+    text itself, which `choices` then rejects."""
+    def option(text: str) -> str:
+        return next((o for o in options if o.lower() == text.lower()), text)
+    return dict(type=option, choices=options)
 
 
 def _as_set(text: str):
@@ -485,7 +491,7 @@ COMMANDS = (
     Command(("gen-data",), "generate a circle-boundary dataset CSV", (
         ("--n", dict(type=_count, help="number of points")),
         ("--out", dict(help="output CSV path")),
-        ("--split", dict(choices=("train", "test"),
+        ("--split", dict(_one_of("train", "test"),
                          help="derive the seed for the canonical train or test split")),
         ("--center", dict(type=float, nargs=2, metavar=("X0", "X1"))),
         ("--radius", dict(type=float)),
@@ -501,7 +507,7 @@ COMMANDS = (
     Command(("evaluate",), "score a trained parameter vector on a dataset", (
         ("--theta", dict(required=True, help="parameter file (one value per line)")),
         ("--data", dict(required=True, help="dataset CSV")),
-        ("--backend", dict(choices=("ideal", "noisy"), default="ideal")),
+        ("--backend", dict(_one_of("ideal", "noisy"), default="ideal")),
         "--shots", ("--residual-sigma", dict(action=_NoisyOnly)),
         ("--noise-seed", dict(type=_non_negative, action=_NoisyOnly)),
         ("--out", dict(required=False, help="per-point results CSV")),

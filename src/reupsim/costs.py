@@ -55,8 +55,10 @@ def measured_groups(spec: CircuitSpec, groups: list, backend: Backend,
     measured_values on probe p, bit for bit, when probes are measured in turn."""
     p = circuits.measure_groups(spec, [(thetas, ds.design(spec.ansatz), shifts)
                                        for thetas, ds, shifts in groups])
-    flat = [(m.ravel(), np.tile(ds.y, len(m))) for m, (_, ds, _) in zip(p, groups)]
-    p_y, y = flat[0] if len(flat) == 1 else (np.concatenate(a) for a in zip(*flat))
+    p_y = p[0].ravel() if len(p) == 1 else np.concatenate([m.ravel() for m in p])
+    y, end = np.empty(p_y.size, dtype=int), 0
+    for m, (_, ds, _) in zip(p, groups):
+        y[end:(end := end + m.size)].reshape(m.shape)[...] = ds.y
     est, end = backend.sample(p_y, y, charged), 0
     return [est[end:(end := end + m.size)].reshape(m.shape) for m in p]
 
@@ -73,7 +75,8 @@ def row_values(kind: CostKind, measured: np.ndarray) -> np.ndarray:
     """Objective value per row (last axis) of a batch of per-point M estimates.
 
     A row's value is bit-identical to the value of that row alone.  Means are
-    sums over the count, which is what np.mean computes, without its wrapper.
+    sums over the count, which is what np.mean computes, without its wrapper;
+    ndarray.clip is np.clip without its wrapper.
     """
     m = np.asarray(measured, dtype=float)
     if m.size == 0:
@@ -81,9 +84,9 @@ def row_values(kind: CostKind, measured: np.ndarray) -> np.ndarray:
     if kind is CostKind.ACCURACY:
         return row_accuracies(m)
     if kind is CostKind.CROSS_ENTROPY:
-        return -(np.add.reduce(np.log(np.clip(m, LOG_EPS, 1.0)), axis=-1) / m.shape[-1])
+        return -(np.add.reduce(np.log(m.clip(LOG_EPS, 1.0)), axis=-1) / m.shape[-1])
     if kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
-        gated = np.where(m > 0.5, np.log(np.clip(m, LOG_EPS, 1.0)), 0.0)
+        gated = np.where(m > 0.5, np.log(m.clip(LOG_EPS, 1.0)), 0.0)
         return -(np.add.reduce(gated, axis=-1) / m.shape[-1])
     if kind is CostKind.CHI_SQUARED:
         return np.add.reduce((1.0 - m) ** 2, axis=-1) / m.shape[-1]
@@ -105,11 +108,12 @@ def evaluate_with_accuracy(kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
 
 
 def cost_weights(kind: CostKind, m: np.ndarray) -> np.ndarray:
-    """dCost/dM per point, for chaining per-point measurement gradients."""
+    """dCost/dM per point, for chaining per-point measurement gradients; a
+    lower clip is np.maximum, as np.clip computes it."""
     if kind is CostKind.CROSS_ENTROPY:
-        return -1.0 / np.clip(m, LOG_EPS, None)
+        return -1.0 / np.maximum(m, LOG_EPS)
     if kind is CostKind.CROSS_ENTROPY_AS_WRITTEN:
-        return np.where(m > 0.5, -1.0 / np.clip(m, LOG_EPS, None), 0.0)
+        return np.where(m > 0.5, -1.0 / np.maximum(m, LOG_EPS), 0.0)
     if kind is CostKind.CHI_SQUARED:
         return -2.0 * (1.0 - m)
     raise ValueError(f"cost {kind.value} has no usable measurement derivative")

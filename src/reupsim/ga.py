@@ -207,7 +207,10 @@ def diversity(population: np.ndarray) -> float:
 
     Pairs come in scipy pdist order and the squared differences are summed
     one gene at a time, as pdist does, so the value matches
-    pdist(population).mean() bit for bit.
+    pdist(population).mean() bit for bit: an axis-0 reduce of a C-ordered
+    array adds its rows in order, given two columns or more, which the
+    trailing (0, 0) pair of _pair_indices guarantees.  (One column alone is
+    summed pairwise, in another order.)
     """
     population = np.asarray(population, dtype=float)
     if population.ndim != 2 or population.shape[0] < 2:
@@ -217,16 +220,14 @@ def diversity(population: np.ndarray) -> float:
     squares = genes.take(i, axis=1)
     squares -= genes.take(j, axis=1)
     squares *= squares
-    acc = np.zeros(i.size)
-    for row in squares:
-        acc += row
-    return float(np.sqrt(acc).mean())
+    return float(np.sqrt(np.add.reduce(squares, axis=0)[:-1]).mean())
 
 
 @functools.lru_cache(maxsize=8)
 def _pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (i < j) in pdist order; a GA asks for the same size each generation."""
-    i, j = np.triu_indices(size, 1)
+    """Row pairs (i < j) in pdist order, then (0, 0); a GA asks for the same
+    size each generation."""
+    i, j = (np.append(index, 0) for index in np.triu_indices(size, 1))
     i.flags.writeable = j.flags.writeable = False
     return i, j
 

@@ -157,7 +157,7 @@ class TrainingTrace:
         """
         values = np.asarray(values, dtype=float)
         scores = values if maximize else -values
-        i = int(np.argmax(scores))
+        i = int(scores.argmax())
         last = self.rows[-1] if self.rows else None
         best_loss = last.best_loss if last else None
         if best_loss is None or scores[i] > (best_loss if maximize else -best_loss):
@@ -167,7 +167,7 @@ class TrainingTrace:
             best_accuracy = max(last.best_accuracy, best_accuracy)
         est, shots = self.ledger.snapshot()
         self.append(iteration, best_accuracy, best_loss, diversity, est, shots,
-                    estimate_time(self.ledger) * 1000.0)
+                    estimate_time(est, shots) * 1000.0)
         return ((self.target_accuracy is not None and best_accuracy >= self.target_accuracy)
                 or iteration == self.max_steps or not self.allows(next_step))
 

@@ -137,7 +137,8 @@ def estimate_gradient(method: GradMethod, kind: CostKind, spec: CircuitSpec,
 def _probe_plan(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
                 ds: Dataset, backend: Backend, step: float) -> list:
     """The probe groups (thetas, ds, shifts) of a gradient at theta: +e_0, -e_0, +e_1, ...;
-    none (analytic, ideal); or the base and the +-pi/2 pair of each gate angle."""
+    none (analytic, ideal); or theta once, read by the base and the +-pi/2 pair of
+    each gate angle."""
     if method is GradMethod.FINITE_DIFFERENCE:
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
@@ -149,8 +150,7 @@ def _probe_plan(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np
                          "pick a differentiable cost")
     if method is GradMethod.ANALYTIC and not backend.is_noisy:
         return []
-    deltas = _shift_deltas(spec.layers)
-    return [(np.repeat(theta[None], len(deltas), axis=0), ds, deltas)]
+    return [(theta[None], ds, _shift_deltas(spec.layers))]
 
 
 @functools.lru_cache(maxsize=8)

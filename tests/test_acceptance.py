@@ -7,7 +7,6 @@ on ideal and noisy backends, mitigation statistics, shot-noise scaling,
 determinism, and the modeled hardware time.
 """
 
-import csv
 import time
 from dataclasses import replace
 
@@ -322,7 +321,7 @@ def test_criterion_12_worker_count_determinism(tmp_path):
 def test_criterion_13_modeled_time_budget():
     ledger = MeasurementLedger()
     ledger.reserve(1 * 50 * 250, 150)  # one pop-50 generation, 250 points
-    minutes = estimate_time(ledger) / 60.0
+    minutes = estimate_time(*ledger.snapshot()) / 60.0
     ok = abs(minutes - 330.0) <= 10.0
     _report(13, ok, f"one pop-50 generation at 250 points x 150 shots models to "
                     f"{minutes:.2f} min (target 330 +/- 10)")

@@ -345,6 +345,27 @@ def test_binom_quantile_equals_binom_ppf_on_philox_draws(n):
 
 @BOOST_QUANTILE_WARNING
 @pytest.mark.parametrize("n", SHOTS)
+def test_the_blocks_uint8_counts_equal_int64_counts(monkeypatch, n):
+    """On the binom.ppf oracle grid of Philox draws, every count that the
+    block makes of the CDF values reaching a level, in uint8, equals the int64
+    count, and the quantiles stay binom.ppf's."""
+    calls = []
+
+    def checked(cdf, level):
+        count = reaching(cdf, level)
+        assert count.dtype == np.uint8
+        np.testing.assert_array_equal(count, np.count_nonzero(cdf >= level, axis=0))
+        calls.append(count.size)
+        return count
+
+    reaching = binomial._reaching
+    monkeypatch.setattr(binomial, "_reaching", checked)
+    test_binom_quantile_equals_binom_ppf_on_philox_draws(n)
+    assert sum(calls) >= 2 * 2 * 18_000       # two counts of each inner entry, twice
+
+
+@BOOST_QUANTILE_WARNING
+@pytest.mark.parametrize("n", SHOTS)
 def test_binom_quantile_equals_binom_ppf_next_to_cdf_steps(n):
     """Uniforms a few ulps, _MARGIN and twice _MARGIN away from values of
     binomial._cdf near the mean, where binom_quantile's block hands entries to
@@ -566,4 +587,4 @@ def test_time_budget_arithmetic():
     want = sum(seconds * count[per] for _, seconds, per in HARDWARE_STEPS)
     # 0.8 s of upload and hand-off per estimate, 5.2 ms of cycle per shot
     assert want == pytest.approx(10 * 0.8 + 1500 * 0.0052)
-    assert estimate_time(ledger) == pytest.approx(want)
+    assert estimate_time(*ledger.snapshot()) == pytest.approx(want)

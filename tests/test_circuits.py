@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import (ZERO_STATE, QubitState, complex_evolve, layer_args,
                      rotation_y, rotation_z, shift_deltas)
 
-from reupsim import circuits
+from reupsim import circuits, trainers
 from reupsim.circuits import (Ansatz, CircuitSpec, Design, analytic_gradient_batch,
                               check_theta, evaluate_circuit, layer_angles,
                               measure_batch, measure_groups, random_parameters)
@@ -431,6 +431,33 @@ def test_signed_zero_deltas_give_the_one_probe_rows():
     with pytest.raises(ValueError, match=r"expected \(2, 4, 2\)"):
         _one_group(spec, np.repeat(theta[None], 2, axis=0), x, y,
                    shifts=shift_deltas(spec.layers + 1, [(spec.layers, 0, 0.5)] * 2))
+
+
+@pytest.mark.parametrize("ansatz", list(Ansatz))
+@pytest.mark.parametrize("layers", [1, 4])
+def test_one_theta_read_by_every_shift_gives_the_rows_of_theta_repeated(ansatz, layers):
+    """A shift group may hold one parameter row for all its shifts, as the
+    shift rule's plan does: each row is bit-identical to the group that
+    repeats theta per shift, with +-pi/2, 0.0 and -0.0 deltas, next to an
+    unshifted group in the same pass."""
+    spec = CircuitSpec(ansatz, layers)
+    rng = np.random.default_rng(71 + layers)
+    theta = random_parameters(spec, rng)
+    theta[:2] = 0.0, -0.0       # zero angles, whose sign a 0.0 delta can turn
+    x, y = rng.uniform(-1.0, 1.0, (9, 2)), rng.integers(0, 2, 9)
+    x[0] = 0.0
+    design = Design(ansatz, x, y)
+    deltas = np.concatenate([trainers._shift_deltas(layers),
+                             shift_deltas(layers, [(0, 0, -0.0), (layers - 1, 1, 0.0), None])])
+    unshifted = (rng.uniform(-2 * np.pi, 2 * np.pi, (2, spec.n_params)), design, None)
+    one = measure_groups(spec, [unshifted, (theta[None], design, deltas)])
+    repeated = measure_groups(spec, [unshifted, (np.repeat(theta[None], len(deltas), axis=0),
+                                                 design, deltas)])
+    assert one[1].shape == (len(deltas), len(x))
+    for got, want in zip(one, repeated):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="2 probes"):     # two rows need a shift row each
+        measure_groups(spec, [(np.repeat(theta[None], 2, axis=0), design, deltas[:1])])
 
 
 def test_adding_zero_to_the_angles_moves_no_population_bit():

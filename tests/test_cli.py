@@ -337,6 +337,31 @@ def test_evaluate_rejects_a_theta_of_the_wrong_length(tmp_path, capsys):
     assert "expected 16 parameters" in capsys.readouterr().err
 
 
+def test_backend_and_split_take_their_choice_in_any_case(tmp_path, capsys):
+    """--backend and --split name their choice in any case, as a config's kind
+    keys do, and write what the lower-case name writes; an unknown name still
+    exits 2 with argparse's message."""
+    data_path, theta_path, out = tmp_path / "pts.csv", tmp_path / "theta.txt", tmp_path / "out"
+    cli.write_theta(theta_path, np.full(16, 0.3))
+    runs = {}
+    for split, backend in (("train", "noisy"), ("TRAIN", "Noisy"), ("Train", "NOISY")):
+        assert cli.main(["gen-data", "--out", str(data_path), "--split", split,
+                         "--seed", "4"]) == cli.EXIT_OK
+        assert cli.main(["evaluate", "--theta", str(theta_path), "--data", str(data_path),
+                         "--backend", backend, "--out", str(out)]) == cli.EXIT_OK
+        runs[split] = capsys.readouterr().out, data_path.read_bytes(), out.read_bytes()
+    assert runs["TRAIN"] == runs["train"] == runs["Train"]
+    for flag, argv in (("--backend", ["evaluate", "--theta", str(theta_path), "--data",
+                                      str(data_path), "--backend", "nosy"]),
+                       ("--split", ["gen-data", "--out", str(data_path), "--split", "tRaIn "])):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        choices = "'ideal', 'noisy'" if flag == "--backend" else "'train', 'test'"
+        assert (f"error: argument {flag}: invalid choice: '{argv[-1]}' (choose from {choices})"
+                in capsys.readouterr().err)
+
+
 def test_a_rerun_into_one_out_leaves_the_bytes_of_a_fresh_run(tmp_path, capsys):
     """Outputs are rewritten in place: a 1-generation run into the directory of
     a 6-generation run leaves the bytes of a fresh 1-generation run, and a

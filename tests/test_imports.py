@@ -6,8 +6,9 @@ call in the package.
 
 No linter runs on this repository, so these scans keep dead imports,
 unread parameters, orphan public API and settings that nothing varies out
-of src/reupsim.  The import, orphan and default scans skip `__init__.py`: it
-imports names to re-export them, which is not a use.  A fifth scan keeps
+of src/reupsim; the import scan also reads tests/ and tools/.  The import,
+orphan and default scans skip `__init__.py`: it imports names to re-export
+them, which is not a use.  A fifth scan keeps
 scipy out of the package: no module imports it anywhere, function bodies
 included, so the runtime needs only numpy and PyYAML (tests/test_startup.py
 checks that no run loads it).  A sixth keeps the layers apart: the backend
@@ -21,8 +22,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reupsim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "reupsim"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the test and tool scripts, whose imports are scanned as the package's are
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 # IdealBackend.sample takes the labels only to match NoisyBackend.sample
 UNREAD_BY_DESIGN = ["IdealBackend.sample(y)"]
 # the single-point circuit evaluation, the objective of one theta and the
@@ -202,7 +206,7 @@ def file_writers(source: str) -> list[str]:
     return sorted(found)
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"] + SCRIPTS,
                          ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
