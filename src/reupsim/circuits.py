@@ -8,11 +8,12 @@ pure function: states in, states out, no global state.
 
 Gate convention: R_y(phi) = exp(-i phi Y / 2), R_z(phi) = exp(-i phi Z / 2).
 
-The kernel evolves real amplitudes (Re a, Im a, Re b, Im b) of a|0> + b|1>.
-R_y rotates the pair (a, b) by half its angle.  R_z is applied as the
-relative phase diag(1, e^{i phi}), which is R_z times the global phase
-e^{i phi / 2} that no population sees: it rotates (Re b, Im b) by phi.  The
-last layer's R_z is skipped, because a phase cannot change a population.
+The kernel evolves the Bloch vector (z, x, y) of the pure state, from
+R_y|0> = (cos phi, sin phi, 0).  R_y turns the pair (z, x) by its full angle
+and R_z turns (x, y) by its angle, so a gate turns two reals.  The last
+layer's R_z is skipped, because it cannot change z, and the last R_y computes
+z alone.  The populations are (1 + z) / 2 and (1 - z) / 2, and the projection
+onto |y> is 1/2 + sign z with sign = +1/2 for y = 0 and -1/2 for y = 1.
 """
 
 from __future__ import annotations
@@ -96,29 +97,22 @@ def aligned_empty(shape: tuple) -> np.ndarray:
     return buf[skip:skip + size].reshape(shape)
 
 
-# the backward pass's row vector starts as conj(<y|psi>): (Re, -Im) of each amplitude
-_CONJUGATE = np.array([[1.0], [-1.0]])
-_CONJUGATE.flags.writeable = False
-
-
 class Design:
     """One point set under one ansatz: `rows`, its ansatz_design rows (cy, cz)
     stacked, which the angle product reads; `cols`, their C-contiguous
-    transposes, which the chain rule reads; given labels y, `label` = y == 1,
-    once each label is checked to be 0 or 1, and `unread`, the (2, 1, n) mask
-    (label, not label) of the amplitude that <y| does not read, where the
-    backward pass starts at 0.  A Dataset keeps one per ansatz."""
+    transposes, which the chain rule reads; given labels y, each checked to be
+    0 or 1, `sign` = 1/2 - y, so that M = 1/2 + sign z.  A Dataset keeps one per ansatz."""
 
-    __slots__ = ("rows", "cols", "label", "unread")
+    __slots__ = ("rows", "cols", "sign")
 
     def __init__(self, ansatz: Ansatz, x: np.ndarray, y: np.ndarray | None = None):
         self.rows = ansatz_design(ansatz, x)
         self.cols = np.ascontiguousarray(np.swapaxes(self.rows, -1, -2))
         if y is not None:
-            self.label = np.asarray(y) == 1
-            if not (self.label | (np.asarray(y) == 0)).all():
+            label = np.asarray(y) == 1
+            if not (label | (np.asarray(y) == 0)).all():
                 raise ValueError("labels must be 0 or 1")
-            self.unread = np.stack([self.label, ~self.label])[:, None]
+            self.sign = np.where(label, -0.5, 0.5)
 
     def __len__(self) -> int:
         return self.rows.shape[-2]
@@ -127,7 +121,7 @@ class Design:
         """The Design of this one's labelled points at `idx`, by C-ordered copies."""
         sub = object.__new__(Design)
         sub.rows, sub.cols = self.rows.take(idx, axis=-2), self.cols.take(idx, axis=-1)
-        sub.label, sub.unread = self.label[idx], self.unread.take(idx, axis=-1)
+        sub.sign = self.sign[idx]
         return sub
 
 
@@ -161,9 +155,8 @@ def _pair(v: np.ndarray, tmp: np.ndarray) -> tuple:
 
 def _rotate(pair: tuple, c: np.ndarray, s: np.ndarray) -> None:
     """Rotate the pair v of _pair(v, tmp) in place to (c v0 - s v1, s v0 + c v1).
-    R_y rotates the amplitudes (a, b) by half its angle, the phase e^{i phi}
-    rotates (Re b, Im b) by phi; on v[::-1] it turns the other way, which
-    moves a row vector through R_y: <w| R_y."""
+    R_y turns (z, x) and R_z turns (x, y) this way; on the pair reversed it
+    turns the other way, which moves a row vector through the gate: <w| R."""
     v, flipped, v0, v1, tmp, t0, t1 = pair
     np.multiply(flipped, s, out=tmp)
     v *= c
@@ -173,59 +166,57 @@ def _rotate(pair: tuple, c: np.ndarray, s: np.ndarray) -> None:
 
 def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
     """Run the layered circuit on |0> for N columns; angles are (L, N) each.
+    Returns the final Bloch z, shape (N,); with `states`, (z, (kept, cos, sin))
+    for the backward pass, indexed by gate g (2l: layer l's R_y, 2l + 1 its
+    R_z; the last R_z has none), kept[g - 2] the vector (z, x, y) before gate g.
 
-    Returns the populations (p0, p1) as one (2, N) array.  With `states` it
-    returns (populations, (psi, cos, sin)), the second for the backward pass,
-    indexed by gate g: 2l is layer l's R_y and 2l + 1 its phase; psi[g] =
-    ((Re a, Im a), (Re b, Im b)) after gate g.  The last R_z has no index.
-
-    A rotation's cos and sin come from u = tan of its half angle, as
-    (1 - u^2) / (1 + u^2) and 2u / (1 + u^2): where numpy vectorises float64
-    tan but not cos or sin (x86 with AVX-512) that is several times cheaper.
-    Every intermediate lives in one aligned workspace; without `states` it
-    holds the 2L - 1 tangents and cosines, then one state and a scratch state
-    in rows that first hold 1 + u^2 (at least 2L - 1 of them), then the
-    populations.
-    The gates turn psi[-1] through views made once per pass; with `states`,
-    each gate's output is copied to its row before the next gate turns it,
-    and the populations get an array of their own: ws[:2] holds kept sines.
+    cos and sin are t - 1 and u t, t = 2 / (1 + u^2), from u = tan of the half
+    angle: numpy vectorises float64 tan, not cos or sin, on x86 with AVX-512.
+    One aligned workspace holds the cosines, sines, state rows (every kept
+    vector, the last the running one) and two scratch rows; z overwrites the
+    first cosine, its base, or with `states` gets an array of its own.
     """
     gates, n = 2 * len(phi_y) - 1, phi_y.shape[1]
-    n_psi = gates if states else 1
-    ws = aligned_empty((2 * gates + max(4 * n_psi + 4, gates), n))
-    sin, cos, rest = ws[:gates], ws[gates:2 * gates], ws[2 * gates:]
-    psi, tmp = rest[:4 * n_psi].reshape(n_psi, 2, 2, n), rest[4 * n_psi:][:4].reshape(2, 2, n)
-    np.multiply(phi_y, 0.25, out=sin[0::2])         # R_y rotates by phi_y / 2
-    np.multiply(phi_z[:-1], 0.5, out=sin[1::2])     # the phase by phi_z
+    n_kept = max(gates - 2, 1) if states else 1
+    ws = aligned_empty((2 * gates + 3 * n_kept + 2, n))
+    cos, sin = ws[:gates], ws[gates:2 * gates]
+    kept, tmp = ws[2 * gates:-2].reshape(n_kept, 3, n), ws[-2:]
+    np.multiply(phi_y, 0.5, out=sin[0::2])
+    np.multiply(phi_z[:-1], 0.5, out=sin[1::2])
     np.tan(sin, out=sin)
-    t = np.multiply(sin, sin, out=rest[:gates])
-    np.subtract(1.0, t, out=cos)
-    t += 1.0
-    cos /= t
-    sin /= t
-    sin += sin
-    state = psi[-1]                                 # R_y|0> = (cos, 0, sin, 0)
-    state[0, 0], state[1, 0], state[:, 1] = cos[0], sin[0], 0.0
-    pairs = _pair(state, tmp), _pair(state[1], tmp[0])      # R_y turns (a, b), the phase b
-    for g in range(1, gates):
+    np.multiply(sin, sin, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
+    if gates == 1:
+        return (cos[0].copy(), (kept[:0], cos, sin)) if states else cos[0]
+    state = kept[-1]
+    z, x, y = state
+    np.copyto(z, cos[0])
+    np.multiply(sin[0], cos[1], out=x)              # the first R_z turns (x, 0)
+    np.multiply(sin[0], sin[1], out=y)
+    pairs = _pair(state[:2], tmp), _pair(state[1:], tmp)    # R_y turns (z, x), R_z (x, y)
+    for g in range(2, gates - 1):
         if states:
-            psi[g - 1] = state
+            kept[g - 2] = state
         _rotate(pairs[g % 2], cos[g], sin[g])
-    np.square(state, out=tmp)
-    populations = np.add(tmp[:, 0], tmp[:, 1], out=None if states else ws[:2])
-    return (populations, (psi, cos, sin)) if states else populations
+    np.multiply(x, sin[-1], out=tmp[0])             # the last R_y: z alone
+    out = np.multiply(z, cos[-1], out=None if states else ws[0])
+    out -= tmp[0]
+    return (out, (kept, cos, sin)) if states else out
 
 
-def _probe_populations(spec: CircuitSpec, groups: list, states: bool = False):
-    """Populations (p0, p1) of probe groups (thetas, x, shifts) in one kernel
-    pass, one (2, P, n) array per group; with `states`, for one group of one
-    probe, (its array, the pass _evolve kept).
+def _probe_z(spec: CircuitSpec, groups: list, states: bool = False):
+    """Bloch z of probe groups (thetas, x, shifts) in one kernel pass, one
+    (P, n) array per group; with `states`, for one group of one probe, (its
+    array, the pass _evolve kept).
 
     `x` is (n, 2), shared by the group's probes, or (P, n, 2), one point set
     per probe, or the Design of either.  The angles come from _angles, so a
     probe is bit-identical to a single-theta evaluation, whatever the other
     probes.  `shifts`, if given, holds (P, L, 2) deltas: [p, l, 0] is added to
-    probe p's layer-l R_y angle, [p, l, 1] to its phase; `thetas` then holds
+    probe p's layer-l R_y angle, [p, l, 1] to its R_z; `thetas` then holds
     P rows, or one row that every shift reads (on shared points).  Unshifted
     probes of a group on shared points with equal parameter bytes are evolved once.
     Every group's angles are written into one array, the kernel's input.
@@ -263,33 +254,39 @@ def _probe_populations(spec: CircuitSpec, groups: list, states: bool = False):
     out = _evolve(*phi, states=states)
     flat, split, end = out[0] if states else out, [], 0
     for *_, pick, shape in plans:
-        part = flat[:, end:(end := end + shape[0] * shape[1])].reshape(2, *shape)
-        split.append(part if pick is None else part[:, pick])
+        part = flat[end:(end := end + shape[0] * shape[1])].reshape(shape)
+        split.append(part if pick is None else part[pick])
     return (split[0], out[1]) if states else split
 
 
+def _read(z: np.ndarray, design: Design) -> np.ndarray:
+    """M = 1/2 + sign z: bit for bit (1 + z) / 2 or (1 - z) / 2 by label, as halving is exact."""
+    m = np.multiply(z, design.sign)
+    m += 0.5
+    return m
+
+
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """Exact (p0, p1) for a single point."""
-    p0, p1 = _probe_populations(spec, [(check_theta(spec, theta)[None], x, None)])[0][:, 0, 0]
-    return float(p0), float(p1)
+    """Exact (p0, p1) = ((1 + z) / 2, (1 - z) / 2) for a single point."""
+    z = _probe_z(spec, [(check_theta(spec, theta)[None], x, None)])[0][0, 0]
+    return float((1.0 + z) / 2), float((1.0 - z) / 2)
 
 
 def measure_groups(spec: CircuitSpec, groups: list) -> list[np.ndarray]:
     """Projection probabilities onto |y_i> of probe groups (thetas, labelled
-    Design, shifts), read as _probe_populations reads them, in one pass: one
-    (P, n) array per group, row p bit-identical to a one-probe group's."""
-    return [np.where(design.label, p1, p0) for (p0, p1), (_, design, _)
-            in zip(_probe_populations(spec, groups), groups)]
+    Design, shifts), read off _probe_z's z, in one pass: one (P, n) array per
+    group, row p bit-identical to a one-probe group's."""
+    return [_read(z, design) for z, (_, design, _) in zip(_probe_z(spec, groups), groups)]
 
 
 def measure_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
                   states: bool = False):
     """measure_groups's row for the one probe theta at points x labelled y, or
-    their Design, as an (n,) array; with states=True, (M, (psi, cos, sin)): the
+    their Design, as an (n,) array; with states=True, (M, (kept, cos, sin)): the
     same M bit for bit, and the pass that kept every state, gate_angle_gradients's `forward`."""
     design = _design(spec, x, y)
-    out = _probe_populations(spec, [(check_theta(spec, theta)[None], design, None)], states)
-    m = np.where(design.label, out[0][1, 0], out[0][0, 0])
+    out = _probe_z(spec, [(check_theta(spec, theta)[None], design, None)], states)
+    m = _read(out[0][0], design)
     return (m, out[1]) if states else m
 
 
@@ -298,37 +295,40 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray 
     """(M, dM/d(gate angle)): M per point, shape (n,), bit-identical to
     measure_batch, and the derivatives by all 2L gate angles, shape (L, 2, n).
 
-    The forward pass (`forward`, if measure_batch kept it at this theta and
-    x) keeps the state psi_g after every gate g; M is read from the last one.
-    The backward pass carries the row vector w = conj(<y|psi>) <y| G_last ... G_{g+1}
-    back through the same rotations, so that dM/dphi_g = 2 Re(w K_g psi_g)
-    with K_g the generator of gate g: -iY/2 for R_y, which gives
-    Re(w_b a - w_a b), and diag(0, i) for the phase, which gives
-    -2 Im(w_b b).  The skipped last R_z changes no population: its entry is 0.
+    The forward pass (`forward`, if measure_batch kept it at this theta and x)
+    keeps the Bloch vector r before each gate.  The backward pass carries the
+    label-free adjoint w = (R_last ... R_g)^T e_z, its first step written out
+    as (cos, -sin, 0), so that dz/dphi_g = w . K_g r: w_x z - w_z x for R_y,
+    w_y x - w_x y for R_z; r = (cos, sin, 0) before the first R_z, e_z before
+    the first R_y.  dM/dphi = sign dz/dphi; the skipped last R_z's entry is 0.
+    w, its scratch rows and the derivatives share one aligned workspace.
     """
     design = _design(spec, x, y)
-    m, (psi, cos, sin) = forward or measure_batch(spec, theta, design, None, states=True)
-    w = np.where(design.unread, 0.0, psi[-1] * _CONJUGATE)
-    tmp = np.empty_like(w)
-    grads = np.empty((spec.layers, 2, w.shape[-1]))
-    (w0, w1), (t0, t1), (t00, t01) = w, tmp, tmp[0]     # views made once per pass
-    phase, turn = _pair(w1, t0), _pair(w[::-1], tmp)    # <w| through a phase, through R_y
-    for g in range(len(psi) - 1, -1, -1):
-        (l, gate), (a, b) = divmod(g, 2), psi[g]
-        if gate:
-            np.multiply(w1, b[::-1], out=t0)
-            np.add(t00, t01, out=grads[l, 1])
-            _rotate(phase, cos[g], sin[g])
-            continue
-        np.multiply(w1, a, out=t0)
-        np.multiply(w0, b, out=t1)
-        t0 -= t1
-        np.subtract(t00, t01, out=grads[l, 0])
-        if g:
-            _rotate(turn, cos[g], sin[g])
-    grads[:-1, 1] *= -2.0
-    grads[-1, 1] = 0.0
-    return m, grads
+    m, (kept, cos, sin) = forward or measure_batch(spec, theta, design, None, states=True)
+    gates, n = len(cos), cos.shape[1]
+    ws = aligned_empty((gates + 6, n))
+    grads, w, tmp = ws[:gates + 1], ws[gates + 1:gates + 4], ws[gates + 4:]
+    (wz, wx, wy), t0 = w, tmp[0]
+    if gates == 1:
+        np.negative(sin[0], out=grads[0])
+    else:
+        np.copyto(wz, cos[-1])
+        np.negative(sin[-1], out=wx)
+        wy[...] = 0.0
+        turns = _pair(w[1::-1], tmp), _pair(w[:0:-1], tmp)  # w through R_y^T, R_z^T
+        for g in range(gates - 1, 1, -1):
+            k, r = g % 2, kept[g - 2]               # gate g turns (r[k], r[k + 1])
+            np.multiply(w[k + 1], r[k], out=grads[g])
+            np.multiply(w[k], r[k + 1], out=t0)
+            grads[g] -= t0
+            _rotate(turns[1 - k], cos[g - 1], sin[g - 1])
+        np.multiply(wy, sin[0], out=grads[1])
+        np.multiply(wx, cos[0], out=grads[0])       # (R_0^T w)_x
+        np.multiply(wz, sin[0], out=t0)
+        grads[0] -= t0
+    grads[:-1] *= design.sign
+    grads[-1] = 0.0
+    return m, grads.reshape(spec.layers, 2, n)
 
 
 def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x) -> np.ndarray:

@@ -137,6 +137,20 @@ def test_measure_batch_picks_the_label_component():
     np.testing.assert_allclose(m, np.where(y == 1, p1, p0), atol=1e-15)
 
 
+@pytest.mark.parametrize("layers", [1, 2, 4])
+def test_m_is_one_plus_or_minus_z_halved_by_label_bit_for_bit(layers):
+    """measure_groups reads M = 1/2 + sign z, which is (1 + z) / 2 for label 0
+    and (1 - z) / 2 for label 1 bit for bit, because halving is exact."""
+    rng = np.random.default_rng(83)
+    spec = CircuitSpec(Ansatz.A2C, layers)
+    thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (5, spec.n_params))
+    x, y = rng.uniform(-1.0, 1.0, (31, 2)), rng.integers(0, 2, 31)
+    m = _one_group(spec, thetas, x, y)
+    for theta, row in zip(thetas, m):
+        z = circuits._evolve(*layer_angles(spec, theta, x))
+        assert row.tobytes() == np.where(y == 1, (1 - z) / 2, (1 + z) / 2).tobytes()
+
+
 def test_gate_shift_matches_direct_angle_change():
     """The shift hook adds a delta to one gate angle; compare against
     shifting the corresponding theta component when the map is trivial."""
@@ -193,18 +207,19 @@ def test_gate_angle_gradients_obey_the_shift_rule():
 @pytest.mark.parametrize("ansatz", list(Ansatz))
 @pytest.mark.parametrize("layers", [1, 2, 4])
 def test_the_pass_that_keeps_its_states_gives_the_plain_populations(ansatz, layers):
-    """_evolve with states returns the plain pass's populations bit for bit.
-    A kept forward, used after another kernel pass, gives the gradient of a
-    fresh pass bit for bit, and that gradient obeys the shift rule: the kept
+    """_evolve with states returns the plain pass's z bit for bit.  A kept
+    forward, used after another kernel pass, gives the gradient of a fresh
+    pass bit for bit, and that gradient obeys the shift rule: the kept
     sines and cosines are the ones the pass turned by."""
     rng = np.random.default_rng(79)
     spec = CircuitSpec(ansatz, layers)
     theta = random_parameters(spec, rng)
     x, y = rng.uniform(-1.0, 1.0, (23, 2)), rng.integers(0, 2, 23)
     phi_y, phi_z = layer_angles(spec, theta, x)
-    populations, kept = circuits._evolve(phi_y, phi_z, states=True)
-    assert populations.tobytes() == circuits._evolve(phi_y, phi_z).tobytes()
-    assert len(kept) == 3 and len(kept[0]) == 2 * layers - 1
+    z, kept = circuits._evolve(phi_y, phi_z, states=True)
+    assert z.tobytes() == circuits._evolve(phi_y, phi_z).tobytes()
+    assert len(kept) == 3 and len(kept[0]) == max(2 * layers - 3, 0)    # before gates 2, 3, ...
+    assert len(kept[1]) == len(kept[2]) == 2 * layers - 1               # every cos and sin
     m, forward = measure_batch(spec, theta, x, y, states=True)
     _one_group(spec, random_parameters(spec, rng)[None], x, y)
     kept_m, kept_grads = circuits.gate_angle_gradients(spec, theta, x, y, (m, forward))
@@ -258,9 +273,9 @@ def _shifted_angles(spec, theta, x, shift=None):
 
 def _single_theta_kernel(spec, theta, x, y, shift=None):
     """Reference: one probe evolved on its own by the kernel, its angles from
-    the single-theta `layer_angles` product."""
-    p0, p1 = circuits._evolve(*_shifted_angles(spec, theta, x, shift))
-    return np.where(y == 1, p1, p0)
+    the single-theta `layer_angles` product, and M = (1 +- z) / 2 picked by label."""
+    z = circuits._evolve(*_shifted_angles(spec, theta, x, shift))
+    return np.where(y == 1, (1 - z) / 2, (1 + z) / 2)
 
 
 def _random_probes(ansatz, layers, probes, seed):
@@ -309,14 +324,14 @@ def test_measure_groups_with_a_point_set_per_probe(ansatz, layers, probes, n, se
        st.integers(1, 30), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_populations_match_the_complex_kernel(ansatz, layers, probes, n, seed):
-    """The real-amplitude kernel against the complex one it replaced, which
-    applies every R_z.  Absolute: near p = 0 neither keeps relative precision."""
+    """The Bloch kernel's populations (1 +- z) / 2 against the complex kernel,
+    which applies every R_z.  Absolute: near p = 0 neither keeps relative precision."""
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
-    populations = circuits._probe_populations(spec, [(thetas, x, shift_deltas(layers, shifts))])[0]
+    z = circuits._probe_z(spec, [(thetas, x, shift_deltas(layers, shifts))])[0]
     for p in range(probes):
         alpha, beta = complex_evolve(*_shifted_angles(spec, thetas[p], x, shifts[p]))
-        np.testing.assert_allclose(populations[:, p], np.abs([alpha, beta]) ** 2,
+        np.testing.assert_allclose([(1 + z[p]) / 2, (1 - z[p]) / 2], np.abs([alpha, beta]) ** 2,
                                    rtol=0, atol=4e-15)
 
 
@@ -344,19 +359,19 @@ def test_the_kernel_allocates_one_workspace_and_its_outputs():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        p0, p1 = circuits._evolve(phi_y, phi_z)
+        z = circuits._evolve(phi_y, phi_z)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert p0.shape == p1.shape == (n,)
+    assert z.shape == (n,)
     assert peak <= 1.5 * (2 * layers + 7) * n * 8
-    # the populations are the workspace's first rows: its base is on a cache line
-    assert p0.__array_interface__["data"][0] % 64 == 0
+    # z is the workspace's first row: its base is on a cache line
+    assert z.__array_interface__["data"][0] % 64 == 0
 
 
 def test_gradients_on_a_taken_design_are_those_of_the_subset_points():
     """The analytic SGD path: a mini-batch's Design, taken from the dataset's
-    with its mask of unread amplitudes, gives the gradients of a Design built
+    with its signs of the labels, gives the gradients of a Design built
     from the batch's points, bit for bit."""
     rng = np.random.default_rng(59)
     for ansatz in Ansatz:
@@ -366,7 +381,7 @@ def test_gradients_on_a_taken_design_are_those_of_the_subset_points():
         whole = Design(ansatz, x, y)
         for idx in (rng.permutation(40)[:10], np.arange(40), np.array([7])):
             taken = whole.take(idx)
-            assert taken.unread.tobytes() == Design(ansatz, x[idx], y[idx]).unread.tobytes()
+            assert taken.sign.tobytes() == Design(ansatz, x[idx], y[idx]).sign.tobytes()
             got = circuits.gate_angle_gradients(spec, theta, taken, None)
             want = circuits.gate_angle_gradients(spec, theta, x[idx], y[idx])
             for g, w in zip(got, want):

@@ -77,8 +77,8 @@ def _shifted_estimates(spec, theta, ds, backend, l, gate, delta):
     single-theta layer angles, evolved by the kernel on their own."""
     angles = circuits.layer_angles(spec, theta, ds.x)
     angles[gate][l] += delta
-    p0, p1 = circuits._evolve(*angles)
-    return backend.sample(np.where(ds.y == 1, p1, p0), ds.y)
+    z = circuits._evolve(*angles)
+    return backend.sample(np.where(ds.y == 1, (1 - z) / 2, (1 + z) / 2), ds.y)
 
 
 def _shift_per_probe(kind, spec, theta, ds, backend):
@@ -581,7 +581,7 @@ def test_a_subset_slices_the_designs_its_dataset_holds():
     assert sub._designs is not ds._designs and set(sub._designs) == set(ds._designs)
     for ansatz, design in sub._designs.items():
         fresh = circuits.Design(ansatz, ds.x[idx], ds.y[idx])
-        for name in ("rows", "cols", "label"):
+        for name in ("rows", "cols", "sign"):
             got, want = getattr(design, name), getattr(fresh, name)
             assert got.flags.c_contiguous
             assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
