@@ -14,6 +14,8 @@ and R_z turns (x, y) by its angle, so a gate turns two reals.  The last
 layer's R_z is skipped, because it cannot change z, and the last R_y computes
 z alone.  The populations are (1 + z) / 2 and (1 - z) / 2, and the projection
 onto |y> is 1/2 + sign z with sign = +1/2 for y = 0 and -1/2 for y = 1.
+Every entry point reads its points as one labelled Design; costs.measured_groups
+reads measure_groups' probe groups out into estimates.
 """
 
 from __future__ import annotations
@@ -75,15 +77,14 @@ _DESIGN_COLUMNS = {Ansatz.A2A: ((0, 1, 2, 3), (3, 3, 3, 2)),     # t0 x0 + t1 x1
 
 
 def ansatz_design(ansatz: Ansatz, x: np.ndarray) -> np.ndarray:
-    """Per-point design rows for the two gate angles of one layer: (cy, cz) as
-    one C-ordered array of shape (2, n, 4), or (2, P, n, 4) for points (P, n, 2),
+    """Per-point design rows for the two gate angles of one layer at points x,
+    (n, 2) or one point: (cy, cz) as one C-ordered array of shape (2, n, 4),
     such that for layer slice t = theta[4l:4l+4] the angles are phi_y = cy @ t
     and phi_z = cz @ t.  The rows are also the exact derivatives d(angle)/d(theta_j)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    basis = np.empty((4, x.size // 2))
-    basis[:2], basis[2], basis[3] = x.reshape(-1, 2).T, 1.0, 0.0
-    rows = basis.take(_DESIGN_COLUMNS[ansatz], axis=0).transpose(0, 2, 1)
-    return np.ascontiguousarray(rows).reshape(2, *x.shape[:-1], 4)
+    basis = np.empty((4, len(x)))
+    basis[:2], basis[2], basis[3] = x.T, 1.0, 0.0
+    return np.ascontiguousarray(basis.take(_DESIGN_COLUMNS[ansatz], axis=0).transpose(0, 2, 1))
 
 
 def aligned_empty(shape: tuple) -> np.ndarray:
@@ -98,36 +99,32 @@ def aligned_empty(shape: tuple) -> np.ndarray:
 
 
 class Design:
-    """One point set under one ansatz: `rows`, its ansatz_design rows (cy, cz)
-    stacked, which the angle product reads; `cols`, their C-contiguous
-    transposes, which the chain rule reads; given labels y, each checked to be
-    0 or 1, `sign` = 1/2 - y, so that M = 1/2 + sign z.  A Dataset keeps one per ansatz."""
+    """One labelled point set under one ansatz, the kernel's one input: `rows`, its
+    ansatz_design rows (cy, cz) stacked, which the angle product reads; `cols`, their
+    C-contiguous transposes, which the chain rule reads; `y`, one label per point,
+    checked to be 0 or 1, which the backend samples; `sign` = 1/2 - y, so that
+    M = 1/2 + sign z.  A Dataset keeps one per ansatz."""
 
-    __slots__ = ("rows", "cols", "sign")
+    __slots__ = ("rows", "cols", "y", "sign")
 
-    def __init__(self, ansatz: Ansatz, x: np.ndarray, y: np.ndarray | None = None):
+    def __init__(self, ansatz: Ansatz, x: np.ndarray, y: np.ndarray):
         self.rows = ansatz_design(ansatz, x)
         self.cols = np.ascontiguousarray(np.swapaxes(self.rows, -1, -2))
-        if y is not None:
-            label = np.asarray(y) == 1
-            if not (label | (np.asarray(y) == 0)).all():
-                raise ValueError("labels must be 0 or 1")
-            self.sign = np.where(label, -0.5, 0.5)
+        y = np.asarray(y)
+        label = y == 1
+        if y.shape != (len(self),) or not (label | (y == 0)).all():
+            raise ValueError(f"labels must be 0 or 1, one per point, got {y.shape}")
+        self.y, self.sign = label.astype(int), np.where(label, -0.5, 0.5)
 
     def __len__(self) -> int:
-        return self.rows.shape[-2]
+        return self.rows.shape[1]
 
     def take(self, idx: np.ndarray) -> "Design":
         """The Design of this one's labelled points at `idx`, by C-ordered copies."""
         sub = object.__new__(Design)
-        sub.rows, sub.cols = self.rows.take(idx, axis=-2), self.cols.take(idx, axis=-1)
-        sub.sign = self.sign[idx]
+        sub.rows, sub.cols = self.rows.take(idx, axis=1), self.cols.take(idx, axis=-1)
+        sub.y, sub.sign = self.y[idx], self.sign[idx]
         return sub
-
-
-def _design(spec: CircuitSpec, x, y: np.ndarray | None = None) -> Design:
-    """x if it is a Design (for spec's ansatz), else the Design of points x and labels y."""
-    return x if isinstance(x, Design) else Design(spec.ansatz, x, y)
 
 
 def _angles(spec: CircuitSpec, thetas: np.ndarray, design: Design,
@@ -143,9 +140,9 @@ def _angles(spec: CircuitSpec, thetas: np.ndarray, design: Design,
     return phi
 
 
-def layer_angles(spec: CircuitSpec, theta: np.ndarray, x) -> np.ndarray:
-    """All layer angles (phi_y, phi_z) at points x or their Design, shape (2, L, n)."""
-    return _angles(spec, check_theta(spec, theta)[None], _design(spec, x))[:, :, 0]
+def layer_angles(spec: CircuitSpec, theta: np.ndarray, design: Design) -> np.ndarray:
+    """All layer angles (phi_y, phi_z) at the points of `design`, shape (2, L, n)."""
+    return _angles(spec, check_theta(spec, theta)[None], design)[:, :, 0]
 
 
 def _pair(v: np.ndarray, tmp: np.ndarray) -> tuple:
@@ -208,41 +205,36 @@ def _evolve(phi_y: np.ndarray, phi_z: np.ndarray, states: bool = False):
 
 
 def _probe_z(spec: CircuitSpec, groups: list, states: bool = False):
-    """Bloch z of probe groups (thetas, x, shifts) in one kernel pass, one
+    """Bloch z of probe groups (thetas, design, shifts) in one kernel pass, one
     (P, n) array per group; with `states`, for one group of one probe, (its
     array, the pass _evolve kept).
 
-    `x` is (n, 2), shared by the group's probes, or (P, n, 2), one point set
-    per probe, or the Design of either.  The angles come from _angles, so a
-    probe is bit-identical to a single-theta evaluation, whatever the other
-    probes.  `shifts`, if given, holds (P, L, 2) deltas: [p, l, 0] is added to
-    probe p's layer-l R_y angle, [p, l, 1] to its R_z; `thetas` then holds
-    P rows, or one row that every shift reads (on shared points).  Unshifted
-    probes of a group on shared points with equal parameter bytes are evolved once.
-    Every group's angles are written into one array, the kernel's input.
+    Every probe of a group reads the group's one Design.  The angles come from
+    _angles, so a probe is bit-identical to a single-theta evaluation, whatever
+    the other probes.  `shifts`, if given, holds (P, L, 2) deltas: [p, l, 0] is
+    added to probe p's layer-l R_y angle, [p, l, 1] to its R_z, and `thetas`
+    holds the one row that every shift reads.  Unshifted probes of a group with
+    equal parameter bytes are evolved once.  Every group's angles are written
+    into one array, the kernel's input.
     """
     plans = []
-    for thetas, x, shifts in groups:
-        thetas = np.asarray(thetas, dtype=float)
+    for thetas, design, shifts in groups:
+        thetas, pick = np.asarray(thetas, dtype=float), None
         if thetas.ndim != 2 or thetas.shape[1] != spec.n_params:
             raise ValueError(f"parameter vectors have shape {thetas.shape}, expected "
                              f"(P, {spec.n_params}) for {spec.layers} layers")
-        design, pick = _design(spec, x), None
-        n_probes = len(shifts) if shifts is not None and len(thetas) == 1 else len(thetas)
-        per_probe = design.rows.ndim == 4
-        if per_probe and design.rows.shape[1] != len(thetas):
-            raise ValueError(f"got {design.rows.shape[1]} point sets for {len(thetas)} probes")
-        if shifts is not None and shifts.shape != (n_probes, spec.layers, 2):
-            raise ValueError(f"shifts have shape {shifts.shape}, expected "
-                             f"({n_probes}, {spec.layers}, 2) for {n_probes} probes")
-        if shifts is None and not per_probe and n_probes > 1:
-            size, data = 8 * spec.n_params, thetas.tobytes()    # by bytes: -0.0 is not 0.0
-            keys = [data[p * size:(p + 1) * size] for p in range(n_probes)]
+        if shifts is not None and (len(thetas) != 1 or shifts.ndim != 3
+                                   or shifts.shape[1:] != (spec.layers, 2)):
+            raise ValueError(f"shifts need one parameter vector and shape (P, {spec.layers}, 2), "
+                             f"got {len(thetas)} vectors and shape {shifts.shape}")
+        if shifts is None and len(thetas) > 1:
+            size, data, n_probes = 8 * spec.n_params, thetas.tobytes(), len(thetas)
+            keys = [data[p * size:(p + 1) * size] for p in range(n_probes)]  # -0.0 is not 0.0
             first = dict(zip(keys[::-1], range(n_probes - 1, -1, -1)))  # key: its first probe
             if len(first) < n_probes:
                 slot = {p: i for i, p in enumerate(first.values())}
                 thetas, pick = thetas[list(slot)], [slot[first[key]] for key in keys]
-        shape = (len(thetas) if shifts is None else n_probes, len(design))
+        shape = (len(thetas) if shifts is None else len(shifts), len(design))
         plans.append((thetas, design, shifts, pick, shape))
     phi, end = aligned_empty((2, spec.layers, sum(p * n for *_, (p, n) in plans))), 0
     for thetas, design, shifts, _, shape in plans:
@@ -268,7 +260,8 @@ def _read(z: np.ndarray, design: Design) -> np.ndarray:
 
 def evaluate_circuit(spec: CircuitSpec, theta: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """Exact (p0, p1) = ((1 + z) / 2, (1 - z) / 2) for a single point."""
-    z = _probe_z(spec, [(check_theta(spec, theta)[None], x, None)])[0][0, 0]
+    design = Design(spec.ansatz, x, [0])
+    z = _probe_z(spec, [(check_theta(spec, theta)[None], design, None)])[0][0, 0]
     return float((1.0 + z) / 2), float((1.0 - z) / 2)
 
 
@@ -279,23 +272,21 @@ def measure_groups(spec: CircuitSpec, groups: list) -> list[np.ndarray]:
     return [_read(z, design) for z, (_, design, _) in zip(_probe_z(spec, groups), groups)]
 
 
-def measure_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
-                  states: bool = False):
-    """measure_groups's row for the one probe theta at points x labelled y, or
-    their Design, as an (n,) array; with states=True, (M, (kept, cos, sin)): the
-    same M bit for bit, and the pass that kept every state, gate_angle_gradients's `forward`."""
-    design = _design(spec, x, y)
+def measure_batch(spec: CircuitSpec, theta: np.ndarray, design: Design, states: bool = False):
+    """measure_groups's row for the one probe theta on `design`, as an (n,)
+    array; with states=True, (M, (kept, cos, sin)): the same M bit for bit, and
+    the pass that kept every state, gate_angle_gradients's `forward`."""
     out = _probe_z(spec, [(check_theta(spec, theta)[None], design, None)], states)
     m = _read(out[0][0], design)
     return (m, out[1]) if states else m
 
 
-def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
+def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, design: Design,
                          forward=None) -> tuple[np.ndarray, np.ndarray]:
-    """(M, dM/d(gate angle)): M per point, shape (n,), bit-identical to
-    measure_batch, and the derivatives by all 2L gate angles, shape (L, 2, n).
+    """(M, dM/d(gate angle)) on `design`: M per point, shape (n,), bit-identical
+    to measure_batch, and the derivatives by all 2L gate angles, shape (L, 2, n).
 
-    The forward pass (`forward`, if measure_batch kept it at this theta and x)
+    The forward pass (`forward`, if measure_batch kept it at this theta and design)
     keeps the Bloch vector r before each gate.  The backward pass carries the
     label-free adjoint w = (R_last ... R_g)^T e_z, its first step written out
     as (cos, -sin, 0), so that dz/dphi_g = w . K_g r: w_x z - w_z x for R_y,
@@ -303,8 +294,7 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray 
     the first R_y.  dM/dphi = sign dz/dphi; the skipped last R_z's entry is 0.
     w, its scratch rows and the derivatives share one aligned workspace.
     """
-    design = _design(spec, x, y)
-    m, (kept, cos, sin) = forward or measure_batch(spec, theta, design, None, states=True)
+    m, (kept, cos, sin) = forward or measure_batch(spec, theta, design, states=True)
     gates, n = len(cos), cos.shape[1]
     ws = aligned_empty((gates + 6, n))
     grads, w, tmp = ws[:gates + 1], ws[gates + 1:gates + 4], ws[gates + 4:]
@@ -331,24 +321,23 @@ def gate_angle_gradients(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray 
     return m, grads.reshape(spec.layers, 2, n)
 
 
-def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, x) -> np.ndarray:
+def chain_rule(spec: CircuitSpec, angle_grads: np.ndarray, design: Design) -> np.ndarray:
     """Per-point derivatives by theta_j, a C-ordered (n, 4L) array, from
-    derivatives by the 2L gate angles, shape (L, 2, n), at points x or their Design.
+    derivatives by the 2L gate angles, shape (L, 2, n), at the points of `design`.
 
     Each theta_j enters the two gate angles of its layer linearly, so the
     chain rule contracts gate-angle derivatives with the ansatz design rows,
     as (L, 4, n) against their contiguous transposes.  The copy is C-ordered
     because an axis-0 mean sums an F-ordered array in another order.
     """
-    design = _design(spec, x)
     out = angle_grads[:, 0, None] * design.cols[0]      # (L, 4, n): layer l's 4 columns
     out += angle_grads[:, 1, None] * design.cols[1]
     return np.ascontiguousarray(out.reshape(spec.n_params, -1).T)
 
 
-def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, x, y: np.ndarray | None,
+def analytic_gradient_batch(spec: CircuitSpec, theta: np.ndarray, design: Design,
                             forward=None) -> tuple[np.ndarray, np.ndarray]:
-    """(M, exact dM/dtheta_j) per point, shapes (n,) and (n, 4L), from one
-    forward pass, or from `forward` as gate_angle_gradients takes it."""
-    m, angle_grads = gate_angle_gradients(spec, theta, x, y, forward)
-    return m, chain_rule(spec, angle_grads, x)
+    """(M, exact dM/dtheta_j) per point of `design`, shapes (n,) and (n, 4L), from
+    one forward pass, or from `forward` as gate_angle_gradients takes it."""
+    m, angle_grads = gate_angle_gradients(spec, theta, design, forward)
+    return m, chain_rule(spec, angle_grads, design)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import circuits, data
+from . import circuits, costs, data
 from .backend import (DEFAULT_RESIDUAL_SIGMA, DEFAULT_SHOTS, HARDWARE_STEPS, MAX_SHOTS,
                       IdealBackend, NoiseModel, NoisyBackend, SettingError, estimate_time)
 from .circuits import Ansatz, CircuitSpec
@@ -146,10 +146,9 @@ def _gen_data(args) -> None:
     seed = _analysis_seed(args)
     circle = _circle(vars(args))
     if args.split is not None:
-        seed = derive_seed(seed, f"data/{args.split}")
-    n = args.n if args.n is not None else (data.TEST_SIZE if args.split == "test"
-                                           else data.TRAIN_SIZE)
-    ds = data.generate(n, circle, seed)
+        ds = data.canonical_split(seed, args.split, args.n, circle)
+    else:
+        ds = data.generate(data.TRAIN_SIZE if args.n is None else args.n, circle, seed)
     data.save(ds, args.out)
     print(f"wrote {len(ds)} points to {args.out} "
           f"(seed {ds.seed}, label-1 fraction {float(ds.y.mean()):.3f})")
@@ -203,8 +202,8 @@ def _evaluate(args) -> None:
     else:
         backend = IdealBackend(shots=args.shots)
 
-    ones = np.ones(len(ds), dtype=int)
-    est = backend.sample(circuits.measure_batch(spec, theta, ds.x, ones), ones)
+    design = circuits.Design(spec.ansatz, ds.x, np.ones(len(ds), dtype=int))
+    est = costs.measured_groups(spec, [(theta[None], design, None)], backend)[0][0]
     predicted = (est > 0.5).astype(int)
     rows = [(ds.x[i, 0], ds.x[i, 1], int(ds.y[i]), int(predicted[i]), float(est[i]))
             for i in range(len(ds))]

@@ -7,10 +7,10 @@ kept as the "as written" variant (the gated CE is minimized by
 misclassifying everything).  Accuracy, the one maximized objective, differs
 from the published one only by a leading minus.
 
-Entry points: measured_values (one theta) and measured_groups (probe groups)
-return estimates, each from one kernel pass and one backend sample; evaluate
-and evaluate_with_accuracy score one theta.
-cost_weights gives dCost/dM, which trainers.estimate_gradient chains.
+Every estimate is read out here, from one kernel pass and one backend sample:
+measured_groups, of probe groups on labelled Designs, for every caller, and
+measured_values, of one theta on a dataset; evaluate and evaluate_with_accuracy
+score one theta.  cost_weights gives dCost/dM, which trainers.estimate_gradient chains.
 """
 
 from __future__ import annotations
@@ -43,22 +43,22 @@ def measured_values(spec: CircuitSpec, theta: np.ndarray, ds: Dataset,
                     backend: Backend, states: bool = False):
     """Per-point estimates of M(theta, x_i, y_i) through the backend; with
     states=True, (estimates, forward), forward what circuits.measure_batch gave."""
-    m = circuits.measure_batch(spec, theta, ds.design(spec.ansatz), ds.y, states)
+    m = circuits.measure_batch(spec, theta, ds.design(spec.ansatz), states)
     return (backend.sample(m[0], ds.y), m) if states else backend.sample(m, ds.y)
 
 
 def measured_groups(spec: CircuitSpec, groups: list, backend: Backend,
                     charged: int | None = None) -> list[np.ndarray]:
-    """Per-point estimates of probe groups (thetas, dataset, shifts), one (P, n)
-    array each, from one kernel call and one backend sample in probe order that
+    """Per-point estimates of probe groups (thetas, design, shifts), as
+    circuits.measure_groups takes them, one (P, n) array each, from one kernel
+    call and one backend sample of each design's labels in probe order that
     charges its first `charged` estimates (all when None): row p of a group is
     measured_values on probe p, bit for bit, when probes are measured in turn."""
-    p = circuits.measure_groups(spec, [(thetas, ds.design(spec.ansatz), shifts)
-                                       for thetas, ds, shifts in groups])
+    p = circuits.measure_groups(spec, groups)
     p_y = p[0].ravel() if len(p) == 1 else np.concatenate([m.ravel() for m in p])
     y, end = np.empty(p_y.size, dtype=int), 0
-    for m, (_, ds, _) in zip(p, groups):
-        y[end:(end := end + m.size)].reshape(m.shape)[...] = ds.y
+    for m, (_, design, _) in zip(p, groups):
+        y[end:(end := end + m.size)].reshape(m.shape)[...] = design.y
     est, end = backend.sample(p_y, y, charged), 0
     return [est[end:(end := end + m.size)].reshape(m.shape) for m in p]
 

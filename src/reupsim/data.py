@@ -117,12 +117,17 @@ def generate(n: int, spec: CircleSpec = DEFAULT_BOUNDARY, seed: int = 0) -> Data
     return Dataset(x, spec.classify(x), spec, seed)
 
 
+def canonical_split(seed: int, split: str, n: int | None = None,
+                    spec: CircleSpec = DEFAULT_BOUNDARY) -> Dataset:
+    """The canonical "train" or "test" draw from `seed`: n points, TRAIN_SIZE or
+    TEST_SIZE by default, from the seed derived under "data/<split>"."""
+    size = {"train": TRAIN_SIZE, "test": TEST_SIZE}[split] if n is None else n
+    return generate(size, spec, derive_seed(seed, f"data/{split}"))
+
+
 def generate_splits(seed: int, train_size: int = TRAIN_SIZE) -> tuple[Dataset, Dataset]:
-    """Independent train/test draws about the default boundary, from seeds
-    derived off the one given; the test draw has TEST_SIZE points."""
-    train = generate(train_size, DEFAULT_BOUNDARY, derive_seed(seed, "data/train"))
-    test = generate(TEST_SIZE, DEFAULT_BOUNDARY, derive_seed(seed, "data/test"))
-    return train, test
+    """Independent canonical train/test draws about the default boundary."""
+    return canonical_split(seed, "train", train_size), canonical_split(seed, "test")
 
 
 def save(ds: Dataset, path: str | Path) -> None:

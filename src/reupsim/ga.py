@@ -252,11 +252,11 @@ def ga_train(config: GAConfig, spec: CircuitSpec, dataset: Dataset,
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))
     low, high = config.init_range
     pop = rng.uniform(low, high, size=(config.population_size, spec.n_params))
-    maximize = not costs.is_loss(config.fitness)
+    maximize, design = not costs.is_loss(config.fitness), dataset.design(spec.ansatz)
 
     for gen in itertools.count():
         with backend_failures(f"generation {gen}"):
-            measured = costs.measured_groups(spec, [(pop, dataset, None)], backend)[0]
+            measured = costs.measured_groups(spec, [(pop, design, None)], backend)[0]
         values, accs = costs.row_values(config.fitness, measured), costs.row_accuracies(measured)
         fitnesses = values if maximize else -values
         if trace.record(gen, pop, values, accs, generation, diversity(pop), maximize):

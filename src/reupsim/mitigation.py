@@ -8,6 +8,7 @@ scaling of the estimator spread (rejected where the shot counts are too close
 to resolve its exponent), and the gradient-vs-noise comparison that shows why
 finite-difference training stalls on noisy hardware, returned as one
 GradientNoiseRow per step, cost and parameter.
+Each reads its circuits out through costs.measured_groups.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import circuits
+from . import circuits, costs
 from .backend import Backend, Confusion, IdealBackend, NoiseModel, NoisyBackend, check_confusion
 from .circuits import CircuitSpec
 from .costs import CostKind
@@ -57,10 +58,11 @@ def calibrate(backend: Backend, profile: CircuitSpec | None = None,
         raise ValueError(f"shots must be >= 1, got {shots}")
     profile = profile if profile is not None else CircuitSpec()
     reps = max(1, math.ceil(shots / backend.shots))
+    design = circuits.Design(profile.ansatz, np.repeat(CALIBRATION_X, reps, axis=0),
+                             np.zeros(reps, dtype=int))
+    poles = np.stack(pole_preparations(profile))
     rows = []
-    for theta in pole_preparations(profile):
-        x, y = np.repeat(CALIBRATION_X, reps, axis=0), np.zeros(reps, dtype=int)
-        estimates = backend.sample(circuits.measure_batch(profile, theta, x, y), y)
+    for estimates in costs.measured_groups(profile, [(poles, design, None)], backend)[0]:
         p0 = float(estimates.mean())
         rows.append((p0, 1.0 - p0))
     if abs(np.linalg.det(rows)) < 1e-12:
@@ -134,6 +136,7 @@ def observation_pairs(spec: CircuitSpec, dataset: Dataset, backend: Backend,
     regression compares one fixed physical quantity across the whole set.
     With no theta given, each point gets its own random parameter vector so
     the theoretical probabilities spread over [0, 1] instead of clustering.
+    The theoretical column is each point's one-probe group on an ideal backend.
     Passing a calibrated confusion matrix appends a third, mitigated column.
     """
     n = len(dataset)
@@ -142,10 +145,10 @@ def observation_pairs(spec: CircuitSpec, dataset: Dataset, backend: Backend,
     else:
         rng = np.random.default_rng(derive_seed(seed, "residual-thetas"))
         thetas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(n, spec.n_params))
-    ones = np.ones((n, 1), dtype=int)
-    design = circuits.Design(spec.ansatz, dataset.x[:, None, :], ones)
-    p = circuits.measure_groups(spec, [(thetas, design, None)])[0][:, 0]
-    est = backend.sample(p, ones[:, 0])
+    design = circuits.Design(spec.ansatz, dataset.x, np.ones(n, dtype=int))
+    groups = [(thetas[i:i + 1], design.take([i]), None) for i in range(n)]
+    p, est = (np.concatenate(costs.measured_groups(spec, groups, b))[:, 0]
+              for b in (IdealBackend(), backend))
     if cal is None:
         return np.column_stack([p, est])
     return np.column_stack([p, est, mitigate(np.column_stack([1.0 - est, est]), cal)[:, 1]])
@@ -165,8 +168,9 @@ def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
     """Estimator spread versus shot count, with a power-law fit std = a*N^b.
 
     For each N, every dataset point is estimated `repeats` times through a
-    fresh backend with perfect readout (IDENTITY_CONFUSION); the reported
-    std at N is the per-point repetition std averaged over points.
+    fresh backend with perfect readout (IDENTITY_CONFUSION), as one group of
+    copies of theta; the reported std at N is the per-point repetition std
+    averaged over points.
     """
     shot_counts = np.asarray(list(shot_counts), dtype=int)
     if shot_counts.size < 2 or np.unique(shot_counts).size < 2:
@@ -175,16 +179,16 @@ def noise_scaling(spec: CircuitSpec, theta: np.ndarray, dataset: Dataset,
         raise ValueError("shot counts must be >= 1")
     if repeats < 2:
         raise ValueError(f"repeats must be >= 2 for a spread, got {repeats}")
-    theta = circuits.check_theta(spec, theta)
-    p = circuits.measure_batch(spec, theta, dataset.x, dataset.y)
-    n = p.size
+    copies = [(np.tile(circuits.check_theta(spec, theta), (repeats, 1)),
+               dataset.design(spec.ansatz), None)]
+    n = len(dataset)
     stds = np.empty(shot_counts.size)
     for i, shots in enumerate(shot_counts):
         noise = NoiseModel(confusion=IDENTITY_CONFUSION, shots=int(shots),
                            residual_sigma=residual_sigma,
                            seed=derive_seed(seed, f"noise-scaling/{shots}"))
-        est = NoisyBackend(noise).sample(np.tile(p, repeats), np.tile(dataset.y, repeats))
-        stds[i] = est.reshape(repeats, n).std(axis=0, ddof=1).mean()
+        est = costs.measured_groups(spec, copies, NoisyBackend(noise))[0]
+        stds[i] = est.std(axis=0, ddof=1).mean()
     if not stds.all():      # the fit takes the logarithm of every spread
         raise ValueError(f"the estimates at shot count {shot_counts[stds == 0][0]} have no spread "
                          "to fit a power law to; use more repeats or points")

@@ -136,21 +136,21 @@ def estimate_gradient(method: GradMethod, kind: CostKind, spec: CircuitSpec,
 
 def _probe_plan(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np.ndarray,
                 ds: Dataset, backend: Backend, step: float) -> list:
-    """The probe groups (thetas, ds, shifts) of a gradient at theta: +e_0, -e_0, +e_1, ...;
-    none (analytic, ideal); or theta once, read by the base and the +-pi/2 pair of
-    each gate angle."""
+    """The probe groups (thetas, design, shifts) of a gradient at theta on ds's design:
+    +e_0, -e_0, +e_1, ...; none (analytic, ideal); or theta once, read by the base
+    and the +-pi/2 pair of each gate angle."""
     if method is GradMethod.FINITE_DIFFERENCE:
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
         probes, j = np.repeat(theta[None], 2 * theta.size, axis=0), np.arange(theta.size)
         probes[2 * j, j], probes[2 * j + 1, j] = theta + step, theta - step
-        return [(probes, ds, None)]
+        return [(probes, ds.design(spec.ansatz), None)]
     if kind is CostKind.ACCURACY:
         raise ValueError(f"the {method.value} gradient is undefined for the accuracy cost; "
                          "pick a differentiable cost")
     if method is GradMethod.ANALYTIC and not backend.is_noisy:
         return []
-    return [(theta[None], ds, _shift_deltas(spec.layers))]
+    return [(theta[None], ds.design(spec.ansatz), _shift_deltas(spec.layers))]
 
 
 @functools.lru_cache(maxsize=8)
@@ -172,7 +172,7 @@ def _combine(method: GradMethod, kind: CostKind, spec: CircuitSpec, theta: np.nd
         return (f[0::2] - f[1::2]) / (2.0 * step)
     design = ds.design(spec.ansatz)
     if not measured:
-        m, dm = circuits.analytic_gradient_batch(spec, theta, design, None, forward)
+        m, dm = circuits.analytic_gradient_batch(spec, theta, design, forward)
     else:
         m, half = measured[0][0], 0.5 * (measured[0][1::2] - measured[0][2::2])
         dm = circuits.chain_rule(spec, half.reshape(spec.layers, 2, len(ds)), design)
@@ -325,7 +325,7 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
                                 "iteration 0: a cost evaluation")
     theta = _initial_theta(cfg, spec)
     shuffle_rng = np.random.default_rng(derive_seed(cfg.seed, "sgd-shuffle"))
-    dataset.design(spec.ansatz)     # built once: each mini-batch slices it
+    design = dataset.design(spec.ansatz)    # built once: each mini-batch slices it
     grad_cost = _gradient_cost(cfg.gradient, spec, batch)
     order, k, cursor = np.arange(n), 0, n  # a cursor at the end forces a reshuffle on first use
     while True:
@@ -334,7 +334,7 @@ def sgd_train(cfg: GradConfig, spec: CircuitSpec, dataset: Dataset,
         sub, cursor = dataset.subset(order[cursor:cursor + batch]), cursor + batch
         # the cost at theta, then the next step's probes, charged if it is taken
         with backend_failures(f"iteration {k}"):
-            groups = [(theta[None], dataset, None),
+            groups = [(theta[None], design, None),
                       *_probe_plan(cfg.gradient, cfg.cost, spec, theta, sub, backend, cfg.step)]
             m, *measured = costs.measured_groups(spec, groups, backend, charged=n)
         if trace.record(k, theta[None], costs.row_values(cfg.cost, m), costs.row_accuracies(m),
@@ -363,7 +363,7 @@ def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    surface = np.empty((grid.size, grid.size))
+    surface, design = np.empty((grid.size, grid.size)), dataset.design(spec.ansatz)
     for i, a in enumerate(grid):
         for j, b in enumerate(grid):
             probes = np.tile(theta0, (budget + 1, 1))
@@ -371,6 +371,6 @@ def landscape_scan(spec: CircuitSpec, dataset: Dataset, theta0: np.ndarray,
             if budget > 0:      # one draw fills the rows in stream order
                 cell_rng = np.random.default_rng(derive_seed(seed, f"landscape/{i}/{j}"))
                 probes[1:, 2:] += cell_rng.uniform(-radius, radius, (budget, theta0.size - 2))
-            m = costs.measured_groups(spec, [(probes, dataset, None)], backend)[0]
+            m = costs.measured_groups(spec, [(probes, design, None)], backend)[0]
             surface[i, j] = costs.row_accuracies(m).max()
     return surface

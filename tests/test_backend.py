@@ -303,7 +303,7 @@ def test_ideal_backend_passes_values_through_but_charges():
     be = IdealBackend(shots=150)
     ds = generate(20, seed=4)
     spec = CircuitSpec()
-    p = measure_batch(spec, np.zeros(spec.n_params), ds.x, ds.y)
+    p = measure_batch(spec, np.zeros(spec.n_params), ds.design(spec.ansatz))
     out = be.sample(p, ds.y)
     assert be.ledger.snapshot() == (20, 3000)
     out2 = IdealBackend().sample(p, ds.y)

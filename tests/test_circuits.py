@@ -24,6 +24,13 @@ def _one_group(spec, thetas, x, y, shifts=None):
     return measure_groups(spec, [(thetas, Design(spec.ansatz, x, y), shifts)])[0]
 
 
+def _points(ansatz, x):
+    """The Design of points x, or of one point, each labelled 0: the angle
+    builders read the points alone."""
+    x = np.atleast_2d(x)
+    return Design(ansatz, x, np.zeros(len(x), dtype=int))
+
+
 def _ry(phi):
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -35,13 +42,13 @@ def _rz(phi):
 
 def _populations(spec, theta, x):
     """(p0, p1) per point: M against all-0 and against all-1 labels."""
-    return (measure_batch(spec, theta, x, np.zeros(len(x), int)),
-            measure_batch(spec, theta, x, np.ones(len(x), int)))
+    return (measure_batch(spec, theta, Design(spec.ansatz, x, np.zeros(len(x), int))),
+            measure_batch(spec, theta, Design(spec.ansatz, x, np.ones(len(x), int))))
 
 
 def _reference_probabilities(spec, theta, x):
     """Independent oracle: explicit 2x2 matrix products, one point."""
-    phi_y, phi_z = layer_angles(spec, theta, np.atleast_2d(x))
+    phi_y, phi_z = layer_angles(spec, theta, _points(spec.ansatz, x))
     state = np.array([1.0, 0.0], dtype=complex)
     for l in range(spec.layers):
         state = _rz(phi_z[l, 0]) @ _ry(phi_y[l, 0]) @ state
@@ -110,7 +117,7 @@ def test_layer_angles_agree_with_layer_args():
     spec = CircuitSpec(Ansatz.A2B, 3)
     theta = random_parameters(spec, rng)
     x = rng.uniform(-1.0, 1.0, (5, 2))
-    phi_y, phi_z = layer_angles(spec, theta, x)
+    phi_y, phi_z = layer_angles(spec, theta, _points(spec.ansatz, x))
     for l in range(spec.layers):
         for i in range(5):
             y1, z1 = layer_args(spec.ansatz, theta[4 * l:4 * l + 4], x[i])
@@ -133,7 +140,7 @@ def test_measure_batch_picks_the_label_component():
     x = rng.uniform(-1.0, 1.0, (6, 2))
     p0, p1 = _populations(spec, theta, x)
     y = np.array([0, 1, 0, 1, 1, 0])
-    m = measure_batch(spec, theta, x, y)
+    m = measure_batch(spec, theta, Design(spec.ansatz, x, y))
     np.testing.assert_allclose(m, np.where(y == 1, p1, p0), atol=1e-15)
 
 
@@ -147,7 +154,7 @@ def test_m_is_one_plus_or_minus_z_halved_by_label_bit_for_bit(layers):
     x, y = rng.uniform(-1.0, 1.0, (31, 2)), rng.integers(0, 2, 31)
     m = _one_group(spec, thetas, x, y)
     for theta, row in zip(thetas, m):
-        z = circuits._evolve(*layer_angles(spec, theta, x))
+        z = circuits._evolve(*layer_angles(spec, theta, _points(spec.ansatz, x)))
         assert row.tobytes() == np.where(y == 1, (1 - z) / 2, (1 + z) / 2).tobytes()
 
 
@@ -164,7 +171,8 @@ def test_gate_shift_matches_direct_angle_change():
     for label in (0, 1):
         y = np.full(len(x), label)
         shifted = _one_group(spec, theta[None], x, y, shift_deltas(2, [(1, 0, delta)]))[0]
-        np.testing.assert_allclose(shifted, measure_batch(spec, theta2, x, y), atol=1e-12)
+        np.testing.assert_allclose(shifted, measure_batch(spec, theta2, Design(spec.ansatz, x, y)),
+                                   atol=1e-12)
 
 
 def test_analytic_gradient_matches_finite_differences():
@@ -174,14 +182,14 @@ def test_analytic_gradient_matches_finite_differences():
         spec = CircuitSpec(ansatz, 4)
         theta = random_parameters(spec, rng)
         x = rng.uniform(-1.0, 1.0, 2)
-        y = rng.integers(0, 2, 1)
-        grad = analytic_gradient_batch(spec, theta, x, y)[1][0]
+        design = Design(ansatz, x, rng.integers(0, 2, 1))
+        grad = analytic_gradient_batch(spec, theta, design)[1][0]
         for j in range(spec.n_params):
             probe = theta.copy()
             probe[j] += h
-            up = measure_batch(spec, probe, x, y)[0]
+            up = measure_batch(spec, probe, design)[0]
             probe[j] -= 2 * h
-            down = measure_batch(spec, probe, x, y)[0]
+            down = measure_batch(spec, probe, design)[0]
             assert abs(grad[j] - (up - down) / (2 * h)) < 1e-6
 
 
@@ -194,11 +202,12 @@ def test_gate_angle_gradients_obey_the_shift_rule():
     theta = random_parameters(spec, rng)
     x = rng.uniform(-1.0, 1.0, (5, 2))
     y = rng.integers(0, 2, 5)
-    m, grads = circuits.gate_angle_gradients(spec, theta, x, y)
-    np.testing.assert_array_equal(m, measure_batch(spec, theta, x, y))
+    design = Design(spec.ansatz, x, y)
+    m, grads = circuits.gate_angle_gradients(spec, theta, design)
+    np.testing.assert_array_equal(m, measure_batch(spec, theta, design))
     for l in range(spec.layers):
         for gate in range(2):
-            plus, minus = _one_group(spec, np.stack([theta, theta]), x, y, shift_deltas(
+            plus, minus = _one_group(spec, theta[None], x, y, shift_deltas(
                 spec.layers, [(l, gate, np.pi / 2), (l, gate, -np.pi / 2)]))
             np.testing.assert_allclose(grads[l, gate], 0.5 * (plus - minus),
                                        atol=1e-12)
@@ -215,19 +224,20 @@ def test_the_pass_that_keeps_its_states_gives_the_plain_populations(ansatz, laye
     spec = CircuitSpec(ansatz, layers)
     theta = random_parameters(spec, rng)
     x, y = rng.uniform(-1.0, 1.0, (23, 2)), rng.integers(0, 2, 23)
-    phi_y, phi_z = layer_angles(spec, theta, x)
+    design = Design(ansatz, x, y)
+    phi_y, phi_z = layer_angles(spec, theta, design)
     z, kept = circuits._evolve(phi_y, phi_z, states=True)
     assert z.tobytes() == circuits._evolve(phi_y, phi_z).tobytes()
     assert len(kept) == 3 and len(kept[0]) == max(2 * layers - 3, 0)    # before gates 2, 3, ...
     assert len(kept[1]) == len(kept[2]) == 2 * layers - 1               # every cos and sin
-    m, forward = measure_batch(spec, theta, x, y, states=True)
+    m, forward = measure_batch(spec, theta, design, states=True)
     _one_group(spec, random_parameters(spec, rng)[None], x, y)
-    kept_m, kept_grads = circuits.gate_angle_gradients(spec, theta, x, y, (m, forward))
-    fresh_m, fresh_grads = circuits.gate_angle_gradients(spec, theta, x, y)
-    assert kept_m.tobytes() == fresh_m.tobytes() == measure_batch(spec, theta, x, y).tobytes()
+    kept_m, kept_grads = circuits.gate_angle_gradients(spec, theta, design, (m, forward))
+    fresh_m, fresh_grads = circuits.gate_angle_gradients(spec, theta, design)
+    assert kept_m.tobytes() == fresh_m.tobytes() == measure_batch(spec, theta, design).tobytes()
     assert kept_grads.tobytes() == fresh_grads.tobytes()
     for l in range(layers):
-        plus, minus = _one_group(spec, np.stack([theta, theta]), x, y, shift_deltas(
+        plus, minus = _one_group(spec, theta[None], x, y, shift_deltas(
             layers, [(l, 0, np.pi / 2), (l, 0, -np.pi / 2)]))
         np.testing.assert_allclose(kept_grads[l, 0], 0.5 * (plus - minus), atol=1e-12)
 
@@ -241,10 +251,14 @@ def test_check_theta_rejects_wrong_shapes():
 
 
 def test_label_validation():
-    spec = CircuitSpec()
-    theta = np.zeros(spec.n_params)
-    with pytest.raises(ValueError, match="labels"):
-        measure_batch(spec, theta, np.array([[0.1, 0.2]]), np.array([3]))
+    """Every entry point takes a Design, which checks its labels: each 0 or 1,
+    one per point."""
+    x = np.array([[0.1, 0.2], [0.3, -0.4]])
+    for y in (np.array([3, 0]), np.array([0, 2]), np.array([0.5, 1.0]), np.array([0]),
+              np.array([[0, 1]]), np.array([0, 1, 1])):
+        with pytest.raises(ValueError, match="labels must be 0 or 1, one per point"):
+            Design(Ansatz.A2C, x, y)
+    assert Design(Ansatz.A2C, x, np.array([1.0, 0.0])).y.tolist() == [1, 0]
 
 
 def test_circuit_spec_validation():
@@ -264,7 +278,7 @@ def test_random_parameters_range_and_determinism():
 def _shifted_angles(spec, theta, x, shift=None):
     """Single-theta layer angles with `shift`, None or (layer, gate, delta),
     added to one gate angle."""
-    phi_y, phi_z = layer_angles(spec, theta, x)
+    phi_y, phi_z = layer_angles(spec, theta, _points(spec.ansatz, x))
     if shift is not None:
         layer, gate, delta = shift
         (phi_z if gate else phi_y)[layer] += delta
@@ -287,37 +301,32 @@ def _random_probes(ansatz, layers, probes, seed):
     return spec, rng, thetas, shifts
 
 
+def _probe_groups(thetas, design, deltas):
+    """One shifted one-probe group per row of thetas and of deltas."""
+    return [(thetas[p:p + 1], design, deltas[p:p + 1]) for p in range(len(thetas))]
+
+
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 64),
        st.integers(1, 30), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_measure_groups_rows_equal_measure_batch_bit_for_bit(ansatz, layers, probes, n, seed):
+    """In one pass, the rows of a group of every probe and of a shifted
+    one-probe group per probe each equal that probe measured alone."""
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
     y = rng.integers(0, 2, n)
-    deltas = shift_deltas(layers, shifts)
-    many = _one_group(spec, thetas, x, y, deltas)
+    design, deltas = Design(ansatz, x, y), shift_deltas(layers, shifts)
+    many, *each = measure_groups(spec, [(thetas, design, None),
+                                        *_probe_groups(thetas, design, deltas)])
     assert many.shape == (probes, n)
     for p in range(probes):
         single = _one_group(spec, thetas[p:p + 1], x, y, deltas[p:p + 1])[0]
-        np.testing.assert_array_equal(many[p], single)
+        np.testing.assert_array_equal(each[p][0], single)
         np.testing.assert_array_equal(single, _single_theta_kernel(spec, thetas[p], x, y,
                                                                    shifts[p]))
+        np.testing.assert_array_equal(many[p], measure_batch(spec, thetas[p], design))
         if shifts[p] is None:
-            np.testing.assert_array_equal(single, measure_batch(spec, thetas[p], x, y))
-
-
-@given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 64),
-       st.integers(1, 5), st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_measure_groups_with_a_point_set_per_probe(ansatz, layers, probes, n, seed):
-    spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
-    x = rng.uniform(-1.0, 1.0, (probes, n, 2))
-    y = rng.integers(0, 2, (probes, n))
-    deltas = shift_deltas(layers, shifts)
-    many = _one_group(spec, thetas, x, y, deltas)
-    for p in range(probes):
-        np.testing.assert_array_equal(many[p], _one_group(spec, thetas[p:p + 1], x[p], y[p],
-                                                          deltas[p:p + 1])[0])
+            np.testing.assert_array_equal(single, measure_batch(spec, thetas[p], design))
 
 
 @given(st.sampled_from(list(Ansatz)), st.integers(1, 6), st.integers(1, 16),
@@ -328,7 +337,8 @@ def test_populations_match_the_complex_kernel(ansatz, layers, probes, n, seed):
     which applies every R_z.  Absolute: near p = 0 neither keeps relative precision."""
     spec, rng, thetas, shifts = _random_probes(ansatz, layers, probes, seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
-    z = circuits._probe_z(spec, [(thetas, x, shift_deltas(layers, shifts))])[0]
+    groups = _probe_groups(thetas, _points(ansatz, x), shift_deltas(layers, shifts))
+    z = np.concatenate(circuits._probe_z(spec, groups))
     for p in range(probes):
         alpha, beta = complex_evolve(*_shifted_angles(spec, thetas[p], x, shifts[p]))
         np.testing.assert_allclose([(1 + z[p]) / 2, (1 - z[p]) / 2], np.abs([alpha, beta]) ** 2,
@@ -342,7 +352,7 @@ def test_the_last_phase_changes_no_population_bit():
         spec = CircuitSpec(Ansatz.A2C, layers)
         theta = random_parameters(spec, rng)
         for y in (np.zeros(len(x), dtype=int), np.ones(len(x), dtype=int)):
-            base = measure_batch(spec, theta, x, y)
+            base = measure_batch(spec, theta, Design(spec.ansatz, x, y))
             for delta in (0.3, -2.0, np.pi):
                 np.testing.assert_array_equal(
                     _one_group(spec, theta[None], x, y,
@@ -380,10 +390,11 @@ def test_gradients_on_a_taken_design_are_those_of_the_subset_points():
         theta = random_parameters(spec, rng)
         whole = Design(ansatz, x, y)
         for idx in (rng.permutation(40)[:10], np.arange(40), np.array([7])):
-            taken = whole.take(idx)
-            assert taken.sign.tobytes() == Design(ansatz, x[idx], y[idx]).sign.tobytes()
-            got = circuits.gate_angle_gradients(spec, theta, taken, None)
-            want = circuits.gate_angle_gradients(spec, theta, x[idx], y[idx])
+            taken, fresh = whole.take(idx), Design(ansatz, x[idx], y[idx])
+            assert taken.sign.tobytes() == fresh.sign.tobytes()
+            assert taken.y.tobytes() == fresh.y.tobytes() == y[idx].tobytes()
+            got = circuits.gate_angle_gradients(spec, theta, taken)
+            want = circuits.gate_angle_gradients(spec, theta, fresh)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
 
@@ -419,14 +430,15 @@ def test_measure_groups_validation():
     thetas = np.zeros((2, spec.n_params))
     with pytest.raises(ValueError, match="expected"):
         _one_group(spec, np.zeros((2, 5)), x, y)
-    with pytest.raises(ValueError, match="2 probes"):
-        _one_group(spec, thetas, x, y, shifts=np.zeros((1, 2, 2)))
-    with pytest.raises(ValueError, match="2 probes"):
-        _one_group(spec, thetas, np.zeros((3, 3, 2)), y)
+    # every shift reads the group's one parameter vector
+    for rows in (thetas, thetas[:0]):
+        with pytest.raises(ValueError, match=f"got {len(rows)} vectors"):
+            _one_group(spec, rows, x, y, shifts=np.zeros((2, 2, 2)))
     # one delta per probe, layer and gate: a third layer or gate has no place
     for shape in ((2, 3, 2), (2, 2, 3), (2, 4), (2, 2, 2, 1)):
-        with pytest.raises(ValueError, match=r"shape \(.*\), expected \(2, 2, 2\)"):
-            _one_group(spec, thetas, x, y, shifts=np.zeros(shape))
+        with pytest.raises(ValueError, match=r"shape \(P, 2, 2\), got 1 vectors and shape "
+                                             rf"\({', '.join(map(str, shape))},?\)"):
+            _one_group(spec, thetas[:1], x, y, shifts=np.zeros(shape))
     with pytest.raises(ValueError, match="labels"):
         _one_group(spec, thetas, x, np.array([0, 2, 1]))
 
@@ -439,22 +451,21 @@ def test_signed_zero_deltas_give_the_one_probe_rows():
     theta = random_parameters(spec, rng)
     x, y = rng.uniform(-1.0, 1.0, (7, 2)), rng.integers(0, 2, 7)
     shifts = [(1, 0, 0.0), (1, 0, -0.0), (1, 0, 0.0), None, (1, 0, -0.0), (1, 0, 0.0)]
-    many = _one_group(spec, np.repeat(theta[None], len(shifts), axis=0), x, y,
-                      shift_deltas(spec.layers, shifts))
+    many = _one_group(spec, theta[None], x, y, shift_deltas(spec.layers, shifts))
     for row, shift in zip(many, shifts):
         np.testing.assert_array_equal(row, _single_theta_kernel(spec, theta, x, y, shift))
-    with pytest.raises(ValueError, match=r"expected \(2, 4, 2\)"):
-        _one_group(spec, np.repeat(theta[None], 2, axis=0), x, y,
+    with pytest.raises(ValueError, match=r"shape \(P, 4, 2\), got 1 vectors"):
+        _one_group(spec, theta[None], x, y,
                    shifts=shift_deltas(spec.layers + 1, [(spec.layers, 0, 0.5)] * 2))
 
 
 @pytest.mark.parametrize("ansatz", list(Ansatz))
 @pytest.mark.parametrize("layers", [1, 4])
 def test_one_theta_read_by_every_shift_gives_the_rows_of_theta_repeated(ansatz, layers):
-    """A shift group may hold one parameter row for all its shifts, as the
-    shift rule's plan does: each row is bit-identical to the group that
-    repeats theta per shift, with +-pi/2, 0.0 and -0.0 deltas, next to an
-    unshifted group in the same pass."""
+    """A shift group holds one parameter row for all its shifts, as the shift
+    rule's plan does: each row is bit-identical to theta measured alone under
+    its shift, and to the single-theta kernel, with +-pi/2, 0.0 and -0.0
+    deltas, next to an unshifted group in the same pass."""
     spec = CircuitSpec(ansatz, layers)
     rng = np.random.default_rng(71 + layers)
     theta = random_parameters(spec, rng)
@@ -466,13 +477,15 @@ def test_one_theta_read_by_every_shift_gives_the_rows_of_theta_repeated(ansatz, 
                              shift_deltas(layers, [(0, 0, -0.0), (layers - 1, 1, 0.0), None])])
     unshifted = (rng.uniform(-2 * np.pi, 2 * np.pi, (2, spec.n_params)), design, None)
     one = measure_groups(spec, [unshifted, (theta[None], design, deltas)])
-    repeated = measure_groups(spec, [unshifted, (np.repeat(theta[None], len(deltas), axis=0),
-                                                 design, deltas)])
     assert one[1].shape == (len(deltas), len(x))
-    for got, want in zip(one, repeated):
-        assert got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="2 probes"):     # two rows need a shift row each
-        measure_groups(spec, [(np.repeat(theta[None], 2, axis=0), design, deltas[:1])])
+    assert one[0].tobytes() == measure_groups(spec, [unshifted])[0].tobytes()
+    for row, delta in zip(one[1], deltas):
+        alone = measure_groups(spec, [(theta[None], design, delta[None])])[0][0]
+        assert row.tobytes() == alone.tobytes()
+        z = circuits._evolve(*(layer_angles(spec, theta, design) + delta.T[..., None]))
+        assert row.tobytes() == np.where(y == 1, (1 - z) / 2, (1 + z) / 2).tobytes()
+    with pytest.raises(ValueError, match="got 2 vectors"):     # one row, whatever the shifts
+        measure_groups(spec, [(np.repeat(theta[None], 2, axis=0), design, deltas[:2])])
 
 
 def test_adding_zero_to_the_angles_moves_no_population_bit():
@@ -497,7 +510,8 @@ def test_chain_rule_is_the_per_layer_formula_bit_for_bit(ansatz, layers):
     cy, cz = circuits.ansatz_design(ansatz, x)
     per_layer = np.hstack([angle_grads[l, 0][:, None] * cy + angle_grads[l, 1][:, None] * cz
                            for l in range(layers)])
-    np.testing.assert_array_equal(circuits.chain_rule(spec, angle_grads, x), per_layer)
+    np.testing.assert_array_equal(circuits.chain_rule(spec, angle_grads, _points(ansatz, x)),
+                                  per_layer)
 
 
 @pytest.mark.parametrize("ansatz", list(Ansatz))
@@ -511,27 +525,10 @@ def test_the_stacked_angle_product_is_slices_at_cy_t_bit_for_bit(ansatz, layers)
     x = rng.uniform(-1.0, 1.0, (37, 2))
     thetas = rng.uniform(-2 * np.pi, 2 * np.pi, (9, spec.n_params))
     cy, cz = circuits.ansatz_design(ansatz, x)
-    phi = circuits._angles(spec, thetas, circuits.Design(ansatz, x))
+    design = _points(ansatz, x)
+    phi = circuits._angles(spec, thetas, design)
     for p, theta in enumerate(thetas):
         slices = theta.reshape(layers, 4)
         for got, rows in zip(phi[:, :, p], (cy, cz)):
             assert got.tobytes() == (slices @ rows.T).tobytes()
-        assert layer_angles(spec, theta, x).tobytes() == phi[:, :, p].tobytes()
-
-
-LABELLED_ENTRY_POINTS = {
-    "measure_batch": lambda spec, theta, x, y: measure_batch(spec, theta, x, y),
-    "measure_batch_keeping_states":
-        lambda spec, theta, x, y: measure_batch(spec, theta, x, y, states=True),
-    "measure_groups": lambda spec, theta, x, y: _one_group(spec, theta[None], x, y),
-    "gate_angle_gradients": circuits.gate_angle_gradients,
-    "analytic_gradient_batch": analytic_gradient_batch,
-}
-
-
-@pytest.mark.parametrize("entry", LABELLED_ENTRY_POINTS.values(), ids=LABELLED_ENTRY_POINTS)
-def test_every_labelled_entry_point_rejects_a_label_that_is_not_0_or_1(entry):
-    spec = CircuitSpec()
-    x = np.random.default_rng(73).uniform(-1.0, 1.0, (3, 2))
-    with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        entry(spec, np.zeros(spec.n_params), x, np.array([0, 2, 1]))
+        assert layer_angles(spec, theta, design).tobytes() == phi[:, :, p].tobytes()

@@ -51,6 +51,16 @@ def test_gen_data_explicit_n_and_test_split(tmp_path):
     np.testing.assert_array_equal(ds.x, expected.x)
 
 
+def test_gen_data_test_split_is_the_canonical_test_draw(tmp_path, capsys):
+    out = tmp_path / "test.csv"
+    assert cli.main(["gen-data", "--out", str(out), "--split", "test", "--seed", "4"]) == 0
+    assert "wrote 1000 points" in capsys.readouterr().out
+    _, test = generate_splits(4)
+    ds = load(out)
+    np.testing.assert_array_equal(ds.x, test.x)
+    assert ds.seed == test.seed
+
+
 def test_gen_data_reads_the_seed_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
     out = tmp_path / "pts.csv"

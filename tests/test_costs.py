@@ -17,8 +17,8 @@ from reupsim.trainers import GradMethod, estimate_gradient
 
 
 def _measured_group(spec, thetas, ds, backend, shifts=None):
-    """measured_groups of the one group of probes `thetas` over ds."""
-    return measured_groups(spec, [(thetas, ds, shifts)], backend)[0]
+    """measured_groups of the one group of probes `thetas` over ds's design."""
+    return measured_groups(spec, [(thetas, ds.design(spec.ansatz), shifts)], backend)[0]
 
 
 def _value(kind, m):
@@ -110,8 +110,9 @@ def test_measured_groups_rows_equal_successive_measured_values():
     thetas = np.random.default_rng(4).uniform(-np.pi, np.pi, (6, spec.n_params))
     shifts = [None, (0, 1, 0.3), None, (3, 0, -1.1), (2, 1, 2.0), None]
     batched_be, loop_be = NoisyBackend(NoiseModel(seed=1)), NoisyBackend(NoiseModel(seed=1))
-    batched = _measured_group(spec, thetas, ds, batched_be,
-                              shifts=shift_deltas(spec.layers, shifts))
+    groups = [(t[None], ds.design(spec.ansatz), None if s is None
+               else shift_deltas(spec.layers, [s])) for t, s in zip(thetas, shifts)]
+    batched = np.concatenate(measured_groups(spec, groups, batched_be))
     loop = np.array([measured_values(spec, t, ds, loop_be) if s is None
                      else _measured_group(spec, t[None], ds, loop_be,
                                           shifts=shift_deltas(spec.layers, [s]))[0]
@@ -181,18 +182,15 @@ def test_the_kernel_runs_once_per_distinct_probe(monkeypatch):
     _measured_group(spec, pop[[6, 7]], ds, backend)
     # rows 0, 1, 2, 4 and 6 are distinct; -0.0 is not 0.0; a NaN row repeats
     assert columns == [5 * 13, 2 * 13, 1 * 13]
-    # a shifted batch: each row is its probe's one-probe call
-    theta = pop[[0, 0, 0, 0, 0]]
+    # a shifted batch is never merged: each row is its probe's one-probe call
+    columns.clear()
+    theta = pop[:1]
     deltas = shift_deltas(spec.layers, [None, (1, 0, 0.5), (1, 0, 0.5), (1, 1, 0.5), None])
     m = _measured_group(spec, theta, ds, IdealBackend(), shifts=deltas)
+    assert columns == [5 * 13]
     for row, delta in zip(m, deltas):
         np.testing.assert_array_equal(row, circuits.measure_groups(
-            spec, [(theta[:1], Design(spec.ansatz, ds.x, ds.y), delta[None])])[0][0])
-    # one point set per probe is never merged
-    columns.clear()
-    circuits.measure_groups(spec, [(theta, Design(spec.ansatz, np.repeat(ds.x[None], 5, axis=0),
-                                                  np.repeat(ds.y[None], 5, axis=0)), None)])
-    assert columns == [5 * 13]
+            spec, [(theta, Design(spec.ansatz, ds.x, ds.y), delta[None])])[0][0])
 
 
 def test_measured_values_rejects_bad_inputs():
@@ -238,11 +236,11 @@ def test_analytic_gradient_is_the_mean_of_the_per_layer_formula_bit_for_bit(ansa
     spec = CircuitSpec(ansatz, layers)
     ds = generate(23, seed=61)
     theta = random_parameters(spec, np.random.default_rng(61))
-    m, angle_grads = circuits.gate_angle_gradients(spec, theta, ds.x, ds.y)
+    m, angle_grads = circuits.gate_angle_gradients(spec, theta, ds.design(ansatz))
     cy, cz = circuits.ansatz_design(ansatz, ds.x)
     per_layer = np.hstack([angle_grads[l, 0][:, None] * cy + angle_grads[l, 1][:, None] * cz
                            for l in range(layers)])
-    assert circuits.chain_rule(spec, angle_grads, ds.x).flags.c_contiguous
+    assert circuits.chain_rule(spec, angle_grads, ds.design(ansatz)).flags.c_contiguous
     for kind in (CostKind.CROSS_ENTROPY, CostKind.CROSS_ENTROPY_AS_WRITTEN,
                  CostKind.CHI_SQUARED):
         want = (costs.cost_weights(kind, m)[:, None] * per_layer).mean(axis=0)

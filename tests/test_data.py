@@ -6,8 +6,9 @@ import stat
 import numpy as np
 import pytest
 
-from reupsim.data import (CircleSpec, DEFAULT_BOUNDARY, TEST_SIZE, Dataset, generate,
-                          generate_splits, load, rewrite, save)
+from reupsim.data import (CircleSpec, DEFAULT_BOUNDARY, TEST_SIZE, TRAIN_SIZE, Dataset,
+                          canonical_split, generate, generate_splits, load, rewrite, save)
+from reupsim.seeding import derive_seed
 
 
 def test_default_boundary_splits_the_box_evenly():
@@ -90,6 +91,23 @@ def test_split_sizes_are_adjustable():
     # the test draw does not depend on the train size
     _, test_default = generate_splits(0)
     np.testing.assert_array_equal(test.x, test_default.x)
+
+
+def test_the_canonical_splits_are_one_rule():
+    """Each split's default size and seed context, on any boundary;
+    generate_splits draws from them."""
+    for split, size in (("train", TRAIN_SIZE), ("test", TEST_SIZE)):
+        ds, want = canonical_split(3, split), generate(size, seed=derive_seed(3, f"data/{split}"))
+        assert (len(ds), ds.seed) == (size, want.seed)
+        np.testing.assert_array_equal(ds.x, want.x)
+    moved = CircleSpec(center=(0.1, 0.0), radius=0.5)
+    ds = canonical_split(3, "test", 7, moved)
+    assert (len(ds), ds.boundary, ds.seed) == (7, moved, derive_seed(3, "data/test"))
+    np.testing.assert_array_equal(ds.x, generate(7, moved, derive_seed(3, "data/test")).x)
+    with pytest.raises(KeyError):
+        canonical_split(3, "validation")
+    for got, split in zip(generate_splits(3), ("train", "test")):
+        np.testing.assert_array_equal(got.x, canonical_split(3, split).x)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

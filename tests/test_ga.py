@@ -247,10 +247,14 @@ def test_ga_train_is_deterministic_and_traces_every_generation():
     assert trace_a.final.cum_estimates == 7 * 8 * 30
 
 
-def _per_chromosome(spec, groups, backend, charged=None):
-    """Reference: one measured_values call per chromosome, in order."""
-    return [np.array([costs.measured_values(spec, theta, ds, backend) for theta in thetas])
-            for thetas, ds, _ in groups]
+def _per_chromosome(ds):
+    """Reference for measured_groups on ds's design: one measured_values call
+    per chromosome, in order."""
+    def measure(spec, groups, backend, charged=None):
+        assert all(design is ds.design(spec.ansatz) for _, design, _ in groups)
+        return [np.array([costs.measured_values(spec, theta, ds, backend) for theta in thetas])
+                for thetas, _, _ in groups]
+    return measure
 
 
 @pytest.mark.parametrize("fitness", [CostKind.CROSS_ENTROPY, CostKind.ACCURACY])
@@ -259,7 +263,7 @@ def test_batched_generations_equal_a_per_chromosome_loop(monkeypatch, fitness):
     spec = CircuitSpec()
     ds = generate(25, seed=6)
     runs = []
-    for measure in (costs.measured_groups, _per_chromosome):
+    for measure in (costs.measured_groups, _per_chromosome(ds)):
         monkeypatch.setattr(costs, "measured_groups", measure)
         backend = NoisyBackend(NoiseModel(seed=2))
         theta, trace = ga_train(cfg, spec, ds, backend)
@@ -289,7 +293,7 @@ def test_repeated_chromosomes_in_a_run_equal_a_per_chromosome_loop(monkeypatch, 
     evolve = circuits._evolve
     monkeypatch.setattr(circuits, "_evolve", spy)
     runs = []
-    for measure in (costs.measured_groups, _per_chromosome):
+    for measure in (costs.measured_groups, _per_chromosome(ds)):
         monkeypatch.setattr(costs, "measured_groups", measure)
         backend = NoisyBackend(NoiseModel(seed=2)) if noisy else IdealBackend()
         theta, trace = ga_train(cfg, spec, ds, backend)

@@ -14,7 +14,10 @@ included, so the runtime needs only numpy and PyYAML (tests/test_startup.py
 checks that no run loads it).  A sixth keeps the layers apart: the backend
 samples and charges, and imports neither the circuits nor the costs.  A
 seventh keeps one writer: only data.rewrite opens a file for writing, so every
-output is overwritten in place.
+output is overwritten in place.  An eighth keeps one readout: outside circuits
+and costs no module calls the kernel's readouts (measure_batch,
+measure_groups) or a backend's sample, so every estimate goes through
+costs.measured_groups or costs.measured_values.
 """
 
 import ast
@@ -258,6 +261,37 @@ def test_the_writer_scan_reads_every_open_form():
               "log = open('log', 'x')\n")
     assert file_writers(source) == ["<module>", "K.path", "K.text", "appends", "flags",
                                     "nested.inner", "picks"]
+
+
+# the kernel's readouts and the backend's sampler, which only circuits and costs call
+READOUT_CALLS = ("measure_batch", "measure_groups", "sample")
+
+
+def readout_calls(source: str) -> list[str]:
+    """The names of READOUT_CALLS that a module calls, by bare name or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in READOUT_CALLS:
+                found.add(name)
+    return sorted(found)
+
+
+def test_only_circuits_and_costs_read_out_estimates():
+    callers = [f"{p.stem}.{name}" for p in MODULES if p.stem not in ("circuits", "costs")
+               for name in readout_calls(p.read_text())]
+    assert callers == []
+
+
+def test_the_readout_scan_reads_every_call_form():
+    source = ("from . import circuits\nfrom .circuits import measure_batch\n"
+              "def f(backend, rng):\n    measure_batch(1)\n    backend.sample(2)\n"
+              "    circuits.measure_groups(3)\n    rng.random()\n    g = circuits.measure_batch\n"
+              "class K:\n    def m(self):\n        return self.backend.sample(4)\n")
+    assert readout_calls(source) == ["measure_batch", "measure_groups", "sample"]
+    assert readout_calls("import numpy\nnumpy.random.default_rng(0).random()\n") == []
 
 
 def sibling_imports(source: str) -> set[str]:

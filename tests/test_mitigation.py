@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reupsim import mitigation
 from reupsim.backend import (DEFAULT_CONFUSION, IdealBackend, NoiseModel,
                              NoisyBackend)
-from reupsim.circuits import Ansatz, CircuitSpec, check_theta, measure_batch
+from reupsim.circuits import Ansatz, CircuitSpec, Design, check_theta, measure_batch
 from reupsim.costs import CostKind
 from reupsim.data import Dataset, generate
 from reupsim.seeding import derive_seed
@@ -83,7 +83,7 @@ def test_pole_preparations_reach_both_poles_under_every_ansatz():
         theta0, theta1 = pole_preparations(spec)
         x = np.array([1.0, 0.0])
         for theta, y in ((theta0, 0), (theta1, 1)):
-            m = measure_batch(spec, theta, x, np.array([y]))[0]
+            m = measure_batch(spec, theta, Design(ansatz, x, np.array([y])))[0]
             assert m == pytest.approx(1.0, abs=1e-12)
 
 
@@ -157,9 +157,9 @@ def _observation_pairs_per_point(spec, dataset, backend, theta=None, seed=0, cal
     one = np.array([1])
     out = np.empty((n, 2 if cal is None else 3))
     for i in range(n):
-        x = dataset.x[i:i + 1]
-        out[i, 0] = float(measure_batch(spec, thetas[i], x, one)[0])
-        out[i, 1] = float(backend.sample(measure_batch(spec, thetas[i], x, one), one)[0])
+        point = Design(spec.ansatz, dataset.x[i:i + 1], one)
+        out[i, 0] = float(measure_batch(spec, thetas[i], point)[0])
+        out[i, 1] = float(backend.sample(measure_batch(spec, thetas[i], point), one)[0])
         if cal is not None:
             out[i, 2] = mitigate_estimate(out[i, 1], 1, cal)
     return out

@@ -91,3 +91,22 @@ def test_the_dispatch_target_is_the_highest_present():
     assert record.dispatch_target({"X86_V2": True, "X86_V3": True, "X86_V4": False,
                                    "AVX512_ICL": True, "AVX2": True}) == "AVX512_ICL"
     assert record.dispatch_target({"ASIMD": True}) is None
+
+
+def test_a_provenance_value_that_moves_during_the_runs_is_named_with_both_values():
+    before = {"change_has_uncommitted_edits": False, "change_src_sha256": "aa", "nproc": 2}
+    assert record.provenance_drift(before, {"change_has_uncommitted_edits": False,
+                                            "change_src_sha256": "aa"}) == []
+    moved = record.provenance_drift(before, {"change_has_uncommitted_edits": True,
+                                             "change_src_sha256": "bb"})
+    assert moved == ["record: change_has_uncommitted_edits moved during the runs: False before "
+                     "the first run, True after the last",
+                     "record: change_src_sha256 moved during the runs: 'aa' before the first "
+                     "run, 'bb' after the last"]
+
+
+def test_the_provenance_taken_after_the_runs_is_the_one_the_record_holds():
+    """environment() records provenance() under the same names, so the check
+    after the last run compares like with like."""
+    assert set(record.provenance()) == {"change_has_uncommitted_edits", "change_src_sha256"}
+    assert record.provenance()["change_src_sha256"] == record.src_digest(record.ROOT / "src")

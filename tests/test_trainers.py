@@ -75,7 +75,7 @@ def _fd_per_probe(kind, spec, theta, ds, backend, step):
 def _shifted_estimates(spec, theta, ds, backend, l, gate, delta):
     """One sampled evaluation with `delta` added to one gate angle of the
     single-theta layer angles, evolved by the kernel on their own."""
-    angles = circuits.layer_angles(spec, theta, ds.x)
+    angles = circuits.layer_angles(spec, theta, ds.design(spec.ansatz))
     angles[gate][l] += delta
     z = circuits._evolve(*angles)
     return backend.sample(np.where(ds.y == 1, (1 - z) / 2, (1 + z) / 2), ds.y)
@@ -581,7 +581,7 @@ def test_a_subset_slices_the_designs_its_dataset_holds():
     assert sub._designs is not ds._designs and set(sub._designs) == set(ds._designs)
     for ansatz, design in sub._designs.items():
         fresh = circuits.Design(ansatz, ds.x[idx], ds.y[idx])
-        for name in ("rows", "cols", "sign"):
+        for name in ("rows", "cols", "y", "sign"):
             got, want = getattr(design, name), getattr(fresh, name)
             assert got.flags.c_contiguous
             assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
@@ -591,7 +591,7 @@ def test_a_subset_slices_the_designs_its_dataset_holds():
     bare = generate(30, seed=4).subset(idx)
     assert bare._designs == {}
     assert bare.design(Ansatz.A2B).rows.tobytes() == circuits.Design(
-        Ansatz.A2B, ds.x[idx]).rows.tobytes()
+        Ansatz.A2B, ds.x[idx], ds.y[idx]).rows.tobytes()
 
 
 def test_noisy_shift_rule_sgd_builds_one_design_for_the_full_dataset(monkeypatch):

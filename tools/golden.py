@@ -170,9 +170,11 @@ def _command_cases() -> list[Case]:
         Case("sweep-jobs-2-noisy", (sweep_args + ("--jobs", "2", "--set", "backend.kind=noisy"),),
              {"sweep.yaml": sweep}),
         Case("analyze-residuals", (("analyze", "residuals", "--points", "5",
-                                    "--calibration-shots", "200", "--out", "out"),)),
+                                    "--calibration-shots", "200", "--out", "out"),),
+             quick=True),
         Case("analyze-noise-scaling", (("analyze", "noise-scaling", "--shots", "10,30",
-                                        "--repeats", "2", "--points", "5", "--out", "out"),)),
+                                        "--repeats", "2", "--points", "5", "--out", "out"),),
+             quick=True),
         Case("analyze-gradient-noise", (("analyze", "gradient-noise", "--steps", "0.5",
                                          "--repeats", "2", "--points", "5", "--out", "out"),),
              quick=True),

@@ -18,8 +18,11 @@ target, PYTHONDONTWRITEBYTECODE), every run's metrics, and for each workload
 and end-to-end metric of BENCHMARK.json each side's median and quartiles, the
 wins of each side out of the pairs, the change's median difference and the
 A/A median difference, both relative to the parent's median.  Two records
-compare only on one CPU model and one dispatch target.  The exit code is 0
-only when every run passed its checks.
+compare only on one CPU model and one dispatch target.  The working tree's
+source digest and uncommitted-edits flag are taken again after the last run;
+if either moved, the change side measured code the record does not name, and
+both values are printed.  The exit code is 0 only when every run passed its
+checks and neither value moved.
 """
 
 from __future__ import annotations
@@ -71,6 +74,21 @@ def src_digest(src: Path) -> str:
     return digest.hexdigest()
 
 
+def provenance() -> dict:
+    """What the change side runs: whether the working tree has uncommitted edits
+    to tracked files, and the digest of its src/."""
+    return {"change_has_uncommitted_edits": bool(git("status", "--porcelain",
+                                                     "--untracked-files=no")),
+            "change_src_sha256": src_digest(ROOT / "src")}
+
+
+def provenance_drift(before: dict, after: dict) -> list[str]:
+    """One line per provenance value that differs between `before`, taken before
+    the first run, and `after`, taken after the last."""
+    return [f"record: {name} moved during the runs: {before[name]!r} before the first run, "
+            f"{after[name]!r} after the last" for name in after if before[name] != after[name]]
+
+
 def environment(against: str) -> dict:
     import numpy
     import yaml
@@ -86,8 +104,7 @@ def environment(against: str) -> dict:
     return {
         "parent_sha": git("rev-parse", against),
         "change_sha": git("rev-parse", "HEAD"),
-        "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "change_src_sha256": src_digest(ROOT / "src"),
+        **provenance(),
         "nproc": os.cpu_count(),
         "cpu_model": cpu,
         "python": platform.python_version(),
@@ -205,6 +222,7 @@ def main(argv=None) -> int:
                 print(f"record: {workload} pair {pair + 1}/{args.pairs} done", file=sys.stderr)
             record["workloads"][workload] = {
                 "summary": summarize(runs, benchmark["end_to_end"]), "runs": runs}
+    drift = provenance_drift(record["env"], provenance())
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     failed = sum(not run["correct"] for w in record["workloads"].values()
                  for side in w["runs"].values() for run in side)
@@ -216,7 +234,9 @@ def main(argv=None) -> int:
                       f"{row['aa_difference']:+.2%}, parent IQR {row['parent_iqr']:.2%}), "
                       f"change wins {row['change_wins']}/{row['pairs']}")
     print(f"runs failed: {failed}")
-    return 0 if failed == 0 else 1
+    for line in drift:
+        print(line, file=sys.stderr)
+    return 0 if failed == 0 and not drift else 1
 
 
 if __name__ == "__main__":
